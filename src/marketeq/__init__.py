@@ -22,7 +22,6 @@ from .ipm import (
 )
 from .market import (
     MarketInstance,
-    PriceVector,
     UtilitySpec,
     build_flow_instance,
     generate_random,

@@ -17,8 +17,7 @@ import time
 import numpy as np
 
 from . import baselines, hessian as hes, ipm, market
-from .ipm import STATUS_CONVERGED, STATUS_MAXITERS, STATUS_NUMFAIL
-from .oracle import market_state
+from .ipm import STATUS_CONVERGED, STATUS_MAXITERS
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -181,23 +180,8 @@ def ground_truth(instance, eps: float = 1e-12, max_iters: int = 3000):
     cfg = ipm.LogBarConfig(eps=1e-9, hessian_mode="dr1",
                            sigma_override=0.5, max_iters=max_iters)
     p, _ = ipm.logbar_run(instance, cfg)
-    p, ok = newton_polish(instance, p, eps=eps)
-    return p, ok
-
-
-def newton_polish(instance, p, eps: float = 1e-12, max_iters: int = 60, eps_k: float = 1e-12):
-    """Pure inexact Newton with PCG steps until ||grad phi||_inf <= eps."""
-    p = np.asarray(p, dtype=float).copy()
-    for _ in range(max_iters):
-        state = market_state(instance, p)
-        if float(np.max(np.abs(state.grad))) <= eps:
-            return p, True
-        op = hes.assemble_from_state(state, instance, hes.EXACT)
-        rhs = -(p * state.grad)
-        d, _ = hes.pcg_solve(op, ipm.MU_FLOOR, rhs, eps_k, op.preconditioner())
-        d, _clip = ipm._apply_safeguard(d, 0.01)
-        p = p * (1.0 + d)
-    return p, False
+    p, trace = ipm.newton_polish(instance, p, eps=eps)
+    return p, trace.status == STATUS_CONVERGED
 
 
 def _parse_cells(spec: str):
@@ -309,7 +293,7 @@ def _add_solver_flags(sp):
     sp.add_argument("--hessian", choices=["exact", "dr1", "pcg"], default=None)
     sp.add_argument("--Q", type=float, default=0.25)
     sp.add_argument("--mu-shrink", dest="mu_shrink", type=float, default=0.5,
-                    help="mu shrink factor override; unset uses the short-step formula")
+                    help="LogBar mu shrink factor per iteration (default 0.5)")
     sp.add_argument("--beta", type=float, default=0.01)
     sp.add_argument("--gamma", type=float, default=0.04)
     sp.add_argument("--c-phi", dest="c_phi", type=float, default=None)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .market import MarketInstance
@@ -24,9 +23,6 @@ from .oracle import (
     constrained_dual_hessian,
     market_state,
 )
-
-EXACT = "exact"
-DR1 = "dr1"
 
 DENSE_LIMIT = 512  # dense materialization is a test path, never the big-n path
 OMEGA_DROP_REL = 1e-14
@@ -52,16 +48,15 @@ class ScaledHessianOp:
     """H(p) = P grad^2 phi(p) P as diagonal + rank-one pieces per player."""
 
     n: int
-    mode: str = EXACT
     # additive-family batch: share rows, diag weights a, rank-one weights s
     G: sp.csr_matrix | None = None
     a: np.ndarray | None = None
     s: np.ndarray | None = None
-    # general per-player DR1 pieces: (diag vector, coefficient, vector)
+    # linear-barrier players: (diag vector, coefficient, vector) each
     general: list = field(default_factory=list)
     # dense blocks (constrained players)
     dense_blocks: list = field(default_factory=list)
-    # DR1 surrogate data
+    # DR1 surrogate of the additive-family batch (a solver choice, see dr1_solve)
     dr1_diag: np.ndarray | None = None
     dr1_omega: float = 0.0
     dr1_xi: np.ndarray | None = None
@@ -69,7 +64,8 @@ class ScaledHessianOp:
 
     # -- products ----------------------------------------------------------
 
-    def exact_matvec(self, v: np.ndarray) -> np.ndarray:
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """The exact product H v."""
         out = np.zeros(self.n)
         if self.G is not None:
             # dr1_diag doubles as the exact diagonal: both equal G^T a
@@ -80,14 +76,13 @@ class ScaledHessianOp:
             out += blk @ v
         return out
 
+    exact_matvec = matvec  # the exact product by name, beside dr1_matvec
+
     def dr1_matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.dr1_diag * v
         if self.dr1_active:
             out -= self.dr1_omega * (self.dr1_xi @ v) * self.dr1_xi
         return out
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.dr1_matvec(v) if self.mode == DR1 else self.exact_matvec(v)
 
     def diff_matvec(self, v: np.ndarray) -> np.ndarray:
         """(H_dr1 - H_exact) v; diagonals cancel, only rank-one terms remain."""
@@ -106,11 +101,6 @@ class ScaledHessianOp:
     def dense(self) -> np.ndarray:
         if self.n > DENSE_LIMIT:
             raise ValueError(f"dense materialization capped at n={DENSE_LIMIT}")
-        if self.mode == DR1:
-            H = np.diag(self.dr1_diag.copy())
-            if self.dr1_active:
-                H -= self.dr1_omega * np.outer(self.dr1_xi, self.dr1_xi)
-            return H
         H = np.zeros((self.n, self.n))
         if self.G is not None:
             H += np.diag(self.G.T @ self.a)
@@ -125,12 +115,10 @@ class ScaledHessianOp:
         return DiagonalPreconditioner(np.maximum(self.row_sums(), KC_FLOOR))
 
 
-def assemble_from_state(state: MarketState, instance: MarketInstance, mode: str = EXACT) -> ScaledHessianOp:
-    op = ScaledHessianOp(n=instance.n, mode=mode)
+def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledHessianOp:
+    op = ScaledHessianOp(n=instance.n)
     w = instance.budgets
     if state.kind_class == "linear":
-        if mode == DR1:
-            raise ValueError("DR1 surrogate is defined for the additive family only")
         for i in range(instance.m):
             op.general.append(
                 linear_barrier_hessian_block(
@@ -153,31 +141,34 @@ def assemble_from_state(state: MarketState, instance: MarketInstance, mode: str 
         if abs(omega) >= OMEGA_DROP_REL * float(np.abs(op.s).sum()):
             op.dr1_xi = (op.G.T @ op.s) / omega
             op.dr1_active = True
-    if state.con_responses:
-        if mode == DR1:
-            raise ValueError("DR1 surrogate is defined for unconstrained players only")
-        for i in state.con_responses:
-            u = instance.utilities[i]
-            d = u.k_exponent * u.r_exponent
-            M = constrained_dual_hessian(instance, state.p, i)
-            scaled = (float(w[i]) / d) * (state.p[:, None] * M * state.p[None, :])
-            op.dense_blocks.append(scaled)
+    for i, resp in state.con_responses.items():
+        u = instance.utilities[i]
+        d = u.k_exponent * u.r_exponent
+        M = constrained_dual_hessian(instance, i, resp.x)
+        scaled = (float(w[i]) / d) * (state.p[:, None] * M * state.p[None, :])
+        op.dense_blocks.append(scaled)
     return op
 
 
-def assemble(instance: MarketInstance, p, mode: str = EXACT) -> ScaledHessianOp:
-    """Build the scaled Hessian operator at p (exact or DR1 surrogate)."""
-    return assemble_from_state(market_state(instance, p), instance, mode)
+def assemble(instance: MarketInstance, p) -> ScaledHessianOp:
+    """Build the scaled Hessian operator at p (with its DR1 surrogate data)."""
+    return assemble_from_state(market_state(instance, p), instance)
 
 
 def preconditioner(instance: MarketInstance, p) -> DiagonalPreconditioner:
-    return assemble(instance, p, EXACT).preconditioner()
+    return assemble(instance, p).preconditioner()
 
 
 def dr1_solve(op: ScaledHessianOp, mu: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (diag(D) + mu I - Omega xi xi^T) d = rhs in O(n) via Sherman-Morrison."""
+    """Solve (diag(D) + mu I - Omega xi xi^T) d = rhs in O(n) via Sherman-Morrison.
+
+    The surrogate has no linear-barrier or constrained pieces, so an operator
+    that carries them is refused rather than solved without them.
+    """
     if op.dr1_diag is None:
         raise ValueError("operator carries no DR1 data")
+    if op.general or op.dense_blocks:
+        raise ValueError("DR1 surrogate is defined for unconstrained CES/additive players only")
     M = op.dr1_diag + mu
     if np.any(M <= 0):
         raise SingularUpdateError("diagonal term not positive; increase mu")
@@ -234,14 +225,6 @@ def pcg_solve(op, g_diag, rhs: np.ndarray, eps_k: float,
         if not np.all(np.isfinite(direction)):
             raise FloatingPointError("non-finite CG direction")
     return d, iters
-
-
-def dense_solve(op: ScaledHessianOp, g_diag, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve of (H + diag(g_diag)) d = rhs for desk-scale n."""
-    H = op.dense()
-    A = H + np.diag(np.broadcast_to(np.asarray(g_diag, dtype=float), (op.n,)))
-    c, low = scipy.linalg.cho_factor(A, check_finite=False)
-    return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
 
 
 def diff_norm_estimate(op: ScaledHessianOp, iters: int = 30, seed: int = 0) -> float:

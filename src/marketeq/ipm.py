@@ -13,8 +13,12 @@ driving t from 1 to 0 with steps sized by the self-concordance constant,
     H~ d = -P(grad phi - t+ grad phi(p0)),
 then finishes with pure inexact Newton inside the quadratic region.
 
-Both record a SolveTrace (CSV: one row per iteration, trailing status
-comment) and stop on the equilibrium certificate ||grad phi||_inf <= eps.
+Both take the same step -- query best responses, assemble H~ from the bids,
+solve (H~ + shift I) d = rhs, set p <- p (1 + d) -- in one loop
+(_newton_loop); each driver supplies only its homotopy rule.  The loop
+records a SolveTrace (CSV: one row per iteration, trailing status comment)
+and stops on the equilibrium certificate ||grad phi||_inf <= eps.
+newton_polish runs the same loop with PathFol's t = 0 rule alone.
 """
 
 from __future__ import annotations
@@ -227,10 +231,7 @@ class _StepSolver:
                 return hes.dr1_solve(self.op, mu, rhs), None
             except hes.SingularUpdateError:
                 self.fallbacks += 1
-                d, it = hes.pcg_solve(self.op, mu, rhs, self.eps_k, self.precond())
-                return d, it
-        d, it = hes.pcg_solve(self.op, mu, rhs, self.eps_k, self.precond())
-        return d, it
+        return hes.pcg_solve(self.op, mu, rhs, self.eps_k, self.precond())
 
     def dual_norm(self, g_scaled: np.ndarray) -> float:
         """||g||*_{H~ + floor} = sqrt(g^T (H~ + floor I)^{-1} g)."""
@@ -244,10 +245,81 @@ def newton_decrement(op: hes.ScaledHessianOp, g_scaled: np.ndarray,
     return _StepSolver(op, mode, eps_k).dual_norm(np.asarray(g_scaled, dtype=float))
 
 
-def decrement_at(instance: MarketInstance, p, hessian_mode: str = "exact") -> float:
-    state = market_state(instance, p)
-    op = hes.assemble_from_state(state, instance, hes.EXACT)
-    return newton_decrement(op, state.p * state.grad, mode=hessian_mode)
+# ---------------------------------------------------------------------------
+# the Newton loop shared by LogBar, PathFol and the polish
+
+_NUMERICAL_ERRORS = (OracleError, FloatingPointError, scipy.linalg.LinAlgError)
+
+
+def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure, step,
+                 stop=None, solver_mode=None, callback=None) -> np.ndarray:
+    """Newton steps p <- p (1 + d), (H~ + shift I) d = rhs, until ||grad phi||_inf <= eps.
+
+    Each iteration queries the players at p and assembles H~; the driver's
+    rule does the rest: solver_mode(k, state, op) picks the solver (default
+    config.hessian_mode), measure(k, state, solver) gives the row's
+    (homotopy, nbhd_resid, decrement), stop(k) may end the run before the
+    step, and step(k, state, solver) gives (shift, rhs).  A NaN decrement
+    becomes the step's Newton decrement sqrt(rhs . d).  An oracle,
+    floating-point or factorization error ends the run as NumericalFailure.
+    """
+    iterates = [p.copy()] if config.keep_iterates else None
+    trace.extras.update(safeguards=0, dr1_fallbacks=0)
+    status = STATUS_MAXITERS
+    for k in range(config.max_iters):
+        tic = time.perf_counter()
+        try:
+            state = market_state(instance, p)
+            op = hes.assemble_from_state(state, instance)
+            mode = solver_mode(k, state, op) if solver_mode else config.hessian_mode
+            solver = _StepSolver(op, mode, config.eps_k)
+            homotopy, nbhd, decrement = measure(k, state, solver)
+            row = TraceRow(k=k, homotopy=homotopy, grad_inf=float(np.max(np.abs(state.grad))),
+                           grad_l2=float(np.linalg.norm(state.grad)), nbhd_resid=nbhd,
+                           decrement=decrement)
+            trace.rows.append(row)
+            if row.grad_inf <= config.eps:
+                status = STATUS_CONVERGED
+                break
+            halt = (stop(k) if stop else None) or (callback(k, p) if callback else None)
+            if halt:
+                status = halt if isinstance(halt, str) else STATUS_CONVERGED
+                break
+            shift, rhs = step(k, state, solver)
+            d, pcg_iters = solver.solve(shift, rhs)
+            if not np.all(np.isfinite(d)):
+                raise FloatingPointError("non-finite Newton step")
+        except _NUMERICAL_ERRORS as exc:
+            trace.extras["error"] = str(exc)
+            status = STATUS_NUMFAIL
+            break
+        if math.isnan(row.decrement):
+            row.decrement = math.sqrt(max(float(rhs @ d), 0.0))
+        d, clipped = _apply_safeguard(d, config.step_safeguard_eta)
+        trace.extras["safeguards"] += int(clipped)
+        trace.extras["dr1_fallbacks"] += solver.fallbacks
+        p = p * (1.0 + d)
+        row.step_norm = float(np.linalg.norm(d))
+        row.pcg_iters = pcg_iters
+        row.wall_ms = (time.perf_counter() - tic) * 1e3
+        if iterates is not None:
+            iterates.append(p.copy())
+    trace.status = status
+    if iterates is not None:
+        trace.extras["iterates"] = iterates
+    return p
+
+
+def newton_polish(instance: MarketInstance, p, eps: float = 1e-12, max_iters: int = 60,
+                  eps_k: float = 1e-12):
+    """Pure inexact Newton with PCG steps from p until ||grad phi||_inf <= eps:
+    PathFol's t = 0 rule, (H~ + MU_FLOOR I) d = -P grad phi.  Returns (p, SolveTrace)."""
+    config = PathFolConfig(eps=eps, eps_k=eps_k, max_iters=max_iters, hessian_mode="pcg")
+    trace = SolveTrace()
+    p = _newton_loop(instance, np.asarray(p, dtype=float).copy(), config, trace,
+                     measure=lambda k, state, solver: (0.0, math.nan, math.nan),
+                     step=lambda k, state, solver: (MU_FLOOR, -(state.p * state.grad)))
+    return p, trace
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +392,7 @@ def _stationarity_polish(instance, p, eps, max_nfev=400):
     import scipy.optimize
 
     state = market_state(instance, p)
-    op = hes.assemble_from_state(state, instance, hes.EXACT)
+    op = hes.assemble_from_state(state, instance)
     scale = 1.0 / np.sqrt(np.maximum(np.diag(op.dense()), 1e-300))
 
     def fun(q):
@@ -330,7 +402,7 @@ def _stationarity_polish(instance, p, eps, max_nfev=400):
     def jac(q):
         pp = np.exp(q)
         st = market_state(instance, pp)
-        J = hes.assemble_from_state(st, instance, hes.EXACT).dense()
+        J = hes.assemble_from_state(st, instance).dense()
         return scale[:, None] * (J + np.diag(pp * st.grad))
 
     sol = scipy.optimize.root(fun, np.log(p), jac=jac, method="hybr",
@@ -411,67 +483,26 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
         (Q + math.sqrt(n)) / (2.0 * Q + math.sqrt(n))
     mu_threshold = config.eps / (1.0 + math.sqrt(n))
 
-    trace = SolveTrace(extras={"Q": Q, "sigma": sigma, "mu0": mu, "safeguards": 0,
-                               "dr1_fallbacks": 0, "mu_threshold_k": None})
-    iterates = [p.copy()] if config.keep_iterates else None
-    status = STATUS_MAXITERS
-    for k in range(config.max_iters):
-        t0 = time.perf_counter()
-        try:
-            state = market_state(instance, p)
-            op = hes.assemble_from_state(state, instance, hes.EXACT)
-        except (OracleError, FloatingPointError) as exc:
-            trace.extras["error"] = str(exc)
-            status = STATUS_NUMFAIL
-            break
-        g = state.grad
-        gs = p * g
-        solver = _StepSolver(op, config.hessian_mode, config.eps_k)
-        row = TraceRow(
-            k=k, homotopy=mu,
-            grad_inf=float(np.max(np.abs(g))), grad_l2=float(np.linalg.norm(g)),
-            nbhd_resid=float(np.linalg.norm(gs - mu) / mu),
-            decrement=solver.dual_norm(gs),
-        )
-        trace.rows.append(row)
-        if row.grad_inf <= config.eps:
-            status = STATUS_CONVERGED
-            break
+    trace = SolveTrace(extras={"Q": Q, "sigma": sigma, "mu0": mu, "mu_threshold_k": None})
+
+    def measure(k, state, solver):
+        # the decrement is left to the loop: ||P grad phi - mu+ 1||* in the
+        # metric H~ + mu+ I of the step just taken (NaN on the last row)
+        return mu, float(np.linalg.norm(state.p * state.grad - mu) / mu), math.nan
+
+    def stop(k):
         if trace.extras["mu_threshold_k"] is None and mu <= mu_threshold:
             trace.extras["mu_threshold_k"] = k
-            if config.mu_stop:
-                status = STATUS_CONVERGED
-                break
-        if callback is not None:
-            stop = callback(k, p)
-            if stop:
-                status = stop if isinstance(stop, str) else STATUS_CONVERGED
-                break
+            return STATUS_CONVERGED if config.mu_stop else None
+        return None
+
+    def step(k, state, solver):
+        nonlocal mu
         mu = sigma * mu
-        rhs = -(gs - mu)
-        try:
-            d, pcg_iters = solver.solve(mu, rhs)
-        except (FloatingPointError, scipy.linalg.LinAlgError) as exc:
-            trace.extras["error"] = str(exc)
-            status = STATUS_NUMFAIL
-            break
-        if not np.all(np.isfinite(d)):
-            trace.extras["error"] = "non-finite Newton step"
-            status = STATUS_NUMFAIL
-            break
-        d, clipped = _apply_safeguard(d, config.step_safeguard_eta)
-        if clipped:
-            trace.extras["safeguards"] += 1
-        trace.extras["dr1_fallbacks"] += solver.fallbacks
-        p = p * (1.0 + d)
-        row.step_norm = float(np.linalg.norm(d))
-        row.pcg_iters = pcg_iters
-        row.wall_ms = (time.perf_counter() - t0) * 1e3
-        if iterates is not None:
-            iterates.append(p.copy())
-    trace.status = status
-    if iterates is not None:
-        trace.extras["iterates"] = iterates
+        return mu, -(state.p * state.grad - mu)
+
+    p = _newton_loop(instance, p, config, trace, measure, step, stop, callback=callback)
+    if config.keep_iterates:
         trace.extras["mus"] = [r.homotopy for r in trace.rows]
     return p, trace
 
@@ -544,27 +575,18 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
         raise ConfigError("p0 must be strictly positive")
     C = config.c_phi if config.c_phi is not None else PRACTICAL_C_PHI
     delta_cert = config.delta_cert if config.delta_cert is not None else config.delta_target
-    mode = config.hessian_mode
     try:
         g0u = market_state(instance, p).grad  # frozen anchor
     except OracleError as exc:
         return p, SolveTrace(status=STATUS_NUMFAIL, extras={"error": str(exc)})
     t = 1.0
+    mode = config.hessian_mode
     degrees = instance.degrees() if not instance.is_linear else None
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
-                               "safeguards": 0, "centering_warnings": 0,
-                               "mode_switch_k": None, "t_zero_k": None})
-    iterates = [p.copy()] if config.keep_iterates else None
-    status = STATUS_MAXITERS
-    for k in range(config.max_iters):
-        tic = time.perf_counter()
-        try:
-            state = market_state(instance, p)
-            op = hes.assemble_from_state(state, instance, hes.EXACT)
-        except (OracleError, FloatingPointError) as exc:
-            trace.extras["error"] = str(exc)
-            status = STATUS_NUMFAIL
-            break
+                               "centering_warnings": 0, "mode_switch_k": None, "t_zero_k": None})
+
+    def solver_mode(k, state, op):
+        nonlocal mode
         if mode == "dr1":
             eps_h = hes.diff_norm_estimate(op, iters=10, seed=k)
             kappa = np.minimum(_kappa_from_shares(op.G), config.kappa_cap)
@@ -572,56 +594,28 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
             if delta_est > delta_cert:
                 mode = "pcg"
                 trace.extras["mode_switch_k"] = k
-        g = state.grad
-        gs = p * g
-        solver = _StepSolver(op, mode, config.eps_k)
-        lam = solver.dual_norm(gs)
-        resid_vec = p * (g - t * g0u)
-        nbhd = solver.dual_norm(resid_vec)
+        return mode
+
+    def measure(k, state, solver):
+        lam = solver.dual_norm(state.p * state.grad)
+        nbhd = solver.dual_norm(state.p * (state.grad - t * g0u))
         if nbhd > config.beta / C * (1.0 + 1e-9):
             trace.extras["centering_warnings"] += 1
-        row = TraceRow(k=k, homotopy=t, grad_inf=float(np.max(np.abs(g))),
-                       grad_l2=float(np.linalg.norm(g)), nbhd_resid=nbhd, decrement=lam)
-        trace.rows.append(row)
-        if row.grad_inf <= config.eps:
-            status = STATUS_CONVERGED
-            break
-        if callback is not None:
-            stop = callback(k, p)
-            if stop:
-                status = stop if isinstance(stop, str) else STATUS_CONVERGED
-                break
+        return t, nbhd, lam
+
+    def step(k, state, solver):
+        nonlocal t
+        t_new = 0.0
         if t > 0.0:
-            g0_norm = solver.dual_norm(p * g0u)
+            g0_norm = solver.dual_norm(state.p * g0u)
             t_new = max(t - config.gamma_step / (C * g0_norm), 0.0)
-        else:
-            t_new = 0.0
-        if t_new == 0.0 and t > 0.0:
-            trace.extras["t_zero_k"] = k
-        rhs = -(p * (g - t_new * g0u))
-        try:
-            d, pcg_iters = solver.solve(MU_FLOOR, rhs)
-        except (FloatingPointError, scipy.linalg.LinAlgError) as exc:
-            trace.extras["error"] = str(exc)
-            status = STATUS_NUMFAIL
-            break
-        if not np.all(np.isfinite(d)):
-            trace.extras["error"] = "non-finite Newton step"
-            status = STATUS_NUMFAIL
-            break
-        d, clipped = _apply_safeguard(d, config.step_safeguard_eta)
-        if clipped:
-            trace.extras["safeguards"] += 1
-        p = p * (1.0 + d)
+            if t_new == 0.0:
+                trace.extras["t_zero_k"] = k
         t = t_new
-        row.step_norm = float(np.linalg.norm(d))
-        row.pcg_iters = pcg_iters
-        row.wall_ms = (time.perf_counter() - tic) * 1e3
-        if iterates is not None:
-            iterates.append(p.copy())
-    trace.status = status
-    if iterates is not None:
-        trace.extras["iterates"] = iterates
+        return MU_FLOOR, -(state.p * (state.grad - t_new * g0u))
+
+    p = _newton_loop(instance, p, config, trace, measure, step, solver_mode=solver_mode,
+                     callback=callback)
     return p, trace
 
 

@@ -130,18 +130,6 @@ def linear_barrier_spec(c, sigma: float) -> UtilitySpec:
     return UtilitySpec(LINEAR_BARRIER, idx, c[idx], sigma=float(sigma))
 
 
-@dataclass
-class PriceVector:
-    """Strictly positive price vector, the decision variable of the dual."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        if self.p.ndim != 1 or not np.all(self.p > 0) or not np.all(np.isfinite(self.p)):
-            raise ValueError("prices must be a finite strictly positive vector")
-
-
 class MarketInstance:
     """A Fisher market: n goods (unit supply), m budgeted players."""
 

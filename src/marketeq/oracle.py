@@ -346,9 +346,9 @@ def constrained_best_response(p, c, k: float, r: float, w: float, A: np.ndarray,
     )
 
 
-def constrained_dual_hessian(instance: MarketInstance, p, i: int) -> np.ndarray:
-    """Dual Hessian of f_i for a constrained player:
-    (d^2/w^2) (W^{-1} - W^{-1} A^T (A W^{-1} A^T)^{-1} A W^{-1}), W = hess v(x(p)).
+def constrained_dual_hessian(instance: MarketInstance, i: int, x) -> np.ndarray:
+    """Dual Hessian of f_i for a constrained player with best response x = x_i(p):
+    (d^2/w^2) (W^{-1} - W^{-1} A^T (A W^{-1} A^T)^{-1} A W^{-1}), W = hess v(x).
     """
     u = instance.utilities[i]
     A = instance.constraints.get(i, np.zeros((0, instance.n)))
@@ -356,8 +356,7 @@ def constrained_dual_hessian(instance: MarketInstance, p, i: int) -> np.ndarray:
     k, r = u.k_exponent, u.r_exponent
     d = k * r
     c = u.dense(instance.n)
-    resp, _, _ = constrained_best_response(np.asarray(p, float), c, k, r, w, A)
-    W = v_hess(resp.x, c, k, r)
+    W = v_hess(np.asarray(x, float), c, k, r)
     Winv = np.linalg.inv(W)
     if A.shape[0] == 0:
         return (d * d / (w * w)) * Winv

@@ -57,6 +57,18 @@ def random_player(rng, n, kind="ces", allow_negative_r=True):
     return UtilitySpec(ADDITIVE, np.flatnonzero(c), c[np.flatnonzero(c)], k=k, r=r)
 
 
+def mixed_flow_instance(players=2, ces_players=3, seed=0):
+    """s-t flow players on a triangle plus unconstrained CES players over all goods."""
+    from marketeq.market import build_flow_instance, ces_spec
+
+    flow = build_flow_instance([("s", "a"), ("a", "t"), ("s", "t")], [("s", "t")] * players)
+    rng = np.random.default_rng(seed)
+    utilities = list(flow.utilities) + [ces_spec(rng.uniform(0.1, 1.0, flow.n), 0.5)
+                                        for _ in range(ces_players)]
+    m = len(utilities)
+    return MarketInstance(flow.n, m, np.full(m, 1.0 / m), utilities, flow.constraints)
+
+
 def symmetric_instance(n, m, rho=0.5):
     """Uniform coefficients and budgets: the equilibrium is (sum w / n) * 1."""
     utilities = [UtilitySpec(CES, np.arange(n), np.ones(n), rho=rho) for _ in range(m)]

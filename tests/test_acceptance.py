@@ -452,7 +452,7 @@ def test_criterion_10_constrained_allocation():
             p, u.dense(inst.n), u.k_exponent, u.r_exponent, w, A)
         worst_ax = max(worst_ax, float(np.max(np.abs(A @ resp.x))))
         worst_budget = max(worst_budget, abs(resp.spend - w) / w)
-        M = constrained_dual_hessian(inst, p, 0)
+        M = constrained_dual_hessian(inst, 0, resp.x)
         worst_annihilate = max(worst_annihilate,
                                float(np.max(np.abs(A @ M)) / np.max(np.abs(M))))
         d = u.k_exponent * u.r_exponent

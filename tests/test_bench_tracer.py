@@ -1,0 +1,44 @@
+"""The benchmark's tracer (bench/tracer.py) patches marketeq functions by the
+names the drivers call them through.  A renamed or deleted name crashes the
+traced round; a call moved behind a name the tracer does not patch silently
+drops out of the per-layer counts, price queries included."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import marketeq as mq
+from marketeq import hessian, ipm, oracle
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves_on_its_owner():
+    tracer = load_tracer()
+    for owner, attr, name, _ in tracer.TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} ({name})"
+
+
+def test_traced_solve_counts_every_query_and_step():
+    tracer = load_tracer()
+    inst = mq.generate_random(8, 20, 0.8, rho=0.5, seed=2)
+    cfg = mq.PathFolConfig(eps=1e-7, hessian_mode="exact", c_phi=10.0, max_iters=500)
+    tr = tracer.Tracer()
+    with tr.patched():
+        _, trace = mq.pathfol_run(inst, cfg, np.full(8, inst.total_budget() / 8))
+    assert trace.status == "Converged"
+    totals = tracer.layer_totals(tr.spans)
+    iters = trace.iterations()
+    assert totals["oracle"]["calls"] == iters + 1  # the frozen anchor, then one per iteration
+    assert totals["hessian.assemble"]["calls"] == iters
+    assert totals["ipm.factor"]["calls"] == iters
+    assert ipm.market_state is oracle.market_state
+    assert hessian.market_state is oracle.market_state

@@ -5,8 +5,6 @@ import scipy.sparse as sp
 import marketeq as mq
 from marketeq import hessian as hes
 from marketeq.hessian import (
-    DR1,
-    EXACT,
     DiagonalPreconditioner,
     ScaledHessianOp,
     SingularUpdateError,
@@ -16,7 +14,10 @@ from marketeq.hessian import (
     pcg_solve,
     preconditioner,
 )
+from marketeq.ipm import newton_decrement
 from marketeq.market import CES, MarketInstance, UtilitySpec
+
+from conftest import mixed_flow_instance
 
 
 def op_from_gammas(gammas, w, r):
@@ -40,12 +41,13 @@ class TestAssemble:
     def test_single_player_dr1_equals_exact(self, rng):
         inst = mq.generate_random(6, 1, 1.0, rho=0.7, seed=3)
         p = rng.uniform(0.5, 2.0, 6)
-        op_e = assemble(inst, p, EXACT)
-        op_d = assemble(inst, p, DR1)
+        op = assemble(inst, p)
         for _ in range(5):
             v = rng.standard_normal(6)
-            assert np.max(np.abs(op_e.matvec(v) - op_d.matvec(v))) < 1e-14
-        assert np.max(np.abs(op_e.dense() - op_d.dense())) < 1e-14
+            assert np.max(np.abs(op.matvec(v) - op.dr1_matvec(v))) < 1e-14
+        assert op.dr1_active
+        dr1_dense = np.diag(op.dr1_diag) - op.dr1_omega * np.outer(op.dr1_xi, op.dr1_xi)
+        assert np.max(np.abs(op.dense() - dr1_dense)) < 1e-14
 
     def test_omega_cancellation_drops_rank_one(self):
         # r = +0.5 and r = -0.5 with budgets tuned so sum w r/(1-r) = 0
@@ -93,7 +95,19 @@ class TestAssemble:
     def test_dr1_rejected_for_linear_markets(self):
         inst = mq.generate_random(4, 3, 1.0, seed=0, kind="linear_barrier", sigma=0.1)
         with pytest.raises(ValueError):
-            assemble(inst, np.ones(4), DR1)
+            dr1_solve(assemble(inst, np.ones(4)), 1e-3, np.ones(4))
+
+    def test_dr1_rejected_for_flow_markets(self, rng):
+        # the CES players give the operator DR1 data, the flow players dense
+        # blocks the surrogate cannot represent
+        inst = mixed_flow_instance()
+        p = rng.uniform(0.5, 2.0, inst.n)
+        op = assemble(inst, p)
+        assert op.dr1_diag is not None and op.dense_blocks
+        with pytest.raises(ValueError, match="unconstrained"):
+            dr1_solve(op, 1e-3, np.ones(inst.n))
+        with pytest.raises(ValueError, match="unconstrained"):
+            newton_decrement(op, p * mq.market_state(inst, p).grad, mode="dr1")
 
 
 class TestDr1Solve:
@@ -104,7 +118,7 @@ class TestDr1Solve:
 
     def test_matvec_residual(self, rng):
         inst = mq.generate_random(6, 1, 1.0, rho=0.7, seed=3)
-        op = assemble(inst, rng.uniform(0.5, 2.0, 6), DR1)
+        op = assemble(inst, rng.uniform(0.5, 2.0, 6))
         rhs = rng.standard_normal(6)
         d = dr1_solve(op, 0.1, rhs)
         resid = op.dr1_matvec(d) + 0.1 * d - rhs
@@ -123,7 +137,7 @@ class TestDr1Solve:
 
     def test_roundtrip_identity(self, rng):
         inst = mq.generate_random(12, 30, 0.5, rho=0.3, seed=9)
-        op = assemble(inst, rng.uniform(0.5, 2.0, 12), DR1)
+        op = assemble(inst, rng.uniform(0.5, 2.0, 12))
         for _ in range(20):
             rhs = rng.standard_normal(12)
             d = dr1_solve(op, 1e-2, rhs)
@@ -175,7 +189,6 @@ class TestPcg:
 
     def test_zero_rhs(self):
         op = ScaledHessianOp(n=3, dr1_diag=np.ones(3), dr1_omega=0.0, dr1_active=False)
-        op.mode = DR1
         d, iters = pcg_solve(op, 1.0, np.zeros(3), 1e-8)
         assert iters == 0 and np.all(d == 0)
 

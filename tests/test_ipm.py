@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import marketeq as mq
 from marketeq import hessian as hes
@@ -17,6 +18,7 @@ from marketeq.ipm import (
     logbar_init,
     logbar_run,
     newton_decrement,
+    newton_polish,
     pathfol_run,
     pathfol_select_params,
     theory_strict_Q,
@@ -105,6 +107,38 @@ class TestLogBarRun:
             sols[mode] = p
         assert np.linalg.norm(sols["exact"] - sols["dr1"]) / np.linalg.norm(sols["exact"]) < 1e-6
         assert np.linalg.norm(sols["exact"] - sols["pcg"]) / np.linalg.norm(sols["exact"]) < 1e-6
+
+    def test_decrement_is_the_step_barrier_decrement(self):
+        # row k records ||P grad phi - mu_{k+1} 1||* in the metric H~ + mu_{k+1} I
+        inst = mq.generate_random(10, 30, 0.8, rho=0.5, seed=4)
+        cfg = LogBarConfig(eps=1e-7, sigma_override=0.6, hessian_mode="exact", max_iters=200,
+                           keep_iterates=True)
+        _, trace = logbar_run(inst, cfg)
+        assert trace.status == "Converged"
+        iterates = trace.extras["iterates"]
+        for k, row in enumerate(trace.rows[:-1]):
+            mu = trace.rows[k + 1].homotopy
+            state = market_state(inst, iterates[k])
+            H = hes.assemble_from_state(state, inst).dense()
+            g = iterates[k] * state.grad - mu
+            lam = math.sqrt(g @ np.linalg.solve(H + mu * np.eye(inst.n), g))
+            assert abs(row.decrement - lam) <= 1e-8 * max(1.0, lam)
+        assert math.isnan(trace.rows[-1].decrement)
+
+    def test_one_factorization_per_step(self, monkeypatch):
+        real = scipy.linalg.cho_factor
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        inst = mq.generate_random(12, 30, 0.8, rho=-0.9, seed=6)
+        cfg = LogBarConfig(eps=1e-7, sigma_override=0.6, hessian_mode="exact", max_iters=200)
+        _, trace = logbar_run(inst, cfg)
+        assert trace.status == "Converged"
+        assert len(calls) == trace.iterations() - 1
 
     def test_pcg_iterations_recorded(self):
         inst = mq.generate_random(15, 40, 0.8, rho=0.5, seed=8)
@@ -274,12 +308,28 @@ class TestPathFolRun:
             pathfol_run(inst, PathFolConfig(), np.array([1.0, -1.0, 1.0, 1.0]))
 
 
+class TestNewtonPolish:
+    def test_polish_reaches_tight_tolerance(self):
+        inst = mq.generate_random(15, 40, 0.8, rho=0.5, seed=8)
+        p, _ = logbar_run(inst, LogBarConfig(eps=1e-5, sigma_override=0.6, max_iters=200))
+        p, trace = newton_polish(inst, p, eps=1e-12)
+        assert trace.status == "Converged"
+        assert np.max(np.abs(market_state(inst, p).grad)) <= 1e-12
+        assert all(r.pcg_iters for r in trace.rows[:-1])
+
+    def test_polish_stops_at_iteration_budget(self):
+        inst = mq.generate_random(15, 40, 0.8, rho=0.5, seed=8)
+        p, trace = newton_polish(inst, np.full(15, 5.0), eps=1e-12, max_iters=2)
+        assert trace.status == "MaxIters"
+        assert trace.iterations() == 2
+
+
 class TestNewtonDecrement:
     def test_zero_at_equilibrium(self):
         inst = symmetric_instance(4, 6)
         p = np.full(4, 0.25)
         state = market_state(inst, p)
-        op = hes.assemble_from_state(state, inst, hes.EXACT)
+        op = hes.assemble_from_state(state, inst)
         lam = newton_decrement(op, p * state.grad)
         assert lam <= 1e-9
 
@@ -299,7 +349,7 @@ class TestNewtonDecrement:
         inst = mq.generate_random(10, 30, 0.8, rho=0.4, seed=4)
         p = rng.uniform(0.5, 2.0, 10)
         state = market_state(inst, p)
-        op = hes.assemble_from_state(state, inst, hes.EXACT)
+        op = hes.assemble_from_state(state, inst)
         g = p * state.grad
         lam_dense = newton_decrement(op, g, mode="exact")
         lam_dr1 = newton_decrement(op, g, mode="dr1")

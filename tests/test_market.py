@@ -13,7 +13,6 @@ from marketeq.market import (
     DisconnectedTerminalsError,
     IngestError,
     MarketInstance,
-    PriceVector,
     UtilitySpec,
     build_flow_instance,
     ces_spec,
@@ -152,11 +151,6 @@ class TestSerialization:
             assert np.allclose(u.val, v.val)
             assert u.rho == v.rho
         assert np.allclose(back.constraints[2], inst.constraints[2])
-
-    def test_price_vector_validation(self):
-        with pytest.raises(ValueError):
-            PriceVector(np.array([1.0, 0.0]))
-        PriceVector(np.array([0.5, 2.0]))
 
 
 class TestIngest:

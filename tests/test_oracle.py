@@ -28,7 +28,7 @@ from marketeq.oracle import (
     v_value,
 )
 
-from conftest import central_diff, central_diff_vec, random_player
+from conftest import central_diff, central_diff_vec, mixed_flow_instance, random_player
 
 
 class TestCesBestResponse:
@@ -242,6 +242,23 @@ def penalty_oracle(p, c, k, r, w, A, rho_pen=1e8):
 
 
 class TestConstrained:
+    def test_one_best_response_per_player_per_query(self, monkeypatch):
+        # the dual-Hessian blocks reuse the responses of the price query
+        from marketeq import oracle
+        inst = mixed_flow_instance(players=3)
+        real = oracle.constrained_best_response
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "constrained_best_response", counting)
+        state = market_state(inst, np.full(inst.n, 0.5))
+        op = hes.assemble_from_state(state, inst)
+        assert len(op.dense_blocks) == 3
+        assert len(calls) == 3
+
     def test_zero_rows_equals_unconstrained(self):
         p = np.array([1.0, 2.0])
         c = np.array([1.0, 1.0])
@@ -281,7 +298,7 @@ class TestConstrained:
         inst = build_flow_instance([("s", "t")], [("s", "t")], rho=0.5)
         A = inst.constraints[0]
         p = np.array([1.3, 0.7])
-        M = constrained_dual_hessian(inst, p, 0)
+        M = constrained_dual_hessian(inst, 0, best_response(inst, 0, p).x)
         assert np.max(np.abs(A @ M)) <= 1e-10 * np.max(np.abs(M))
         assert np.linalg.eigvalsh((M + M.T) / 2).min() >= -1e-12 * np.max(np.abs(M))
         u = inst.utilities[0]
@@ -298,7 +315,7 @@ class TestConstrained:
                               constraints={0: np.zeros((0, n))})
         # constrained players must have positive coefficients; zero-row A
         p = rng.uniform(0.5, 2.0, n)
-        M = constrained_dual_hessian(inst, p, 0)
+        M = constrained_dual_hessian(inst, 0, best_response(inst, 0, p).x)
         br = ces_best_response(p, np.array([1.0, 2.0, 0.5]), 0.4, 1.0)
         closed = (1.0 / (1.0 - 0.4)) * (np.diag(br.gamma) - 0.4 * np.outer(br.gamma, br.gamma))
         closed = closed / p[:, None] / p[None, :]
