@@ -3,7 +3,8 @@
 The exact operator H(p) = P grad^2 phi(p) P is kept matrix-free as
     H v = D * v - G^T (s * (G v)) + linear/constrained extras,
 with G the bidding-share matrix, D = G^T a, a_i = w_i/(1-r_i) and
-s_i = w_i r_i/(1-r_i).  The DR1 surrogate collapses the rank-one sum to a
+s_i = w_i r_i/(1-r_i); linear-barrier markets carry the same shape with
+dense rows V in place of G.  The DR1 surrogate collapses the rank-one sum to a
 single outer product of xi = sum_i omega_i gamma_i, whose inverse is an
 O(n) Sherman-Morrison solve.  The optimal diagonal preconditioner is the
 row sum k_c = H 1 = sum_i w_i gamma_i.
@@ -15,16 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dgemm
 
 from .market import MarketInstance
-from .oracle import (
-    MarketState,
-    linear_barrier_hessian_block,
-    constrained_dual_hessian,
-    market_state,
-)
+from .oracle import MarketState, constrained_dual_hessian, market_state
 
 DENSE_LIMIT = 512  # dense materialization is a test path, never the big-n path
+GRAM_BLOCK = 256  # player rows per BLAS product in ScaledHessianOp.dense
 OMEGA_DROP_REL = 1e-14
 KC_FLOOR = 1e-300
 
@@ -39,21 +37,39 @@ class DiagonalPreconditioner:
 
     k_c: np.ndarray
 
-    def apply_inv(self, v: np.ndarray) -> np.ndarray:
-        return v / self.k_c
+
+def _sub_gram(H: np.ndarray, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """H - R^T diag(weights) R, in place on the Fortran-ordered H.
+
+    scipy's BLAS, the one ipm factors H with: alternating it with numpy's own
+    OpenBLAS slowed both the product and the factorization several-fold.
+    """
+    return dgemm(-1.0, R * weights[:, None], R, beta=1.0, c=H, trans_a=1, overwrite_c=1)
 
 
 @dataclass
 class ScaledHessianOp:
-    """H(p) = P grad^2 phi(p) P as diagonal + rank-one pieces per player."""
+    """H(p) = P grad^2 phi(p) P, one diagonal-plus-rank-one block per player.
+
+    Each family's blocks are stored as arrays over all its players:
+    - CES/additive: diag(G^T a) - G^T diag(s) G over the sparse share rows
+      G; ``dr1_diag`` holds G^T a.
+    - linear-barrier: player i adds (w_i/sigma_i) [diag((gamma_i+sigma_i)^2)
+      - v_i v_i^T / (sigma_i + |gamma_i|^2)], v_i = (gamma_i+sigma_i) gamma_i,
+      summed as diag(lin_diag) - lin_V^T diag(lin_coef) lin_V with the rows
+      v_i in ``lin_V`` (m, n).
+    - constrained players: one dense (n, n) block each in ``dense_blocks``.
+    """
 
     n: int
     # additive-family batch: share rows, diag weights a, rank-one weights s
     G: sp.csr_matrix | None = None
     a: np.ndarray | None = None
     s: np.ndarray | None = None
-    # linear-barrier players: (diag vector, coefficient, vector) each
-    general: list = field(default_factory=list)
+    # linear-barrier players: summed diagonal, rank-one weights and rows
+    lin_diag: np.ndarray | None = None
+    lin_coef: np.ndarray | None = None
+    lin_V: np.ndarray | None = None
     # dense blocks (constrained players)
     dense_blocks: list = field(default_factory=list)
     # DR1 surrogate of the additive-family batch (a solver choice, see dr1_solve)
@@ -70,8 +86,8 @@ class ScaledHessianOp:
         if self.G is not None:
             # dr1_diag doubles as the exact diagonal: both equal G^T a
             out += self.dr1_diag * v - self.G.T @ (self.s * (self.G @ v))
-        for adiag, coef, vec in self.general:
-            out += adiag * v - coef * (vec @ v) * vec
+        if self.lin_V is not None:
+            out += self.lin_diag * v - self.lin_V.T @ (self.lin_coef * (self.lin_V @ v))
         for blk in self.dense_blocks:
             out += blk @ v
         return out
@@ -89,8 +105,8 @@ class ScaledHessianOp:
         out = np.zeros(self.n)
         if self.G is not None:
             out += self.G.T @ (self.s * (self.G @ v))
-        for _, coef, vec in self.general:
-            out += coef * (vec @ v) * vec
+        if self.lin_V is not None:
+            out += self.lin_V.T @ (self.lin_coef * (self.lin_V @ v))
         if self.dr1_active:
             out -= self.dr1_omega * (self.dr1_xi @ v) * self.dr1_xi
         return out
@@ -101,12 +117,16 @@ class ScaledHessianOp:
     def dense(self) -> np.ndarray:
         if self.n > DENSE_LIMIT:
             raise ValueError(f"dense materialization capped at n={DENSE_LIMIT}")
-        H = np.zeros((self.n, self.n))
+        H = np.zeros((self.n, self.n), order="F")
         if self.G is not None:
-            H += np.diag(self.G.T @ self.a)
-            H -= np.asarray((self.G.T @ sp.diags(self.s) @ self.G).todense())
-        for adiag, coef, vec in self.general:
-            H += np.diag(adiag) - coef * np.outer(vec, vec)
+            # a block of player rows at a time, so G is never dense all at once
+            for start in range(0, self.G.shape[0], GRAM_BLOCK):
+                H = _sub_gram(H, self.G[start:start + GRAM_BLOCK].toarray(),
+                              self.s[start:start + GRAM_BLOCK])
+            H[np.diag_indices(self.n)] += self.dr1_diag
+        if self.lin_V is not None:
+            H = _sub_gram(H, self.lin_V, self.lin_coef)
+            H[np.diag_indices(self.n)] += self.lin_diag
         for blk in self.dense_blocks:
             H += blk
         return H
@@ -119,13 +139,12 @@ def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledH
     op = ScaledHessianOp(n=instance.n)
     w = instance.budgets
     if state.kind_class == "linear":
-        for i in range(instance.m):
-            op.general.append(
-                linear_barrier_hessian_block(
-                    state.p, instance.utilities[i].dense(instance.n),
-                    instance.utilities[i].sigma, float(w[i]), state.linear_gammas[i],
-                )
-            )
+        g = state.linear_gammas
+        sig = instance.sigmas()
+        shifted = g + sig[:, None]
+        op.lin_diag = ((w / sig)[:, None] * shifted**2).sum(axis=0)
+        op.lin_V = shifted * g
+        op.lin_coef = w / (sig * (sig + np.einsum("ij,ij->i", g, g)))
         return op
 
     uncon = state.uncon
@@ -167,7 +186,7 @@ def dr1_solve(op: ScaledHessianOp, mu: float, rhs: np.ndarray) -> np.ndarray:
     """
     if op.dr1_diag is None:
         raise ValueError("operator carries no DR1 data")
-    if op.general or op.dense_blocks:
+    if op.lin_V is not None or op.dense_blocks:
         raise ValueError("DR1 surrogate is defined for unconstrained CES/additive players only")
     M = op.dr1_diag + mu
     if np.any(M <= 0):

@@ -329,8 +329,7 @@ def newton_polish(instance: MarketInstance, p, eps: float = 1e-12, max_iters: in
 def effective_budget(instance: MarketInstance) -> float:
     """sum beta_i w_i with beta_i = 1 (additive) or 1 + sigma*n (linear)."""
     if instance.is_linear:
-        return float(np.sum(instance.budgets * (1.0 + np.array(
-            [u.sigma for u in instance.utilities]) * instance.n)))
+        return float(np.sum(instance.budgets * instance.degrees()))
     return instance.total_budget()
 
 

@@ -118,18 +118,6 @@ def ces_spec(c, rho: float) -> UtilitySpec:
     return UtilitySpec(CES, idx, c[idx], rho=float(rho))
 
 
-def additive_spec(c, k: float, r: float) -> UtilitySpec:
-    c = np.asarray(c, dtype=float)
-    idx = np.flatnonzero(c)
-    return UtilitySpec(ADDITIVE, idx, c[idx], k=float(k), r=float(r))
-
-
-def linear_barrier_spec(c, sigma: float) -> UtilitySpec:
-    c = np.asarray(c, dtype=float)
-    idx = np.flatnonzero(c)
-    return UtilitySpec(LINEAR_BARRIER, idx, c[idx], sigma=float(sigma))
-
-
 class MarketInstance:
     """A Fisher market: n goods (unit supply), m budgeted players."""
 
@@ -188,10 +176,13 @@ class MarketInstance:
     def r_exponents(self) -> np.ndarray:
         return np.array([u.r_exponent for u in self.utilities])
 
+    def sigmas(self) -> np.ndarray:
+        """Barrier weights of a linear-barrier market's players."""
+        return np.array([u.sigma for u in self.utilities])
+
     def degrees(self) -> np.ndarray:
         if self.is_linear:
-            sig = np.array([u.sigma for u in self.utilities])
-            return 1.0 + sig * self.n
+            return 1.0 + self.sigmas() * self.n
         return np.array([u.degree for u in self.utilities])
 
     def total_budget(self) -> float:

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import brentq
 
-from .market import ADDITIVE, CES, LINEAR_BARRIER, MarketInstance, UtilitySpec
+from .market import ADDITIVE, CES, MarketInstance
 
 
 class OracleError(RuntimeError):
@@ -141,69 +140,122 @@ def _logsumexp(v: np.ndarray) -> float:
 # linear utilities with a log barrier
 
 
+PSI_ROUND_CAP = 100  # safeguarded Newton rounds before the psi root-finder gives up
+_PSI_RTOL = 4.0 * np.finfo(float).eps  # a step or bracket this small (relative) ends a row
+
+
+def _psi_roots(C: sp.csr_matrix, p: np.ndarray, sig: np.ndarray, w: np.ndarray):
+    """Every linear-barrier player's demand at p, one CSR row of C per player.
+
+    The KKT system c/<c,x> + sigma/x = lam p, lam = (1+sigma n)/w, gives
+    x_j = sigma / (lam p_j - c_j/u) with u = <c, x> the root of
+        psi(u) = S(u) - u,   S(u) = sum_j sigma c_j / (lam p_j - c_j/u),
+    strictly decreasing on (u_lo, inf), u_lo = max_j c_j/(lam p_j) its
+    largest pole.  After bracketing the root, a safeguarded Newton iterates
+    on the pole-free F(u) = 1/S(u) - 1/u (opposite sign to psi, near-linear
+    by the pole, where Newton on psi only doubles its distance from it per
+    round), bisecting wherever a step leaves the bracket.  A row stops once
+    its step or bracket is within a few ulps; rows still moving after
+    PSI_ROUND_CAP rounds raise OracleError.  Six extended-precision Newton
+    steps on psi then polish u: u is ill-conditioned when sigma is tiny
+    (denominators cancel at eps/sigma), but demand built from an accurate u
+    is not, so KKT residuals reach ~1e-12 at sigma = eps/n.  Goods with
+    c_j = 0 get x_j = sigma / (lam p_j).  Every step is row-local, so a
+    player's demand does not depend on who else is solved in the call.
+
+    Returns (X, u, lam, rounds): the dense (m, n) demand, the polished roots
+    in longdouble, the budget multipliers and the Newton rounds taken.
+    """
+    m, n = C.shape
+    starts = C.indptr[:-1]
+    counts = np.diff(C.indptr)
+    if np.any(counts == 0):
+        raise OracleError("player has no positive coefficient")
+    rows = np.repeat(np.arange(m), counts)
+    c = C.data
+    lam = (1.0 + sig * n) / w
+    lamp = lam[rows] * p[C.indices]
+    sc = sig[rows] * c
+    u_lo = np.maximum.reduceat(c / lamp, starts)
+    if np.any(u_lo <= 0.0):
+        raise OracleError("player has no positive coefficient")
+
+    def psi(u):
+        return np.add.reduceat(sc / (lamp - c / u[rows]), starts) - u
+
+    lo = u_lo * (1.0 + 1e-8)
+    for _ in range(200):
+        bad = psi(lo) < 0.0
+        if not bad.any():
+            break
+        lo[bad] = u_lo[bad] + (lo[bad] - u_lo[bad]) * 0.5
+    hi = np.maximum(lo * 2.0, u_lo + w)
+    for _ in range(200):
+        grow = psi(hi) > 0.0
+        if not grow.any():
+            break
+        hi[grow] *= 2.0
+    if (psi(lo) < 0.0).any() or (psi(hi) > 0.0).any():
+        raise RootBracketError("vectorized psi bracket failed")
+
+    u = lo.copy()
+    active = np.ones(m, dtype=bool)
+    for rounds in range(1, PSI_ROUND_CAP + 1):
+        denom = lamp - c / u[rows]
+        t = sc / denom
+        S = np.add.reduceat(t, starts)
+        dS = np.add.reduceat(t * c / denom, starts) / u**2  # -S'(u)
+        F = 1.0 / S - 1.0 / u
+        lo = np.where(F < 0.0, u, lo)
+        hi = np.where(F > 0.0, u, hi)
+        u_new = u - F / (dS / S**2 + 1.0 / u**2)
+        u_new = np.where((u_new >= lo) & (u_new <= hi), u_new, 0.5 * (lo + hi))
+        done = (np.abs(u_new - u) <= _PSI_RTOL * u) | (hi - lo <= _PSI_RTOL * hi)
+        u = np.where(active, u_new, u)
+        active &= ~done
+        if not active.any():
+            break
+    else:
+        raise OracleError(f"psi root unconverged for {int(active.sum())} players "
+                          f"after {PSI_ROUND_CAP} Newton rounds")
+
+    ld = np.longdouble
+    c_l, sig_l = c.astype(ld), sig.astype(ld)[rows]
+    lamp_l = lam.astype(ld)[rows] * p.astype(ld)[C.indices]
+    u = u.astype(ld)
+    u_lo_l = u_lo.astype(ld)
+    for _ in range(6):
+        denom = lamp_l - c_l / u[rows]
+        pu = np.add.reduceat(sig_l * (c_l / denom), starts) - u
+        dpsi = -np.add.reduceat(sig_l * (c_l**2 / (u[rows] * denom) ** 2), starts) - 1.0
+        u_new = u - pu / dpsi
+        u = np.where(u_new > u_lo_l, u_new, u)
+
+    X = sig[:, None] / (lam[:, None] * p[None, :])
+    X[rows, C.indices] = (sig_l / (lamp_l - c_l / u[rows])).astype(float)
+    if np.any(X <= 0) or not np.all(np.isfinite(X)):
+        raise OracleError("linear-barrier demand left the positive orthant")
+    return X, u, lam, rounds
+
+
 def linear_barrier_best_response(p, c, sigma: float, w: float):
     """Demand for log<c,x> + sigma*<log x, 1> under the budget constraint.
 
-    Returns (response, lam, u) where lam = (1 + sigma*n)/w is the budget
-    multiplier and u = <c, x> is the root of
-    psi(u) = sum_j sigma*c_j / (lam*p_j - c_j/u) - u.
-    psi is strictly decreasing on (u_lo, inf) with u_lo the largest pole, so
-    a bracketed root-find cannot miss.
+    The one-player case of the batch root-finder ``_psi_roots``, so it
+    returns bit for bit the demand row that ``market_state`` computes for
+    the same player.  Returns (response, lam, u) with lam = (1 + sigma*n)/w
+    the budget multiplier and u = <c, x> the root of psi.
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
     n = len(p)
-    lam = (1.0 + sigma * n) / w
-    supp = np.flatnonzero(c > 0)
-    if supp.size == 0:
-        raise OracleError("player has no positive coefficient")
-    cs, ps = c[supp], p[supp]
-    u_lo = float(np.max(cs / (lam * ps)))
-
-    def psi(u):
-        return float(np.sum(sigma * cs / (lam * ps - cs / u)) - u)
-
-    lo = u_lo * (1.0 + 1e-8)
-    f_lo = psi(lo)
-    shrink = 0
-    while f_lo < 0.0 and shrink < 200:
-        lo = u_lo + (lo - u_lo) * 0.5
-        f_lo = psi(lo)
-        shrink += 1
-    hi = max(lo * 2.0, u_lo + w)
-    f_hi = psi(hi)
-    grow = 0
-    while f_hi > 0.0 and grow < 200:
-        hi *= 2.0
-        f_hi = psi(hi)
-        grow += 1
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise RootBracketError(
-            f"psi bracket failed: psi({lo})={f_lo}, psi({hi})={f_hi}"
-        )
-    u = brentq(psi, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    # Newton polish in extended precision; see _linear_batch for why
-    ld = np.longdouble
-    cs_l, ps_l = cs.astype(ld), ps.astype(ld)
-    lam_l, sig_l, u_l = ld(lam), ld(sigma), ld(u)
-    for _ in range(6):
-        denom = lam_l * ps_l - cs_l / u_l
-        pu = (sig_l * cs_l / denom).sum() - u_l
-        dpsi = -((sig_l * cs_l**2 / (u_l * denom) ** 2).sum()) - ld(1.0)
-        u_new = u_l - pu / dpsi
-        if not np.isfinite(float(u_new)) or float(u_new) <= u_lo:
-            break
-        u_l = u_new
-    u = float(u_l)
-
-    x = (sig_l / (lam_l * p.astype(ld) - c.astype(ld) / u_l)).astype(float)
-    if np.any(x <= 0) or not np.all(np.isfinite(x)):
-        raise OracleError("linear-barrier demand left the positive orthant")
-    gamma = (1.0 + sigma * n) * (x * p) / w - sigma
+    X, u, lam, _ = _psi_roots(sp.csr_matrix(c[None, :]), p, np.array([float(sigma)]),
+                              np.array([float(w)]))
+    x = X[0]
+    gamma = (1.0 + sigma * n) * x * p / w - sigma
     u_val = float(c @ x)
     log_obj = float(np.log(u_val) + sigma * np.sum(np.log(x)))
-    resp = BestResponse(x, gamma, u_val, log_obj, float(p @ x))
-    return resp, lam, u
+    return BestResponse(x, gamma, u_val, log_obj, float(p @ x)), float(lam[0]), float(u[0])
 
 
 def linear_barrier_kkt_residual(p, c, sigma: float, w: float, x: np.ndarray) -> float:
@@ -211,22 +263,6 @@ def linear_barrier_kkt_residual(p, c, sigma: float, w: float, x: np.ndarray) -> 
     lam = (1.0 + sigma * len(p)) / w
     res = c / float(c @ x) + sigma / x - lam * np.asarray(p, dtype=float)
     return float(np.max(np.abs(res)))
-
-
-def linear_barrier_hessian_block(p, c, sigma: float, w: float, gamma: np.ndarray):
-    """Scaled dual-Hessian block for a linear-barrier player.
-
-    Differentiating the stationarity system gives the player's contribution
-    to P grad^2(phi) P as
-        (w/sigma) * [ diag((gamma+sigma)^2) - v v^T / (sigma + |gamma|^2) ],
-    with v = (gamma + sigma) * gamma.  Returned as (diag, coef, vec) so the
-    operator can apply it matrix-free.
-    """
-    g = np.asarray(gamma, dtype=float)
-    adiag = (w / sigma) * (g + sigma) ** 2
-    vec = (g + sigma) * g
-    coef = w / (sigma * (sigma + float(g @ g)))
-    return adiag, coef, vec
 
 
 # ---------------------------------------------------------------------------
@@ -413,74 +449,27 @@ def bid_shares(instance: MarketInstance, p, players=None):
 
 
 def _linear_batch(instance: MarketInstance, p: np.ndarray):
-    """All linear-barrier responses at once: vectorized bracketed bisection.
+    """All linear-barrier responses at once, from the CSR coefficients.
 
-    Solves every player's psi root simultaneously on arrays (psi is strictly
-    decreasing on (u_lo, inf)), then a few vectorized Newton polish steps.
-    Returns (X, gammas, value, kkt_resid) with dense (m, n) allocations.
+    One call of the psi root-finder ``_psi_roots`` covers every player.
+    Returns (X, gammas, value, kkt_resid, rounds): the dense (m, n) demand
+    (the barrier keeps every x_j > 0, so it has no sparsity to exploit), the
+    shifted bidding vectors, the potential's value, the largest KKT residual
+    and the root-finder's Newton rounds.
     """
-    m, n = instance.m, instance.n
+    n = instance.n
     w = instance.budgets
-    sig = np.array([u.sigma for u in instance.utilities])
-    lam = (1.0 + sig * n) / w
-    C = np.zeros((m, n))
-    for i, u in enumerate(instance.utilities):
-        C[i, u.idx] = u.val
-    ratio = np.where(C > 0, C / (lam[:, None] * p[None, :]), 0.0)
-    u_lo = ratio.max(axis=1)
-
-    def psi(u):
-        # sum_j sigma*c/(lam*p - c/u) - u, rows vectorized; u > u_lo
-        denom = lam[:, None] * p[None, :] - C / u[:, None]
-        return (sig[:, None] * np.where(C > 0, C / denom, 0.0)).sum(axis=1) - u
-
-    lo = u_lo * (1.0 + 1e-8)
-    for _ in range(200):
-        bad = psi(lo) < 0.0
-        if not bad.any():
-            break
-        lo[bad] = u_lo[bad] + (lo[bad] - u_lo[bad]) * 0.5
-    hi = np.maximum(lo * 2.0, u_lo + w)
-    for _ in range(200):
-        grow = psi(hi) > 0.0
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
-    if (psi(lo) < 0.0).any() or (psi(hi) > 0.0).any():
-        raise RootBracketError("vectorized psi bracket failed")
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        pos = psi(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    u = 0.5 * (lo + hi)
-
-    # Newton polish in extended precision: the root is ill-conditioned in u
-    # when sigma is tiny (denominators cancel at eps/sigma), but the demand
-    # built from an accurate u is perfectly well-conditioned, so a few
-    # longdouble steps buy (D.1) residuals ~1e-12 at sigma = eps/n scale.
-    ld = np.longdouble
-    C_l, p_l, lam_l, sig_l = C.astype(ld), p.astype(ld), lam.astype(ld), sig.astype(ld)
-    u = u.astype(ld)
-    u_lo_l = u_lo.astype(ld)
-    mask = C_l > 0
-    for _ in range(6):
-        denom = lam_l[:, None] * p_l[None, :] - C_l / u[:, None]
-        pu = (sig_l[:, None] * np.where(mask, C_l / denom, 0.0)).sum(axis=1) - u
-        dpsi = -(sig_l[:, None] * np.where(mask, C_l**2 / (u[:, None] * denom) ** 2, 0.0)).sum(axis=1) - 1.0
-        u_new = u - pu / dpsi
-        ok = u_new > u_lo_l
-        u = np.where(ok, u_new, u)
-
-    X_l = sig_l[:, None] / (lam_l[:, None] * p_l[None, :] - C_l / u[:, None])
-    X = X_l.astype(float)
-    if np.any(X <= 0) or not np.all(np.isfinite(X)):
-        raise OracleError("linear-barrier demand left the positive orthant")
+    sig = instance.sigmas()
+    C = instance.coeff_csr()
+    rows = instance.nnz_row_index()
+    X, _, lam, rounds = _psi_roots(C, p, sig, w)
     gammas = (1.0 + sig[:, None] * n) * X * p[None, :] / w[:, None] - sig[:, None]
-    uval = (C * X).sum(axis=1)
+    uval = np.add.reduceat(C.data * X[rows, C.indices], C.indptr[:-1])
     value = float(p.sum() + np.sum(w * (np.log(uval) + sig * np.log(X).sum(axis=1))))
-    kkt = np.abs(C / uval[:, None] + sig[:, None] / X - lam[:, None] * p[None, :])
-    return X, gammas, value, float(kkt.max())
+    resid = sig[:, None] / X
+    resid[rows, C.indices] += C.data / uval[rows]
+    resid -= lam[:, None] * p[None, :]
+    return X, gammas, value, float(np.abs(resid).max()), rounds
 
 
 @dataclass
@@ -499,6 +488,7 @@ class MarketState:
     linear_gammas: np.ndarray | None = None
     linear_x: np.ndarray | None = None
     kkt_resid: float = 0.0
+    psi_rounds: int = 0  # Newton rounds of the psi root-finder (linear markets)
 
 
 def market_state(instance: MarketInstance, p) -> MarketState:
@@ -507,12 +497,12 @@ def market_state(instance: MarketInstance, p) -> MarketState:
         raise OracleError("prices must stay strictly positive and finite")
     w = instance.budgets
     if instance.is_linear:
-        X, gammas, value, worst = _linear_batch(instance, p)
+        X, gammas, value, worst, rounds = _linear_batch(instance, p)
         demand = X.sum(axis=0)
         sig_n = instance.utilities[0].sigma * instance.n
         grad = 1.0 - (1.0 + sig_n) * demand
         return MarketState(p, "linear", grad, demand, value,
-                           linear_gammas=gammas, linear_x=X, kkt_resid=worst)
+                           linear_gammas=gammas, linear_x=X, kkt_resid=worst, psi_rounds=rounds)
 
     uncon = instance.unconstrained_players()
     con = instance.constrained_players()
@@ -614,7 +604,7 @@ def potential_constants(instance: MarketInstance, gamma_samples, kappa_cap: floa
     """
     w = instance.budgets
     if instance.is_linear:
-        sig = np.array([u.sigma for u in instance.utilities])
+        sig = instance.sigmas()
         T_f = 2.0 * (1.0 + sig) ** 3 / sig**3
         # the linear-market potential is <p,1> + sum_i w_i f_i, so the SLC
         # weight of player i is w_i itself

@@ -110,6 +110,54 @@ class TestAssemble:
             newton_decrement(op, p * mq.market_state(inst, p).grad, mode="dr1")
 
 
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def linear_blocks_reference(inst, p):
+    """Sum of the per-player linear-barrier blocks (w/sigma)[diag((gamma+sigma)^2)
+    - v v^T/(sigma+|gamma|^2)], v = (gamma+sigma) gamma; returns (H, rank-one part)."""
+    gammas = mq.market_state(inst, p).linear_gammas
+    H = np.zeros((inst.n, inst.n))
+    R = np.zeros((inst.n, inst.n))
+    for u, w, g in zip(inst.utilities, inst.budgets, gammas):
+        v = (g + u.sigma) * g
+        rank1 = (w / u.sigma) * np.outer(v, v) / (u.sigma + g @ g)
+        H += (w / u.sigma) * np.diag((g + u.sigma) ** 2) - rank1
+        R += rank1
+    return H, R
+
+
+class TestArrayPieces:
+    @pytest.mark.parametrize("sigma", [0.05, 1e-3])
+    def test_linear_pieces_match_per_player_blocks(self, rng, sigma):
+        inst = mq.generate_random(15, 40, 0.5, seed=5, kind="linear_barrier", sigma=sigma)
+        p = rng.uniform(0.5, 2.0, inst.n)
+        op = assemble(inst, p)
+        H, R = linear_blocks_reference(inst, p)
+        assert rel_err(op.dense(), H) <= 1e-12
+        for _ in range(5):
+            v = rng.standard_normal(inst.n)
+            assert rel_err(op.matvec(v), H @ v) <= 1e-12
+            assert rel_err(op.diff_matvec(v), R @ v) <= 1e-12
+
+    def test_blocked_ces_dense_matches_gram(self, rng):
+        # more players than one Gram block, rho of both signs so s is mixed
+        n, m = 30, 2 * hes.GRAM_BLOCK + 37
+        utilities = []
+        for _ in range(m):
+            idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            utilities.append(UtilitySpec(CES, idx, rng.uniform(0.1, 2.0, idx.size),
+                                         rho=rng.choice([0.6, -1.5])))
+        w = rng.uniform(0.5, 1.5, m)
+        inst = MarketInstance(n, m, w / w.sum(), utilities)
+        op = assemble(inst, rng.uniform(0.5, 2.0, n))
+        assert op.s.min() < 0 < op.s.max()
+        G = op.G.toarray()
+        ref = np.diag(G.T @ op.a) - G.T @ np.diag(op.s) @ G
+        assert rel_err(op.dense(), ref) <= 1e-12
+
+
 class TestDr1Solve:
     def test_diagonal_only_closed_form(self):
         op = ScaledHessianOp(n=3, dr1_diag=np.ones(3), dr1_omega=0.0, dr1_active=False)

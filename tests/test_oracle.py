@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy.optimize import minimize
 
 import marketeq as mq
 from marketeq import hessian as hes
+from marketeq import oracle
 from marketeq.market import CES, MarketInstance, UtilitySpec, build_flow_instance
 from marketeq.oracle import (
     OracleError,
@@ -226,6 +229,56 @@ class TestLinearBarrier:
         st = market_state(inst, p)
         assert np.max(np.abs(st.linear_gammas.sum(axis=1) - 1.0)) < 1e-10
         assert np.all(st.linear_gammas > -1e-12)
+
+
+CHECKS = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+
+
+def load_checks():
+    """The benchmark's correctness checks, which solve each psi root on their own."""
+    spec = importlib.util.spec_from_file_location("bench_checks", CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPsiRootFinder:
+    @pytest.mark.parametrize("sigma", [0.05, 1e-3, 5e-8])
+    def test_demand_matches_independent_root(self, sigma):
+        # bench/checks.py roots every player with brentq in a shifted variable
+        checks = load_checks()
+        for seed in range(3):
+            inst = mq.generate_random(12, 30, 0.5, seed=seed, kind="linear_barrier", sigma=sigma)
+            p = np.random.default_rng(seed).uniform(0.2, 3.0, inst.n)
+            st = market_state(inst, p)
+            ref = checks.linear_barrier_demand(inst, p)
+            assert np.array_equal(st.demand, st.linear_x.sum(axis=0))
+            assert np.max(np.abs(st.demand - ref) / ref) <= 1e-9
+
+    @pytest.mark.parametrize("sigma", [0.05, 1e-3, 5e-8])
+    def test_serial_response_is_the_batch_row(self, sigma):
+        inst = mq.generate_random(10, 25, 0.5, seed=4, kind="linear_barrier", sigma=sigma)
+        p = np.random.default_rng(4).uniform(0.2, 3.0, inst.n)
+        X = market_state(inst, p).linear_x
+        for i, u in enumerate(inst.utilities):
+            resp, _, _ = linear_barrier_best_response(p, u.dense(inst.n), sigma, float(inst.budgets[i]))
+            assert np.array_equal(resp.x, X[i])
+
+    @pytest.mark.parametrize("n, m, seed, sigma", [(20, 50, 21, 5e-8), (40, 100, 21, 2.5e-8),
+                                                   (50, 150, 1, 1e-3)])
+    def test_newton_rounds_on_benchmark_shapes(self, n, m, seed, sigma):
+        # the near-linear benchmark's markets; bisection alone took 110 rounds
+        inst = mq.generate_random(n, m, 0.5, seed=seed, kind="linear_barrier", sigma=sigma)
+        st = market_state(inst, np.full(n, inst.total_budget() / n))
+        assert 1 <= st.psi_rounds <= 12
+
+    def test_round_cap_raises_instead_of_returning(self, monkeypatch):
+        inst = mq.generate_random(12, 30, 0.5, seed=0, kind="linear_barrier", sigma=0.05)
+        p = np.full(inst.n, inst.total_budget() / inst.n)
+        assert market_state(inst, p).psi_rounds > 1
+        monkeypatch.setattr(oracle, "PSI_ROUND_CAP", 1)
+        with pytest.raises(OracleError, match="unconverged"):
+            market_state(inst, p)
 
 
 def penalty_oracle(p, c, k, r, w, A, rho_pen=1e8):
