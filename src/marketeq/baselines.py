@@ -101,7 +101,9 @@ def propres_run(instance: MarketInstance, config: BaselineConfig, b0=None, callb
     Stops when the relative price change drops below eps.
     """
     config.validate()
-    rhos = instance.r_exponents()
+    if instance.is_linear:
+        raise ValueError("proportional response needs CES or additive players")
+    rhos = instance.r
     B = default_bids(instance) if b0 is None else b0.tocsr(copy=True)
     C = instance.coeff_csr()
     if B.nnz != C.nnz or np.any(B.indices != C.indices):

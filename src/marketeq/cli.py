@@ -136,8 +136,7 @@ def cmd_solve(args) -> int:
             if not instance.is_linear:
                 print("--sigma-barrier applies to linear markets only", file=sys.stderr)
                 return 3
-            for u in instance.utilities:
-                u.sigma = args.sigma_barrier
+            instance = market.with_barrier_sigma(instance, args.sigma_barrier)
         p, trace = _run_method(instance, args.method, args)
     except (ipm.ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -258,17 +257,8 @@ def cmd_bench(args) -> int:
         return 3
     os.makedirs(args.out, exist_ok=True)
     all_rows = []
-    if args.parallel_cells and len(cells) > 1:
-        # timings become contended; the metadata records the caveat
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(len(cells), os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(bench_cell, n, m, rho, methods, args, args.out)
-                       for n, m, rho in cells]
-            for fut in futures:
-                all_rows.extend(fut.result())
-    else:
-        for n, m, rho in cells:
-            all_rows.extend(bench_cell(n, m, rho, methods, args, args.out))
+    for n, m, rho in cells:
+        all_rows.extend(bench_cell(n, m, rho, methods, args, args.out))
     header = ["n", "m", "rho", "method", "status", "time_s", "iters", "final_dist", "note"]
     lines = [",".join(header)]
     for row in all_rows:
@@ -277,8 +267,6 @@ def cmd_bench(args) -> int:
     _write_json(os.path.join(args.out, "bench_meta.json"), {
         "cells": args.cells, "methods": methods, "seed": args.seed, "tau": args.tau,
         "dist_tol": args.dist_tol, "time_limit_s": args.time_limit_s,
-        "parallel_cells": bool(args.parallel_cells),
-        "timing_caveat": "wall times from parallel cells share cores" if args.parallel_cells else "",
     })
     print(f"wrote {os.path.join(args.out, 'results.csv')} ({len(all_rows)} rows)")
     return 0
@@ -350,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--dist-tol", dest="dist_tol", type=float, default=1e-5)
     b.add_argument("--time-limit-s", dest="time_limit_s", type=float, default=200.0)
-    b.add_argument("--parallel-cells", dest="parallel_cells", action="store_true")
     b.add_argument("--out", required=True)
     _add_solver_flags(b)
     b.set_defaults(func=cmd_bench)

@@ -138,18 +138,18 @@ class ScaledHessianOp:
 def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledHessianOp:
     op = ScaledHessianOp(n=instance.n)
     w = instance.budgets
-    if state.kind_class == "linear":
+    if instance.is_linear:
         g = state.linear_gammas
-        sig = instance.sigmas()
+        sig = instance.sigma
         shifted = g + sig[:, None]
         op.lin_diag = ((w / sig)[:, None] * shifted**2).sum(axis=0)
         op.lin_V = shifted * g
         op.lin_coef = w / (sig * (sig + np.einsum("ij,ij->i", g, g)))
         return op
 
-    uncon = state.uncon
-    if uncon:
-        r = instance.r_exponents()[uncon]
+    uncon = instance.uncon
+    if uncon.size:
+        r = instance.r[uncon]
         wu = w[uncon]
         op.G = state.G
         op.a = wu / (1.0 - r)
@@ -161,10 +161,8 @@ def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledH
             op.dr1_xi = (op.G.T @ op.s) / omega
             op.dr1_active = True
     for i, resp in state.con_responses.items():
-        u = instance.utilities[i]
-        d = u.k_exponent * u.r_exponent
         M = constrained_dual_hessian(instance, i, resp.x)
-        scaled = (float(w[i]) / d) * (state.p[:, None] * M * state.p[None, :])
+        scaled = (float(w[i]) / instance.degree[i]) * (state.p[:, None] * M * state.p[None, :])
         op.dense_blocks.append(scaled)
     return op
 

@@ -134,9 +134,6 @@ class LogBarConfig:
     theory_strict: bool = False  # Q from the worst-case formula; enables mu_stop
     mu_stop: bool = False  # stop once mu <= eps/(1+sqrt(n)) (secondary guarantee)
     keep_iterates: bool = False
-    # near-linear markets: barrier phase at a smooth sigma, then sigma
-    # continuation with trust-region polishing (see _linear_continuation_run)
-    linear_continuation: bool = True
 
     def validate(self, instance: MarketInstance) -> None:
         if not (0.0 < self.Q < 0.5):
@@ -329,7 +326,7 @@ def newton_polish(instance: MarketInstance, p, eps: float = 1e-12, max_iters: in
 def effective_budget(instance: MarketInstance) -> float:
     """sum beta_i w_i with beta_i = 1 (additive) or 1 + sigma*n (linear)."""
     if instance.is_linear:
-        return float(np.sum(instance.budgets * instance.degrees()))
+        return float(np.sum(instance.budgets * instance.degree))
     return instance.total_budget()
 
 
@@ -426,7 +423,7 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
     """
     from .market import with_barrier_sigma
 
-    target = instance.utilities[0].sigma
+    target = float(instance.sigma[0])
     smooth = with_barrier_sigma(instance, SIGMA_SMOOTH)
     inner_cfg = LogBarConfig(
         Q=config.Q, eps=max(config.eps, 1e-5),
@@ -468,8 +465,7 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
     the path in floating point.
     """
     config.validate(instance)
-    if instance.is_linear and instance.utilities[0].sigma < SIGMA_SMOOTH \
-            and config.linear_continuation:
+    if instance.is_linear and instance.sigma[0] < SIGMA_SMOOTH:
         return _linear_continuation_run(instance, config, callback=callback)
     Q = theory_strict_Q(instance, config.eps) if config.theory_strict else config.Q
     try:
@@ -580,7 +576,6 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
         return p, SolveTrace(status=STATUS_NUMFAIL, extras={"error": str(exc)})
     t = 1.0
     mode = config.hessian_mode
-    degrees = instance.degrees() if not instance.is_linear else None
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
                                "centering_warnings": 0, "mode_switch_k": None, "t_zero_k": None})
 
@@ -589,7 +584,7 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
         if mode == "dr1":
             eps_h = hes.diff_norm_estimate(op, iters=10, seed=k)
             kappa = np.minimum(_kappa_from_shares(op.G), config.kappa_cap)
-            delta_est = eps_h / float(np.min(degrees[state.uncon] / kappa))
+            delta_est = eps_h / float(np.min(instance.degree[instance.uncon] / kappa))
             if delta_est > delta_cert:
                 mode = "pcg"
                 trace.extras["mode_switch_k"] = k
@@ -633,12 +628,12 @@ def equilibrium_certificate(instance: MarketInstance, p, eps: float | None = Non
         "grad_l2": float(np.linalg.norm(state.grad)),
         "clearing_inf": float(np.max(np.abs(state.demand - 1.0))),
     }
-    if state.kind_class == "linear":
+    if instance.is_linear:
         spends = state.linear_x @ p
         report["budget_residual_max"] = float(
             np.max(np.abs(spends - instance.budgets) / instance.budgets))
         report["kkt_residual_max"] = state.kkt_resid
-        sigma = instance.utilities[0].sigma
+        sigma = float(instance.sigma[0])
         report["sigma"] = sigma
         if eps is not None:
             bound = (eps + sigma * instance.n) / (1.0 + sigma * instance.n)
@@ -646,13 +641,11 @@ def equilibrium_certificate(instance: MarketInstance, p, eps: float | None = Non
             report["clearing_within_bound"] = bool(report["clearing_inf"] <= bound)
     else:
         resid = 0.0
-        if state.uncon:
-            counts = np.diff(state.G.indptr)
+        if instance.uncon.size:
             spends = np.add.reduceat(state.G.data, state.G.indptr[:-1])  # sum gamma = spend/w
             resid = float(np.max(np.abs(spends - 1.0)))
         kkt = 0.0
         for i, resp in state.con_responses.items():
-            u = instance.utilities[i]
             resid = max(resid, abs(resp.spend - instance.budgets[i]) / instance.budgets[i])
             A = instance.constraints[i]
             kkt = max(kkt, float(np.max(np.abs(A @ resp.x))) if A.shape[0] else 0.0)

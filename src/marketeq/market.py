@@ -26,11 +26,12 @@ per player.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,32 +74,6 @@ class UtilitySpec:
         self.idx = self.idx[order]
         self.val = self.val[order]
 
-    @property
-    def r_exponent(self) -> float:
-        """Inner homogeneity exponent (rho for CES, r for additive)."""
-        if self.kind == CES:
-            return float(self.rho)
-        if self.kind == ADDITIVE:
-            return float(self.r)
-        raise ValueError(f"no r exponent for kind {self.kind!r}")
-
-    @property
-    def k_exponent(self) -> float:
-        if self.kind == CES:
-            return 1.0 / float(self.rho)
-        if self.kind == ADDITIVE:
-            return float(self.k)
-        raise ValueError(f"no k exponent for kind {self.kind!r}")
-
-    @property
-    def degree(self) -> float:
-        """Homogeneity degree d = k*r of the utility (1 for CES)."""
-        if self.kind == CES:
-            return 1.0
-        if self.kind == ADDITIVE:
-            return float(self.k) * float(self.r)
-        raise ValueError(f"degree of {self.kind!r} depends on n; see instance")
-
     def dense(self, n: int) -> np.ndarray:
         c = np.zeros(n)
         c[self.idx] = self.val
@@ -118,8 +93,29 @@ def ces_spec(c, rho: float) -> UtilitySpec:
     return UtilitySpec(CES, idx, c[idx], rho=float(rho))
 
 
+def _exponents(u: UtilitySpec) -> tuple[float, float, float]:
+    """(r, k, sigma) of one player; NaN where its kind has none or it is invalid."""
+    nan = float("nan")
+    if u.kind == CES and u.rho:
+        return u.rho, 1.0 / u.rho, nan
+    if u.kind == ADDITIVE and u.k is not None and u.r is not None:
+        return u.r, u.k, nan
+    if u.kind == LINEAR_BARRIER and u.sigma is not None:
+        return nan, nan, u.sigma
+    return nan, nan, nan
+
+
 class MarketInstance:
-    """A Fisher market: n goods (unit supply), m budgeted players."""
+    """A Fisher market: n goods (unit supply), m budgeted players.
+
+    The players are also stored as columns, built once from ``utilities``:
+    ``r`` and ``k`` (rho and 1/rho for CES, r and k for additive players),
+    ``sigma`` (linear-barrier players) and ``degree`` (k*r, or 1 + sigma*n
+    for linear-barrier players), NaN where a player's kind has no such
+    value; ``con``/``uncon`` index the players with and without a
+    constraint matrix.  Solvers read the columns, not the spec objects;
+    ``kinds`` and ``is_linear`` summarize the players' kinds.
+    """
 
     def __init__(self, n, m, budgets, utilities, constraints=None):
         self.n = int(n)
@@ -130,25 +126,18 @@ class MarketInstance:
         self.constraints: dict[int, np.ndarray] = {
             int(i): np.asarray(A, dtype=float) for i, A in (constraints or {}).items()
         }
+        self.kinds = {u.kind for u in self.utilities}
+        self.is_linear = self.kinds == {LINEAR_BARRIER}
+        cols = np.array([_exponents(u) for u in self.utilities], dtype=float).reshape(-1, 3)
+        self.r, self.k, self.sigma = cols.T.copy()
+        self.degree = np.where(np.isnan(self.sigma), self.k * self.r, 1.0 + self.sigma * self.n)
+        self.con = np.array(sorted(self.constraints), dtype=np.int64)
+        self.uncon = np.setdiff1d(np.arange(self.m), self.con)
         self._csr = None
         self._log_cdata = None
         self._nnz_rows = None
 
     # -- derived views -----------------------------------------------------
-
-    @property
-    def kinds(self) -> set[str]:
-        return {u.kind for u in self.utilities}
-
-    @property
-    def is_linear(self) -> bool:
-        return self.kinds == {LINEAR_BARRIER}
-
-    def constrained_players(self):
-        return sorted(self.constraints.keys())
-
-    def unconstrained_players(self):
-        return [i for i in range(self.m) if i not in self.constraints]
 
     def coeff_csr(self) -> sp.csr_matrix:
         if self._csr is None:
@@ -172,18 +161,6 @@ class MarketInstance:
             counts = np.diff(C.indptr)
             self._nnz_rows = np.repeat(np.arange(self.m, dtype=np.int64), counts)
         return self._nnz_rows
-
-    def r_exponents(self) -> np.ndarray:
-        return np.array([u.r_exponent for u in self.utilities])
-
-    def sigmas(self) -> np.ndarray:
-        """Barrier weights of a linear-barrier market's players."""
-        return np.array([u.sigma for u in self.utilities])
-
-    def degrees(self) -> np.ndarray:
-        if self.is_linear:
-            return 1.0 + self.sigmas() * self.n
-        return np.array([u.degree for u in self.utilities])
 
     def total_budget(self) -> float:
         return float(self.budgets.sum())
@@ -306,6 +283,9 @@ def validate(instance: MarketInstance) -> list[str]:
     kinds = instance.kinds
     if LINEAR_BARRIER in kinds and kinds != {LINEAR_BARRIER}:
         report.append("linear_barrier players cannot be mixed with other kinds")
+    elif instance.is_linear and np.ptp(instance.sigma) > 0:
+        # the gradient, the sigma continuation and the certificate take one sigma
+        report.append("linear_barrier players must share one sigma")
 
     valued = np.zeros(instance.n, dtype=bool)
     for u in instance.utilities:
@@ -592,12 +572,21 @@ def build_flow_instance(edges, terminals, rho: float = 0.5, coefficients=None) -
 
 
 def with_barrier_sigma(instance: MarketInstance, sigma: float) -> MarketInstance:
-    """Clone a linear-barrier instance with every player's sigma replaced."""
-    utilities = [
-        UtilitySpec(LINEAR_BARRIER, u.idx.copy(), u.val.copy(), sigma=float(sigma))
-        for u in instance.utilities
-    ]
-    return MarketInstance(instance.n, instance.m, instance.budgets.copy(), utilities)
+    """Clone a linear-barrier instance with every player's sigma replaced.
+
+    The clone shares the parent's coefficient arrays and their CSR, log and
+    row-index caches; only the specs' sigma and the sigma/degree columns
+    are new.
+    """
+    instance.log_coeff_data()  # fill the parent's caches first, so the clone shares them
+    instance.nnz_row_index()
+    clone = copy.copy(instance)
+    clone.utilities = [copy.copy(u) for u in instance.utilities]
+    for u in clone.utilities:
+        u.sigma = float(sigma)
+    clone.sigma = np.full(instance.m, float(sigma))
+    clone.degree = 1.0 + clone.sigma * instance.n
+    return clone
 
 
 def parse_flow_file(path: str):

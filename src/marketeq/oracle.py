@@ -382,16 +382,19 @@ def constrained_best_response(p, c, k: float, r: float, w: float, A: np.ndarray,
     )
 
 
+def _constrained_player(instance: MarketInstance, i: int):
+    """(c, k, r, w, A) of constrained player i, the arguments after p of
+    constrained_best_response; c is the dense coefficient row."""
+    return (instance.utilities[i].dense(instance.n), instance.k[i], instance.r[i],
+            float(instance.budgets[i]), instance.constraints.get(i, np.zeros((0, instance.n))))
+
+
 def constrained_dual_hessian(instance: MarketInstance, i: int, x) -> np.ndarray:
     """Dual Hessian of f_i for a constrained player with best response x = x_i(p):
     (d^2/w^2) (W^{-1} - W^{-1} A^T (A W^{-1} A^T)^{-1} A W^{-1}), W = hess v(x).
     """
-    u = instance.utilities[i]
-    A = instance.constraints.get(i, np.zeros((0, instance.n)))
-    w = float(instance.budgets[i])
-    k, r = u.k_exponent, u.r_exponent
-    d = k * r
-    c = u.dense(instance.n)
+    c, k, r, w, A = _constrained_player(instance, i)
+    d = instance.degree[i]
     W = v_hess(np.asarray(x, float), c, k, r)
     Winv = np.linalg.inv(W)
     if A.shape[0] == 0:
@@ -427,7 +430,7 @@ def bid_shares(instance: MarketInstance, p, players=None):
     C = instance.coeff_csr()
     rows_of = instance.nnz_row_index()
     logc = instance.log_coeff_data()
-    r = instance.r_exponents()
+    r = instance.r
     a = 1.0 / (1.0 - r)
     b = -r * a
     logp = np.log(np.asarray(p, dtype=float))
@@ -459,7 +462,7 @@ def _linear_batch(instance: MarketInstance, p: np.ndarray):
     """
     n = instance.n
     w = instance.budgets
-    sig = instance.sigmas()
+    sig = instance.sigma
     C = instance.coeff_csr()
     rows = instance.nnz_row_index()
     X, _, lam, rounds = _psi_roots(C, p, sig, w)
@@ -477,13 +480,11 @@ class MarketState:
     """Everything the solvers need at one price vector."""
 
     p: np.ndarray
-    kind_class: str  # "additive" or "linear"
     grad: np.ndarray
     demand: np.ndarray
     value: float
     G: sp.csr_matrix | None = None
     log_S: np.ndarray | None = None
-    uncon: list = field(default_factory=list)
     con_responses: dict = field(default_factory=dict)
     linear_gammas: np.ndarray | None = None
     linear_x: np.ndarray | None = None
@@ -499,42 +500,33 @@ def market_state(instance: MarketInstance, p) -> MarketState:
     if instance.is_linear:
         X, gammas, value, worst, rounds = _linear_batch(instance, p)
         demand = X.sum(axis=0)
-        sig_n = instance.utilities[0].sigma * instance.n
-        grad = 1.0 - (1.0 + sig_n) * demand
-        return MarketState(p, "linear", grad, demand, value,
+        grad = 1.0 - instance.degree[0] * demand
+        return MarketState(p, grad, demand, value,
                            linear_gammas=gammas, linear_x=X, kkt_resid=worst, psi_rounds=rounds)
 
-    uncon = instance.unconstrained_players()
-    con = instance.constrained_players()
+    uncon = instance.uncon
     demand = np.zeros(instance.n)
     value = float(p.sum())
     G = None
     logS = None
-    if uncon:
-        G, logS = bid_shares(instance, p, players=uncon if con else None)
+    if uncon.size:
+        G, logS = bid_shares(instance, p, players=uncon if instance.con.size else None)
         wu = w[uncon]
-        ru = instance.r_exponents()[uncon]
-        ku = np.array([instance.utilities[i].k_exponent for i in uncon])
-        du = ku * ru
+        ru, ku, du = instance.r[uncon], instance.k[uncon], instance.degree[uncon]
         counts = np.diff(G.indptr)
         xdata = G.data * np.repeat(wu, counts) / p[G.indices]
         demand += np.bincount(G.indices, weights=xdata, minlength=instance.n)
         value += float(np.sum(wu * np.log(wu))) + float(np.sum((wu / du) * ku * (1.0 - ru) * logS))
     con_responses = {}
-    for i in con:
-        u = instance.utilities[i]
-        resp, y, lam = constrained_best_response(
-            p, u.dense(instance.n), u.k_exponent, u.r_exponent, float(w[i]),
-            instance.constraints[i],
-        )
+    for i in instance.con.tolist():
+        resp, y, lam = constrained_best_response(p, *_constrained_player(instance, i))
         con_responses[i] = resp
         demand += resp.x
-        value += (float(w[i]) / (u.k_exponent * u.r_exponent)) * resp.log_utility
+        value += (float(w[i]) / instance.degree[i]) * resp.log_utility
     if not np.all(np.isfinite(demand)):
         raise OracleError("demand overflow (a price collapsed to zero)")
     grad = 1.0 - demand
-    return MarketState(p, "additive", grad, demand, value, G=G, log_S=logS,
-                       uncon=uncon, con_responses=con_responses)
+    return MarketState(p, grad, demand, value, G=G, log_S=logS, con_responses=con_responses)
 
 
 def potential_value(instance: MarketInstance, p) -> float:
@@ -553,10 +545,7 @@ def best_response(instance: MarketInstance, i: int, p) -> BestResponse:
     w = float(instance.budgets[i])
     p = np.asarray(p, dtype=float)
     if i in instance.constraints:
-        resp, _, _ = constrained_best_response(
-            p, u.dense(instance.n), u.k_exponent, u.r_exponent, w, instance.constraints[i]
-        )
-        return resp
+        return constrained_best_response(p, *_constrained_player(instance, i))[0]
     if u.kind == CES:
         return ces_best_response(p, u.dense(instance.n), u.rho, w)
     if u.kind == ADDITIVE:
@@ -570,7 +559,7 @@ def player_hessian_blocks(instance: MarketInstance, p) -> list[PlayerHessianBloc
     if instance.constraints or not instance.kinds <= {CES, ADDITIVE}:
         raise ValueError("blocks are defined for unconstrained CES/additive players")
     G, _ = bid_shares(instance, p)
-    r = instance.r_exponents()
+    r = instance.r
     w = instance.budgets
     blocks = []
     dense_G = np.asarray(G.todense())
@@ -604,7 +593,7 @@ def potential_constants(instance: MarketInstance, gamma_samples, kappa_cap: floa
     """
     w = instance.budgets
     if instance.is_linear:
-        sig = instance.sigmas()
+        sig = instance.sigma
         T_f = 2.0 * (1.0 + sig) ** 3 / sig**3
         # the linear-market potential is <p,1> + sum_i w_i f_i, so the SLC
         # weight of player i is w_i itself
@@ -614,8 +603,7 @@ def potential_constants(instance: MarketInstance, gamma_samples, kappa_cap: floa
         C_phi = float(np.max(C_v / np.sqrt(w)))
         return PotentialConstants(T_phi, C_phi, kappa)
 
-    r = instance.r_exponents()
-    d = instance.degrees()
+    r, d = instance.r, instance.degree
     T_phi = float(np.sum(w * np.maximum(6.0 / (1.0 - r) ** 2, 2.0)))
     kappa = np.zeros(instance.m)
     for G in gamma_samples:

@@ -105,9 +105,8 @@ def test_criterion_02_calculus_vs_finite_differences():
         fd = central_diff(lambda q: potential_value(inst, q), p)
         worst_g = max(worst_g, float(np.max(np.abs(g - fd) / (1.0 + np.abs(fd)))))
         i = int(rng.integers(m))
-        u = inst.utilities[i]
         br = best_response(inst, i, p)
-        J = response_jacobian(p, br.gamma, u.r_exponent, float(inst.budgets[i]))
+        J = response_jacobian(p, br.gamma, inst.r[i], float(inst.budgets[i]))
         Jfd = central_diff_vec(lambda q: best_response(inst, i, q).x, p)
         worst_j = max(worst_j, float(np.max(np.abs(J - Jfd)) / np.max(np.abs(Jfd))))
         op = hes.assemble(inst, p)
@@ -449,13 +448,13 @@ def test_criterion_10_constrained_allocation():
         u = inst.utilities[0]
         w = float(inst.budgets[0])
         resp, y, lam = constrained_best_response(
-            p, u.dense(inst.n), u.k_exponent, u.r_exponent, w, A)
+            p, u.dense(inst.n), inst.k[0], inst.r[0], w, A)
         worst_ax = max(worst_ax, float(np.max(np.abs(A @ resp.x))))
         worst_budget = max(worst_budget, abs(resp.spend - w) / w)
         M = constrained_dual_hessian(inst, 0, resp.x)
         worst_annihilate = max(worst_annihilate,
                                float(np.max(np.abs(A @ M)) / np.max(np.abs(M))))
-        d = u.k_exponent * u.r_exponent
+        d = inst.k[0] * inst.r[0]
         J = -(w / d) * M
         Jfd = central_diff_vec(lambda q: best_response(inst, 0, q).x, p, rel_step=1e-5)
         worst_fd = max(worst_fd, float(np.max(np.abs(J - Jfd)) / np.max(np.abs(Jfd))))

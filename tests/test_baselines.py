@@ -104,6 +104,12 @@ class TestPropRes:
         with pytest.raises(ValueError):
             propres_run(inst, BaselineConfig(method="propres"), b0=b0)
 
+    def test_linear_market_rejected(self):
+        # linear-barrier players have no rho column; the update must not run on NaN
+        inst = mq.generate_random(4, 3, 1.0, seed=2, kind="linear_barrier", sigma=0.01)
+        with pytest.raises(ValueError, match="CES or additive"):
+            propres_run(inst, BaselineConfig(method="propres"))
+
     def test_default_bids_proportional_to_coefficients(self):
         inst = mq.generate_random(4, 3, 1.0, rho=0.5, seed=2)
         b0 = default_bids(inst)

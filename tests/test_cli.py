@@ -159,6 +159,20 @@ class TestSolve:
                        "--out", os.path.join(tmp_path, "x"), "--sigma-barrier", "0.01"])
         assert rc == 3
 
+    def test_sigma_barrier_clones_the_market(self, tmp_path):
+        path = os.path.join(tmp_path, "lin.json")
+        assert cli.main(["gen", "--n", "5", "--m", "8", "--tau", "0.8", "--kind", "linear",
+                         "--sigma-barrier", "0.1", "--seed", "3", "--out", path]) == 0
+        digest = sha(path)
+        out = os.path.join(tmp_path, "run")
+        rc = cli.main(["solve", path, "--method", "logbar", "--out", out,
+                       "--eps", "1e-6", "--sigma-barrier", "0.02"])
+        assert rc in (0, 1)
+        with open(os.path.join(out, "certificate.json")) as fh:
+            assert json.load(fh)["sigma"] == 0.02
+        assert sha(path) == digest
+        assert market.load_instance(path).sigma[0] == 0.1
+
 
 class TestBench:
     def test_single_cell(self, tmp_path):

@@ -25,6 +25,8 @@ from marketeq.market import (
     validate,
 )
 
+from conftest import mixed_flow_instance
+
 
 def exact_rank(rows):
     """Row rank over the rationals by fraction-free Gaussian elimination."""
@@ -85,6 +87,24 @@ class TestValidate:
             UtilitySpec(LINEAR_BARRIER, [0, 1], [1.0, 1.0], sigma=0.1),
         ])
         assert any("mixed" in v for v in validate(inst))
+
+    def test_linear_sigmas_must_agree(self):
+        # with sigma alternating 0.05/0.2 the gradient disagreed with the potential
+        base = generate_random(5, 8, 0.6, seed=3, kind=LINEAR_BARRIER, sigma=0.05)
+
+        def with_sigmas(sigmas):
+            utilities = [UtilitySpec(LINEAR_BARRIER, u.idx, u.val, sigma=s)
+                         for u, s in zip(base.utilities, sigmas)]
+            return MarketInstance(base.n, base.m, base.budgets, utilities)
+
+        assert "linear_barrier players must share one sigma" in validate(with_sigmas([0.05, 0.2] * 4))
+        assert validate(with_sigmas([0.05] * 8)) == []
+
+    def test_invalid_rho_reaches_validate(self):
+        for rho in (0.0, None):
+            inst = MarketInstance(2, 1, [1.0], [UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=rho)])
+            assert np.isnan(inst.r[0]) and np.isnan(inst.k[0])
+            assert any("rho must be nonzero" in v for v in validate(inst))
 
     def test_rank_deficient_constraints_flagged(self):
         A = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -151,6 +171,79 @@ class TestSerialization:
             assert np.allclose(u.val, v.val)
             assert u.rho == v.rho
         assert np.allclose(back.constraints[2], inst.constraints[2])
+
+
+def columns(inst):
+    return {name: getattr(inst, name) for name in ("r", "k", "sigma", "degree", "con", "uncon")}
+
+
+class TestColumns:
+    def test_ces_both_signs(self):
+        for rho in (0.7, -1.2):
+            inst = generate_random(6, 9, 0.5, rho=rho, seed=4)
+            assert np.array_equal(inst.r, np.full(9, rho))
+            assert np.array_equal(inst.k, np.full(9, 1.0 / rho))
+            assert np.all(np.isnan(inst.sigma))
+            assert np.array_equal(inst.degree, inst.k * inst.r)
+            assert np.allclose(inst.degree, 1.0, rtol=1e-15)
+            assert inst.con.size == 0 and np.array_equal(inst.uncon, np.arange(9))
+            assert inst.kinds == {CES} and not inst.is_linear
+
+    def test_additive(self):
+        inst = MarketInstance(2, 2, [0.5, 0.5], [
+            UtilitySpec(ADDITIVE, [0, 1], [1.0, 2.0], k=2.0, r=0.4),
+            UtilitySpec(ADDITIVE, [1], [1.0], k=-1.0, r=-0.5),
+        ])
+        assert validate(inst) == []
+        assert np.array_equal(inst.r, [0.4, -0.5])
+        assert np.array_equal(inst.k, [2.0, -1.0])
+        assert np.array_equal(inst.degree, [2.0 * 0.4, 0.5])
+        assert np.all(np.isnan(inst.sigma))
+        assert inst.kinds == {ADDITIVE}
+
+    def test_linear_barrier(self):
+        inst = generate_random(7, 5, 0.6, seed=2, kind=LINEAR_BARRIER, sigma=0.01)
+        assert np.all(np.isnan(inst.r)) and np.all(np.isnan(inst.k))
+        assert np.array_equal(inst.sigma, np.full(5, 0.01))
+        assert np.array_equal(inst.degree, np.full(5, 1.0 + 0.01 * 7))
+        assert inst.is_linear and np.array_equal(inst.uncon, np.arange(5))
+
+    def test_flow(self):
+        inst = mixed_flow_instance(players=2, ces_players=3)
+        assert np.array_equal(inst.con, [0, 1])
+        assert np.array_equal(inst.uncon, [2, 3, 4])
+        assert inst.con.dtype == inst.uncon.dtype == np.int64
+        assert np.array_equal(inst.r, np.full(5, 0.5))
+        assert np.array_equal(inst.degree, np.ones(5))
+
+    def test_json_round_trip_is_bitwise(self, tmp_path):
+        flow = mixed_flow_instance()
+        for inst in (generate_random(6, 9, 0.5, rho=-0.37, seed=1), flow,
+                     generate_random(4, 6, 0.7, seed=5, kind=LINEAR_BARRIER, sigma=3e-7)):
+            path = os.path.join(tmp_path, "inst.json")
+            save_instance(inst, path)
+            back = load_instance(path)
+            for name, col in columns(inst).items():
+                assert np.array_equal(getattr(back, name), col, equal_nan=True), name
+            assert back.kinds == inst.kinds and back.is_linear == inst.is_linear
+
+    def test_with_barrier_sigma_changes_only_sigma(self):
+        inst = generate_random(6, 8, 0.5, seed=3, kind=LINEAR_BARRIER, sigma=0.05)
+        before = {name: col.copy() for name, col in columns(inst).items()}
+        clone = market.with_barrier_sigma(inst, 0.002)
+        assert clone.coeff_csr() is inst.coeff_csr()
+        assert clone.log_coeff_data() is inst.log_coeff_data()
+        assert clone.nnz_row_index() is inst.nnz_row_index()
+        assert np.array_equal(clone.sigma, np.full(8, 0.002))
+        assert np.array_equal(clone.degree, 1.0 + clone.sigma * 6)
+        assert [u.sigma for u in clone.utilities] == [0.002] * 8
+        for name in ("r", "k", "con", "uncon"):
+            assert np.array_equal(getattr(clone, name), before[name], equal_nan=True)
+        # the parent keeps its own sigma
+        for name, col in columns(inst).items():
+            assert np.array_equal(col, before[name], equal_nan=True)
+        assert [u.sigma for u in inst.utilities] == [0.05] * 8
+        assert np.array_equal(clone.budgets, inst.budgets)
 
 
 class TestIngest:
@@ -276,5 +369,6 @@ def test_atomic_write(tmp_path):
 def test_ces_spec_helper():
     spec = ces_spec(np.array([0.0, 2.0, 1.0]), 0.5)
     assert np.array_equal(spec.idx, [1, 2])
-    assert spec.degree == 1.0
-    assert spec.k_exponent == 2.0
+    inst = MarketInstance(3, 1, [1.0], [spec])
+    assert inst.degree[0] == 1.0
+    assert inst.k[0] == 2.0

@@ -164,9 +164,8 @@ class TestJacobianAndBlocks:
         inst = mq.generate_random(5, 4, 1.0, rho=-0.6, seed=3)
         p = rng.uniform(0.5, 2.0, 5)
         for i in range(2):
-            u = inst.utilities[i]
             br = best_response(inst, i, p)
-            J = response_jacobian(p, br.gamma, u.r_exponent, float(inst.budgets[i]))
+            J = response_jacobian(p, br.gamma, inst.r[i], float(inst.budgets[i]))
             Jfd = central_diff_vec(lambda q, i=i: best_response(inst, i, q).x, p)
             assert np.max(np.abs(J - Jfd)) / np.max(np.abs(Jfd)) < 1e-4
 
@@ -332,19 +331,19 @@ class TestConstrained:
         inst = build_flow_instance([("s", "t"), ("s", "v"), ("v", "t")], [("s", "t")])
         A = inst.constraints[0]
         p = np.array([0.8, 1.1, 0.5, 0.9])
-        u = inst.utilities[0]
+        k, r = inst.k[0], inst.r[0]
         w = float(inst.budgets[0])
-        resp, y, lam = constrained_best_response(p, np.ones(4), u.k_exponent, u.r_exponent, w, A)
+        resp, y, lam = constrained_best_response(p, np.ones(4), k, r, w, A)
         assert np.max(np.abs(A @ resp.x)) <= 1e-10
         assert abs(resp.spend - w) <= 1e-10
         # stationarity residual of (D.6) with s = 0
-        stat = v_grad(resp.x, np.ones(4), u.k_exponent, u.r_exponent) + lam * p + A.T @ y
+        stat = v_grad(resp.x, np.ones(4), k, r) + lam * p + A.T @ y
         assert np.max(np.abs(stat)) <= 1e-8
-        assert abs(lam - (u.k_exponent * u.r_exponent) / w) < 1e-8
+        assert abs(lam - (k * r) / w) < 1e-8
         # objective agreement with the quadratic-penalty brute force
-        x_pen = penalty_oracle(p, np.ones(4), u.k_exponent, u.r_exponent, w, A)
-        v_best = v_value(resp.x, np.ones(4), u.k_exponent, u.r_exponent)
-        v_pen = v_value(x_pen, np.ones(4), u.k_exponent, u.r_exponent)
+        x_pen = penalty_oracle(p, np.ones(4), k, r, w, A)
+        v_best = v_value(resp.x, np.ones(4), k, r)
+        v_pen = v_value(x_pen, np.ones(4), k, r)
         assert v_best <= v_pen + 1e-6
 
     def test_dual_hessian_annihilates_rows_and_matches_fd(self):
@@ -354,8 +353,7 @@ class TestConstrained:
         M = constrained_dual_hessian(inst, 0, best_response(inst, 0, p).x)
         assert np.max(np.abs(A @ M)) <= 1e-10 * np.max(np.abs(M))
         assert np.linalg.eigvalsh((M + M.T) / 2).min() >= -1e-12 * np.max(np.abs(M))
-        u = inst.utilities[0]
-        d = u.k_exponent * u.r_exponent
+        d = inst.k[0] * inst.r[0]
         w = float(inst.budgets[0])
         J = -(w / d) * M  # Jacobian of the constrained demand
         Jfd = central_diff_vec(lambda q: best_response(inst, 0, q).x, p, rel_step=1e-5)
@@ -417,7 +415,8 @@ class TestSlcAndSelfConcordance:
         for trial in range(10):
             spec = random_player(np.random.default_rng(trial), n)
             c = spec.dense(n)
-            k, r = spec.k_exponent, spec.r_exponent
+            inst = MarketInstance(n, 1, [1.0], [spec])
+            k, r = inst.k[0], inst.r[0]
             d = k * r
             w = 1.3
             p = rng.uniform(0.5, 2.0, n)
@@ -442,7 +441,8 @@ class TestSlcAndSelfConcordance:
         for trial in range(10):
             spec = random_player(np.random.default_rng(100 + trial), n)
             c = spec.dense(n)
-            k, r = spec.k_exponent, spec.r_exponent
+            inst = MarketInstance(n, 1, [1.0], [spec])
+            k, r = inst.k[0], inst.r[0]
             d = k * r
             br = ces_best_response(rng.uniform(0.5, 2.0, n), c, r, 1.0)
             supp = c > 0
