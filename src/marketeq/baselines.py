@@ -116,6 +116,7 @@ def propres_run(instance: MarketInstance, config: BaselineConfig, b0=None, callb
     counts = np.diff(C.indptr)
     rows_of = np.repeat(np.arange(m), counts)
     logc = instance.log_coeff_data()
+    cols = instance.nnz_col_index()
     w_rep = np.repeat(instance.budgets, counts)
     # damping exponent: 1 for substitutes, 1/(1-rho) for complements
     alpha = np.where(rhos > 0, 1.0, 1.0 / (1.0 - rhos))
@@ -123,13 +124,13 @@ def propres_run(instance: MarketInstance, config: BaselineConfig, b0=None, callb
     rho_rep = rhos[rows_of]
 
     bdata = B.data.copy()
-    p = np.bincount(C.indices, weights=bdata, minlength=n)
+    p = np.bincount(cols, weights=bdata, minlength=n)
     trace = SolveTrace(extras={})
     status = STATUS_MAXITERS
     for k in range(config.max_iters):
         tic = time.perf_counter()
         logb = np.log(np.maximum(bdata, 1e-290))
-        logp = np.log(np.maximum(p[C.indices], 1e-290))
+        logp = np.log(np.maximum(p[cols], 1e-290))
         logw = np.log(w_rep)
         # log target share: log c + rho log x, x = b/p
         log_t = logc + rho_rep * (logb - logp)
@@ -139,7 +140,7 @@ def propres_run(instance: MarketInstance, config: BaselineConfig, b0=None, callb
         e = np.exp(logits - np.repeat(mx, counts))
         sums = np.add.reduceat(e, starts)
         new_b = e / np.repeat(sums, counts) * w_rep
-        new_p = np.bincount(C.indices, weights=new_b, minlength=n)
+        new_p = np.bincount(cols, weights=new_b, minlength=n)
         if np.any(new_p <= 0):
             status = STATUS_NUMFAIL
             break

@@ -35,6 +35,7 @@ from .market import MarketInstance
 from .oracle import (
     OracleError,
     PotentialConstants,
+    kappa_from_shares,
     market_state,
     potential_constants,
 )
@@ -551,11 +552,6 @@ def pathfol_select_params(constants: PotentialConstants, eps: float,
     raise ConfigError("no feasible (beta, gamma) pair above beta = 1e-8")
 
 
-def _kappa_from_shares(G) -> np.ndarray:
-    data = np.where(G.data > 0, G.data, np.inf)
-    return 1.0 / np.minimum.reduceat(data, G.indptr[:-1])
-
-
 def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=None):
     """Run the path-following driver from p0 > 0; returns (p, SolveTrace).
 
@@ -583,7 +579,7 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
         nonlocal mode
         if mode == "dr1":
             eps_h = hes.diff_norm_estimate(op, iters=10, seed=k)
-            kappa = np.minimum(_kappa_from_shares(op.G), config.kappa_cap)
+            kappa = np.minimum(kappa_from_shares(op.G), config.kappa_cap)
             delta_est = eps_h / float(np.min(instance.degree[instance.uncon] / kappa))
             if delta_est > delta_cert:
                 mode = "pcg"

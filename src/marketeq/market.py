@@ -136,6 +136,8 @@ class MarketInstance:
         self._csr = None
         self._log_cdata = None
         self._nnz_rows = None
+        self._nnz_cols = None
+        self._uncon_rows = None
 
     # -- derived views -----------------------------------------------------
 
@@ -161,6 +163,31 @@ class MarketInstance:
             counts = np.diff(C.indptr)
             self._nnz_rows = np.repeat(np.arange(self.m, dtype=np.int64), counts)
         return self._nnz_rows
+
+    def nnz_col_index(self) -> np.ndarray:
+        """Column (good) index of every stored coefficient as intp.
+
+        ``coeff_csr()`` keeps int32 indices, which numpy casts on every gather
+        such as ``p[C.indices]``; gathers through this copy skip the cast.
+        """
+        if self._nnz_cols is None:
+            self._nnz_cols = self.coeff_csr().indices.astype(np.intp)
+        return self._nnz_cols
+
+    def uncon_rows(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """(C, log_c, cols) restricted to the unconstrained players' rows.
+
+        Without constraints these are ``coeff_csr()``, ``log_coeff_data()``
+        and ``nnz_col_index()`` themselves; otherwise copies of their
+        unconstrained rows, built once.
+        """
+        if self._uncon_rows is None:
+            C, logc, cols = self.coeff_csr(), self.log_coeff_data(), self.nnz_col_index()
+            if self.con.size:
+                keep = np.isin(self.nnz_row_index(), self.uncon)
+                C, logc, cols = C[self.uncon], logc[keep], cols[keep]
+            self._uncon_rows = (C, logc, cols)
+        return self._uncon_rows
 
     def total_budget(self) -> float:
         return float(self.budgets.sum())
@@ -574,12 +601,13 @@ def build_flow_instance(edges, terminals, rho: float = 0.5, coefficients=None) -
 def with_barrier_sigma(instance: MarketInstance, sigma: float) -> MarketInstance:
     """Clone a linear-barrier instance with every player's sigma replaced.
 
-    The clone shares the parent's coefficient arrays and their CSR, log and
-    row-index caches; only the specs' sigma and the sigma/degree columns
-    are new.
+    The clone shares the parent's coefficient arrays and their CSR, log,
+    row-index and column-index caches; only the specs' sigma and the
+    sigma/degree columns are new.
     """
     instance.log_coeff_data()  # fill the parent's caches first, so the clone shares them
     instance.nnz_row_index()
+    instance.nnz_col_index()
     clone = copy.copy(instance)
     clone.utilities = [copy.copy(u) for u in instance.utilities]
     for u in clone.utilities:

@@ -144,8 +144,11 @@ PSI_ROUND_CAP = 100  # safeguarded Newton rounds before the psi root-finder give
 _PSI_RTOL = 4.0 * np.finfo(float).eps  # a step or bracket this small (relative) ends a row
 
 
-def _psi_roots(C: sp.csr_matrix, p: np.ndarray, sig: np.ndarray, w: np.ndarray):
+def _psi_roots(C: sp.csr_matrix, cols: np.ndarray, p: np.ndarray, sig: np.ndarray,
+               w: np.ndarray):
     """Every linear-barrier player's demand at p, one CSR row of C per player.
+
+    ``cols`` is ``C.indices`` as intp, the index of every gather of p.
 
     The KKT system c/<c,x> + sigma/x = lam p, lam = (1+sigma n)/w, gives
     x_j = sigma / (lam p_j - c_j/u) with u = <c, x> the root of
@@ -174,7 +177,7 @@ def _psi_roots(C: sp.csr_matrix, p: np.ndarray, sig: np.ndarray, w: np.ndarray):
     rows = np.repeat(np.arange(m), counts)
     c = C.data
     lam = (1.0 + sig * n) / w
-    lamp = lam[rows] * p[C.indices]
+    lamp = lam[rows] * p[cols]
     sc = sig[rows] * c
     u_lo = np.maximum.reduceat(c / lamp, starts)
     if np.any(u_lo <= 0.0):
@@ -221,7 +224,7 @@ def _psi_roots(C: sp.csr_matrix, p: np.ndarray, sig: np.ndarray, w: np.ndarray):
 
     ld = np.longdouble
     c_l, sig_l = c.astype(ld), sig.astype(ld)[rows]
-    lamp_l = lam.astype(ld)[rows] * p.astype(ld)[C.indices]
+    lamp_l = lam.astype(ld)[rows] * p.astype(ld)[cols]
     u = u.astype(ld)
     u_lo_l = u_lo.astype(ld)
     for _ in range(6):
@@ -232,7 +235,7 @@ def _psi_roots(C: sp.csr_matrix, p: np.ndarray, sig: np.ndarray, w: np.ndarray):
         u = np.where(u_new > u_lo_l, u_new, u)
 
     X = sig[:, None] / (lam[:, None] * p[None, :])
-    X[rows, C.indices] = (sig_l / (lamp_l - c_l / u[rows])).astype(float)
+    X[rows, cols] = (sig_l / (lamp_l - c_l / u[rows])).astype(float)
     if np.any(X <= 0) or not np.all(np.isfinite(X)):
         raise OracleError("linear-barrier demand left the positive orthant")
     return X, u, lam, rounds
@@ -249,7 +252,8 @@ def linear_barrier_best_response(p, c, sigma: float, w: float):
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
     n = len(p)
-    X, u, lam, _ = _psi_roots(sp.csr_matrix(c[None, :]), p, np.array([float(sigma)]),
+    C = sp.csr_matrix(c[None, :])
+    X, u, lam, _ = _psi_roots(C, C.indices.astype(np.intp), p, np.array([float(sigma)]),
                               np.array([float(w)]))
     x = X[0]
     gamma = (1.0 + sigma * n) * x * p / w - sigma
@@ -421,34 +425,23 @@ def _row_softmax(logits: np.ndarray, indptr: np.ndarray):
     return e / np.repeat(sums, counts), mx + np.log(sums)
 
 
-def bid_shares(instance: MarketInstance, p, players=None):
-    """Bidding-share matrix G (csr, rows of gamma) for additive-family players.
+def bid_shares(instance: MarketInstance, p):
+    """Bidding-share matrix G (csr, rows of gamma) of the unconstrained players.
 
+    Row i of G belongs to player ``instance.uncon[i]``.  G's index arrays are
+    those of ``instance.uncon_rows()``, not copies, so they stay read-only.
     Returns (G, log_S) where log_S[i] is logsumexp of the dual theta row,
     from which the attained log-utility is d_i log w_i + k_i (1-r_i) log_S_i.
     """
-    C = instance.coeff_csr()
-    rows_of = instance.nnz_row_index()
-    logc = instance.log_coeff_data()
-    r = instance.r
+    C, logc, cols = instance.uncon_rows()
+    counts = np.diff(C.indptr)
+    r = instance.r[instance.uncon]
     a = 1.0 / (1.0 - r)
     b = -r * a
     logp = np.log(np.asarray(p, dtype=float))
-    logits = a[rows_of] * logc + b[rows_of] * logp[C.indices]
-    if players is not None:
-        mask = np.zeros(instance.m, dtype=bool)
-        mask[players] = True
-        sel = mask[rows_of]
-        sub = sp.csr_matrix(
-            (logits[sel], C.indices[sel], np.concatenate([[0], np.cumsum(np.diff(C.indptr)[mask])])),
-            shape=(int(mask.sum()), instance.n),
-        )
-        gdata, logS = _row_softmax(sub.data, sub.indptr)
-        G = sp.csr_matrix((gdata, sub.indices, sub.indptr), shape=sub.shape)
-        return G, logS
+    logits = np.repeat(a, counts) * logc + np.repeat(b, counts) * logp[cols]
     gdata, logS = _row_softmax(logits, C.indptr)
-    G = sp.csr_matrix((gdata, C.indices.copy(), C.indptr.copy()), shape=C.shape)
-    return G, logS
+    return sp.csr_matrix((gdata, C.indices, C.indptr), shape=C.shape), logS
 
 
 def _linear_batch(instance: MarketInstance, p: np.ndarray):
@@ -465,12 +458,13 @@ def _linear_batch(instance: MarketInstance, p: np.ndarray):
     sig = instance.sigma
     C = instance.coeff_csr()
     rows = instance.nnz_row_index()
-    X, _, lam, rounds = _psi_roots(C, p, sig, w)
+    cols = instance.nnz_col_index()
+    X, _, lam, rounds = _psi_roots(C, cols, p, sig, w)
     gammas = (1.0 + sig[:, None] * n) * X * p[None, :] / w[:, None] - sig[:, None]
-    uval = np.add.reduceat(C.data * X[rows, C.indices], C.indptr[:-1])
+    uval = np.add.reduceat(C.data * X[rows, cols], C.indptr[:-1])
     value = float(p.sum() + np.sum(w * (np.log(uval) + sig * np.log(X).sum(axis=1))))
     resid = sig[:, None] / X
-    resid[rows, C.indices] += C.data / uval[rows]
+    resid[rows, cols] += C.data / uval[rows]
     resid -= lam[:, None] * p[None, :]
     return X, gammas, value, float(np.abs(resid).max()), rounds
 
@@ -510,12 +504,15 @@ def market_state(instance: MarketInstance, p) -> MarketState:
     G = None
     logS = None
     if uncon.size:
-        G, logS = bid_shares(instance, p, players=uncon if instance.con.size else None)
+        G, logS = bid_shares(instance, p)
         wu = w[uncon]
         ru, ku, du = instance.r[uncon], instance.k[uncon], instance.degree[uncon]
-        counts = np.diff(G.indptr)
-        xdata = G.data * np.repeat(wu, counts) / p[G.indices]
-        demand += np.bincount(G.indices, weights=xdata, minlength=instance.n)
+        _, _, cols = instance.uncon_rows()
+        xdata = G.data * np.repeat(wu, np.diff(G.indptr)) / p[cols]
+        # column sums as a CSC product: the same additions, in the same row
+        # order, as a bincount over G.indices, at a fraction of its cost
+        X = sp.csr_matrix((xdata, G.indices, G.indptr), shape=G.shape)
+        demand += X.T @ np.ones(G.shape[0])
         value += float(np.sum(wu * np.log(wu))) + float(np.sum((wu / du) * ku * (1.0 - ru) * logS))
     con_responses = {}
     for i in instance.con.tolist():
@@ -583,6 +580,12 @@ def response_jacobian(p, gamma, r: float, w: float) -> np.ndarray:
     return -(w / (1.0 - r)) * (M / p[None, :]) / p[:, None]
 
 
+def kappa_from_shares(G: sp.csr_matrix) -> np.ndarray:
+    """Per row of the share matrix G, the inverse of its smallest positive share."""
+    data = np.where(G.data > 0, G.data, np.inf)
+    return 1.0 / np.minimum.reduceat(data, G.indptr[:-1])
+
+
 def potential_constants(instance: MarketInstance, gamma_samples, kappa_cap: float = 1e4) -> PotentialConstants:
     """Exact SLC constant T_phi plus the kappa-estimated self-concordance C_phi.
 
@@ -607,9 +610,7 @@ def potential_constants(instance: MarketInstance, gamma_samples, kappa_cap: floa
     T_phi = float(np.sum(w * np.maximum(6.0 / (1.0 - r) ** 2, 2.0)))
     kappa = np.zeros(instance.m)
     for G in gamma_samples:
-        dataset = np.where(G.data > 0, G.data, np.inf)
-        mins = np.minimum.reduceat(dataset, G.indptr[:-1])
-        kappa = np.maximum(kappa, 1.0 / mins)
+        kappa = np.maximum(kappa, kappa_from_shares(G))
     kappa = np.minimum(kappa, kappa_cap)
     C_per = kappa**3 / np.sqrt(w) / np.sqrt(d) * np.maximum(2.0, 6.0 * r**2 - 6.0 * r + 2.0)
     return PotentialConstants(T_phi, float(np.max(C_per)), kappa)

@@ -183,6 +183,22 @@ def test_logbar_on_flow_market():
     assert abs(p.sum() - inst.total_budget()) < 1e-7
 
 
+def test_solves_leave_coefficient_arrays_unchanged():
+    # the bidding-share matrix shares its index arrays with coeff_csr()
+    inst = mq.generate_random(8, 16, 0.6, rho=0.5, seed=3)
+    C = inst.coeff_csr()
+    before = [arr.copy() for arr in (C.data, C.indices, C.indptr)]
+    p0 = np.full(8, inst.total_budget() / 8)
+    _, logbar = logbar_run(inst, LogBarConfig(eps=1e-8, sigma_override=0.5, hessian_mode="exact",
+                                              max_iters=200))
+    _, pathfol = pathfol_run(inst, PathFolConfig(eps=1e-8, hessian_mode="dr1", c_phi=10.0,
+                                                 max_iters=2000), p0)
+    assert logbar.status == pathfol.status == "Converged"
+    assert inst.coeff_csr() is C
+    for arr, old in zip((C.data, C.indices, C.indptr), before):
+        assert arr.dtype == old.dtype and arr.tobytes() == old.tobytes()
+
+
 class TestTheoryStrict:
     def test_neighborhood_invariance_small(self):
         # short version of the acceptance criterion: every covered iteration

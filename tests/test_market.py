@@ -234,6 +234,7 @@ class TestColumns:
         assert clone.coeff_csr() is inst.coeff_csr()
         assert clone.log_coeff_data() is inst.log_coeff_data()
         assert clone.nnz_row_index() is inst.nnz_row_index()
+        assert clone.nnz_col_index() is inst.nnz_col_index()
         assert np.array_equal(clone.sigma, np.full(8, 0.002))
         assert np.array_equal(clone.degree, 1.0 + clone.sigma * 6)
         assert [u.sigma for u in clone.utilities] == [0.002] * 8
@@ -244,6 +245,24 @@ class TestColumns:
             assert np.array_equal(col, before[name], equal_nan=True)
         assert [u.sigma for u in inst.utilities] == [0.05] * 8
         assert np.array_equal(clone.budgets, inst.budgets)
+
+    def test_nnz_col_index_is_intp_csr_indices(self):
+        inst = generate_random(6, 9, 0.5, rho=-0.37, seed=1)
+        cols = inst.nnz_col_index()
+        assert cols.dtype == np.intp and inst.nnz_col_index() is cols
+        assert np.array_equal(cols, inst.coeff_csr().indices)
+
+    def test_uncon_rows(self):
+        plain = generate_random(6, 9, 0.5, rho=-0.37, seed=1)
+        C, logc, cols = plain.uncon_rows()
+        assert C is plain.coeff_csr()
+        assert logc is plain.log_coeff_data() and cols is plain.nnz_col_index()
+        flow = mixed_flow_instance(players=2, ces_players=3)
+        C, logc, cols = flow.uncon_rows()
+        assert np.array_equal(C.toarray(), flow.coeff_csr().toarray()[flow.uncon])
+        assert cols.dtype == np.intp and np.array_equal(cols, C.indices)
+        assert np.array_equal(logc, np.log(C.data))
+        assert flow.uncon_rows()[0] is C
 
 
 class TestIngest:

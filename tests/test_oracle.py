@@ -138,11 +138,14 @@ class TestPotential:
         assert np.max(np.abs(g - fd) / (1.0 + np.abs(fd))) < 1e-5
 
     def test_batch_matches_serial_reduction(self, rng):
-        inst = mq.generate_random(6, 9, 0.7, rho=-0.8, seed=15)
-        p = rng.uniform(0.5, 2.0, 6)
-        serial = sum(best_response(inst, i, p).x for i in range(inst.m))
-        state = market_state(inst, p)
-        assert np.max(np.abs(serial - state.demand)) <= 1e-12
+        # the second market has constrained players, so the batch covers a row subset
+        for inst in (mq.generate_random(6, 9, 0.7, rho=-0.8, seed=15), mixed_flow_instance()):
+            p = rng.uniform(0.5, 2.0, inst.n)
+            serial = sum(best_response(inst, i, p).x for i in range(inst.m))
+            state = market_state(inst, p)
+            assert np.max(np.abs(serial - state.demand)) <= 1e-12
+            gammas = np.array([best_response(inst, i, p).gamma for i in inst.uncon])
+            assert np.max(np.abs(state.G.toarray() - gammas)) <= 1e-12
 
 
 class TestJacobianAndBlocks:
