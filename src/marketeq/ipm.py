@@ -18,20 +18,22 @@ solve (H~ + shift I) d = rhs, set p <- p (1 + d) -- in one loop
 (_newton_loop); each driver supplies only its homotopy rule.  The loop
 records a SolveTrace (CSV: one row per iteration, trailing status comment)
 and stops on the equilibrium certificate ||grad phi||_inf <= eps.
-newton_polish runs the same loop with PathFol's t = 0 rule alone.
+newton_polish runs the same loop with PathFol's t = 0 rule alone, damped by
+Armijo backtracking on phi; it polishes the reference prices of `marketeq bench`
+and every stage of the sigma continuation for near-linear markets.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from . import hessian as hes
-from .market import MarketInstance
+from .market import MarketInstance, atomic_write_text, with_barrier_sigma
 from .oracle import (
     OracleError,
     PotentialConstants,
@@ -48,6 +50,11 @@ TRACE_HEADER = "k,homotopy,grad_inf,grad_l2,nbhd_resid,decrement,step_norm,pcg_i
 
 MU_FLOOR = 1e-12
 PRACTICAL_C_PHI = 10.0  # run-time default; theory estimate via potential_constants
+STEP_SAFEGUARD_ETA = 0.01  # fraction-to-boundary: every price keeps >= 1% of its value
+KAPPA_CAP = 1e4  # clip on PathFol's kappa estimate in its DR1 certificate check
+ARMIJO = 1e-4  # sufficient-decrease fraction of the polish's backtracking
+MIN_ALPHA = 1e-10  # the polish gives up below this step fraction
+PHI_ACCURACY = 1e-10  # relative accuracy of MarketState.value
 
 
 class ConfigError(ValueError):
@@ -60,8 +67,8 @@ class TraceRow:
     homotopy: float
     grad_inf: float
     grad_l2: float
-    nbhd_resid: float
-    decrement: float
+    nbhd_resid: float = math.nan
+    decrement: float = math.nan
     step_norm: float = math.nan
     pcg_iters: int | None = None
     wall_ms: float = math.nan
@@ -77,22 +84,12 @@ class SolveTrace:
         return len(self.rows)
 
     def to_csv(self, path: str) -> None:
-        from .market import atomic_write_text
-
         def fmt(v):
-            if v is None:
+            if v is None or (isinstance(v, float) and math.isnan(v)):
                 return ""
-            if isinstance(v, float) and math.isnan(v):
-                return ""
-            if isinstance(v, float):
-                return f"{v:.17g}"
-            return str(v)
+            return f"{v:.17g}" if isinstance(v, float) else str(v)
 
-        lines = [TRACE_HEADER]
-        for r in self.rows:
-            lines.append(",".join(fmt(v) for v in (
-                r.k, r.homotopy, r.grad_inf, r.grad_l2, r.nbhd_resid,
-                r.decrement, r.step_norm, r.pcg_iters, r.wall_ms)))
+        lines = [TRACE_HEADER] + [",".join(map(fmt, astuple(r))) for r in self.rows]
         lines.append(f"# status={self.status}")
         atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -112,14 +109,9 @@ class SolveTrace:
                     if "status=" in line:
                         status = line.split("status=", 1)[1].strip()
                     continue
-                parts = line.split(",")
-                conv = lambda s: math.nan if s == "" else float(s)
-                rows.append(TraceRow(
-                    k=int(parts[0]), homotopy=conv(parts[1]), grad_inf=conv(parts[2]),
-                    grad_l2=conv(parts[3]), nbhd_resid=conv(parts[4]), decrement=conv(parts[5]),
-                    step_norm=conv(parts[6]),
-                    pcg_iters=None if parts[7] == "" else int(parts[7]),
-                    wall_ms=conv(parts[8])))
+                k, *floats, pcg, wall = [math.nan if v == "" else float(v)
+                                         for v in line.split(",")]
+                rows.append(TraceRow(int(k), *floats, None if math.isnan(pcg) else int(pcg), wall))
         return cls(rows=rows, status=status)
 
 
@@ -131,7 +123,6 @@ class LogBarConfig:
     hessian_mode: str = "exact"  # exact | dr1 | pcg
     eps_k: float = 1e-8
     max_iters: int = 500
-    step_safeguard_eta: float = 0.01
     theory_strict: bool = False  # Q from the worst-case formula; enables mu_stop
     mu_stop: bool = False  # stop once mu <= eps/(1+sqrt(n)) (secondary guarantee)
     keep_iterates: bool = False
@@ -143,8 +134,6 @@ class LogBarConfig:
             raise ConfigError("sigma_override must lie in (0, 1)")
         if self.hessian_mode not in ("exact", "dr1", "pcg"):
             raise ConfigError(f"unknown hessian mode {self.hessian_mode!r}")
-        if not (0.0 < self.step_safeguard_eta < 1.0):
-            raise ConfigError("step safeguard eta must lie in (0, 1)")
         if self.hessian_mode == "exact" and instance.n > hes.DENSE_LIMIT:
             raise ConfigError(f"exact hessian mode capped at n={hes.DENSE_LIMIT}; use dr1/pcg")
         if self.hessian_mode == "dr1" and (instance.constraints or instance.is_linear):
@@ -161,8 +150,6 @@ class PathFolConfig:
     eps_k: float = 1e-10
     max_iters: int = 2000
     c_phi: float | None = None  # None -> practical default constant
-    kappa_cap: float = 1e4
-    step_safeguard_eta: float = 0.01
     delta_cert: float | None = None  # certified delta from pathfol_select_params
     keep_iterates: bool = False
 
@@ -249,8 +236,31 @@ def newton_decrement(op: hes.ScaledHessianOp, g_scaled: np.ndarray,
 _NUMERICAL_ERRORS = (OracleError, FloatingPointError, scipy.linalg.LinAlgError)
 
 
+def _backtrack(instance: MarketInstance, state, d: np.ndarray):
+    """Armijo backtracking on phi along p (1 + alpha d), alpha = 1, 1/2, ...
+
+    Accepts phi falling by ARMIJO times the predicted decrease, or, when the
+    full step predicts less than phi's accuracy, rising by at most that.
+    Returns (alpha, state there, price queries); (None, None, queries) when
+    no alpha >= MIN_ALPHA is acceptable."""
+    slope = float((state.p * state.grad) @ d)
+    tol = PHI_ACCURACY * max(1.0, abs(state.value))
+    alpha, queries = 1.0, 0
+    while alpha >= MIN_ALPHA:
+        queries += 1
+        try:
+            trial = market_state(instance, state.p * (1.0 + alpha * d))
+            rise = trial.value - state.value
+            if rise <= ARMIJO * alpha * slope or (-slope <= tol and rise <= tol):
+                return alpha, trial, queries
+        except OracleError:
+            pass  # outside the oracle's domain: shorten the step
+        alpha *= 0.5
+    return None, None, queries
+
+
 def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure, step,
-                 stop=None, solver_mode=None, callback=None) -> np.ndarray:
+                 stop=None, solver_mode=None, callback=None, damped=False) -> np.ndarray:
     """Newton steps p <- p (1 + d), (H~ + shift I) d = rhs, until ||grad phi||_inf <= eps.
 
     Each iteration queries the players at p and assembles H~; the driver's
@@ -260,14 +270,20 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
     step, and step(k, state, solver) gives (shift, rhs).  A NaN decrement
     becomes the step's Newton decrement sqrt(rhs . d).  An oracle,
     floating-point or factorization error ends the run as NumericalFailure.
+    With damped=True the safeguarded step is shortened by _backtrack, whose
+    accepted state is the next iteration's; when no step fraction is
+    acceptable the run ends as MaxIters with the reason in extras["error"].
     """
     iterates = [p.copy()] if config.keep_iterates else None
-    trace.extras.update(safeguards=0, dr1_fallbacks=0)
+    trace.extras.update(safeguards=0, dr1_fallbacks=0, price_queries=0)
     status = STATUS_MAXITERS
+    state = None
     for k in range(config.max_iters):
         tic = time.perf_counter()
         try:
-            state = market_state(instance, p)
+            if state is None:
+                state = market_state(instance, p)
+                trace.extras["price_queries"] += 1
             op = hes.assemble_from_state(state, instance)
             mode = solver_mode(k, state, op) if solver_mode else config.hessian_mode
             solver = _StepSolver(op, mode, config.eps_k)
@@ -293,12 +309,24 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
             break
         if math.isnan(row.decrement):
             row.decrement = math.sqrt(max(float(rhs @ d), 0.0))
-        d, clipped = _apply_safeguard(d, config.step_safeguard_eta)
-        trace.extras["safeguards"] += int(clipped)
+        dmin = float(d.min())
+        if 1.0 + dmin < STEP_SAFEGUARD_ETA:  # fraction to the boundary
+            d = d * ((1.0 - STEP_SAFEGUARD_ETA) / (-dmin))
+            trace.extras["safeguards"] += 1
         trace.extras["dr1_fallbacks"] += solver.fallbacks
-        p = p * (1.0 + d)
-        row.step_norm = float(np.linalg.norm(d))
         row.pcg_iters = pcg_iters
+        if damped:
+            alpha, state, queries = _backtrack(instance, state, d)
+            trace.extras["price_queries"] += queries
+            if state is None:
+                trace.extras["error"] = f"no step fraction >= {MIN_ALPHA:g} decreases phi"
+                break
+            d = alpha * d
+            p = state.p
+        else:
+            state = None
+            p = p * (1.0 + d)
+        row.step_norm = float(np.linalg.norm(d))
         row.wall_ms = (time.perf_counter() - tic) * 1e3
         if iterates is not None:
             iterates.append(p.copy())
@@ -309,14 +337,19 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
 
 
 def newton_polish(instance: MarketInstance, p, eps: float = 1e-12, max_iters: int = 60,
-                  eps_k: float = 1e-12):
-    """Pure inexact Newton with PCG steps from p until ||grad phi||_inf <= eps:
-    PathFol's t = 0 rule, (H~ + MU_FLOOR I) d = -P grad phi.  Returns (p, SolveTrace)."""
-    config = PathFolConfig(eps=eps, eps_k=eps_k, max_iters=max_iters, hessian_mode="pcg")
+                  eps_k: float = 1e-12, hessian_mode: str = "pcg"):
+    """Damped Newton on phi from p until ||grad phi||_inf <= eps.
+
+    PathFol's t = 0 rule, (H~ + MU_FLOOR I) d = -P grad phi, with Armijo
+    backtracking on phi (Boyd & Vandenberghe, Convex Optimization, 9.5);
+    near the solution every step is a full one.  Returns (p, SolveTrace).
+    """
+    config = PathFolConfig(eps=eps, eps_k=eps_k, max_iters=max_iters, hessian_mode=hessian_mode)
     trace = SolveTrace()
     p = _newton_loop(instance, np.asarray(p, dtype=float).copy(), config, trace,
                      measure=lambda k, state, solver: (0.0, math.nan, math.nan),
-                     step=lambda k, state, solver: (MU_FLOOR, -(state.p * state.grad)))
+                     step=lambda k, state, solver: (MU_FLOOR, -(state.p * state.grad)),
+                     damped=True)
     return p, trace
 
 
@@ -368,69 +401,29 @@ def theory_strict_Q(instance: MarketInstance, eps: float) -> float:
     return eps / (14.0 * eps + 4.0 * consts.T_phi * (math.sqrt(instance.n) + 1.0))
 
 
-def _apply_safeguard(d: np.ndarray, eta: float):
-    dmin = float(d.min())
-    if 1.0 + dmin < eta:
-        return d * ((1.0 - eta) / (-dmin)), True
-    return d, False
-
-
 SIGMA_SMOOTH = 0.05  # barrier-utility level the plain loop tracks comfortably
-
-
-def _stationarity_polish(instance, p, eps, max_nfev=400):
-    """Trust-region solve of the scaled stationarity system P grad phi = 0.
-
-    Works in log-price coordinates with the analytic Jacobian H + diag(P g),
-    row-scaled by the Hessian diagonal (near-linear markets span ~1/sigma^2
-    in magnitude).  Returns (p, grad_inf, nfev); keeps the incoming point
-    when the solver fails to improve it.
-    """
-    import scipy.optimize
-
-    state = market_state(instance, p)
-    op = hes.assemble_from_state(state, instance)
-    scale = 1.0 / np.sqrt(np.maximum(np.diag(op.dense()), 1e-300))
-
-    def fun(q):
-        pp = np.exp(q)
-        return scale * (pp * market_state(instance, pp).grad)
-
-    def jac(q):
-        pp = np.exp(q)
-        st = market_state(instance, pp)
-        J = hes.assemble_from_state(st, instance).dense()
-        return scale[:, None] * (J + np.diag(pp * st.grad))
-
-    sol = scipy.optimize.root(fun, np.log(p), jac=jac, method="hybr",
-                              tol=1e-15, options={"maxfev": max_nfev})
-    p_try = np.exp(sol.x)
-    g_try = float(np.max(np.abs(market_state(instance, p_try).grad)))
-    g_old = float(np.max(np.abs(state.grad)))
-    if g_try < g_old and np.all(np.isfinite(p_try)) and np.all(p_try > 0):
-        return p_try, g_try, int(sol.nfev)
-    return p, g_old, int(sol.nfev)
 
 
 def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, callback=None):
     """LogBar for near-linear markets: barrier phase at a smooth utility
-    regularization, then geometric continuation in sigma down to the target,
-    each stage polished by the trust-region stationarity solve.
+    regularization, then a geometric sigma ladder (x0.1 per stage) down to
+    the target, each stage polished by newton_polish in the config's Hessian
+    mode.  The last stage is the market itself; its polish sets the status.
 
     The plain one-step loop cannot track the central path once sigma is at
     the eps/n scale the clearing bound wants -- the potential's scaled
     Lipschitz constant grows like 1/sigma^3 -- so the homotopy runs in
-    (mu, sigma) jointly instead.
+    (mu, sigma) jointly instead.  Each stage adds one trace row (homotopy =
+    its sigma, the gradient norms of its polish's last row) and one entry
+    to extras["continuation"] with the polish's Newton steps, price
+    queries and status.
     """
-    from .market import with_barrier_sigma
-
     target = float(instance.sigma[0])
     smooth = with_barrier_sigma(instance, SIGMA_SMOOTH)
     inner_cfg = LogBarConfig(
         Q=config.Q, eps=max(config.eps, 1e-5),
         sigma_override=config.sigma_override or 0.8,
-        hessian_mode=config.hessian_mode, eps_k=config.eps_k,
-        max_iters=config.max_iters, step_safeguard_eta=config.step_safeguard_eta)
+        hessian_mode=config.hessian_mode, eps_k=config.eps_k, max_iters=config.max_iters)
     p, trace = logbar_run(smooth, inner_cfg, callback=callback)
     trace.extras["continuation"] = []
     if trace.status == STATUS_NUMFAIL:
@@ -440,19 +433,21 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
     k = trace.rows[-1].k if trace.rows else 0
     while sigma > target:
         sigma = max(sigma * 0.1, target)
-        stage = with_barrier_sigma(instance, sigma)
-        p, ginf, nfev = _stationarity_polish(stage, p, config.eps)
+        tic = time.perf_counter()
+        p, polish = newton_polish(with_barrier_sigma(instance, sigma), p, eps=config.eps,
+                                  max_iters=config.max_iters, eps_k=config.eps_k,
+                                  hessian_mode=config.hessian_mode)
+        last = polish.rows[-1] if polish.rows else TraceRow(k, sigma, math.nan, math.nan)
         k += 1
-        trace.rows.append(TraceRow(k=k, homotopy=math.nan, grad_inf=ginf,
-                                   grad_l2=math.nan, nbhd_resid=math.nan,
-                                   decrement=math.nan, step_norm=math.nan))
-        trace.extras["continuation"].append({"sigma": sigma, "grad_inf": ginf, "nfev": nfev})
-    final = market_state(instance, p)
-    ginf = float(np.max(np.abs(final.grad)))
-    if ginf > config.eps:
-        p, ginf, nfev = _stationarity_polish(instance, p, config.eps, max_nfev=1000)
-        trace.extras["continuation"].append({"sigma": target, "grad_inf": ginf, "nfev": nfev})
-    trace.status = STATUS_CONVERGED if ginf <= config.eps else STATUS_MAXITERS
+        trace.rows.append(TraceRow(k=k, homotopy=sigma, grad_inf=last.grad_inf,
+                                   grad_l2=last.grad_l2, wall_ms=(time.perf_counter() - tic) * 1e3))
+        trace.extras["continuation"].append({
+            "sigma": sigma, "grad_inf": last.grad_inf, "status": polish.status,
+            "newton_steps": sum(not math.isnan(r.step_norm) for r in polish.rows),
+            "price_queries": polish.extras["price_queries"]})
+    trace.status = polish.status
+    if "error" in polish.extras:
+        trace.extras["error"] = polish.extras["error"]
     return p, trace
 
 
@@ -463,7 +458,9 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
     recorded mu column is exactly mu0 * sigma^k.  Near-linear markets
     (sigma below SIGMA_SMOOTH) detour through the sigma continuation, since
     their scaled Lipschitz constant ~1/sigma^3 makes the plain loop lose
-    the path in floating point.
+    the path in floating point: this loop at a smooth sigma, then one
+    damped-Newton polish (newton_polish) per stage of a x0.1 sigma ladder,
+    each adding one trace row whose homotopy column is the stage's sigma.
     """
     config.validate(instance)
     if instance.is_linear and instance.sigma[0] < SIGMA_SMOOTH:
@@ -579,7 +576,7 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
         nonlocal mode
         if mode == "dr1":
             eps_h = hes.diff_norm_estimate(op, iters=10, seed=k)
-            kappa = np.minimum(kappa_from_shares(op.G), config.kappa_cap)
+            kappa = np.minimum(kappa_from_shares(op.G), KAPPA_CAP)
             delta_est = eps_h / float(np.min(instance.degree[instance.uncon] / kappa))
             if delta_est > delta_cert:
                 mode = "pcg"

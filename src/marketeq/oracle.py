@@ -609,8 +609,8 @@ def potential_constants(instance: MarketInstance, gamma_samples, kappa_cap: floa
     r, d = instance.r, instance.degree
     T_phi = float(np.sum(w * np.maximum(6.0 / (1.0 - r) ** 2, 2.0)))
     kappa = np.zeros(instance.m)
-    for G in gamma_samples:
-        kappa = np.maximum(kappa, kappa_from_shares(G))
+    for G in gamma_samples:  # G has one row per unconstrained player
+        kappa[instance.uncon] = np.maximum(kappa[instance.uncon], kappa_from_shares(G))
     kappa = np.minimum(kappa, kappa_cap)
     C_per = kappa**3 / np.sqrt(w) / np.sqrt(d) * np.maximum(2.0, 6.0 * r**2 - 6.0 * r + 2.0)
     return PotentialConstants(T_phi, float(np.max(C_per)), kappa)

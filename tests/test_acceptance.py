@@ -430,6 +430,27 @@ def test_criterion_09_linear_barrier_market():
     assert time.time() - t0 < 60
 
 
+def test_criterion_09_linear_barrier_sweep():
+    """Criterion 9's settings across sizes and seeds.  No KKT bound: at
+    sigma = eps/60 the oracle's own residual reaches ~1e-8."""
+    t0 = time.time()
+    eps = 1e-6
+    failures = []
+    for n, m in ((20, 50), (40, 100), (60, 150)):
+        for seed in (21, 1, 2):
+            inst = mq.generate_random(n, m, 0.5, seed=seed, kind="linear_barrier", sigma=eps / n)
+            p, trace = logbar_run(inst, LogBarConfig(eps=eps, hessian_mode="exact", max_iters=600))
+            cert = equilibrium_certificate(inst, p, eps=eps)
+            if not (trace.status == "Converged" and cert["converged"]
+                    and cert["clearing_within_bound"]):
+                failures.append(f"n={n} seed={seed}: {trace.status}, "
+                                f"grad_inf {cert['grad_inf']:.2e}")
+    verdict("9 linear-barrier sweep", not failures,
+            f"{9 - len(failures)}/9 cells converged within the clearing bound "
+            f"{failures}, {time.time()-t0:.1f}s")
+    assert not failures, failures
+
+
 # -- 10 ---------------------------------------------------------------------
 
 

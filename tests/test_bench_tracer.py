@@ -42,3 +42,25 @@ def test_traced_solve_counts_every_query_and_step():
     assert totals["ipm.factor"]["calls"] == iters
     assert ipm.market_state is oracle.market_state
     assert hessian.market_state is oracle.market_state
+
+
+def test_traced_near_linear_solve_counts_every_polish_query(monkeypatch):
+    # every linear-barrier price query runs _linear_batch once; the tracer
+    # must see each of them, the sigma continuation's polish included
+    tracer = load_tracer()
+    batches = []
+    linear_batch = oracle._linear_batch
+
+    def counting(*args):
+        batches.append(1)
+        return linear_batch(*args)
+
+    monkeypatch.setattr(oracle, "_linear_batch", counting)
+    inst = mq.generate_random(20, 50, 0.5, seed=21, kind="linear_barrier", sigma=1e-6 / 20)
+    tr = tracer.Tracer()
+    with tr.patched():
+        _, trace = mq.logbar_run(inst, mq.LogBarConfig(eps=1e-6, hessian_mode="exact",
+                                                       max_iters=600))
+    assert trace.status == "Converged"
+    assert trace.extras["continuation"]
+    assert len(batches) == tracer.layer_totals(tr.spans)["oracle"]["calls"]

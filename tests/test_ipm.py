@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -7,6 +8,7 @@ import scipy.linalg
 
 import marketeq as mq
 from marketeq import hessian as hes
+from marketeq import ipm
 from marketeq.ipm import (
     ConfigError,
     LogBarConfig,
@@ -24,7 +26,7 @@ from marketeq.ipm import (
     theory_strict_Q,
 )
 from marketeq.market import CES, MarketInstance, UtilitySpec
-from marketeq.oracle import market_state, potential_constants
+from marketeq.oracle import OracleError, market_state, potential_constants
 
 from conftest import symmetric_instance
 
@@ -332,12 +334,50 @@ class TestNewtonPolish:
         assert trace.status == "Converged"
         assert np.max(np.abs(market_state(inst, p).grad)) <= 1e-12
         assert all(r.pcg_iters for r in trace.rows[:-1])
+        # full steps: each accepted trial is the next iteration's price query
+        assert trace.extras["price_queries"] == trace.iterations()
 
     def test_polish_stops_at_iteration_budget(self):
         inst = mq.generate_random(15, 40, 0.8, rho=0.5, seed=8)
         p, trace = newton_polish(inst, np.full(15, 5.0), eps=1e-12, max_iters=2)
         assert trace.status == "MaxIters"
         assert trace.iterations() == 2
+
+    def test_polish_never_accepts_a_rise_in_phi(self, monkeypatch):
+        inst = mq.generate_random(15, 40, 0.8, rho=0.5, seed=8)
+        queries = []
+
+        def rising(instance, p):  # every query reads phi 1e6 higher than the last
+            queries.append(p)
+            state = market_state(instance, p)
+            return dataclasses.replace(state, value=state.value + 1e6 * len(queries))
+
+        monkeypatch.setattr(ipm, "market_state", rising)
+        p0 = np.full(15, 5.0)
+        p, trace = newton_polish(inst, p0, eps=1e-12)
+        assert trace.status == "MaxIters"
+        assert "no step fraction" in trace.extras["error"]
+        assert trace.iterations() == 1
+        assert np.array_equal(p, p0)
+        assert trace.extras["price_queries"] == len(queries) > 30
+
+    def test_oracle_error_at_a_trial_halves_the_step(self, monkeypatch):
+        inst = mq.generate_random(15, 40, 0.8, rho=0.5, seed=8)
+        p0 = np.full(15, 5.0)
+        _, full = newton_polish(inst, p0, eps=1e-12, max_iters=1)
+        queries = []
+
+        def refuse_first_trial(instance, p):
+            queries.append(p)
+            if len(queries) == 2:
+                raise OracleError("trial outside the oracle's domain")
+            return market_state(instance, p)
+
+        monkeypatch.setattr(ipm, "market_state", refuse_first_trial)
+        _, halved = newton_polish(inst, p0, eps=1e-12, max_iters=1)
+        assert full.extras["price_queries"] == 2
+        assert halved.extras["price_queries"] == 3
+        assert halved.rows[0].step_norm == pytest.approx(0.5 * full.rows[0].step_norm, rel=1e-12)
 
 
 class TestNewtonDecrement:

@@ -399,6 +399,16 @@ class TestConstants:
         consts = potential_constants(inst, [G], kappa_cap=1e4)
         assert consts.kappa[0] == 1e4
 
+    def test_kappa_of_constrained_market(self):
+        # share matrices have rows only for the unconstrained players
+        inst = mixed_flow_instance()
+        G = market_state(inst, np.ones(inst.n)).G
+        assert G.shape[0] == inst.uncon.size < inst.m
+        consts = potential_constants(inst, [G])
+        assert np.array_equal(consts.kappa[inst.uncon], oracle.kappa_from_shares(G))
+        assert np.all(consts.kappa[inst.con] == 0.0)
+        assert math.isfinite(consts.C_phi)
+
 
 class TestSlcAndSelfConcordance:
     @staticmethod
