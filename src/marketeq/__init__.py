@@ -2,7 +2,6 @@
 
 from .baselines import BaselineConfig, propres_run, tat_run
 from .hessian import (
-    DiagonalPreconditioner,
     ScaledHessianOp,
     assemble,
     dr1_solve,

@@ -31,13 +31,6 @@ class SingularUpdateError(RuntimeError):
     """The Sherman-Morrison denominator vanished (mu too small for DR1)."""
 
 
-@dataclass
-class DiagonalPreconditioner:
-    """Jacobi preconditioner from the Hessian row sums, k_c = H 1."""
-
-    k_c: np.ndarray
-
-
 def _sub_gram(H: np.ndarray, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """H - R^T diag(weights) R, in place on the Fortran-ordered H.
 
@@ -92,8 +85,6 @@ class ScaledHessianOp:
             out += blk @ v
         return out
 
-    exact_matvec = matvec  # the exact product by name, beside dr1_matvec
-
     def dr1_matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.dr1_diag * v
         if self.dr1_active:
@@ -131,8 +122,9 @@ class ScaledHessianOp:
             H += blk
         return H
 
-    def preconditioner(self) -> DiagonalPreconditioner:
-        return DiagonalPreconditioner(np.maximum(self.row_sums(), KC_FLOOR))
+    def preconditioner(self) -> np.ndarray:
+        """The Jacobi preconditioner k_c = H 1, floored at KC_FLOOR."""
+        return np.maximum(self.row_sums(), KC_FLOOR)
 
 
 def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledHessianOp:
@@ -172,7 +164,7 @@ def assemble(instance: MarketInstance, p) -> ScaledHessianOp:
     return assemble_from_state(market_state(instance, p), instance)
 
 
-def preconditioner(instance: MarketInstance, p) -> DiagonalPreconditioner:
+def preconditioner(instance: MarketInstance, p) -> np.ndarray:
     return assemble(instance, p).preconditioner()
 
 
@@ -200,26 +192,25 @@ def dr1_solve(op: ScaledHessianOp, mu: float, rhs: np.ndarray) -> np.ndarray:
     return d
 
 
-def pcg_solve(op, g_diag, rhs: np.ndarray, eps_k: float,
-              precond: DiagonalPreconditioner | None = None,
+def pcg_solve(op, g_diag, rhs: np.ndarray, eps_k: float, k_c: np.ndarray | None = None,
               max_iters: int | None = None):
     """Conjugate gradient on (H + diag(g_diag)) d = rhs.
 
-    When a preconditioner is supplied, its k_c (= H 1) is combined with the
-    regularizer's diagonal so the solver preconditions with the row sums of
-    the full system matrix.  Terminates when the unpreconditioned residual
-    satisfies ||(H+G)d - rhs|| <= eps_k * max(||d||, 1e-30), or after n
-    iterations (CG is exact in exact arithmetic).  Returns (d, iterations).
+    Given the row sums k_c = H 1 (ScaledHessianOp.preconditioner), it
+    preconditions with k_c + g_diag, the row sums of the full system matrix.
+    Terminates when the unpreconditioned residual satisfies ||(H+G)d - rhs||
+    <= eps_k * max(||d||, 1e-30), or after n iterations (CG is exact in exact
+    arithmetic).  Returns (d, iterations).
     """
     n = len(rhs)
     g_diag = np.broadcast_to(np.asarray(g_diag, dtype=float), (n,))
     matvec = lambda v: op.matvec(v) + g_diag * v
-    m_diag = precond.k_c + g_diag if precond is not None else None
+    m_diag = k_c + g_diag if k_c is not None else None
     d = np.zeros(n)
     res = rhs.copy()
     if np.linalg.norm(res) == 0.0:
         return d, 0
-    z = res / m_diag if precond else res
+    z = res / m_diag if m_diag is not None else res
     direction = z.copy()
     rz = float(res @ z)
     limit = max_iters if max_iters is not None else n
@@ -235,7 +226,7 @@ def pcg_solve(op, g_diag, rhs: np.ndarray, eps_k: float,
         iters += 1
         if np.linalg.norm(res) <= eps_k * max(np.linalg.norm(d), 1e-30):
             break
-        z = res / m_diag if precond else res
+        z = res / m_diag if m_diag is not None else res
         rz_new = float(res @ z)
         direction = z + (rz_new / rz) * direction
         rz = rz_new

@@ -11,13 +11,15 @@ PathFol follows a barrier-free homotopy phi_t = phi - t<grad phi(p0), p>,
 driving t from 1 to 0 with steps sized by the self-concordance constant,
     t+ = max(t - gamma / (C ||P grad phi(p0)||*_{H~}), 0),
     H~ d = -P(grad phi - t+ grad phi(p0)),
-then finishes with pure inexact Newton inside the quadratic region.
+then finishes with pure inexact Newton inside the quadratic region.  It
+solves twice per iteration, H~ a = P grad phi and, while t > 0,
+H~ b = P grad phi(p0); its dual norms and d = -(a - t+ b) combine the two.
 
 Both take the same step -- query best responses, assemble H~ from the bids,
 solve (H~ + shift I) d = rhs, set p <- p (1 + d) -- in one loop
-(_newton_loop); each driver supplies only its homotopy rule.  The loop
-records a SolveTrace (CSV: one row per iteration, trailing status comment)
-and stops on the equilibrium certificate ||grad phi||_inf <= eps.
+(_newton_loop); each driver supplies only its homotopy rule and its solves.
+The loop records a SolveTrace (CSV: one row per iteration, trailing status
+comment) and stops on the equilibrium certificate ||grad phi||_inf <= eps.
 newton_polish runs the same loop with PathFol's t = 0 rule alone, damped by
 Armijo backtracking on phi; it polishes the reference prices of `marketeq bench`
 and every stage of the sigma continuation for near-linear markets.
@@ -173,61 +175,60 @@ class PathFolConfig:
 
 
 class _StepSolver:
+    """(H~ + mu I) d = rhs on one operator, which every driver solves with one
+    shift: one factorization is kept.  pcg_iters sums PCG iterations (or None)."""
+
     def __init__(self, op: hes.ScaledHessianOp, mode: str, eps_k: float):
         self.op = op
         self.mode = mode
         self.eps_k = eps_k
-        self._dense = None
-        self._factors: dict[float, tuple] = {}
-        self._precond = None
+        self._chol = None  # (mu, cho_factor, Jacobi scale)
+        self._k_c = None
         self.fallbacks = 0
-
-    def _factor(self, mu: float):
-        # Jacobi-scale before factoring: near-linear markets make H span
-        # ~1/sigma^2 in magnitude and a raw Cholesky loses the small block
-        if self._dense is None:
-            self._dense = self.op.dense()
-        if mu not in self._factors:
-            d = np.maximum(np.diag(self._dense) + mu, 1e-300)
-            s = 1.0 / np.sqrt(d)
-            A = (self._dense + mu * np.eye(self.op.n)) * s[:, None] * s[None, :]
-            self._factors[mu] = (scipy.linalg.cho_factor(A, check_finite=False), s)
-        return self._factors[mu]
+        self.pcg_iters = None
 
     def _dense_solve(self, mu: float, rhs: np.ndarray) -> np.ndarray:
-        cf, s = self._factor(mu)
+        # Jacobi-scale before factoring: near-linear markets make H span
+        # ~1/sigma^2 in magnitude and a raw Cholesky loses the small block
+        if self._chol is None or self._chol[0] != mu:
+            H = self.op.dense()
+            s = 1.0 / np.sqrt(np.maximum(np.diag(H) + mu, 1e-300))
+            A = (H + mu * np.eye(self.op.n)) * s[:, None] * s[None, :]
+            # H lives as long as its factor: freed here, it left the heap to be
+            # faulted in afresh each iteration (35x the minor page faults on ces-dense)
+            self._chol = (mu, scipy.linalg.cho_factor(A, check_finite=False), s, H)
+        _, cf, s, _ = self._chol
         d = s * scipy.linalg.cho_solve(cf, s * rhs, check_finite=False)
         for _ in range(2):  # iterative refinement with the exact matvec
             r = rhs - (self.op.matvec(d) + mu * d)
             d = d + s * scipy.linalg.cho_solve(cf, s * r, check_finite=False)
         return d
 
-    def precond(self):
-        if self._precond is None:
-            self._precond = self.op.preconditioner()
-        return self._precond
-
-    def solve(self, mu: float, rhs: np.ndarray):
-        """Solve (H~ + mu I) d = rhs; returns (d, pcg iterations or None)."""
+    def solve(self, mu: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve (H~ + mu I) d = rhs."""
         if self.mode == "exact":
-            return self._dense_solve(mu, rhs), None
+            return self._dense_solve(mu, rhs)
         if self.mode == "dr1":
             try:
-                return hes.dr1_solve(self.op, mu, rhs), None
+                return hes.dr1_solve(self.op, mu, rhs)
             except hes.SingularUpdateError:
                 self.fallbacks += 1
-        return hes.pcg_solve(self.op, mu, rhs, self.eps_k, self.precond())
+        if self._k_c is None:
+            self._k_c = self.op.preconditioner()
+        d, iters = hes.pcg_solve(self.op, mu, rhs, self.eps_k, self._k_c)
+        self.pcg_iters = (self.pcg_iters or 0) + iters
+        return d
 
-    def dual_norm(self, g_scaled: np.ndarray) -> float:
-        """||g||*_{H~ + floor} = sqrt(g^T (H~ + floor I)^{-1} g)."""
-        d, _ = self.solve(MU_FLOOR, g_scaled)
-        return math.sqrt(max(float(g_scaled @ d), 0.0))
+    def newton_step(self, mu: float, rhs: np.ndarray):
+        """(d, sqrt(rhs . d)) with (H~ + mu I) d = rhs: the step and its decrement."""
+        d = self.solve(mu, rhs)
+        return d, math.sqrt(max(float(rhs @ d), 0.0))
 
 
 def newton_decrement(op: hes.ScaledHessianOp, g_scaled: np.ndarray,
                      mode: str = "exact", eps_k: float = 1e-10) -> float:
     """Inexact Newton decrement lambda~ = ||P grad phi||*_{H~(p)}."""
-    return _StepSolver(op, mode, eps_k).dual_norm(np.asarray(g_scaled, dtype=float))
+    return _StepSolver(op, mode, eps_k).newton_step(MU_FLOOR, np.asarray(g_scaled, float))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +262,16 @@ def _backtrack(instance: MarketInstance, state, d: np.ndarray):
 
 def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure, step,
                  stop=None, solver_mode=None, callback=None, damped=False) -> np.ndarray:
-    """Newton steps p <- p (1 + d), (H~ + shift I) d = rhs, until ||grad phi||_inf <= eps.
+    """Newton steps p <- p (1 + d) until ||grad phi||_inf <= eps.
 
     Each iteration queries the players at p and assembles H~; the driver's
-    rule does the rest: solver_mode(k, state, op) picks the solver (default
-    config.hessian_mode), measure(k, state, solver) gives the row's
-    (homotopy, nbhd_resid, decrement), stop(k) may end the run before the
-    step, and step(k, state, solver) gives (shift, rhs).  A NaN decrement
-    becomes the step's Newton decrement sqrt(rhs . d).  An oracle,
-    floating-point or factorization error ends the run as NumericalFailure.
+    rule does the rest, solving on the iteration's _StepSolver: solver_mode(k,
+    state, op) picks the solver (default config.hessian_mode), measure(k,
+    state, solver) gives the row's (homotopy, nbhd_resid, decrement), stop(k)
+    may end the run before the step, and step(k, state, solver) gives (d,
+    decrement), the decrement filling a NaN one from measure.  The row's
+    pcg_iters total all its PCG solves.  An oracle, floating-point or
+    factorization error ends the run as NumericalFailure.
     With damped=True the safeguarded step is shortened by _backtrack, whose
     accepted state is the next iteration's; when no step fraction is
     acceptable the run ends as MaxIters with the reason in extras["error"].
@@ -292,29 +294,27 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
                            grad_l2=float(np.linalg.norm(state.grad)), nbhd_resid=nbhd,
                            decrement=decrement)
             trace.rows.append(row)
-            if row.grad_inf <= config.eps:
-                status = STATUS_CONVERGED
-                break
-            halt = (stop(k) if stop else None) or (callback(k, p) if callback else None)
-            if halt:
-                status = halt if isinstance(halt, str) else STATUS_CONVERGED
-                break
-            shift, rhs = step(k, state, solver)
-            d, pcg_iters = solver.solve(shift, rhs)
-            if not np.all(np.isfinite(d)):
-                raise FloatingPointError("non-finite Newton step")
+            halt = (row.grad_inf <= config.eps or (stop(k) if stop else None)
+                    or (callback(k, p) if callback else None))
+            if not halt:
+                d, decrement = step(k, state, solver)
+                if not np.all(np.isfinite(d)):
+                    raise FloatingPointError("non-finite Newton step")
+            row.pcg_iters = solver.pcg_iters
+            trace.extras["dr1_fallbacks"] += solver.fallbacks
         except _NUMERICAL_ERRORS as exc:
             trace.extras["error"] = str(exc)
             status = STATUS_NUMFAIL
             break
+        if halt:
+            status = halt if isinstance(halt, str) else STATUS_CONVERGED
+            break
         if math.isnan(row.decrement):
-            row.decrement = math.sqrt(max(float(rhs @ d), 0.0))
+            row.decrement = decrement
         dmin = float(d.min())
         if 1.0 + dmin < STEP_SAFEGUARD_ETA:  # fraction to the boundary
             d = d * ((1.0 - STEP_SAFEGUARD_ETA) / (-dmin))
             trace.extras["safeguards"] += 1
-        trace.extras["dr1_fallbacks"] += solver.fallbacks
-        row.pcg_iters = pcg_iters
         if damped:
             alpha, state, queries = _backtrack(instance, state, d)
             trace.extras["price_queries"] += queries
@@ -348,7 +348,8 @@ def newton_polish(instance: MarketInstance, p, eps: float = 1e-12, max_iters: in
     trace = SolveTrace()
     p = _newton_loop(instance, np.asarray(p, dtype=float).copy(), config, trace,
                      measure=lambda k, state, solver: (0.0, math.nan, math.nan),
-                     step=lambda k, state, solver: (MU_FLOOR, -(state.p * state.grad)),
+                     step=lambda k, state, solver: solver.newton_step(MU_FLOOR,
+                                                                      -(state.p * state.grad)),
                      damped=True)
     return p, trace
 
@@ -432,7 +433,8 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
     sigma = SIGMA_SMOOTH
     k = trace.rows[-1].k if trace.rows else 0
     while sigma > target:
-        sigma = max(sigma * 0.1, target)
+        # a stage within rounding of the target is the target (0.05 * 0.1**6 > 5e-8)
+        sigma = target if sigma * 0.1 < target * (1.0 + 1e-9) else sigma * 0.1
         tic = time.perf_counter()
         p, polish = newton_polish(with_barrier_sigma(instance, sigma), p, eps=config.eps,
                                   max_iters=config.max_iters, eps_k=config.eps_k,
@@ -479,8 +481,7 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
     trace = SolveTrace(extras={"Q": Q, "sigma": sigma, "mu0": mu, "mu_threshold_k": None})
 
     def measure(k, state, solver):
-        # the decrement is left to the loop: ||P grad phi - mu+ 1||* in the
-        # metric H~ + mu+ I of the step just taken (NaN on the last row)
+        # the decrement comes from the step: ||P grad phi - mu+ 1||* (NaN on the last row)
         return mu, float(np.linalg.norm(state.p * state.grad - mu) / mu), math.nan
 
     def stop(k):
@@ -492,7 +493,7 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
     def step(k, state, solver):
         nonlocal mu
         mu = sigma * mu
-        return mu, -(state.p * state.grad - mu)
+        return solver.newton_step(mu, -(state.p * state.grad - mu))
 
     p = _newton_loop(instance, p, config, trace, measure, step, stop, callback=callback)
     if config.keep_iterates:
@@ -553,9 +554,13 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     """Run the path-following driver from p0 > 0; returns (p, SolveTrace).
 
     The anchor gradient grad phi(p0) is frozen at k = 0; only the metric
-    H~(p_k) of its dual norm changes.  In dr1 mode the surrogate's spectral
-    error is estimated by power iteration each iteration and the run falls
-    back to PCG when the implied relative error exceeds the certified delta.
+    H~(p_k) of its dual norm changes.  Each row solves H~ a = P grad phi and,
+    while t > 0, H~ b = P grad phi(p0) (H~ shifted by MU_FLOOR): decrement
+    sqrt(P grad phi . a), nbhd_resid sqrt(P(grad phi - t grad phi(p0)) .
+    (a - t b)), step d = -(a - t+ b); pcg_iters totals both solves.  In dr1
+    mode the surrogate's spectral error is estimated by power iteration each
+    iteration and the run falls back to PCG when the implied relative error
+    exceeds the certified delta.
     """
     config.validate(instance)
     p = np.asarray(p0, dtype=float).copy()
@@ -569,6 +574,7 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
         return p, SolveTrace(status=STATUS_NUMFAIL, extras={"error": str(exc)})
     t = 1.0
     mode = config.hessian_mode
+    a = b = g0_norm = None  # H~^-1 P grad phi, H~^-1 P grad phi(p0), sqrt(P grad phi(p0) . b)
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
                                "centering_warnings": 0, "mode_switch_k": None, "t_zero_k": None})
 
@@ -584,22 +590,24 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
         return mode
 
     def measure(k, state, solver):
-        lam = solver.dual_norm(state.p * state.grad)
-        nbhd = solver.dual_norm(state.p * (state.grad - t * g0u))
+        nonlocal a, b, g0_norm
+        a, lam = solver.newton_step(MU_FLOOR, state.p * state.grad)
+        nbhd = lam
+        if t > 0.0:
+            b, g0_norm = solver.newton_step(MU_FLOOR, state.p * g0u)
+            nbhd = math.sqrt(max(float((state.p * (state.grad - t * g0u)) @ (a - t * b)), 0.0))
         if nbhd > config.beta / C * (1.0 + 1e-9):
             trace.extras["centering_warnings"] += 1
         return t, nbhd, lam
 
     def step(k, state, solver):
         nonlocal t
-        t_new = 0.0
-        if t > 0.0:
-            g0_norm = solver.dual_norm(state.p * g0u)
-            t_new = max(t - config.gamma_step / (C * g0_norm), 0.0)
-            if t_new == 0.0:
-                trace.extras["t_zero_k"] = k
-        t = t_new
-        return MU_FLOOR, -(state.p * (state.grad - t_new * g0u))
+        if t == 0.0:
+            return -a, math.nan
+        t = max(t - config.gamma_step / (C * g0_norm), 0.0)
+        if t == 0.0:
+            trace.extras["t_zero_k"] = k
+        return -(a - t * b), math.nan
 
     p = _newton_loop(instance, p, config, trace, measure, step, solver_mode=solver_mode,
                      callback=callback)

@@ -44,6 +44,19 @@ def test_traced_solve_counts_every_query_and_step():
     assert hessian.market_state is oracle.market_state
 
 
+def test_traced_pathfol_pcg_iterations_match_the_trace():
+    # a row's pcg_iters totals every PCG solve of that row, the last row's included
+    tracer = load_tracer()
+    inst = mq.generate_random(8, 20, 0.8, rho=0.5, seed=2)
+    cfg = mq.PathFolConfig(eps=1e-7, hessian_mode="pcg", c_phi=10.0, max_iters=500)
+    tr = tracer.Tracer()
+    with tr.patched():
+        _, trace = mq.pathfol_run(inst, cfg, np.full(8, inst.total_budget() / 8))
+    assert trace.status == "Converged"
+    pcg = tracer.layer_totals(tr.spans)["hessian.pcg"]
+    assert sum(r.pcg_iters or 0 for r in trace.rows) == pcg["iters"]
+
+
 def test_traced_near_linear_solve_counts_every_polish_query(monkeypatch):
     # every linear-barrier price query runs _linear_batch once; the tracer
     # must see each of them, the sigma continuation's polish included

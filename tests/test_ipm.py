@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -325,6 +326,48 @@ class TestPathFolRun:
         with pytest.raises(ConfigError):
             pathfol_run(inst, PathFolConfig(), np.array([1.0, -1.0, 1.0, 1.0]))
 
+    def test_two_solves_per_row_while_homotopy_positive(self, monkeypatch):
+        # rows are told apart by their price query: the anchor's, then one per row
+        row, rows_of_solves = [-2], []
+        query, pcg_solve = ipm.market_state, hes.pcg_solve
+
+        def counting_query(*args):
+            row[0] += 1
+            return query(*args)
+
+        def counting_pcg(*args, **kwargs):
+            rows_of_solves.append(row[0])
+            return pcg_solve(*args, **kwargs)
+
+        monkeypatch.setattr(ipm, "market_state", counting_query)
+        monkeypatch.setattr(hes, "pcg_solve", counting_pcg)
+        inst = mq.generate_random(8, 20, 0.8, rho=0.5, seed=2)
+        cfg = PathFolConfig(eps=1e-7, hessian_mode="pcg", c_phi=10.0, max_iters=500)
+        _, trace = pathfol_run(inst, cfg, np.full(8, inst.total_budget() / 8))
+        assert trace.status == "Converged"
+        ts = [r.homotopy for r in trace.rows]
+        assert ts[0] > 0.0 and ts[-1] == 0.0
+        solves = Counter(rows_of_solves)
+        assert [solves[r.k] for r in trace.rows] == [2 if t > 0.0 else 1 for t in ts]
+
+    def test_decrement_and_residual_are_dual_norms_at_each_iterate(self):
+        # a and b combine linearly; each row must match direct solves at its iterate
+        inst = mq.generate_random(8, 20, 0.8, rho=0.5, seed=2)
+        p0 = np.full(8, inst.total_budget() / 8)
+        cfg = PathFolConfig(eps=1e-7, hessian_mode="exact", c_phi=10.0, max_iters=500,
+                            keep_iterates=True)
+        _, trace = pathfol_run(inst, cfg, p0)
+        assert trace.status == "Converged"
+        assert trace.rows[0].nbhd_resid == 0.0
+        g0 = market_state(inst, p0).grad
+        for row, p in zip(trace.rows, trace.extras["iterates"]):
+            state = market_state(inst, p)
+            op = hes.assemble_from_state(state, inst)
+            lam = newton_decrement(op, p * state.grad)
+            nbhd = newton_decrement(op, p * (state.grad - row.homotopy * g0))
+            assert abs(row.decrement - lam) <= 1e-10 * lam
+            assert abs(row.nbhd_resid - nbhd) <= 1e-10 * nbhd
+
 
 class TestNewtonPolish:
     def test_polish_reaches_tight_tolerance(self):
@@ -378,6 +421,18 @@ class TestNewtonPolish:
         assert full.extras["price_queries"] == 2
         assert halved.extras["price_queries"] == 3
         assert halved.rows[0].step_norm == pytest.approx(0.5 * full.rows[0].step_norm, rel=1e-12)
+
+
+class TestSigmaContinuation:
+    def test_ladder_lands_on_the_target(self):
+        # 0.05 * 0.1**6 rounds just above 5e-8; no extra stage may follow at 5e-8
+        inst = mq.generate_random(20, 50, 0.5, seed=21, kind="linear_barrier", sigma=5e-8)
+        _, trace = logbar_run(inst, LogBarConfig(eps=1e-6, hessian_mode="exact", max_iters=600))
+        assert trace.status == "Converged"
+        stages = trace.extras["continuation"]
+        assert len(stages) == 6
+        assert stages[-1]["sigma"] == 5e-8
+        assert all(stage["newton_steps"] >= 1 for stage in stages)
 
 
 class TestNewtonDecrement:
