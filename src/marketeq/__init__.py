@@ -1,21 +1,15 @@
-"""Second-order tatonnement solvers for Fisher market equilibrium prices."""
+"""Second-order tatonnement solvers for Fisher market equilibrium prices.
+
+Exported: the workflow API (markets, configs, drivers, baselines, the
+certificate) and its modules, which hold the building blocks."""
 
 from .baselines import BaselineConfig, propres_run, tat_run
-from .hessian import (
-    ScaledHessianOp,
-    assemble,
-    dr1_solve,
-    pcg_solve,
-    preconditioner,
-)
 from .ipm import (
     LogBarConfig,
     PathFolConfig,
     SolveTrace,
     equilibrium_certificate,
-    logbar_init,
     logbar_run,
-    newton_decrement,
     pathfol_run,
     pathfol_select_params,
 )
@@ -29,21 +23,6 @@ from .market import (
     save_instance,
     validate,
 )
-from .oracle import (
-    BestResponse,
-    PlayerHessianBlock,
-    PotentialConstants,
-    additive_best_response,
-    best_response,
-    ces_best_response,
-    constrained_best_response,
-    constrained_dual_hessian,
-    linear_barrier_best_response,
-    market_state,
-    player_hessian_blocks,
-    potential_constants,
-    potential_gradient,
-    potential_value,
-)
+from .oracle import market_state
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,7 +24,7 @@ from .ipm import (
     TraceRow,
 )
 from .market import MarketInstance
-from .oracle import market_state
+from .oracle import _row_softmax, market_state
 
 DIVERGENCE_CAP = 1e12
 
@@ -135,11 +135,7 @@ def propres_run(instance: MarketInstance, config: BaselineConfig, b0=None, callb
         # log target share: log c + rho log x, x = b/p
         log_t = logc + rho_rep * (logb - logp)
         logits = (1.0 - alpha_rep) * (logb - logw) + alpha_rep * log_t
-        starts = C.indptr[:-1]
-        mx = np.maximum.reduceat(logits, starts)
-        e = np.exp(logits - np.repeat(mx, counts))
-        sums = np.add.reduceat(e, starts)
-        new_b = e / np.repeat(sums, counts) * w_rep
+        new_b = _row_softmax(logits, C.indptr)[0] * w_rep
         new_p = np.bincount(cols, weights=new_b, minlength=n)
         if np.any(new_p <= 0):
             status = STATUS_NUMFAIL

@@ -129,14 +129,15 @@ def cmd_solve(args) -> int:
             print(f"malformed instance file: {exc}", file=sys.stderr)
             return 3
         violations = market.validate(instance)
-        if violations:
-            print("invalid instance:", violations, file=sys.stderr)
-            return 3
-        if args.sigma_barrier is not None:
+        if not violations and args.sigma_barrier is not None:
             if not instance.is_linear:
                 print("--sigma-barrier applies to linear markets only", file=sys.stderr)
                 return 3
             instance = market.with_barrier_sigma(instance, args.sigma_barrier)
+            violations = market.validate(instance)  # the clone's sigma, e.g. 0 or nan
+        if violations:
+            print("invalid instance:", violations, file=sys.stderr)
+            return 3
         p, trace = _run_method(instance, args.method, args)
     except (ipm.ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

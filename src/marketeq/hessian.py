@@ -164,10 +164,6 @@ def assemble(instance: MarketInstance, p) -> ScaledHessianOp:
     return assemble_from_state(market_state(instance, p), instance)
 
 
-def preconditioner(instance: MarketInstance, p) -> np.ndarray:
-    return assemble(instance, p).preconditioner()
-
-
 def dr1_solve(op: ScaledHessianOp, mu: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(D) + mu I - Omega xi xi^T) d = rhs in O(n) via Sherman-Morrison.
 

@@ -37,6 +37,7 @@ import scipy.linalg
 from . import hessian as hes
 from .market import MarketInstance, atomic_write_text, with_barrier_sigma
 from .oracle import (
+    KAPPA_CAP,
     OracleError,
     PotentialConstants,
     kappa_from_shares,
@@ -53,7 +54,6 @@ TRACE_HEADER = "k,homotopy,grad_inf,grad_l2,nbhd_resid,decrement,step_norm,pcg_i
 MU_FLOOR = 1e-12
 PRACTICAL_C_PHI = 10.0  # run-time default; theory estimate via potential_constants
 STEP_SAFEGUARD_ETA = 0.01  # fraction-to-boundary: every price keeps >= 1% of its value
-KAPPA_CAP = 1e4  # clip on PathFol's kappa estimate in its DR1 certificate check
 ARMIJO = 1e-4  # sufficient-decrease fraction of the polish's backtracking
 MIN_ALPHA = 1e-10  # the polish gives up below this step fraction
 PHI_ACCURACY = 1e-10  # relative accuracy of MarketState.value
@@ -61,6 +61,15 @@ PHI_ACCURACY = 1e-10  # relative accuracy of MarketState.value
 
 class ConfigError(ValueError):
     """Invalid solver configuration."""
+
+
+def _validate_hessian_mode(mode: str, instance: MarketInstance) -> None:
+    if mode not in ("exact", "dr1", "pcg"):
+        raise ConfigError(f"unknown hessian mode {mode!r}")
+    if mode == "exact" and instance.n > hes.DENSE_LIMIT:
+        raise ConfigError(f"exact hessian mode capped at n={hes.DENSE_LIMIT}; use dr1/pcg")
+    if mode == "dr1" and (instance.constraints or instance.is_linear):
+        raise ConfigError("dr1 mode needs an unconstrained CES/additive market")
 
 
 @dataclass
@@ -134,25 +143,19 @@ class LogBarConfig:
             raise ConfigError("Q must lie in (0, 1/2)")
         if self.sigma_override is not None and not (0.0 < self.sigma_override < 1.0):
             raise ConfigError("sigma_override must lie in (0, 1)")
-        if self.hessian_mode not in ("exact", "dr1", "pcg"):
-            raise ConfigError(f"unknown hessian mode {self.hessian_mode!r}")
-        if self.hessian_mode == "exact" and instance.n > hes.DENSE_LIMIT:
-            raise ConfigError(f"exact hessian mode capped at n={hes.DENSE_LIMIT}; use dr1/pcg")
-        if self.hessian_mode == "dr1" and (instance.constraints or instance.is_linear):
-            raise ConfigError("dr1 mode needs an unconstrained CES/additive market")
+        _validate_hessian_mode(self.hessian_mode, instance)
 
 
 @dataclass
 class PathFolConfig:
     beta: float = 0.01
     gamma_step: float = 0.04
-    delta_target: float = 1e-3
     hessian_mode: str = "exact"
     eps: float = 1e-7
     eps_k: float = 1e-10
     max_iters: int = 2000
     c_phi: float | None = None  # None -> practical default constant
-    delta_cert: float | None = None  # certified delta from pathfol_select_params
+    delta_cert: float = 1e-3  # DR1 error the run may accept; pathfol_select_params certifies one
     keep_iterates: bool = False
 
     def validate(self, instance: MarketInstance) -> None:
@@ -162,12 +165,7 @@ class PathFolConfig:
             raise ConfigError("need beta + gamma < 1 and gamma in (0, 1)")
         if not (self.gamma_step > 2.0 * self.beta):
             raise ConfigError("need gamma > 2*beta")
-        if self.hessian_mode not in ("exact", "dr1", "pcg"):
-            raise ConfigError(f"unknown hessian mode {self.hessian_mode!r}")
-        if self.hessian_mode == "exact" and instance.n > hes.DENSE_LIMIT:
-            raise ConfigError(f"exact hessian mode capped at n={hes.DENSE_LIMIT}; use dr1/pcg")
-        if self.hessian_mode == "dr1" and (instance.constraints or instance.is_linear):
-            raise ConfigError("dr1 mode needs an unconstrained CES/additive market")
+        _validate_hessian_mode(self.hessian_mode, instance)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +259,13 @@ def _backtrack(instance: MarketInstance, state, d: np.ndarray):
 
 
 def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure, step,
-                 stop=None, solver_mode=None, callback=None, damped=False) -> np.ndarray:
+                 stop=None, callback=None, damped=False) -> np.ndarray:
     """Newton steps p <- p (1 + d) until ||grad phi||_inf <= eps.
 
     Each iteration queries the players at p and assembles H~; the driver's
-    rule does the rest, solving on the iteration's _StepSolver: solver_mode(k,
-    state, op) picks the solver (default config.hessian_mode), measure(k,
-    state, solver) gives the row's (homotopy, nbhd_resid, decrement), stop(k)
+    rule does the rest, solving on the iteration's _StepSolver (in
+    config.hessian_mode, which measure may change): measure(k, state,
+    solver) gives the row's (homotopy, nbhd_resid, decrement), stop(k)
     may end the run before the step, and step(k, state, solver) gives (d,
     decrement), the decrement filling a NaN one from measure.  The row's
     pcg_iters total all its PCG solves.  An oracle, floating-point or
@@ -286,9 +284,8 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
             if state is None:
                 state = market_state(instance, p)
                 trace.extras["price_queries"] += 1
-            op = hes.assemble_from_state(state, instance)
-            mode = solver_mode(k, state, op) if solver_mode else config.hessian_mode
-            solver = _StepSolver(op, mode, config.eps_k)
+            solver = _StepSolver(hes.assemble_from_state(state, instance), config.hessian_mode,
+                                 config.eps_k)
             homotopy, nbhd, decrement = measure(k, state, solver)
             row = TraceRow(k=k, homotopy=homotopy, grad_inf=float(np.max(np.abs(state.grad))),
                            grad_l2=float(np.linalg.norm(state.grad)), nbhd_resid=nbhd,
@@ -543,8 +540,8 @@ def pathfol_select_params(constants: PotentialConstants, eps: float,
     while beta >= 1e-8:
         cert = _c12_certificate(delta, beta, 4.0 * beta)
         if cert["feasible"]:
-            cfg = PathFolConfig(beta=beta, gamma_step=4.0 * beta, delta_target=delta_target,
-                                eps=eps, delta_cert=delta, **config_kwargs)
+            cfg = PathFolConfig(beta=beta, gamma_step=4.0 * beta, eps=eps, delta_cert=delta,
+                                **config_kwargs)
             return cfg, cert
         beta /= 2.0
     raise ConfigError("no feasible (beta, gamma) pair above beta = 1e-8")
@@ -567,7 +564,6 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     if np.any(p <= 0):
         raise ConfigError("p0 must be strictly positive")
     C = config.c_phi if config.c_phi is not None else PRACTICAL_C_PHI
-    delta_cert = config.delta_cert if config.delta_cert is not None else config.delta_target
     try:
         g0u = market_state(instance, p).grad  # frozen anchor
     except OracleError as exc:
@@ -578,19 +574,16 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
                                "centering_warnings": 0, "mode_switch_k": None, "t_zero_k": None})
 
-    def solver_mode(k, state, op):
-        nonlocal mode
+    def measure(k, state, solver):
+        nonlocal a, b, g0_norm, mode
         if mode == "dr1":
-            eps_h = hes.diff_norm_estimate(op, iters=10, seed=k)
-            kappa = np.minimum(kappa_from_shares(op.G), KAPPA_CAP)
+            eps_h = hes.diff_norm_estimate(solver.op, iters=10, seed=k)
+            kappa = np.minimum(kappa_from_shares(solver.op.G), KAPPA_CAP)
             delta_est = eps_h / float(np.min(instance.degree[instance.uncon] / kappa))
-            if delta_est > delta_cert:
+            if delta_est > config.delta_cert:
                 mode = "pcg"
                 trace.extras["mode_switch_k"] = k
-        return mode
-
-    def measure(k, state, solver):
-        nonlocal a, b, g0_norm
+        solver.mode = mode
         a, lam = solver.newton_step(MU_FLOOR, state.p * state.grad)
         nbhd = lam
         if t > 0.0:
@@ -609,8 +602,7 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
             trace.extras["t_zero_k"] = k
         return -(a - t * b), math.nan
 
-    p = _newton_loop(instance, p, config, trace, measure, step, solver_mode=solver_mode,
-                     callback=callback)
+    p = _newton_loop(instance, p, config, trace, measure, step, callback=callback)
     return p, trace
 
 

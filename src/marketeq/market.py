@@ -365,6 +365,8 @@ def generate_random(
         raise ValueError("tau must lie in (0, 1]")
     if not (delta > 0):
         raise ValueError("delta must be positive")
+    if kind not in (CES, LINEAR_BARRIER):
+        raise ValueError(f"kind must be {CES!r} or {LINEAR_BARRIER!r}, not {kind!r}")
     if kind == CES and not (rho < 1.0 and rho != 0.0):
         raise ValueError("rho must lie in (-inf,0) or (0,1)")
     if kind == LINEAR_BARRIER and not (sigma and sigma > 0):

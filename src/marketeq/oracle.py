@@ -25,7 +25,7 @@ class OracleError(RuntimeError):
 
 
 class RootBracketError(OracleError):
-    """The psi root could not be bracketed; carries sampled psi values."""
+    """The psi root could not be bracketed."""
 
 
 class FeasibleStartError(OracleError):
@@ -52,24 +52,8 @@ class BestResponse:
 
     x: np.ndarray
     gamma: np.ndarray
-    utility: float
     log_utility: float
     spend: float
-
-
-@dataclass
-class PlayerHessianBlock:
-    """Diagonal-plus-rank-one block of the scaled Hessian for one player."""
-
-    r: float
-    weight_diag: float  # w / (1 - r)
-    weight_rank1: float  # w * r / (1 - r)
-    gamma: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        return self.weight_diag * np.diag(self.gamma) - self.weight_rank1 * np.outer(
-            self.gamma, self.gamma
-        )
 
 
 @dataclass
@@ -115,7 +99,7 @@ def ces_best_response(p, c, rho: float, w: float) -> BestResponse:
     with np.errstate(divide="ignore"):
         terms = np.log(c[supp]) + rho * np.log(x[supp])
     log_u = float(_logsumexp(terms) / rho)
-    return BestResponse(x, gamma, math.exp(log_u) if abs(log_u) < 700 else math.inf, log_u, float(p @ x))
+    return BestResponse(x, gamma, log_u, float(p @ x))
 
 
 def additive_best_response(p, c, k: float, r: float, w: float) -> BestResponse:
@@ -128,7 +112,7 @@ def additive_best_response(p, c, k: float, r: float, w: float) -> BestResponse:
     supp = np.flatnonzero(np.asarray(c, dtype=float) > 0)
     terms = np.log(np.asarray(c, dtype=float)[supp]) + r * np.log(br.x[supp])
     log_u = float(k * _logsumexp(terms))
-    return BestResponse(br.x, br.gamma, math.exp(log_u) if abs(log_u) < 700 else math.inf, log_u, br.spend)
+    return BestResponse(br.x, br.gamma, log_u, br.spend)
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -257,9 +241,8 @@ def linear_barrier_best_response(p, c, sigma: float, w: float):
                               np.array([float(w)]))
     x = X[0]
     gamma = (1.0 + sigma * n) * x * p / w - sigma
-    u_val = float(c @ x)
-    log_obj = float(np.log(u_val) + sigma * np.sum(np.log(x)))
-    return BestResponse(x, gamma, u_val, log_obj, float(p @ x)), float(lam[0]), float(u[0])
+    log_obj = float(np.log(c @ x) + sigma * np.sum(np.log(x)))
+    return BestResponse(x, gamma, log_obj, float(p @ x)), float(lam[0]), float(u[0])
 
 
 def linear_barrier_kkt_residual(p, c, sigma: float, w: float, x: np.ndarray) -> float:
@@ -377,13 +360,7 @@ def constrained_best_response(p, c, k: float, r: float, w: float, A: np.ndarray,
         raise NewtonStagnationError(f"no convergence in {max_newton} Newton steps; stationarity {stat:.3e}")
 
     gamma, S = _theta_shares(x, c, r)
-    log_u = k * math.log(S)
-    y, lam = nu[:-1], float(nu[-1])
-    return (
-        BestResponse(x, gamma, math.exp(log_u) if abs(log_u) < 700 else math.inf, log_u, float(p @ x)),
-        y,
-        lam,
-    )
+    return BestResponse(x, gamma, k * math.log(S), float(p @ x)), nu[:-1], float(nu[-1])
 
 
 def _constrained_player(instance: MarketInstance, i: int):
@@ -478,7 +455,6 @@ class MarketState:
     demand: np.ndarray
     value: float
     G: sp.csr_matrix | None = None
-    log_S: np.ndarray | None = None
     con_responses: dict = field(default_factory=dict)
     linear_gammas: np.ndarray | None = None
     linear_x: np.ndarray | None = None
@@ -502,7 +478,6 @@ def market_state(instance: MarketInstance, p) -> MarketState:
     demand = np.zeros(instance.n)
     value = float(p.sum())
     G = None
-    logS = None
     if uncon.size:
         G, logS = bid_shares(instance, p)
         wu = w[uncon]
@@ -523,7 +498,7 @@ def market_state(instance: MarketInstance, p) -> MarketState:
     if not np.all(np.isfinite(demand)):
         raise OracleError("demand overflow (a price collapsed to zero)")
     grad = 1.0 - demand
-    return MarketState(p, grad, demand, value, G=G, log_S=logS, con_responses=con_responses)
+    return MarketState(p, grad, demand, value, G=G, con_responses=con_responses)
 
 
 def potential_value(instance: MarketInstance, p) -> float:
@@ -551,27 +526,6 @@ def best_response(instance: MarketInstance, i: int, p) -> BestResponse:
     return resp
 
 
-def player_hessian_blocks(instance: MarketInstance, p) -> list[PlayerHessianBlock]:
-    """DR1 blocks of H(p) for a market of unconstrained CES/additive players."""
-    if instance.constraints or not instance.kinds <= {CES, ADDITIVE}:
-        raise ValueError("blocks are defined for unconstrained CES/additive players")
-    G, _ = bid_shares(instance, p)
-    r = instance.r
-    w = instance.budgets
-    blocks = []
-    dense_G = np.asarray(G.todense())
-    for i in range(instance.m):
-        blocks.append(
-            PlayerHessianBlock(
-                r=float(r[i]),
-                weight_diag=float(w[i] / (1.0 - r[i])),
-                weight_rank1=float(w[i] * r[i] / (1.0 - r[i])),
-                gamma=dense_G[i],
-            )
-        )
-    return blocks
-
-
 def response_jacobian(p, gamma, r: float, w: float) -> np.ndarray:
     """Jacobian of one player's demand: -(w/(1-r)) P^-1 (Gamma - r g g^T) P^-1."""
     p = np.asarray(p, dtype=float)
@@ -580,13 +534,17 @@ def response_jacobian(p, gamma, r: float, w: float) -> np.ndarray:
     return -(w / (1.0 - r)) * (M / p[None, :]) / p[:, None]
 
 
+KAPPA_CAP = 1e4  # clip on kappa estimates: C_phi here, PathFol's DR1 certificate check
+
+
 def kappa_from_shares(G: sp.csr_matrix) -> np.ndarray:
     """Per row of the share matrix G, the inverse of its smallest positive share."""
     data = np.where(G.data > 0, G.data, np.inf)
     return 1.0 / np.minimum.reduceat(data, G.indptr[:-1])
 
 
-def potential_constants(instance: MarketInstance, gamma_samples, kappa_cap: float = 1e4) -> PotentialConstants:
+def potential_constants(instance: MarketInstance, gamma_samples,
+                        kappa_cap: float = KAPPA_CAP) -> PotentialConstants:
     """Exact SLC constant T_phi plus the kappa-estimated self-concordance C_phi.
 
     kappa_i is estimated as the largest inverse bidding share seen on the

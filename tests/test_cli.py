@@ -159,6 +159,18 @@ class TestSolve:
                        "--out", os.path.join(tmp_path, "x"), "--sigma-barrier", "0.01"])
         assert rc == 3
 
+    @pytest.mark.parametrize("sigma", ["0", "-0.5", "nan"])
+    def test_sigma_barrier_must_be_positive(self, sigma, tmp_path, capsys):
+        path = os.path.join(tmp_path, "lin.json")
+        assert cli.main(["gen", "--n", "6", "--m", "10", "--tau", "0.6", "--kind", "linear",
+                         "--sigma-barrier", "1e-2", "--seed", "2", "--out", path]) == 0
+        out = os.path.join(tmp_path, "run")
+        rc = cli.main(["solve", path, "--method", "logbar", "--out", out,
+                       "--sigma-barrier", sigma])
+        assert rc == 3
+        assert "sigma must be positive" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_sigma_barrier_clones_the_market(self, tmp_path):
         path = os.path.join(tmp_path, "lin.json")
         assert cli.main(["gen", "--n", "5", "--m", "8", "--tau", "0.8", "--kind", "linear",

@@ -11,7 +11,6 @@ from marketeq.hessian import (
     diff_norm_estimate,
     dr1_solve,
     pcg_solve,
-    preconditioner,
 )
 from marketeq.ipm import newton_decrement
 from marketeq.market import CES, MarketInstance, UtilitySpec
@@ -252,8 +251,8 @@ class TestPreconditioner:
     def test_row_sum_identity(self, rng):
         inst = mq.generate_random(8, 15, 0.7, rho=0.5, seed=6)
         p = rng.uniform(0.5, 2.0, 8)
-        pre = preconditioner(inst, p)
         op = assemble(inst, p)
+        pre = op.preconditioner()
         assert np.max(np.abs(pre - op.matvec(np.ones(8)))) < 1e-12
         G, _ = mq.oracle.bid_shares(inst, p)
         assert np.max(np.abs(pre - G.T @ inst.budgets)) < 1e-12

@@ -162,6 +162,42 @@ class TestLogBarRun:
         assert trace.status == "Converged"
         assert trace.extras["mu_threshold_k"] is not None
 
+    def test_oracle_error_ends_the_run_as_numerical_failure(self, monkeypatch):
+        # call 1 is logbar_init's, calls 2-3 give rows 0-1, call 4 fails before row 2
+        real, calls = ipm.market_state, []
+
+        def failing(instance, p):
+            calls.append(1)
+            if len(calls) == 4:
+                raise OracleError("forced oracle failure")
+            return real(instance, p)
+
+        monkeypatch.setattr(ipm, "market_state", failing)
+        inst = mq.generate_random(8, 20, 0.9, rho=0.5, seed=2)
+        _, trace = logbar_run(inst, LogBarConfig(eps=1e-7, sigma_override=0.6, max_iters=200))
+        assert trace.status == "NumericalFailure"
+        assert trace.extras["error"] == "forced oracle failure"
+        assert trace.iterations() == 2
+
+    def test_dr1_failure_falls_back_to_pcg_bit_for_bit(self, monkeypatch):
+        inst = mq.generate_random(30, 90, 0.5, rho=0.8, seed=5)
+        cfg = LogBarConfig(eps=1e-7, sigma_override=0.6, hessian_mode="pcg", max_iters=300)
+        p_pcg, tr_pcg = logbar_run(inst, cfg)
+        dr1_calls = []
+
+        def singular(op, mu, rhs):
+            dr1_calls.append(1)
+            raise hes.SingularUpdateError("forced")
+
+        monkeypatch.setattr(hes, "dr1_solve", singular)
+        p_dr1, tr_dr1 = logbar_run(inst, dataclasses.replace(cfg, hessian_mode="dr1"))
+        assert tr_pcg.status == tr_dr1.status == "Converged"
+        assert tr_dr1.iterations() == tr_pcg.iterations()
+        assert np.array_equal(p_dr1, p_pcg)
+        # one step solve per row but the last, each one a fallback
+        assert tr_dr1.extras["dr1_fallbacks"] == len(dr1_calls) == tr_dr1.iterations() - 1
+        assert tr_pcg.extras["dr1_fallbacks"] == 0
+
     def test_config_validation(self):
         inst = mq.generate_random(4, 4, 1.0, seed=0)
         with pytest.raises(ConfigError):

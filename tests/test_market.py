@@ -154,6 +154,11 @@ class TestGenerate:
             generate_random(4, 4, 0.5, rho=1.5)
         with pytest.raises(ValueError):
             generate_random(4, 4, 0.5, kind=LINEAR_BARRIER, sigma=None)
+        # only CES and linear-barrier markets are generated; other kinds are refused
+        with pytest.raises(ValueError, match="bogus"):
+            generate_random(4, 4, 0.5, kind="bogus", sigma=0.1)
+        with pytest.raises(ValueError, match="additive"):
+            generate_random(4, 4, 0.5, kind="additive")
 
 
 class TestSerialization:

@@ -21,7 +21,6 @@ from marketeq.oracle import (
     linear_barrier_best_response,
     linear_barrier_kkt_residual,
     market_state,
-    player_hessian_blocks,
     potential_constants,
     potential_gradient,
     potential_value,
@@ -151,17 +150,8 @@ class TestPotential:
 class TestJacobianAndBlocks:
     def test_single_player_closed_form_block(self):
         inst = MarketInstance(2, 1, [1.0], [UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=0.5)])
-        blocks = player_hessian_blocks(inst, np.array([1.0, 1.0]))
-        H = blocks[0].dense()
+        H = hes.assemble(inst, np.array([1.0, 1.0])).dense()
         assert np.allclose(H, [[0.75, -0.25], [-0.25, 0.75]])
-
-    def test_row_sum_identity(self, rng):
-        inst = mq.generate_random(6, 10, 0.8, rho=0.6, seed=2)
-        p = rng.uniform(0.5, 2.0, 6)
-        blocks = player_hessian_blocks(inst, p)
-        H = sum(b.dense() for b in blocks)
-        expected = sum(w * b.gamma for w, b in zip(inst.budgets, blocks))
-        assert np.max(np.abs(H @ np.ones(6) - expected)) < 1e-12
 
     def test_jacobian_matches_finite_differences(self, rng):
         inst = mq.generate_random(5, 4, 1.0, rho=-0.6, seed=3)
@@ -180,11 +170,6 @@ class TestJacobianAndBlocks:
         h = 1e-6
         fd = p * (potential_gradient(inst, p + h * p * v) - potential_gradient(inst, p - h * p * v)) / (2 * h)
         assert np.linalg.norm(op.matvec(v) - fd) / np.linalg.norm(fd) < 1e-4
-
-    def test_blocks_reject_linear_and_constrained(self):
-        inst = mq.generate_random(3, 2, 1.0, seed=0, kind="linear_barrier", sigma=0.1)
-        with pytest.raises(ValueError):
-            player_hessian_blocks(inst, np.ones(3))
 
 
 class TestLinearBarrier:
