@@ -133,8 +133,8 @@ def cmd_solve(args) -> int:
             if not instance.is_linear:
                 print("--sigma-barrier applies to linear markets only", file=sys.stderr)
                 return 3
+            # with_barrier_sigma refuses sigma <= 0 and nan with a ValueError
             instance = market.with_barrier_sigma(instance, args.sigma_barrier)
-            violations = market.validate(instance)  # the clone's sigma, e.g. 0 or nan
         if violations:
             print("invalid instance:", violations, file=sys.stderr)
             return 3

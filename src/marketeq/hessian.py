@@ -19,7 +19,8 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dgemm
 
 from .market import MarketInstance
-from .oracle import MarketState, constrained_dual_hessian, market_state
+from .oracle import MarketState, constrained_dual_hessians, market_state
+from .oracle import constrained_dual_hessian  # noqa: F401  (bench/tracer.py patches this name)
 
 DENSE_LIMIT = 512  # dense materialization is a test path, never the big-n path
 GRAM_BLOCK = 256  # player rows per BLAS product in ScaledHessianOp.dense
@@ -152,10 +153,12 @@ def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledH
         if abs(omega) >= OMEGA_DROP_REL * float(np.abs(op.s).sum()):
             op.dr1_xi = (op.G.T @ op.s) / omega
             op.dr1_active = True
-    for i, resp in state.con_responses.items():
-        M = constrained_dual_hessian(instance, i, resp.x)
-        scaled = (float(w[i]) / instance.degree[i]) * (state.p[:, None] * M * state.p[None, :])
-        op.dense_blocks.append(scaled)
+    p = state.p
+    for grp in instance.con_groups():
+        X = np.stack([state.con_responses[i].x for i in grp.players.tolist()])
+        M = constrained_dual_hessians(X, grp.C, grp.k, grp.r, grp.w, grp.A)
+        weight = grp.w / instance.degree[grp.players]
+        op.dense_blocks.extend(weight[:, None, None] * (p[None, :, None] * M * p[None, None, :]))
     return op
 
 

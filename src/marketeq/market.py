@@ -29,9 +29,11 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,6 +107,22 @@ def _exponents(u: UtilitySpec) -> tuple[float, float, float]:
     return nan, nan, nan
 
 
+class ConGroup(NamedTuple):
+    """Constrained players sharing one constraint-row count, as stacked arrays.
+
+    Row g of every array belongs to player ``players[g]``: ``C`` (G, n) the
+    dense coefficient rows, ``k``, ``r``, ``w`` (G,) the exponents and
+    budgets, ``A`` (G, rows, n) the constraint matrices.
+    """
+
+    players: np.ndarray
+    C: np.ndarray
+    k: np.ndarray
+    r: np.ndarray
+    w: np.ndarray
+    A: np.ndarray
+
+
 class MarketInstance:
     """A Fisher market: n goods (unit supply), m budgeted players.
 
@@ -115,6 +133,7 @@ class MarketInstance:
     value; ``con``/``uncon`` index the players with and without a
     constraint matrix.  Solvers read the columns, not the spec objects;
     ``kinds`` and ``is_linear`` summarize the players' kinds.
+    ``con_groups()`` stacks the constrained players by constraint-row count.
     """
 
     def __init__(self, n, m, budgets, utilities, constraints=None):
@@ -138,6 +157,7 @@ class MarketInstance:
         self._nnz_rows = None
         self._nnz_cols = None
         self._uncon_rows = None
+        self._con_groups = None
 
     # -- derived views -----------------------------------------------------
 
@@ -188,6 +208,24 @@ class MarketInstance:
                 C, logc, cols = C[self.uncon], logc[keep], cols[keep]
             self._uncon_rows = (C, logc, cols)
         return self._uncon_rows
+
+    def con_groups(self) -> list[ConGroup]:
+        """The constrained players grouped by constraint-row count, built once.
+
+        Groups come in increasing row count, players in increasing index.
+        """
+        if self._con_groups is None:
+            rows = {}
+            for i in self.con.tolist():
+                rows.setdefault(self.constraints[i].shape[0], []).append(i)
+            self._con_groups = []
+            for count, players in sorted(rows.items()):
+                idx = np.array(players, dtype=np.intp)
+                C = np.stack([self.utilities[i].dense(self.n) for i in players])
+                A = np.stack([self.constraints[i].reshape(count, self.n) for i in players])
+                self._con_groups.append(ConGroup(idx, C, self.k[idx], self.r[idx],
+                                                 self.budgets[idx], A))
+        return self._con_groups
 
     def total_budget(self) -> float:
         return float(self.budgets.sum())
@@ -605,8 +643,11 @@ def with_barrier_sigma(instance: MarketInstance, sigma: float) -> MarketInstance
 
     The clone shares the parent's coefficient arrays and their CSR, log,
     row-index and column-index caches; only the specs' sigma and the
-    sigma/degree columns are new.
+    sigma/degree columns are new.  A sigma that is not positive and finite
+    raises ValueError.
     """
+    if not (0.0 < sigma < math.inf):
+        raise ValueError("sigma must be positive")
     instance.log_coeff_data()  # fill the parent's caches first, so the clone shares them
     instance.nnz_row_index()
     instance.nnz_col_index()

@@ -5,13 +5,17 @@ responses: demand aggregates into the potential gradient, and the bidding
 vectors (money shares) gamma_i = P x_i / w_i assemble the scaled Hessian.
 CES and power-form additive utilities share one closed form, evaluated in
 the log domain so extreme exponents cannot overflow.  Linear-barrier
-players reduce to a one-dimensional root-find; homogeneously constrained
-players run a damped feasible Newton on their KKT system.
+players reduce to a one-dimensional root-find.  Homogeneously constrained
+players run a damped feasible Newton, all of them at once per price query,
+stacked in groups of equal constraint-row count: hess v is
+diagonal-plus-rank-one with the closed-form inverse
+W^-1 = (diag(x^2/gamma) - r x x^T) / (d (1-r)), so each Newton step is a
+small Schur-complement solve B W^-1 B^T nu = -B W^-1 g per player
+(B = [A; p]) and their dual-Hessian blocks need no matrix inverse.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,49 +260,143 @@ def linear_barrier_kkt_residual(p, c, sigma: float, w: float, x: np.ndarray) -> 
 # homogeneously constrained players
 
 
-def _theta_shares(x, c, r):
-    t = c * x**r
-    S = float(t.sum())
-    return t / S, S
+def _positive_median(X: np.ndarray) -> np.ndarray:
+    """Per row of X, the median of its positive entries (1.0 for a row with none)."""
+    npos = np.count_nonzero(X > 0, axis=1)
+    srt = np.sort(np.where(X > 0, X, np.inf), axis=1)
+    rows = np.arange(len(X))
+    lo = srt[rows, np.maximum(npos - 1, 0) // 2]
+    hi = srt[rows, np.minimum(npos // 2, X.shape[1] - 1)]
+    return np.where(npos > 0, 0.5 * (lo + hi), 1.0)
 
 
-def v_value(x, c, k: float, r: float) -> float:
-    _, S = _theta_shares(x, c, r)
-    return -k * math.log(S)
+def _feasible_start(B, b, X, tol=1e-9, iters=200):
+    """Project positive guesses onto {B_g x = b_g}, clipping back inside.
 
-
-def v_grad(x, c, k: float, r: float) -> np.ndarray:
-    gamma, _ = _theta_shares(x, c, r)
-    return -(k * r) * gamma / x
-
-
-def v_hess(x, c, k: float, r: float) -> np.ndarray:
-    gamma, _ = _theta_shares(x, c, r)
-    d = k * r
-    xinv_g = gamma / x
-    return d * (1.0 - r) * np.diag(xinv_g / x) + d * r * np.outer(xinv_g, xinv_g)
-
-
-def _feasible_start(p, w, A, x_guess, tol=1e-9, iters=200):
-    """Project a positive guess onto {Ax=0, <p,x>=w}, clipping back inside."""
-    n = len(p)
-    B = np.vstack([A, p[None, :]]) if A.shape[0] else p[None, :].copy()
-    b = np.zeros(B.shape[0])
-    b[-1] = w
-    BBt = B @ B.T
-    x = x_guess.copy()
-    scale = float(np.median(x[x > 0])) if np.any(x > 0) else 1.0
-    floor = 1e-8 * scale
+    Row g of X is projected onto its own plane; a row whose projection stays
+    above 1e-8 times the median of its positive guess entries is done, the
+    others are clipped to that floor and projected again, for at most
+    ``iters`` rounds.  Returns the starts and a mask of the rows that ended
+    strictly positive and on their plane.
+    """
+    BBt = B @ B.transpose(0, 2, 1)
+    floor = 1e-8 * _positive_median(X)
+    X = X.copy()
+    active = np.arange(len(X))
     for _ in range(iters):
-        resid = B @ x - b
-        x = x - B.T @ np.linalg.solve(BBt, resid)
-        if np.min(x) >= floor:
+        Bg = B[active]
+        resid = np.einsum("gij,gj->gi", Bg, X[active]) - b[active]
+        shift = np.linalg.solve(BBt[active], resid[..., None])[..., 0]
+        x = X[active] - np.einsum("gij,gi->gj", Bg, shift)
+        done = x.min(axis=1) >= floor[active]
+        X[active] = np.where(done[:, None], x, np.maximum(x, floor[active, None]))
+        active = active[~done]
+        if not active.size:
             break
-        x = np.maximum(x, floor)
-    resid = np.linalg.norm(B @ x - b)
-    if np.min(x) <= 0 or resid > tol * (1.0 + abs(w)):
-        return None
-    return x
+    resid = np.linalg.norm(np.einsum("gij,gj->gi", B, X) - b, axis=1)
+    return X, (X.min(axis=1) > 0) & (resid <= tol * (1.0 + np.abs(b[:, -1])))
+
+
+def _constrained_newton(p, C, k, r, w, A, tol_stat: float = 1e-10, max_newton: int = 100):
+    """The LUMPs of G players that share a constraint-row count, solved at once.
+
+    Player g maximizes log u_g(x) = k_g log <C_g, x^r_g> subject to
+    A_g x = 0, <p, x> = w_g, x > 0 by damped feasible Newton on
+    v = -log u.  With gamma the shares C x^r / <C, x^r> and d = k r,
+        hess v = d (1-r) diag(gamma/x^2) + d r (gamma/x)(gamma/x)^T,
+    and sum(gamma) = 1 gives its inverse in closed form,
+        W^-1 = (diag(x^2/gamma) - r x x^T) / (d (1-r)).
+    So with B = [A; p] the (n + rows + 1) KKT system of a Newton step
+    reduces to the (rows + 1)-square Schur system
+        B W^-1 B^T nu = -B W^-1 g,   dx = -W^-1 (g + B^T nu),
+    one per player, solved as one stack (the scalar d (1-r) cancels from
+    nu).  Each player keeps its own iterate, 0.99 fraction-to-boundary cap,
+    Armijo backtracking on v and stop rule (stationarity and squared
+    decrement within ``tol_stat``), and a player that has stopped is not
+    stepped again; a player's answer matches its one-player solve to
+    rounding (numpy may round x^r differently for a one-row stack).
+
+    Returns (X, Y, lam, steps): the (G, n) demand, the constraint and budget
+    multipliers of the last Newton system, and the steps taken in total.
+    """
+    G, n = C.shape
+    if np.any(C <= 0):
+        raise OracleError("constrained oracle needs strictly positive coefficients")
+    B = np.concatenate([A, np.broadcast_to(p, (G, 1, n))], axis=1)
+    b = np.zeros(B.shape[:2])
+    b[:, -1] = w
+    a = 1.0 / (1.0 - r)
+    logits = a[:, None] * np.log(C) - (r * a)[:, None] * np.log(p)
+    E = np.exp(logits - logits.max(axis=1, keepdims=True))
+    X, ok = _feasible_start(B, b, w[:, None] * (E / E.sum(axis=1, keepdims=True)) / p)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        uniform = np.repeat((w[bad] / p.sum())[:, None], n, axis=1)
+        X[bad], ok[bad] = _feasible_start(B[bad], b[bad], uniform)
+        if not ok.all():
+            raise FeasibleStartError("no strictly feasible interior start found")
+
+    d = k * r
+
+    def v_of(Xs, g):
+        return -k[g] * np.log(np.sum(C[g] * Xs ** r[g, None], axis=1))
+
+    nu = np.zeros(B.shape[:2])
+    steps = 0
+    active = np.arange(G)
+    for _ in range(max_newton):
+        x, Bg, ra, da = X[active], B[active], r[active], d[active]
+        t = C[active] * x ** ra[:, None]
+        gam = t / t.sum(axis=1, keepdims=True)
+        grad = -da[:, None] * gam / x
+        q = x * x / gam  # d (1-r) W^-1 = diag(q) - r x x^T
+        Bx = np.einsum("gij,gj->gi", Bg, x)
+        S = ((Bg * q[:, None, :]) @ Bg.transpose(0, 2, 1)
+             - ra[:, None, None] * Bx[:, :, None] * Bx[:, None, :])
+        BWg = np.einsum("gij,gj->gi", Bg, q * grad) - (ra * np.sum(x * grad, axis=1))[:, None] * Bx
+        nu_a = np.linalg.solve(S, -BWg[..., None])[..., 0]
+        h = grad + np.einsum("gij,gi->gj", Bg, nu_a)
+        dx = -(q * h - (ra * np.sum(x * h, axis=1))[:, None] * x) / (da * (1.0 - ra))[:, None]
+        u = gam * dx / x
+        decr2 = da * ((1.0 - ra) * np.sum(u * dx / x, axis=1) + ra * np.sum(u, axis=1) ** 2)
+        stat = np.abs(h).max(axis=1)
+        nu[active] = nu_a
+        keep = ~((stat <= tol_stat * (1.0 + np.abs(grad).max(axis=1))) & (decr2 <= tol_stat))
+        active, x, dx, grad, stat = active[keep], x[keep], dx[keep], grad[keep], stat[keep]
+        if not active.size:
+            break
+        steps += active.size
+        with np.errstate(divide="ignore"):
+            alpha = np.minimum(1.0, 0.99 * np.where(dx < 0, -x / dx, np.inf).min(axis=1))
+        v0 = v_of(x, active)
+        slope = np.sum(grad * dx, axis=1)
+        pending = np.arange(active.size)
+        while pending.size:
+            if np.any(alpha[pending] <= 1e-14):
+                worst = float(stat[pending][alpha[pending] <= 1e-14].max())
+                raise NewtonStagnationError(f"line search failed at stationarity {worst:.3e}")
+            x_try = x[pending] + alpha[pending, None] * dx[pending]
+            accept = x_try.min(axis=1) > 0
+            pos = pending[accept]
+            accept[accept] = (v_of(x_try[accept], active[pos])
+                              <= v0[pos] + 1e-4 * alpha[pos] * slope[pos])
+            X[active[pending[accept]]] = x_try[accept]
+            pending = pending[~accept]
+            alpha[pending] *= 0.5
+    else:
+        raise NewtonStagnationError(f"no convergence in {max_newton} Newton steps; "
+                                    f"stationarity {float(stat.max()):.3e}")
+    return X, nu[:, :-1], nu[:, -1], steps
+
+
+def _responses(p, X, C, k, r) -> list[BestResponse]:
+    """The BestResponse of every row of a constrained group's demand X."""
+    t = C * X ** r[:, None]
+    S = t.sum(axis=1)
+    gamma = t / S[:, None]
+    log_u = k * np.log(S)
+    spend = X @ p
+    return [BestResponse(X[g], gamma[g], float(log_u[g]), float(spend[g])) for g in range(len(X))]
 
 
 def constrained_best_response(p, c, k: float, r: float, w: float, A: np.ndarray,
@@ -306,61 +404,48 @@ def constrained_best_response(p, c, k: float, r: float, w: float, A: np.ndarray,
     """Equality-constrained LUMP via damped feasible Newton.
 
     Solves max log u(x) s.t. A x = 0, <p, x> = w, x > 0 for the power-form
-    additive family.  The start is the unconstrained closed form projected
-    onto the constraint plane with a clip-and-reproject loop; steps use the
-    KKT system with a 0.99 fraction-to-boundary cap and Armijo backtracking
-    on v = -log u.  Returns (response, y, lam): constraint multipliers y and
-    budget multiplier lam (equal to d/w at the solution).
+    additive family.  The one-player case of ``_constrained_newton``, the
+    batch that ``market_state`` runs per constraint-row count, so it returns
+    the same demand row: the unconstrained closed form projected onto the
+    constraint plane with a clip-and-reproject loop as the start, then
+    Newton steps from the Schur system B W^-1 B^T nu = -B W^-1 g on the
+    closed-form inverse W^-1 of hess v, with a 0.99 fraction-to-boundary
+    cap and Armijo backtracking on v = -log u.  Returns (response, y, lam):
+    constraint multipliers y and budget multiplier lam (equal to d/w at the
+    solution).
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float).reshape(-1, len(p))
-    if np.any(c <= 0):
-        raise OracleError("constrained oracle needs strictly positive coefficients")
-    x0 = ces_best_response(p, c, r, w).x
-    x = _feasible_start(p, w, A, x0)
-    if x is None:
-        x = _feasible_start(p, w, A, np.full(len(p), w / float(p.sum())))
-    if x is None:
-        raise FeasibleStartError("no strictly feasible interior start found")
+    k, r = np.array([float(k)]), np.array([float(r)])
+    X, Y, lam, _ = _constrained_newton(p, c[None, :], k, r, np.array([float(w)]), A[None],
+                                       tol_stat, max_newton)
+    return _responses(p, X, c[None, :], k, r)[0], Y[0], float(lam[0])
 
-    B = np.vstack([A, p[None, :]])
-    nB = B.shape[0]
-    nu = np.zeros(nB)
-    for _ in range(max_newton):
-        g = v_grad(x, c, k, r)
-        H = v_hess(x, c, k, r)
-        KKT = np.zeros((len(p) + nB, len(p) + nB))
-        KKT[: len(p), : len(p)] = H
-        KKT[: len(p), len(p):] = B.T
-        KKT[len(p):, : len(p)] = B
-        rhs = np.concatenate([-g, np.zeros(nB)])
-        sol = np.linalg.solve(KKT, rhs)
-        dx, nu = sol[: len(p)], sol[len(p):]
-        stat = np.linalg.norm(g + B.T @ nu, ord=np.inf)
-        decr2 = float(dx @ (H @ dx))
-        if stat <= tol_stat * (1.0 + np.linalg.norm(g, ord=np.inf)) and decr2 <= tol_stat:
-            break
-        alpha = 1.0
-        neg = dx < 0
-        if np.any(neg):
-            alpha = min(1.0, 0.99 * float(np.min(-x[neg] / dx[neg])))
-        v0 = v_value(x, c, k, r)
-        slope = float(g @ dx)
-        while alpha > 1e-14:
-            x_try = x + alpha * dx
-            if np.all(x_try > 0):
-                if v_value(x_try, c, k, r) <= v0 + 1e-4 * alpha * slope:
-                    break
-            alpha *= 0.5
-        else:
-            raise NewtonStagnationError(f"line search failed at stationarity {stat:.3e}")
-        x = x + alpha * dx
-    else:
-        raise NewtonStagnationError(f"no convergence in {max_newton} Newton steps; stationarity {stat:.3e}")
 
-    gamma, S = _theta_shares(x, c, r)
-    return BestResponse(x, gamma, k * math.log(S), float(p @ x)), nu[:-1], float(nu[-1])
+def constrained_dual_hessians(X, C, k, r, w, A) -> np.ndarray:
+    """Dual Hessians of f for a constrained group with best responses X, stacked:
+    (d^2/w^2) (W^-1 - W^-1 A^T (A W^-1 A^T)^-1 A W^-1), W = hess v(x), with
+    the closed-form W^-1 = (diag(x^2/gamma) - r x x^T) / (d (1-r)) (see
+    ``_constrained_newton``).  Raises ConditioningError when some
+    A W^-1 A^T has a condition number above 1e13.
+    """
+    t = C * X ** r[:, None]
+    gamma = t / t.sum(axis=1, keepdims=True)
+    d = k * r
+    Winv = -r[:, None, None] * X[:, :, None] * X[:, None, :]
+    Winv[:, np.arange(X.shape[1]), np.arange(X.shape[1])] += X * X / gamma
+    Winv /= (d * (1.0 - r))[:, None, None]
+    scale = (d * d / (w * w))[:, None, None]
+    if A.shape[1] == 0:
+        return scale * Winv
+    AW = A @ Winv
+    AWA = AW @ A.transpose(0, 2, 1)
+    cond = np.linalg.cond(AWA)
+    if not np.all(np.isfinite(cond)) or np.any(cond > 1e13):
+        raise ConditioningError(f"A W^-1 A^T condition number {float(np.nanmax(cond)):.3e}")
+    corr = AW.transpose(0, 2, 1) @ np.linalg.solve(AWA, AW)
+    return scale * (Winv - corr)
 
 
 def _constrained_player(instance: MarketInstance, i: int):
@@ -373,19 +458,14 @@ def _constrained_player(instance: MarketInstance, i: int):
 def constrained_dual_hessian(instance: MarketInstance, i: int, x) -> np.ndarray:
     """Dual Hessian of f_i for a constrained player with best response x = x_i(p):
     (d^2/w^2) (W^{-1} - W^{-1} A^T (A W^{-1} A^T)^{-1} A W^{-1}), W = hess v(x).
+
+    The one-player case of ``constrained_dual_hessians``, which
+    ``hessian.assemble_from_state`` runs per constraint-row count.
     """
     c, k, r, w, A = _constrained_player(instance, i)
-    d = instance.degree[i]
-    W = v_hess(np.asarray(x, float), c, k, r)
-    Winv = np.linalg.inv(W)
-    if A.shape[0] == 0:
-        return (d * d / (w * w)) * Winv
-    AWA = A @ Winv @ A.T
-    cond = np.linalg.cond(AWA)
-    if not np.isfinite(cond) or cond > 1e13:
-        raise ConditioningError(f"A W^-1 A^T condition number {cond:.3e}")
-    corr = Winv @ A.T @ np.linalg.solve(AWA, A @ Winv)
-    return (d * d / (w * w)) * (Winv - corr)
+    one = lambda v: np.array([float(v)])
+    return constrained_dual_hessians(np.asarray(x, float)[None, :], c[None, :], one(k), one(r),
+                                     one(w), A.reshape(-1, instance.n)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +540,7 @@ class MarketState:
     linear_x: np.ndarray | None = None
     kkt_resid: float = 0.0
     psi_rounds: int = 0  # Newton rounds of the psi root-finder (linear markets)
+    con_newton_steps: int = 0  # Newton steps of the constrained players, summed
 
 
 def market_state(instance: MarketInstance, p) -> MarketState:
@@ -490,15 +571,19 @@ def market_state(instance: MarketInstance, p) -> MarketState:
         demand += X.T @ np.ones(G.shape[0])
         value += float(np.sum(wu * np.log(wu))) + float(np.sum((wu / du) * ku * (1.0 - ru) * logS))
     con_responses = {}
-    for i in instance.con.tolist():
-        resp, y, lam = constrained_best_response(p, *_constrained_player(instance, i))
-        con_responses[i] = resp
-        demand += resp.x
-        value += (float(w[i]) / instance.degree[i]) * resp.log_utility
+    steps = 0
+    for grp in instance.con_groups():
+        X, _, _, taken = _constrained_newton(p, grp.C, grp.k, grp.r, grp.w, grp.A)
+        steps += taken
+        for i, resp in zip(grp.players.tolist(), _responses(p, X, grp.C, grp.k, grp.r)):
+            con_responses[i] = resp
+            demand += resp.x
+            value += (float(w[i]) / instance.degree[i]) * resp.log_utility
     if not np.all(np.isfinite(demand)):
         raise OracleError("demand overflow (a price collapsed to zero)")
     grad = 1.0 - demand
-    return MarketState(p, grad, demand, value, G=G, con_responses=con_responses)
+    return MarketState(p, grad, demand, value, G=G, con_responses=con_responses,
+                       con_newton_steps=steps)
 
 
 def potential_value(instance: MarketInstance, p) -> float:

@@ -251,6 +251,14 @@ class TestColumns:
         assert [u.sigma for u in inst.utilities] == [0.05] * 8
         assert np.array_equal(clone.budgets, inst.budgets)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.5, float("nan"), float("inf")])
+    def test_with_barrier_sigma_refuses_a_bad_sigma(self, sigma):
+        # refused at once: a sigma=0 clone used to run 392 LogBar iterations
+        # before ending NumericalFailure
+        inst = generate_random(6, 10, 0.6, seed=2, kind=LINEAR_BARRIER, sigma=1e-2)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            market.with_barrier_sigma(inst, sigma)
+
     def test_nnz_col_index_is_intp_csr_indices(self):
         inst = generate_random(6, 9, 0.5, rho=-0.37, seed=1)
         cols = inst.nnz_col_index()

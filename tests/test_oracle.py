@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 import marketeq as mq
 from marketeq import hessian as hes
 from marketeq import oracle
-from marketeq.market import CES, MarketInstance, UtilitySpec, build_flow_instance
+from marketeq.market import ADDITIVE, CES, MarketInstance, UtilitySpec, build_flow_instance
 from marketeq.oracle import (
     OracleError,
     additive_best_response,
@@ -25,9 +25,6 @@ from marketeq.oracle import (
     potential_gradient,
     potential_value,
     response_jacobian,
-    v_grad,
-    v_hess,
-    v_value,
 )
 
 from conftest import central_diff, central_diff_vec, mixed_flow_instance, random_player
@@ -268,6 +265,94 @@ class TestPsiRootFinder:
             market_state(inst, p)
 
 
+def v_value(x, c, k, r):
+    """v = -log u for u(x) = <c, x^r>^k."""
+    return -k * math.log(float(np.sum(c * x**r)))
+
+
+def v_grad(x, c, k, r):
+    t = c * x**r
+    return -(k * r) * (t / t.sum()) / x
+
+
+def v_hess(x, c, k, r):
+    t = c * x**r
+    xinv_g = (t / t.sum()) / x
+    return k * r * (1.0 - r) * np.diag(xinv_g / x) + k * r * r * np.outer(xinv_g, xinv_g)
+
+
+def serial_kkt_response(p, c, k, r, w, A, tol_stat=1e-10):
+    """Reference constrained LUMP: one player, full (n + rows + 1) KKT solves.
+
+    The clip-and-reproject start from the unconstrained closed form (with the
+    uniform-price fallback), then damped Newton with the 0.99
+    fraction-to-boundary cap and Armijo backtracking; returns (x, y, lam).
+    """
+    n = len(p)
+    B = np.vstack([A, p[None, :]])
+    b = np.zeros(len(B))
+    b[-1] = w
+
+    def start(x):
+        floor = 1e-8 * float(np.median(x[x > 0]))
+        for _ in range(200):
+            x = x - B.T @ np.linalg.solve(B @ B.T, B @ x - b)
+            if np.min(x) >= floor:
+                break
+            x = np.maximum(x, floor)
+        ok = np.min(x) > 0 and np.linalg.norm(B @ x - b) <= 1e-9 * (1.0 + w)
+        return x if ok else None
+
+    x = start(ces_best_response(p, c, r, w).x)
+    if x is None:
+        x = start(np.full(n, w / p.sum()))
+    for _ in range(100):
+        g, H = v_grad(x, c, k, r), v_hess(x, c, k, r)
+        KKT = np.block([[H, B.T], [B, np.zeros((len(B), len(B)))]])
+        sol = np.linalg.solve(KKT, np.concatenate([-g, np.zeros(len(B))]))
+        dx, nu = sol[:n], sol[n:]
+        stat = np.max(np.abs(g + B.T @ nu))
+        if stat <= tol_stat * (1.0 + np.max(np.abs(g))) and dx @ H @ dx <= tol_stat:
+            return x, nu[:-1], nu[-1]
+        neg = dx < 0
+        alpha = min(1.0, 0.99 * float(np.min(-x[neg] / dx[neg]))) if neg.any() else 1.0
+        v0, slope = v_value(x, c, k, r), float(g @ dx)
+        while not (np.all(x + alpha * dx > 0)
+                   and v_value(x + alpha * dx, c, k, r) <= v0 + 1e-4 * alpha * slope):
+            alpha *= 0.5
+            assert alpha > 1e-14
+        x = x + alpha * dx
+    raise AssertionError("reference Newton did not converge")
+
+
+def mixed_row_count_instance(seed=5):
+    """Constrained players in three row-count groups plus two CES players.
+
+    On the triangle network s->a, a->t, s->t: players 0 and 1 route s-t
+    flows (two balance rows; player 1 is additive with r, k < 0, so the
+    rank-one weight of its hess v is negative), player 2 keeps only the
+    source-balance row of an a-t flow (one row), player 3 has a zero-row
+    constraint matrix.
+    """
+    edges = [("s", "a"), ("a", "t"), ("s", "t")]
+    flow = build_flow_instance(edges, [("s", "t"), ("a", "t")])
+    n = flow.n
+    rng = np.random.default_rng(seed)
+    pos = lambda: rng.uniform(0.5, 1.5, n)
+    utilities = [
+        UtilitySpec(CES, np.arange(n), pos(), rho=0.5),
+        UtilitySpec(ADDITIVE, np.arange(n), pos(), k=-0.8, r=-1.5),
+        UtilitySpec(CES, np.arange(n), pos(), rho=-0.7),
+        UtilitySpec(CES, np.arange(n), pos(), rho=0.3),
+        UtilitySpec(CES, np.arange(n), pos(), rho=0.5),
+        UtilitySpec(CES, np.arange(n), pos(), rho=-0.4),
+    ]
+    constraints = {0: flow.constraints[0], 1: flow.constraints[0],
+                   2: flow.constraints[1][:1], 3: np.zeros((0, n))}
+    budgets = rng.uniform(0.5, 1.5, len(utilities))
+    return MarketInstance(n, len(utilities), budgets, utilities, constraints)
+
+
 def penalty_oracle(p, c, k, r, w, A, rho_pen=1e8):
     """Quadratic-penalty brute force for the constrained LUMP (log-x coords)."""
     def obj(q):
@@ -284,20 +369,88 @@ def penalty_oracle(p, c, k, r, w, A, rho_pen=1e8):
 class TestConstrained:
     def test_one_best_response_per_player_per_query(self, monkeypatch):
         # the dual-Hessian blocks reuse the responses of the price query
-        from marketeq import oracle
         inst = mixed_flow_instance(players=3)
-        real = oracle.constrained_best_response
-        calls = []
+        real = oracle._constrained_newton
+        solved = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(p, C, *args, **kwargs):
+            solved.append(len(C))
+            return real(p, C, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "constrained_best_response", counting)
+        monkeypatch.setattr(oracle, "_constrained_newton", counting)
         state = market_state(inst, np.full(inst.n, 0.5))
+        assert sum(solved) == 3
         op = hes.assemble_from_state(state, inst)
         assert len(op.dense_blocks) == 3
-        assert len(calls) == 3
+        assert sum(solved) == 3
+
+    def test_batch_equals_serial_kkt(self):
+        inst = mixed_row_count_instance()
+        groups = inst.con_groups()
+        assert [g.A.shape[1] for g in groups] == [0, 1, 2]
+        assert [g.players.tolist() for g in groups] == [[3], [2], [0, 1]]
+        assert inst.r[1] < 0 and inst.k[1] < 0
+        rng = np.random.default_rng(11)
+        rel = lambda a, b: np.max(np.abs(a - b)) / np.max(np.abs(b))
+        for _ in range(3):
+            p = rng.uniform(0.5, 2.0, inst.n)
+            state = market_state(inst, p)
+            assert set(state.con_responses) == {0, 1, 2, 3}
+            for grp in groups:
+                X, Y, lam, _ = oracle._constrained_newton(p, grp.C, grp.k, grp.r, grp.w, grp.A)
+                M = oracle.constrained_dual_hessians(X, grp.C, grp.k, grp.r, grp.w, grp.A)
+                for g, i in enumerate(grp.players.tolist()):
+                    c, k, r, w, A = grp.C[g], grp.k[g], grp.r[g], grp.w[g], grp.A[g]
+                    x, y, lm = serial_kkt_response(p, c, k, r, w, A)
+                    assert np.array_equal(state.con_responses[i].x, X[g])
+                    assert rel(X[g], x) <= 1e-12
+                    assert abs(lam[g] - lm) <= 1e-12 * abs(lm)
+                    if A.shape[0]:
+                        assert rel(Y[g], y) <= 1e-12
+                    Winv = np.linalg.inv(v_hess(x, c, k, r))
+                    ref = Winv
+                    if A.shape[0]:
+                        ref = Winv - Winv @ A.T @ np.linalg.solve(A @ Winv @ A.T, A @ Winv)
+                    ref = (k * r / w) ** 2 * ref
+                    assert rel(M[g], ref) <= 1e-12
+
+    def test_uniform_price_fallback_start(self):
+        # on the plane x_0 = 5e-8 x_1 the clip-and-reproject loop fails from
+        # the closed-form start and succeeds from the uniform-price start
+        p = np.array([0.064, 0.77, 0.0016, 0.032])
+        A = np.array([[[1.0, -5e-8, 0.0, 0.0]], [[1.0, -1.0, 0.0, 0.0]]])
+        C, k, r, w = np.ones((2, 4)), np.array([2.0, 2.0]), np.array([0.5, 0.5]), np.array([1.0, 0.5])
+        B = np.concatenate([A, np.broadcast_to(p, (2, 1, 4))], axis=1)
+        b = np.stack([np.zeros(2), w], axis=1)
+        start = np.stack([ces_best_response(p, C[g], r[g], w[g]).x for g in range(2)])
+        assert oracle._feasible_start(B, b, start)[1].tolist() == [False, True]
+        X, Y, lam, _ = oracle._constrained_newton(p, C, k, r, w, A)
+        for g in range(2):
+            x, y, lm = serial_kkt_response(p, C[g], k[g], r[g], w[g], A[g])
+            assert np.max(np.abs(X[g] - x)) <= 1e-12 * np.max(x)
+            assert abs(lam[g] - lm) <= 1e-12 * lm
+            # x spans 1e-10 to 600 on the first plane, which leaves its
+            # multiplier determined to about 1e-10 by either solve
+            assert abs(Y[g, 0] - y[0]) <= 1e-9 * abs(y[0])
+
+    def test_error_types(self):
+        p, c = np.array([0.8, 1.1, 0.5]), np.ones(3)
+        with pytest.raises(OracleError, match="strictly positive"):
+            constrained_best_response(p, np.array([1.0, 0.0, 1.0]), 2.0, 0.5, 1.0, np.zeros((0, 3)))
+        with pytest.raises(oracle.FeasibleStartError):  # x_0 + x_1 = 0 has no positive point
+            constrained_best_response(p, c, 2.0, 0.5, 1.0, np.array([[1.0, 1.0, 0.0]]))
+        with pytest.raises(oracle.NewtonStagnationError, match="no convergence in 1 Newton"):
+            constrained_best_response(p, c, 2.0, 0.5, 1.0, np.array([[1.0, -1.0, 0.0]]),
+                                      max_newton=1)
+
+    def test_newton_steps_are_counted_on_constrained_markets_only(self):
+        inst = mixed_flow_instance(players=3)
+        steps = market_state(inst, np.full(inst.n, 0.5)).con_newton_steps
+        assert steps > 0
+        ces = mq.generate_random(8, 20, 0.5, seed=1)
+        assert market_state(ces, np.ones(8)).con_newton_steps == 0
+        lin = mq.generate_random(8, 20, 0.5, seed=1, kind="linear_barrier", sigma=0.01)
+        assert market_state(lin, np.ones(8)).con_newton_steps == 0
 
     def test_zero_rows_equals_unconstrained(self):
         p = np.array([1.0, 2.0])
