@@ -8,6 +8,10 @@ dense rows V in place of G.  The DR1 surrogate collapses the rank-one sum to a
 single outer product of xi = sum_i omega_i gamma_i, whose inverse is an
 O(n) Sherman-Morrison solve.  The optimal diagonal preconditioner is the
 row sum k_c = H 1 = sum_i w_i gamma_i.
+
+Exact mode materializes only H's upper triangle, by symmetric rank-k
+updates (dsyrk) on row blocks scaled by sqrt|s_i|, into a buffer the dense
+Newton solve reuses across a run and factors in place.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dsyrk
 
 from .market import MarketInstance
 from .oracle import MarketState, constrained_dual_hessians, market_state
@@ -32,13 +36,38 @@ class SingularUpdateError(RuntimeError):
     """The Sherman-Morrison denominator vanished (mu too small for DR1)."""
 
 
-def _sub_gram(H: np.ndarray, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """H - R^T diag(weights) R, in place on the Fortran-ordered H.
+def _syrk(H: np.ndarray, R: np.ndarray, alpha: float) -> np.ndarray:
+    """H + alpha R^T R on the upper triangle of the Fortran-ordered H, in place.
 
     scipy's BLAS, the one ipm factors H with: alternating it with numpy's own
     OpenBLAS slowed both the product and the factorization several-fold.
     """
-    return dgemm(-1.0, R * weights[:, None], R, beta=1.0, c=H, trans_a=1, overwrite_c=1)
+    return dsyrk(alpha, R.T, beta=1.0, c=H, overwrite_c=1)
+
+
+def _sub_share_gram(H: np.ndarray, G: sp.csr_matrix, weights: np.ndarray) -> np.ndarray:
+    """H - G^T diag(weights) G on the upper triangle of the Fortran-ordered H.
+
+    Rows of one weight sign, GRAM_BLOCK at a time and scaled by
+    sqrt|weight|, are scattered from G's CSR arrays into one dense block,
+    added by one dsyrk (alpha -1 for positive weights, +1 for negative
+    ones) and zeroed again; zero-weight rows are skipped.
+    """
+    indptr, indices = G.indptr, G.indices
+    root = np.sqrt(np.abs(weights))
+    block = np.zeros((min(GRAM_BLOCK, G.shape[0]), G.shape[1]))
+    flat = block.reshape(-1)
+    for alpha, rows in ((-1.0, np.flatnonzero(weights > 0)), (1.0, np.flatnonzero(weights < 0))):
+        for start in range(0, rows.size, GRAM_BLOCK):
+            rr = rows[start:start + GRAM_BLOCK]
+            first, counts = indptr[rr], indptr[rr + 1] - indptr[rr]
+            local = np.repeat(np.arange(rr.size), counts)
+            nz = np.arange(local.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+            pos = local * G.shape[1] + indices[nz]
+            flat[pos] = G.data[nz] * root[rr][local]
+            H = _syrk(H, block[:rr.size], alpha)
+            flat[pos] = 0.0
+    return H
 
 
 @dataclass
@@ -106,19 +135,29 @@ class ScaledHessianOp:
     def row_sums(self) -> np.ndarray:
         return self.matvec(np.ones(self.n))
 
-    def dense(self) -> np.ndarray:
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """H as a Fortran-ordered (n, n) array, built on the upper triangle.
+
+        Given ``out`` (Fortran (n, n)), only that triangle is written into
+        it, for a Cholesky that reads no other; without it, the triangle
+        is mirrored into a new symmetric H.
+        """
         if self.n > DENSE_LIMIT:
             raise ValueError(f"dense materialization capped at n={DENSE_LIMIT}")
-        H = np.zeros((self.n, self.n), order="F")
+        if out is None:
+            H = np.zeros((self.n, self.n), order="F")
+        else:
+            H = out
+            H.fill(0.0)
+        diag = np.diag_indices(self.n)
         if self.G is not None:
-            # a block of player rows at a time, so G is never dense all at once
-            for start in range(0, self.G.shape[0], GRAM_BLOCK):
-                H = _sub_gram(H, self.G[start:start + GRAM_BLOCK].toarray(),
-                              self.s[start:start + GRAM_BLOCK])
-            H[np.diag_indices(self.n)] += self.dr1_diag
+            H = _sub_share_gram(H, self.G, self.s)
+            H[diag] += self.dr1_diag
         if self.lin_V is not None:
-            H = _sub_gram(H, self.lin_V, self.lin_coef)
-            H[np.diag_indices(self.n)] += self.lin_diag
+            H = _syrk(H, self.lin_V * np.sqrt(self.lin_coef)[:, None], -1.0)
+            H[diag] += self.lin_diag
+        if out is None:
+            H += np.triu(H, 1).T
         for blk in self.dense_blocks:
             H += blk
         return H

@@ -72,6 +72,15 @@ def _validate_hessian_mode(mode: str, instance: MarketInstance) -> None:
         raise ConfigError("dr1 mode needs an unconstrained CES/additive market")
 
 
+def _validate_market(instance: MarketInstance) -> None:
+    """The O(m) checks a driver makes on entry; the full market.validate is
+    left to callers, outside the solve."""
+    if not np.all((instance.budgets > 0.0) & (instance.budgets < math.inf)):
+        raise ConfigError("budgets must be positive and finite")
+    if instance.is_linear and not np.all((instance.sigma > 0.0) & (instance.sigma < math.inf)):
+        raise ConfigError("linear-barrier sigma must be positive and finite")
+
+
 @dataclass
 class TraceRow:
     k: int
@@ -144,6 +153,7 @@ class LogBarConfig:
         if self.sigma_override is not None and not (0.0 < self.sigma_override < 1.0):
             raise ConfigError("sigma_override must lie in (0, 1)")
         _validate_hessian_mode(self.hessian_mode, instance)
+        _validate_market(instance)
 
 
 @dataclass
@@ -166,6 +176,7 @@ class PathFolConfig:
         if not (self.gamma_step > 2.0 * self.beta):
             raise ConfigError("need gamma > 2*beta")
         _validate_hessian_mode(self.hessian_mode, instance)
+        _validate_market(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +185,16 @@ class PathFolConfig:
 
 class _StepSolver:
     """(H~ + mu I) d = rhs on one operator, which every driver solves with one
-    shift: one factorization is kept.  pcg_iters sums PCG iterations (or None)."""
+    shift: one factorization is kept.  pcg_iters sums PCG iterations (or None).
+    Exact mode builds and factors H in ``buf``, a Fortran (n, n) array that
+    _newton_loop hands to every iteration of a run (allocated here if None)."""
 
-    def __init__(self, op: hes.ScaledHessianOp, mode: str, eps_k: float):
+    def __init__(self, op: hes.ScaledHessianOp, mode: str, eps_k: float,
+                 buf: np.ndarray | None = None):
         self.op = op
         self.mode = mode
         self.eps_k = eps_k
+        self._buf = buf
         self._chol = None  # (mu, cho_factor, Jacobi scale)
         self._k_c = None
         self.fallbacks = 0
@@ -187,15 +202,19 @@ class _StepSolver:
 
     def _dense_solve(self, mu: float, rhs: np.ndarray) -> np.ndarray:
         # Jacobi-scale before factoring: near-linear markets make H span
-        # ~1/sigma^2 in magnitude and a raw Cholesky loses the small block
+        # ~1/sigma^2 in magnitude and a raw Cholesky loses the small block.
+        # H + mu I is built, scaled and factored in place, upper triangle only.
         if self._chol is None or self._chol[0] != mu:
-            H = self.op.dense()
-            s = 1.0 / np.sqrt(np.maximum(np.diag(H) + mu, 1e-300))
-            A = (H + mu * np.eye(self.op.n)) * s[:, None] * s[None, :]
-            # H lives as long as its factor: freed here, it left the heap to be
-            # faulted in afresh each iteration (35x the minor page faults on ces-dense)
-            self._chol = (mu, scipy.linalg.cho_factor(A, check_finite=False), s, H)
-        _, cf, s, _ = self._chol
+            if self._buf is None:
+                self._buf = np.empty((self.op.n, self.op.n), order="F")
+            A = self.op.dense(out=self._buf)
+            diag = np.diag_indices(self.op.n)
+            A[diag] += mu
+            s = 1.0 / np.sqrt(np.maximum(A[diag], 1e-300))
+            A *= s[:, None]
+            A *= s[None, :]
+            self._chol = (mu, scipy.linalg.cho_factor(A, overwrite_a=True, check_finite=False), s)
+        _, cf, s = self._chol
         d = s * scipy.linalg.cho_solve(cf, s * rhs, check_finite=False)
         for _ in range(2):  # iterative refinement with the exact matvec
             r = rhs - (self.op.matvec(d) + mu * d)
@@ -275,6 +294,8 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
     acceptable the run ends as MaxIters with the reason in extras["error"].
     """
     iterates = [p.copy()] if config.keep_iterates else None
+    # exact mode's Newton matrix, rebuilt and factored in place every iteration
+    buf = np.empty((instance.n,) * 2, order="F") if config.hessian_mode == "exact" else None
     trace.extras.update(safeguards=0, dr1_fallbacks=0, price_queries=0)
     status = STATUS_MAXITERS
     state = None
@@ -285,7 +306,7 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
                 state = market_state(instance, p)
                 trace.extras["price_queries"] += 1
             solver = _StepSolver(hes.assemble_from_state(state, instance), config.hessian_mode,
-                                 config.eps_k)
+                                 config.eps_k, buf)
             homotopy, nbhd, decrement = measure(k, state, solver)
             row = TraceRow(k=k, homotopy=homotopy, grad_inf=float(np.max(np.abs(state.grad))),
                            grad_l2=float(np.linalg.norm(state.grad)), nbhd_resid=nbhd,

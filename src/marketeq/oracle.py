@@ -148,7 +148,8 @@ def _psi_roots(C: sp.csr_matrix, cols: np.ndarray, p: np.ndarray, sig: np.ndarra
     round), bisecting wherever a step leaves the bracket.  A row stops once
     its step or bracket is within a few ulps; rows still moving after
     PSI_ROUND_CAP rounds raise OracleError.  Six extended-precision Newton
-    steps on psi then polish u: u is ill-conditioned when sigma is tiny
+    steps on psi then polish u (``_psi_polish``, which skips the rounds
+    left once every row repeats): u is ill-conditioned when sigma is tiny
     (denominators cancel at eps/sigma), but demand built from an accurate u
     is not, so KKT residuals reach ~1e-12 at sigma = eps/n.  Goods with
     c_j = 0 get x_j = sigma / (lam p_j).  Every step is row-local, so a
@@ -213,20 +214,43 @@ def _psi_roots(C: sp.csr_matrix, cols: np.ndarray, p: np.ndarray, sig: np.ndarra
     ld = np.longdouble
     c_l, sig_l = c.astype(ld), sig.astype(ld)[rows]
     lamp_l = lam.astype(ld)[rows] * p.astype(ld)[cols]
-    u = u.astype(ld)
-    u_lo_l = u_lo.astype(ld)
-    for _ in range(6):
-        denom = lamp_l - c_l / u[rows]
-        pu = np.add.reduceat(sig_l * (c_l / denom), starts) - u
-        dpsi = -np.add.reduceat(sig_l * (c_l**2 / (u[rows] * denom) ** 2), starts) - 1.0
-        u_new = u - pu / dpsi
-        u = np.where(u_new > u_lo_l, u_new, u)
+    u = _psi_polish(u.astype(ld), u_lo.astype(ld), c_l, sig_l, lamp_l, rows, starts)
 
     X = sig[:, None] / (lam[:, None] * p[None, :])
     X[rows, cols] = (sig_l / (lamp_l - c_l / u[rows])).astype(float)
     if np.any(X <= 0) or not np.all(np.isfinite(X)):
         raise OracleError("linear-barrier demand left the positive orthant")
     return X, u, lam, rounds
+
+
+PSI_POLISH_ROUNDS = 6
+
+
+def _psi_polish(u, u_lo, c, sig, lamp, rows, starts):
+    """PSI_POLISH_ROUNDS extended-precision Newton steps on psi from u.
+
+    All arguments are longdouble, the last four aligned with the CSR
+    nonzeros; a step that would cross the pole u_lo is not taken.  Each
+    row's map u -> u+ is a fixed function of that row's u, so once every
+    row repeats an earlier iterate (u_k == u_{k-1}: a fixed point, or
+    u_k == u_{k-2}: a two-cycle) the remaining rounds are known, and the
+    round-PSI_POLISH_ROUNDS iterate is returned bit for bit without them.
+    """
+    c2 = c**2
+    prev = older = None
+    for k in range(1, PSI_POLISH_ROUNDS + 1):
+        ur = u[rows]
+        denom = lamp - c / ur
+        pu = np.add.reduceat(sig * (c / denom), starts) - u
+        dpsi = -np.add.reduceat(sig * (c2 / (ur * denom) ** 2), starts) - 1.0
+        u_new = u - pu / dpsi
+        older, prev, u = prev, u, np.where(u_new > u_lo, u_new, u)
+        repeats = u == prev
+        if older is not None:
+            repeats |= u == older
+        if repeats.all():
+            return prev if (PSI_POLISH_ROUNDS - k) % 2 else u
+    return u
 
 
 def linear_barrier_best_response(p, c, sigma: float, w: float):
@@ -496,7 +520,8 @@ def bid_shares(instance: MarketInstance, p):
     a = 1.0 / (1.0 - r)
     b = -r * a
     logp = np.log(np.asarray(p, dtype=float))
-    logits = np.repeat(a, counts) * logc + np.repeat(b, counts) * logp[cols]
+    # mode="clip" skips take's bounds check: cols indexes p by construction
+    logits = np.repeat(a, counts) * logc + np.repeat(b, counts) * np.take(logp, cols, mode="clip")
     gdata, logS = _row_softmax(logits, C.indptr)
     return sp.csr_matrix((gdata, C.indices, C.indptr), shape=C.shape), logS
 
@@ -563,12 +588,8 @@ def market_state(instance: MarketInstance, p) -> MarketState:
         G, logS = bid_shares(instance, p)
         wu = w[uncon]
         ru, ku, du = instance.r[uncon], instance.k[uncon], instance.degree[uncon]
-        _, _, cols = instance.uncon_rows()
-        xdata = G.data * np.repeat(wu, np.diff(G.indptr)) / p[cols]
-        # column sums as a CSC product: the same additions, in the same row
-        # order, as a bincount over G.indices, at a fraction of its cost
-        X = sp.csr_matrix((xdata, G.indices, G.indptr), shape=G.shape)
-        demand += X.T @ np.ones(G.shape[0])
+        # x_ij = w_i gamma_ij / p_j, summed over players as one sparse product
+        demand += (G.T @ wu) / p
         value += float(np.sum(wu * np.log(wu))) + float(np.sum((wu / du) * ku * (1.0 - ru) * logS))
     con_responses = {}
     steps = 0

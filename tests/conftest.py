@@ -69,6 +69,18 @@ def mixed_flow_instance(players=2, ces_players=3, seed=0):
     return MarketInstance(flow.n, m, np.full(m, 1.0 / m), utilities, flow.constraints)
 
 
+def mixed_sign_ces_instance(rng, n=30, m=549):
+    """CES players with rho of both signs, so the rank-one weights s are mixed;
+    the default m spans more than two Gram blocks of hessian.GRAM_BLOCK rows."""
+    utilities = []
+    for _ in range(m):
+        idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        utilities.append(UtilitySpec(CES, idx, rng.uniform(0.1, 2.0, idx.size),
+                                     rho=rng.choice([0.6, -1.5])))
+    w = rng.uniform(0.5, 1.5, m)
+    return MarketInstance(n, m, w / w.sum(), utilities)
+
+
 def symmetric_instance(n, m, rho=0.5):
     """Uniform coefficients and budgets: the equilibrium is (sum w / n) * 1."""
     utilities = [UtilitySpec(CES, np.arange(n), np.ones(n), rho=rho) for _ in range(m)]

@@ -13,9 +13,8 @@ from marketeq.hessian import (
     pcg_solve,
 )
 from marketeq.ipm import newton_decrement
-from marketeq.market import CES, MarketInstance, UtilitySpec
 
-from conftest import mixed_flow_instance
+from conftest import mixed_flow_instance, mixed_sign_ces_instance
 
 
 def op_from_gammas(gammas, w, r):
@@ -141,19 +140,22 @@ class TestArrayPieces:
 
     def test_blocked_ces_dense_matches_gram(self, rng):
         # more players than one Gram block, rho of both signs so s is mixed
-        n, m = 30, 2 * hes.GRAM_BLOCK + 37
-        utilities = []
-        for _ in range(m):
-            idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-            utilities.append(UtilitySpec(CES, idx, rng.uniform(0.1, 2.0, idx.size),
-                                         rho=rng.choice([0.6, -1.5])))
-        w = rng.uniform(0.5, 1.5, m)
-        inst = MarketInstance(n, m, w / w.sum(), utilities)
-        op = assemble(inst, rng.uniform(0.5, 2.0, n))
+        inst = mixed_sign_ces_instance(rng, m=2 * hes.GRAM_BLOCK + 37)
+        op = assemble(inst, rng.uniform(0.5, 2.0, inst.n))
         assert op.s.min() < 0 < op.s.max()
         G = op.G.toarray()
         ref = np.diag(G.T @ op.a) - G.T @ np.diag(op.s) @ G
         assert rel_err(op.dense(), ref) <= 1e-12
+
+    def test_dense_into_a_buffer_writes_the_upper_triangle(self, rng):
+        # the exact Newton solve's path: one reused Fortran buffer, upper triangle only
+        inst = mixed_sign_ces_instance(rng)
+        op = assemble(inst, rng.uniform(0.5, 2.0, inst.n))
+        H = op.dense()
+        assert np.array_equal(H, H.T)
+        buf = np.asfortranarray(rng.standard_normal((inst.n, inst.n)))
+        assert op.dense(out=buf) is buf
+        assert np.array_equal(np.triu(buf), np.triu(H))
 
 
 class TestDr1Solve:

@@ -29,7 +29,7 @@ from marketeq.ipm import (
 from marketeq.market import CES, MarketInstance, UtilitySpec
 from marketeq.oracle import OracleError, market_state, potential_constants
 
-from conftest import symmetric_instance
+from conftest import mixed_flow_instance, mixed_sign_ces_instance, symmetric_instance
 
 
 class TestLogBarInit:
@@ -207,6 +207,30 @@ class TestLogBarRun:
         linear = mq.generate_random(4, 4, 1.0, seed=0, kind="linear_barrier", sigma=0.1)
         with pytest.raises(ConfigError):
             logbar_run(linear, LogBarConfig(hessian_mode="dr1"))
+
+    @pytest.mark.parametrize("sigma", [0.0, math.nan])
+    def test_drivers_refuse_a_sigma_that_is_not_positive(self, sigma):
+        # built directly, past with_barrier_sigma's check; unchecked, sigma=0
+        # ran the sigma ladder down until a stage underflowed to 0 and
+        # sigma=nan ended NumericalFailure at iteration 0
+        base = mq.generate_random(6, 10, 0.6, seed=2, kind="linear_barrier", sigma=1e-2)
+        inst = MarketInstance(base.n, base.m, base.budgets,
+                              [dataclasses.replace(u, sigma=sigma) for u in base.utilities])
+        with pytest.raises(ConfigError, match="sigma"):
+            logbar_run(inst, LogBarConfig(eps=1e-7))
+        with pytest.raises(ConfigError, match="sigma"):
+            pathfol_run(inst, PathFolConfig(), np.ones(inst.n))
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.inf, math.nan])
+    def test_drivers_refuse_a_budget_that_is_not_positive(self, budget):
+        base = symmetric_instance(3, 4)
+        w = base.budgets.copy()
+        w[2] = budget
+        inst = MarketInstance(base.n, base.m, w, base.utilities)
+        with pytest.raises(ConfigError, match="budgets"):
+            logbar_run(inst, LogBarConfig())
+        with pytest.raises(ConfigError, match="budgets"):
+            pathfol_run(inst, PathFolConfig(), np.ones(inst.n))
 
 
 def test_logbar_on_flow_market():
@@ -504,6 +528,43 @@ class TestNewtonDecrement:
         assert abs(lam_dense - lam_pcg) <= 1e-10 * max(1.0, lam_dense)
         # dr1 uses the surrogate metric; only check it is finite and positive
         assert lam_dr1 > 0
+
+
+class TestExactSolve:
+    @pytest.mark.parametrize("market", ["mixed-sign ces", "linear sigma=1e-3", "flow"])
+    def test_matches_a_dense_reference_solve(self, rng, market):
+        if market == "mixed-sign ces":
+            inst = mixed_sign_ces_instance(rng)
+        elif market == "flow":
+            inst = mixed_flow_instance()
+        else:
+            inst = mq.generate_random(15, 40, 0.5, seed=5, kind="linear_barrier", sigma=1e-3)
+        op = hes.assemble(inst, rng.uniform(0.5, 2.0, inst.n))
+        H = op.dense()
+        for mu in (ipm.MU_FLOOR, 0.3):
+            rhs = rng.standard_normal(inst.n)
+            d = ipm._StepSolver(op, "exact", 1e-10).solve(mu, rhs)
+            ref = np.linalg.solve(H + mu * np.eye(inst.n), rhs)
+            assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_reused_buffer_is_not_aliased(self):
+        # every iteration factors in the run's one buffer; a decrement the
+        # callback computes at each iterate must not disturb the run
+        inst = mq.generate_random(12, 30, 0.8, rho=-0.9, seed=6)
+        cfg = LogBarConfig(eps=1e-7, sigma_override=0.6, hessian_mode="exact", max_iters=200)
+        decrements = []
+
+        def callback(k, p):
+            g = p * market_state(inst, p).grad
+            decrements.append(newton_decrement(hes.assemble(inst, p), g, mode="exact"))
+
+        p_plain, plain = logbar_run(inst, cfg)
+        p_watched, watched = logbar_run(inst, cfg, callback=callback)
+        assert plain.status == watched.status == "Converged"
+        assert len(decrements) == watched.iterations() - 1  # not on the converged row
+        assert np.array_equal(p_plain, p_watched)
+        timeless = lambda trace: [dataclasses.replace(r, wall_ms=0.0) for r in trace.rows]
+        assert timeless(plain) == timeless(watched)
 
 
 class TestCertificate:

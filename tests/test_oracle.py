@@ -256,6 +256,28 @@ class TestPsiRootFinder:
         st = market_state(inst, np.full(n, inst.total_budget() / n))
         assert 1 <= st.psi_rounds <= 12
 
+    @pytest.mark.parametrize("sigma", [5e-8, 1e-3, 0.05])
+    def test_polish_returns_the_six_round_demand(self, monkeypatch, sigma):
+        # the polish stops once every row repeats; its answer must be bitwise
+        # the one all six extended-precision rounds give
+        def six_rounds(u, u_lo, c, sig, lamp, rows, starts):
+            for _ in range(6):
+                denom = lamp - c / u[rows]
+                pu = np.add.reduceat(sig * (c / denom), starts) - u
+                dpsi = -np.add.reduceat(sig * (c**2 / (u[rows] * denom) ** 2), starts) - 1.0
+                u_new = u - pu / dpsi
+                u = np.where(u_new > u_lo, u_new, u)
+            return u
+
+        inst = mq.generate_random(40, 100, 0.5, seed=21, kind="linear_barrier", sigma=sigma)
+        rng = np.random.default_rng(0)
+        prices = [np.full(inst.n, inst.total_budget() / inst.n)]
+        prices += [rng.uniform(0.2, 3.0, inst.n) for _ in range(3)]
+        short = [market_state(inst, p).linear_x for p in prices]
+        monkeypatch.setattr(oracle, "_psi_polish", six_rounds)
+        for p, X in zip(prices, short):
+            assert np.array_equal(market_state(inst, p).linear_x, X)
+
     def test_round_cap_raises_instead_of_returning(self, monkeypatch):
         inst = mq.generate_random(12, 30, 0.5, seed=0, kind="linear_barrier", sigma=0.05)
         p = np.full(inst.n, inst.total_budget() / inst.n)
