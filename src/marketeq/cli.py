@@ -169,18 +169,11 @@ def cmd_solve(args) -> int:
 # bench
 
 
-def ground_truth(instance, eps: float = 1e-12, max_iters: int = 3000):
-    """High-precision reference prices: exact-Hessian LogBar when the dense
-    path fits, otherwise DR1 LogBar polished by Newton-PCG steps."""
-    if instance.n <= hes.DENSE_LIMIT:
-        cfg = ipm.LogBarConfig(eps=eps, hessian_mode="exact",
-                               sigma_override=0.5, max_iters=max_iters)
-        p, trace = ipm.logbar_run(instance, cfg)
-        return (p, trace.status == STATUS_CONVERGED)
-    cfg = ipm.LogBarConfig(eps=1e-9, hessian_mode="dr1",
-                           sigma_override=0.5, max_iters=max_iters)
-    p, _ = ipm.logbar_run(instance, cfg)
-    p, trace = ipm.newton_polish(instance, p, eps=eps)
+def ground_truth(instance, eps: float = 1e-12):
+    """High-precision reference prices and whether they converged: damped
+    Newton on phi (ipm.newton_polish, Newton-PCG steps with Armijo
+    backtracking) from the uniform prices W/n."""
+    p, trace = ipm.newton_polish(instance, _default_p0(instance), eps=eps)
     return p, trace.status == STATUS_CONVERGED
 
 

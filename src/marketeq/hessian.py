@@ -16,7 +16,7 @@ Newton solve reuses across a run and factors in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,7 +81,8 @@ class ScaledHessianOp:
       - v_i v_i^T / (sigma_i + |gamma_i|^2)], v_i = (gamma_i+sigma_i) gamma_i,
       summed as diag(lin_diag) - lin_V^T diag(lin_coef) lin_V with the rows
       v_i in ``lin_V`` (m, n).
-    - constrained players: one dense (n, n) block each in ``dense_blocks``.
+    - constrained players: the sum of their dense dual-Hessian blocks, one
+      (n, n) array ``con_block``.
     """
 
     n: int
@@ -93,8 +94,8 @@ class ScaledHessianOp:
     lin_diag: np.ndarray | None = None
     lin_coef: np.ndarray | None = None
     lin_V: np.ndarray | None = None
-    # dense blocks (constrained players)
-    dense_blocks: list = field(default_factory=list)
+    # constrained players' blocks, summed
+    con_block: np.ndarray | None = None
     # DR1 surrogate of the additive-family batch (a solver choice, see dr1_solve)
     dr1_diag: np.ndarray | None = None
     dr1_omega: float = 0.0
@@ -111,8 +112,8 @@ class ScaledHessianOp:
             out += self.dr1_diag * v - self.G.T @ (self.s * (self.G @ v))
         if self.lin_V is not None:
             out += self.lin_diag * v - self.lin_V.T @ (self.lin_coef * (self.lin_V @ v))
-        for blk in self.dense_blocks:
-            out += blk @ v
+        if self.con_block is not None:
+            out += self.con_block @ v
         return out
 
     def dr1_matvec(self, v: np.ndarray) -> np.ndarray:
@@ -158,8 +159,8 @@ class ScaledHessianOp:
             H[diag] += self.lin_diag
         if out is None:
             H += np.triu(H, 1).T
-        for blk in self.dense_blocks:
-            H += blk
+        if self.con_block is not None:
+            H += self.con_block
         return H
 
     def preconditioner(self) -> np.ndarray:
@@ -197,7 +198,8 @@ def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledH
         X = np.stack([state.con_responses[i].x for i in grp.players.tolist()])
         M = constrained_dual_hessians(X, grp.C, grp.k, grp.r, grp.w, grp.A)
         weight = grp.w / instance.degree[grp.players]
-        op.dense_blocks.extend(weight[:, None, None] * (p[None, :, None] * M * p[None, None, :]))
+        block = np.einsum("g,gij->ij", weight, M) * p[:, None] * p[None, :]
+        op.con_block = block if op.con_block is None else op.con_block + block
     return op
 
 
@@ -214,7 +216,7 @@ def dr1_solve(op: ScaledHessianOp, mu: float, rhs: np.ndarray) -> np.ndarray:
     """
     if op.dr1_diag is None:
         raise ValueError("operator carries no DR1 data")
-    if op.lin_V is not None or op.dense_blocks:
+    if op.lin_V is not None or op.con_block is not None:
         raise ValueError("DR1 surrogate is defined for unconstrained CES/additive players only")
     M = op.dr1_diag + mu
     if np.any(M <= 0):
@@ -230,8 +232,7 @@ def dr1_solve(op: ScaledHessianOp, mu: float, rhs: np.ndarray) -> np.ndarray:
     return d
 
 
-def pcg_solve(op, g_diag, rhs: np.ndarray, eps_k: float, k_c: np.ndarray | None = None,
-              max_iters: int | None = None):
+def pcg_solve(op, g_diag, rhs: np.ndarray, eps_k: float, k_c: np.ndarray | None = None):
     """Conjugate gradient on (H + diag(g_diag)) d = rhs.
 
     Given the row sums k_c = H 1 (ScaledHessianOp.preconditioner), it
@@ -251,9 +252,8 @@ def pcg_solve(op, g_diag, rhs: np.ndarray, eps_k: float, k_c: np.ndarray | None 
     z = res / m_diag if m_diag is not None else res
     direction = z.copy()
     rz = float(res @ z)
-    limit = max_iters if max_iters is not None else n
     iters = 0
-    for _ in range(limit):
+    for _ in range(n):
         Ad = matvec(direction)
         dAd = float(direction @ Ad)
         if not np.isfinite(dAd) or dAd <= 0:

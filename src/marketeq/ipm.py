@@ -14,6 +14,9 @@ driving t from 1 to 0 with steps sized by the self-concordance constant,
 then finishes with pure inexact Newton inside the quadratic region.  It
 solves twice per iteration, H~ a = P grad phi and, while t > 0,
 H~ b = P grad phi(p0); its dual norms and d = -(a - t+ b) combine the two.
+Its ``dr1`` mode runs PCG: the surrogate's relative spectral error, which
+the paper's superlinear rate needs below a certified delta, measured far
+above it on every market tried.
 
 Both take the same step -- query best responses, assemble H~ from the bids,
 solve (H~ + shift I) d = rhs, set p <- p (1 + d) -- in one loop
@@ -21,29 +24,23 @@ solve (H~ + shift I) d = rhs, set p <- p (1 + d) -- in one loop
 The loop records a SolveTrace (CSV: one row per iteration, trailing status
 comment) and stops on the equilibrium certificate ||grad phi||_inf <= eps.
 newton_polish runs the same loop with PathFol's t = 0 rule alone, damped by
-Armijo backtracking on phi; it polishes the reference prices of `marketeq bench`
-and every stage of the sigma continuation for near-linear markets.
+Armijo backtracking on phi; from the uniform prices it computes the reference
+prices of `marketeq bench`, and it polishes every stage of the sigma
+continuation for near-linear markets.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from . import hessian as hes
 from .market import MarketInstance, atomic_write_text, with_barrier_sigma
-from .oracle import (
-    KAPPA_CAP,
-    OracleError,
-    PotentialConstants,
-    kappa_from_shares,
-    market_state,
-    potential_constants,
-)
+from .oracle import OracleError, PotentialConstants, market_state, potential_constants
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITERS = "MaxIters"
@@ -165,7 +162,6 @@ class PathFolConfig:
     eps_k: float = 1e-10
     max_iters: int = 2000
     c_phi: float | None = None  # None -> practical default constant
-    delta_cert: float = 1e-3  # DR1 error the run may accept; pathfol_select_params certifies one
     keep_iterates: bool = False
 
     def validate(self, instance: MarketInstance) -> None:
@@ -282,13 +278,13 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
     """Newton steps p <- p (1 + d) until ||grad phi||_inf <= eps.
 
     Each iteration queries the players at p and assembles H~; the driver's
-    rule does the rest, solving on the iteration's _StepSolver (in
-    config.hessian_mode, which measure may change): measure(k, state,
-    solver) gives the row's (homotopy, nbhd_resid, decrement), stop(k)
-    may end the run before the step, and step(k, state, solver) gives (d,
-    decrement), the decrement filling a NaN one from measure.  The row's
-    pcg_iters total all its PCG solves.  An oracle, floating-point or
-    factorization error ends the run as NumericalFailure.
+    rule does the rest, solving on the iteration's _StepSolver in
+    config.hessian_mode: measure(k, state, solver) gives the row's
+    (homotopy, nbhd_resid, decrement), stop(k) may end the run before the
+    step, and step(k, state, solver) gives (d, decrement), the decrement
+    filling a NaN one from measure.  The row's pcg_iters total all its PCG
+    solves.  An oracle, floating-point or factorization error ends the run
+    as NumericalFailure.
     With damped=True the safeguarded step is shortened by _backtrack, whose
     accepted state is the next iteration's; when no step fraction is
     acceptable the run ends as MaxIters with the reason in extras["error"].
@@ -511,6 +507,8 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
     def step(k, state, solver):
         nonlocal mu
         mu = sigma * mu
+        if mu < np.finfo(float).tiny:  # a subnormal or zero shift; measure divides by mu
+            raise FloatingPointError(f"mu underflow: mu = {mu:g} after row {k}")
         return solver.newton_step(mu, -(state.p * state.grad - mu))
 
     p = _newton_loop(instance, p, config, trace, measure, step, stop, callback=callback)
@@ -561,8 +559,7 @@ def pathfol_select_params(constants: PotentialConstants, eps: float,
     while beta >= 1e-8:
         cert = _c12_certificate(delta, beta, 4.0 * beta)
         if cert["feasible"]:
-            cfg = PathFolConfig(beta=beta, gamma_step=4.0 * beta, eps=eps, delta_cert=delta,
-                                **config_kwargs)
+            cfg = PathFolConfig(beta=beta, gamma_step=4.0 * beta, eps=eps, **config_kwargs)
             return cfg, cert
         beta /= 2.0
     raise ConfigError("no feasible (beta, gamma) pair above beta = 1e-8")
@@ -575,12 +572,13 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     H~(p_k) of its dual norm changes.  Each row solves H~ a = P grad phi and,
     while t > 0, H~ b = P grad phi(p0) (H~ shifted by MU_FLOOR): decrement
     sqrt(P grad phi . a), nbhd_resid sqrt(P(grad phi - t grad phi(p0)) .
-    (a - t b)), step d = -(a - t+ b); pcg_iters totals both solves.  In dr1
-    mode the surrogate's spectral error is estimated by power iteration each
-    iteration and the run falls back to PCG when the implied relative error
-    exceeds the certified delta.
+    (a - t b)), step d = -(a - t+ b); pcg_iters totals both solves.  The dr1
+    mode runs as pcg, with the row-sum preconditioner: the surrogate's
+    error never met the certified delta that its rate needs.
     """
     config.validate(instance)
+    if config.hessian_mode == "dr1":
+        config = replace(config, hessian_mode="pcg")
     p = np.asarray(p0, dtype=float).copy()
     if np.any(p <= 0):
         raise ConfigError("p0 must be strictly positive")
@@ -590,21 +588,12 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     except OracleError as exc:
         return p, SolveTrace(status=STATUS_NUMFAIL, extras={"error": str(exc)})
     t = 1.0
-    mode = config.hessian_mode
     a = b = g0_norm = None  # H~^-1 P grad phi, H~^-1 P grad phi(p0), sqrt(P grad phi(p0) . b)
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
-                               "centering_warnings": 0, "mode_switch_k": None, "t_zero_k": None})
+                               "centering_warnings": 0, "t_zero_k": None})
 
     def measure(k, state, solver):
-        nonlocal a, b, g0_norm, mode
-        if mode == "dr1":
-            eps_h = hes.diff_norm_estimate(solver.op, iters=10, seed=k)
-            kappa = np.minimum(kappa_from_shares(solver.op.G), KAPPA_CAP)
-            delta_est = eps_h / float(np.min(instance.degree[instance.uncon] / kappa))
-            if delta_est > config.delta_cert:
-                mode = "pcg"
-                trace.extras["mode_switch_k"] = k
-        solver.mode = mode
+        nonlocal a, b, g0_norm
         a, lam = solver.newton_step(MU_FLOOR, state.p * state.grad)
         nbhd = lam
         if t > 0.0:

@@ -640,7 +640,7 @@ def response_jacobian(p, gamma, r: float, w: float) -> np.ndarray:
     return -(w / (1.0 - r)) * (M / p[None, :]) / p[:, None]
 
 
-KAPPA_CAP = 1e4  # clip on kappa estimates: C_phi here, PathFol's DR1 certificate check
+KAPPA_CAP = 1e4  # clip on the kappa estimates of potential_constants
 
 
 def kappa_from_shares(G: sp.csr_matrix) -> np.ndarray:
@@ -649,13 +649,12 @@ def kappa_from_shares(G: sp.csr_matrix) -> np.ndarray:
     return 1.0 / np.minimum.reduceat(data, G.indptr[:-1])
 
 
-def potential_constants(instance: MarketInstance, gamma_samples,
-                        kappa_cap: float = KAPPA_CAP) -> PotentialConstants:
+def potential_constants(instance: MarketInstance, gamma_samples) -> PotentialConstants:
     """Exact SLC constant T_phi plus the kappa-estimated self-concordance C_phi.
 
     kappa_i is estimated as the largest inverse bidding share seen on the
     player's active set across the supplied sample matrices, clipped at
-    ``kappa_cap``; C_phi takes the max over players (self-concordance
+    KAPPA_CAP; C_phi takes the max over players (self-concordance
     composes by max, not sum).
     """
     w = instance.budgets
@@ -675,6 +674,6 @@ def potential_constants(instance: MarketInstance, gamma_samples,
     kappa = np.zeros(instance.m)
     for G in gamma_samples:  # G has one row per unconstrained player
         kappa[instance.uncon] = np.maximum(kappa[instance.uncon], kappa_from_shares(G))
-    kappa = np.minimum(kappa, kappa_cap)
+    kappa = np.minimum(kappa, KAPPA_CAP)
     C_per = kappa**3 / np.sqrt(w) / np.sqrt(d) * np.maximum(2.0, 6.0 * r**2 - 6.0 * r + 2.0)
     return PotentialConstants(T_phi, float(np.max(C_per)), kappa)

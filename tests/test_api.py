@@ -1,5 +1,8 @@
-"""The package's top-level names.  The building blocks are imported from their
-modules; a new re-export has to be added here on purpose."""
+"""The package's top-level names and the solver configs' knobs.  The building
+blocks are imported from their modules; a new re-export or a new config field
+has to be added here on purpose."""
+
+import dataclasses
 
 import marketeq as mq
 
@@ -16,6 +19,19 @@ WORKFLOW_API = {
     "load_instance", "save_instance", "validate",
 }
 
+CONFIG_FIELDS = {
+    mq.LogBarConfig: ["Q", "eps", "sigma_override", "hessian_mode", "eps_k", "max_iters",
+                      "theory_strict", "mu_stop", "keep_iterates"],
+    mq.PathFolConfig: ["beta", "gamma_step", "hessian_mode", "eps", "eps_k", "max_iters",
+                       "c_phi", "keep_iterates"],
+    mq.BaselineConfig: ["method", "step", "max_iters", "eps"],
+}
+
 
 def test_top_level_exports_are_the_workflow_api():
     assert set(mq.__all__) == WORKFLOW_API
+
+
+def test_config_fields_are_pinned():
+    for cls, names in CONFIG_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from marketeq import cli, market
+from marketeq import cli, ipm, market
 from marketeq.ipm import SolveTrace
 
 
@@ -206,7 +206,7 @@ class TestBench:
         assert meta["methods"] == ["logbar", "tat"]
 
     def test_ground_truth_failure_marks_unavailable(self, tmp_path, monkeypatch):
-        def boom(inst, eps=1e-12, max_iters=3000):
+        def boom(inst, eps=1e-12):
             raise RuntimeError("reference run failed")
         monkeypatch.setattr(cli, "ground_truth", boom)
         out = os.path.join(tmp_path, "bench_u")
@@ -217,6 +217,24 @@ class TestBench:
             rows = fh.read().strip().splitlines()
         assert len(rows) == 3
         assert all("unavailable" in r for r in rows[1:])
+
+    def test_ground_truth_converges_for_near_perfect_substitutes(self):
+        # the cell `bench --cells "50,150,0.99"` builds at its default tau and seed
+        inst = market.generate_random(50, 150, 0.2, rho=0.99, seed=0)
+        p, ok = cli.ground_truth(inst)
+        assert ok
+        assert np.max(np.abs(ipm.market_state(inst, p).grad)) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [0.9, -0.9])
+    def test_ground_truth_matches_exact_logbar(self, rho):
+        inst = market.generate_random(30, 90, 0.2, rho=rho, seed=4)
+        p, ok = cli.ground_truth(inst)
+        assert ok
+        cfg = ipm.LogBarConfig(eps=1e-12, hessian_mode="exact", sigma_override=0.5,
+                               max_iters=3000)
+        p_ref, trace = ipm.logbar_run(inst, cfg)
+        assert trace.status == "Converged"
+        assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
 
     def test_time_limit_marks_timeout(self, tmp_path):
         out = os.path.join(tmp_path, "bench_t")

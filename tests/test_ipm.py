@@ -92,6 +92,23 @@ class TestLogBarRun:
             mu = 0.7 * mu
             assert mus[k] == mu  # bitwise: the loop multiplies in place
 
+    def test_mu_underflow_ends_numerical_failure(self):
+        # eps = 1e-300 is out of reach, so mu = mu0 0.01^k runs into the subnormals
+        inst = mq.generate_random(8, 20, 0.9, rho=0.5, seed=2)
+        cfg = LogBarConfig(eps=1e-300, sigma_override=0.01, max_iters=400)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            _, trace = logbar_run(inst, cfg)
+        assert trace.status == "NumericalFailure"
+        assert "mu underflow" in trace.extras["error"]
+        mus = [r.homotopy for r in trace.rows]
+        assert len(mus) == 154  # the step from row 153 would make mu subnormal
+        assert min(mus) >= np.finfo(float).tiny > 0.01 * mus[-1]
+        assert all(math.isfinite(r.nbhd_resid) for r in trace.rows)
+        mu = mus[0]
+        for k in range(1, len(mus)):
+            mu = 0.01 * mu
+            assert mus[k] == mu
+
     def test_positive_iterates_and_no_safeguard_on_path(self):
         inst = mq.generate_random(12, 30, 0.8, rho=-0.9, seed=6)
         cfg = LogBarConfig(eps=1e-7, sigma_override=0.6, max_iters=200, keep_iterates=True)
@@ -319,7 +336,7 @@ class TestPathFolParams:
         cfg, cert = pathfol_select_params(consts, 1e-7)
         assert cfg.beta == 0.01 and cfg.gamma_step == 0.04
         assert cert["feasible"]
-        assert cfg.delta_cert == min(1e-3, consts.C_phi * 1e-7 / 2.0)
+        assert cert["delta"] == min(1e-3, consts.C_phi * 1e-7 / 2.0)
 
     def test_select_params_halves_when_needed(self):
         from marketeq.oracle import PotentialConstants
@@ -372,14 +389,29 @@ class TestPathFolRun:
         assert ts[-1] == 0.0
         assert trace.extras["t_zero_k"] is not None
 
-    def test_dr1_mode_certifies_or_falls_back(self):
+    def test_dr1_mode_runs_pcg(self, monkeypatch):
+        # the surrogate's error is never estimated: dr1 is the pcg solve, bit for bit
+        estimates = []
+        real = hes.diff_norm_estimate
+
+        def counting_estimate(*args, **kwargs):
+            estimates.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hes, "diff_norm_estimate", counting_estimate)
         inst = mq.generate_random(20, 60, 0.7, rho=0.5, seed=10)
         p0 = np.full(20, inst.total_budget() / 20)
-        cfg = PathFolConfig(eps=1e-7, hessian_mode="dr1", c_phi=10.0, max_iters=2000)
-        p, trace = pathfol_run(inst, cfg, p0)
-        assert trace.status == "Converged"
-        # kappa-based delta usually exceeds the certificate, triggering PCG
-        assert trace.extras["mode_switch_k"] is not None
+        runs = {}
+        for mode in ("dr1", "pcg"):
+            cfg = PathFolConfig(eps=1e-7, hessian_mode=mode, c_phi=10.0, max_iters=2000)
+            runs[mode] = pathfol_run(inst, cfg, p0)
+        (p_dr1, tr_dr1), (p_pcg, tr_pcg) = runs["dr1"], runs["pcg"]
+        assert tr_dr1.status == tr_pcg.status == "Converged"
+        assert np.array_equal(p_dr1, p_pcg)
+        strip = lambda tr: [dataclasses.replace(r, wall_ms=math.nan) for r in tr.rows]
+        assert repr(strip(tr_dr1)) == repr(strip(tr_pcg))  # repr: NaN fields compare equal
+        assert all(r.pcg_iters for r in tr_dr1.rows)
+        assert estimates == []
 
     def test_p0_validation(self):
         inst = mq.generate_random(4, 4, 1.0, seed=0)

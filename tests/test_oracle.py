@@ -403,7 +403,11 @@ class TestConstrained:
         state = market_state(inst, np.full(inst.n, 0.5))
         assert sum(solved) == 3
         op = hes.assemble_from_state(state, inst)
-        assert len(op.dense_blocks) == 3
+        p = state.p
+        blocks = [inst.budgets[i] / inst.degree[i] * np.outer(p, p)
+                  * constrained_dual_hessian(inst, i, state.con_responses[i].x) for i in inst.con]
+        assert len(blocks) == 3
+        assert np.allclose(op.con_block, sum(blocks), rtol=1e-12, atol=0.0)
         assert sum(solved) == 3
 
     def test_batch_equals_serial_kkt(self):
@@ -556,8 +560,8 @@ class TestConstants:
     def test_kappa_cap(self):
         inst = MarketInstance(2, 1, [1.0], [UtilitySpec(CES, [0, 1], [1.0, 1e-9], rho=0.9)])
         G, _ = mq.oracle.bid_shares(inst, np.ones(2))
-        consts = potential_constants(inst, [G], kappa_cap=1e4)
-        assert consts.kappa[0] == 1e4
+        consts = potential_constants(inst, [G])
+        assert consts.kappa[0] == oracle.KAPPA_CAP == 1e4
 
     def test_kappa_of_constrained_market(self):
         # share matrices have rows only for the unconstrained players
