@@ -125,7 +125,7 @@ def cmd_solve(args) -> int:
     try:
         try:
             instance = market.load_instance(args.instance)
-        except (KeyError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:  # JSONDecodeError included
             print(f"malformed instance file: {exc}", file=sys.stderr)
             return 3
         violations = market.validate(instance)

@@ -1,13 +1,15 @@
 """Scaled Hessian operator, DR1 surrogate, preconditioner, and linear solvers.
 
 The exact operator H(p) = P grad^2 phi(p) P is kept matrix-free as
-    H v = D * v - G^T (s * (G v)) + linear/constrained extras,
-with G the bidding-share matrix, D = G^T a, a_i = w_i/(1-r_i) and
-s_i = w_i r_i/(1-r_i); linear-barrier markets carry the same shape with
-dense rows V in place of G.  The DR1 surrogate collapses the rank-one sum to a
-single outer product of xi = sum_i omega_i gamma_i, whose inverse is an
-O(n) Sherman-Morrison solve.  The optimal diagonal preconditioner is the
-row sum k_c = H 1 = sum_i w_i gamma_i.
+    H v = diag * v - R^T (s * (R v)) + constrained blocks,
+one diagonal-plus-rank-one piece over the unconstrained players' bidding
+rows R: the share matrix G for CES/additive players, with diag = G^T a,
+a_i = w_i/(1-r_i) and s_i = w_i r_i/(1-r_i); linear-barrier markets carry
+the same shape with dense rows v_i = (gamma_i+sigma) gamma_i in place of G.
+The DR1 surrogate collapses the CES rank-one sum to a single outer product
+of xi = sum_i omega_i gamma_i, whose inverse is an O(n) Sherman-Morrison
+solve.  The optimal diagonal preconditioner is the row sum
+k_c = H 1 = sum_i w_i gamma_i.
 
 Exact mode materializes only H's upper triangle, by symmetric rank-k
 updates (dsyrk) on row blocks scaled by sqrt|s_i|, into a buffer the dense
@@ -74,62 +76,45 @@ def _sub_share_gram(H: np.ndarray, G: sp.csr_matrix, weights: np.ndarray) -> np.
 class ScaledHessianOp:
     """H(p) = P grad^2 phi(p) P, one diagonal-plus-rank-one block per player.
 
-    Each family's blocks are stored as arrays over all its players:
-    - CES/additive: diag(G^T a) - G^T diag(s) G over the sparse share rows
-      G; ``dr1_diag`` holds G^T a.
-    - linear-barrier: player i adds (w_i/sigma_i) [diag((gamma_i+sigma_i)^2)
-      - v_i v_i^T / (sigma_i + |gamma_i|^2)], v_i = (gamma_i+sigma_i) gamma_i,
-      summed as diag(lin_diag) - lin_V^T diag(lin_coef) lin_V with the rows
-      v_i in ``lin_V`` (m, n).
-    - constrained players: the sum of their dense dual-Hessian blocks, one
-      (n, n) array ``con_block``.
+    The unconstrained players' blocks are one piece, diag(diag) - R^T diag(s) R,
+    one bidding row per player in R: the CSR share rows G for CES/additive
+    players (``share_operator``); for linear-barrier players, whose blocks are
+    (w_i/sigma_i) [diag((gamma_i+sigma_i)^2) - v_i v_i^T / (sigma_i + |gamma_i|^2)],
+    the dense rows v_i = (gamma_i+sigma_i) gamma_i.  ``con_block`` sums the
+    constrained players' dense (n, n) blocks.  Only CES/additive operators
+    carry the DR1 surrogate diag(diag) - dr1_omega xi xi^T: ``dr1_omega`` is
+    None without one, ``dr1_xi`` None when its rank-one term cancels.
     """
 
     n: int
-    # additive-family batch: share rows, diag weights a, rank-one weights s
-    G: sp.csr_matrix | None = None
-    a: np.ndarray | None = None
+    diag: np.ndarray | None = None
+    R: sp.csr_matrix | np.ndarray | None = None
     s: np.ndarray | None = None
-    # linear-barrier players: summed diagonal, rank-one weights and rows
-    lin_diag: np.ndarray | None = None
-    lin_coef: np.ndarray | None = None
-    lin_V: np.ndarray | None = None
-    # constrained players' blocks, summed
     con_block: np.ndarray | None = None
-    # DR1 surrogate of the additive-family batch (a solver choice, see dr1_solve)
-    dr1_diag: np.ndarray | None = None
-    dr1_omega: float = 0.0
+    dr1_omega: float | None = None
     dr1_xi: np.ndarray | None = None
-    dr1_active: bool = False
 
     # -- products ----------------------------------------------------------
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """The exact product H v."""
-        out = np.zeros(self.n)
-        if self.G is not None:
-            # dr1_diag doubles as the exact diagonal: both equal G^T a
-            out += self.dr1_diag * v - self.G.T @ (self.s * (self.G @ v))
-        if self.lin_V is not None:
-            out += self.lin_diag * v - self.lin_V.T @ (self.lin_coef * (self.lin_V @ v))
+        out = np.zeros(self.n) if self.diag is None else self.diag * v
+        if self.R is not None:
+            out -= self.R.T @ (self.s * (self.R @ v))
         if self.con_block is not None:
             out += self.con_block @ v
         return out
 
     def dr1_matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.dr1_diag * v
-        if self.dr1_active:
+        out = self.diag * v
+        if self.dr1_xi is not None:
             out -= self.dr1_omega * (self.dr1_xi @ v) * self.dr1_xi
         return out
 
     def diff_matvec(self, v: np.ndarray) -> np.ndarray:
         """(H_dr1 - H_exact) v; diagonals cancel, only rank-one terms remain."""
-        out = np.zeros(self.n)
-        if self.G is not None:
-            out += self.G.T @ (self.s * (self.G @ v))
-        if self.lin_V is not None:
-            out += self.lin_V.T @ (self.lin_coef * (self.lin_V @ v))
-        if self.dr1_active:
+        out = np.zeros(self.n) if self.R is None else self.R.T @ (self.s * (self.R @ v))
+        if self.dr1_xi is not None:
             out -= self.dr1_omega * (self.dr1_xi @ v) * self.dr1_xi
         return out
 
@@ -139,9 +124,10 @@ class ScaledHessianOp:
     def dense(self, out: np.ndarray | None = None) -> np.ndarray:
         """H as a Fortran-ordered (n, n) array, built on the upper triangle.
 
-        Given ``out`` (Fortran (n, n)), only that triangle is written into
-        it, for a Cholesky that reads no other; without it, the triangle
-        is mirrored into a new symmetric H.
+        Sparse rows R go through ``_sub_share_gram``, dense ones (positive
+        weights) through one dsyrk.  Given ``out`` (Fortran (n, n)), only
+        that triangle is written into it, for a Cholesky that reads no other;
+        without it, the triangle is mirrored into a new symmetric H.
         """
         if self.n > DENSE_LIMIT:
             raise ValueError(f"dense materialization capped at n={DENSE_LIMIT}")
@@ -150,13 +136,12 @@ class ScaledHessianOp:
         else:
             H = out
             H.fill(0.0)
-        diag = np.diag_indices(self.n)
-        if self.G is not None:
-            H = _sub_share_gram(H, self.G, self.s)
-            H[diag] += self.dr1_diag
-        if self.lin_V is not None:
-            H = _syrk(H, self.lin_V * np.sqrt(self.lin_coef)[:, None], -1.0)
-            H[diag] += self.lin_diag
+        if sp.issparse(self.R):
+            H = _sub_share_gram(H, self.R, self.s)
+        elif self.R is not None:
+            H = _syrk(H, self.R * np.sqrt(self.s)[:, None], -1.0)
+        if self.diag is not None:
+            H[np.diag_indices(self.n)] += self.diag
         if out is None:
             H += np.triu(H, 1).T
         if self.con_block is not None:
@@ -168,31 +153,36 @@ class ScaledHessianOp:
         return np.maximum(self.row_sums(), KC_FLOOR)
 
 
+def share_operator(n: int, G: sp.csr_matrix, w, r) -> ScaledHessianOp:
+    """The CES/additive piece of the share rows G (CSR), budgets w and r.
+
+    a = w/(1-r), s = w r/(1-r), diag = G^T a, and the DR1 data
+    omega = sum s, xi = G^T s / omega; the rank-one term is dropped
+    (xi None) when omega cancels to below OMEGA_DROP_REL of sum |s|,
+    and when it is exactly zero.
+    """
+    a = w / (1.0 - r)
+    s = w * r / (1.0 - r)
+    omega = float(s.sum())
+    op = ScaledHessianOp(n=n, diag=G.T @ a, R=G, s=s, dr1_omega=omega)
+    if omega != 0.0 and abs(omega) >= OMEGA_DROP_REL * float(np.abs(s).sum()):
+        op.dr1_xi = (G.T @ s) / omega
+    return op
+
+
 def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledHessianOp:
-    op = ScaledHessianOp(n=instance.n)
     w = instance.budgets
     if instance.is_linear:
-        g = state.linear_gammas
+        g = state.G
         sig = instance.sigma
         shifted = g + sig[:, None]
-        op.lin_diag = ((w / sig)[:, None] * shifted**2).sum(axis=0)
-        op.lin_V = shifted * g
-        op.lin_coef = w / (sig * (sig + np.einsum("ij,ij->i", g, g)))
-        return op
+        return ScaledHessianOp(n=instance.n, diag=((w / sig)[:, None] * shifted**2).sum(axis=0),
+                               R=shifted * g,
+                               s=w / (sig * (sig + np.einsum("ij,ij->i", g, g))))
 
     uncon = instance.uncon
-    if uncon.size:
-        r = instance.r[uncon]
-        wu = w[uncon]
-        op.G = state.G
-        op.a = wu / (1.0 - r)
-        op.s = wu * r / (1.0 - r)
-        op.dr1_diag = op.G.T @ op.a
-        omega = float(op.s.sum())
-        op.dr1_omega = omega
-        if abs(omega) >= OMEGA_DROP_REL * float(np.abs(op.s).sum()):
-            op.dr1_xi = (op.G.T @ op.s) / omega
-            op.dr1_active = True
+    op = (share_operator(instance.n, state.G, w[uncon], instance.r[uncon]) if uncon.size
+          else ScaledHessianOp(n=instance.n))
     p = state.p
     for grp in instance.con_groups():
         X = np.stack([state.con_responses[i].x for i in grp.players.tolist()])
@@ -211,18 +201,17 @@ def assemble(instance: MarketInstance, p) -> ScaledHessianOp:
 def dr1_solve(op: ScaledHessianOp, mu: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(D) + mu I - Omega xi xi^T) d = rhs in O(n) via Sherman-Morrison.
 
-    The surrogate has no linear-barrier or constrained pieces, so an operator
-    that carries them is refused rather than solved without them.
+    Only an operator of CES/additive players alone carries the surrogate
+    (``dr1_omega`` set, no ``con_block``); any other is refused rather than
+    solved without its linear-barrier or constrained pieces.
     """
-    if op.dr1_diag is None:
-        raise ValueError("operator carries no DR1 data")
-    if op.lin_V is not None or op.con_block is not None:
+    if op.dr1_omega is None or op.con_block is not None:
         raise ValueError("DR1 surrogate is defined for unconstrained CES/additive players only")
-    M = op.dr1_diag + mu
+    M = op.diag + mu
     if np.any(M <= 0):
         raise SingularUpdateError("diagonal term not positive; increase mu")
     d = rhs / M
-    if op.dr1_active:
+    if op.dr1_xi is not None:
         Minv_xi = op.dr1_xi / M
         denom = 1.0 / op.dr1_omega - float(op.dr1_xi @ Minv_xi)
         scale = max(abs(1.0 / op.dr1_omega), abs(float(op.dr1_xi @ Minv_xi)))

@@ -309,8 +309,9 @@ def _validate_spec(i: int, u: UtilitySpec, n: int, report: list[str]) -> None:
             report.append(f"player {i}: rho must lie in (-inf,0) or (0,1)")
     elif u.kind == ADDITIVE:
         k, r = u.k, u.r
-        ok = (0.0 < r < 1.0 and 0.0 < k <= 1.0 / r) or (r < 0.0 and 1.0 / r <= k < 0.0)
-        if not ok:
+        if k is None or r is None:
+            report.append(f"player {i}: additive players need both k and r")
+        elif not ((0.0 < r < 1.0 and 0.0 < k <= 1.0 / r) or (r < 0.0 and 1.0 / r <= k < 0.0)):
             report.append(
                 f"player {i}: additive parameters (k={k}, r={r}) violate the "
                 "concavity window r in (0,1), k in (0,1/r] or r<0, k in [1/r,0)"
@@ -325,7 +326,7 @@ def _validate_spec(i: int, u: UtilitySpec, n: int, report: list[str]) -> None:
             report.append(f"player {i}: coefficients must be nonnegative")
         if not np.any(u.val > 0):
             report.append(f"player {i}: needs at least one positive coefficient")
-        if len(u.idx) and (u.idx[0] < 0 or u.idx[-1] >= n):
+        if u.idx[0] < 0 or u.idx[-1] >= n:
             report.append(f"player {i}: coefficient index out of range")
 
 
@@ -354,8 +355,11 @@ def validate(instance: MarketInstance) -> list[str]:
 
     valued = np.zeros(instance.n, dtype=bool)
     for u in instance.utilities:
-        mask = u.val > 0
-        valued[u.idx[mask]] = True
+        idx = u.idx[u.val > 0]  # sorted
+        if idx.size and (idx[0] < 0 or idx[-1] >= instance.n):
+            # reported per player above; a negative index must not wrap
+            idx = idx[(idx >= 0) & (idx < instance.n)]
+        valued[idx] = True
     unvalued = np.flatnonzero(~valued)
     if unvalued.size:
         report.append(f"goods valued by no player: {unvalued.tolist()}")

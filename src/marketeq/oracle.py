@@ -553,15 +553,16 @@ def _linear_batch(instance: MarketInstance, p: np.ndarray):
 
 @dataclass
 class MarketState:
-    """Everything the solvers need at one price vector."""
+    """Everything the solvers need at one price vector.  ``G`` holds the
+    unconstrained players' bidding rows: the CSR shares of ``bid_shares``
+    (CES/additive), or the dense (m, n) shifted bidding vectors (linear)."""
 
     p: np.ndarray
     grad: np.ndarray
     demand: np.ndarray
     value: float
-    G: sp.csr_matrix | None = None
+    G: sp.csr_matrix | np.ndarray | None = None
     con_responses: dict = field(default_factory=dict)
-    linear_gammas: np.ndarray | None = None
     linear_x: np.ndarray | None = None
     kkt_resid: float = 0.0
     psi_rounds: int = 0  # Newton rounds of the psi root-finder (linear markets)
@@ -578,7 +579,7 @@ def market_state(instance: MarketInstance, p) -> MarketState:
         demand = X.sum(axis=0)
         grad = 1.0 - instance.degree[0] * demand
         return MarketState(p, grad, demand, value,
-                           linear_gammas=gammas, linear_x=X, kkt_resid=worst, psi_rounds=rounds)
+                           G=gammas, linear_x=X, kkt_resid=worst, psi_rounds=rounds)
 
     uncon = instance.uncon
     demand = np.zeros(instance.n)

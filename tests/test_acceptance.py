@@ -150,7 +150,7 @@ def test_criterion_03_dr1_exactness_and_inverse():
     # dense agreement at n = 50
     inst = mq.generate_random(50, 80, 0.5, rho=0.4, seed=7)
     op50 = hes.assemble(inst, np.random.default_rng(3).uniform(0.5, 2.0, 50))
-    Ht = np.diag(op50.dr1_diag) - op50.dr1_omega * np.outer(op50.dr1_xi, op50.dr1_xi)
+    Ht = np.diag(op50.diag) - op50.dr1_omega * np.outer(op50.dr1_xi, op50.dr1_xi)
     dense_err = 0.0
     for seed in range(10):
         rhs = np.random.default_rng(seed).standard_normal(50)
@@ -202,13 +202,7 @@ def test_criterion_05_figure1_reproduction():
     errs = []
     for m in (50, 200, 800, 3200):
         gam = rng.dirichlet(np.ones(n), size=m)
-        G = sp.csr_matrix(gam)
-        w = np.full(m, 1.0 / m)
-        op = hes.ScaledHessianOp(n=n, G=G, a=w / (1 - r), s=w * r / (1 - r))
-        op.dr1_diag = G.T @ op.a
-        op.dr1_omega = float(op.s.sum())
-        op.dr1_xi = (G.T @ op.s) / op.dr1_omega
-        op.dr1_active = True
+        op = hes.share_operator(n, sp.csr_matrix(gam), np.full(m, 1.0 / m), r)
         errs.append(hes.diff_norm_estimate(op, iters=50, seed=1))
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     # (b) preconditioned PCG iteration counts on 50 seeds

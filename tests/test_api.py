@@ -1,6 +1,6 @@
-"""The package's top-level names and the solver configs' knobs.  The building
-blocks are imported from their modules; a new re-export or a new config field
-has to be added here on purpose."""
+"""The package's top-level names, the solver configs' knobs and the fields of
+the Hessian operator and market state.  The building blocks are imported from
+their modules; a new re-export or a new field has to be added here on purpose."""
 
 import dataclasses
 
@@ -27,6 +27,13 @@ CONFIG_FIELDS = {
     mq.BaselineConfig: ["method", "step", "max_iters", "eps"],
 }
 
+# the Newton system's data: a new piece of the operator or the state is a deliberate edit
+STATE_FIELDS = {
+    mq.hessian.ScaledHessianOp: ["n", "diag", "R", "s", "con_block", "dr1_omega", "dr1_xi"],
+    mq.oracle.MarketState: ["p", "grad", "demand", "value", "G", "con_responses", "linear_x",
+                            "kkt_resid", "psi_rounds", "con_newton_steps"],
+}
+
 
 def test_top_level_exports_are_the_workflow_api():
     assert set(mq.__all__) == WORKFLOW_API
@@ -34,4 +41,9 @@ def test_top_level_exports_are_the_workflow_api():
 
 def test_config_fields_are_pinned():
     for cls, names in CONFIG_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+
+
+def test_operator_and_state_fields_are_pinned():
+    for cls, names in STATE_FIELDS.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__

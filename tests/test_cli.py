@@ -154,6 +154,26 @@ class TestSolve:
                        "--method", "logbar", "--out", os.path.join(tmp_path, "x")])
         assert rc == 3
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 2, "m": 1, "budgets": [1.0],
+          "utilities": [{"kind": "ces", "param": None, "entries": [[0, 1.0], [1, 1.0]]}]},
+         "malformed instance file"),
+        ({"n": 2, "m": 1, "budgets": [1.0],
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0], [1, 1.0]]}]},
+         "malformed instance file"),
+        ([], "malformed instance file"),
+        ({"n": 2, "m": 1, "budgets": [1.0],
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [5, 1.0]]}]},
+         "coefficient index out of range"),
+    ], ids=["null-param", "entry-without-coefficient", "top-level-list", "index-out-of-range"])
+    def test_malformed_instance_exit_3(self, tmp_path, capsys, doc, message):
+        path = os.path.join(tmp_path, "bad.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        rc = cli.main(["solve", path, "--method", "logbar", "--out", os.path.join(tmp_path, "x")])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
     def test_sigma_barrier_flag_linear_only(self, instance_file, tmp_path):
         rc = cli.main(["solve", instance_file, "--method", "logbar",
                        "--out", os.path.join(tmp_path, "x"), "--sigma-barrier", "0.01"])

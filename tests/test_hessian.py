@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +13,7 @@ from marketeq.hessian import (
     diff_norm_estimate,
     dr1_solve,
     pcg_solve,
+    share_operator,
 )
 from marketeq.ipm import newton_decrement
 
@@ -19,19 +22,7 @@ from conftest import mixed_flow_instance, mixed_sign_ces_instance
 
 def op_from_gammas(gammas, w, r):
     """Operator straight from bidding rows (test construction path)."""
-    m, n = gammas.shape
-    w = np.broadcast_to(np.asarray(w, dtype=float), (m,))
-    r = np.broadcast_to(np.asarray(r, dtype=float), (m,))
-    G = sp.csr_matrix(gammas)
-    op = ScaledHessianOp(n=n, G=G, a=w / (1 - r), s=w * r / (1 - r))
-    op.dr1_diag = G.T @ op.a
-    omega = float(op.s.sum())
-    op.dr1_omega = omega
-    sabs = float(np.abs(op.s).sum())
-    if sabs > 0 and abs(omega) >= hes.OMEGA_DROP_REL * sabs:
-        op.dr1_xi = (G.T @ op.s) / omega
-        op.dr1_active = True
-    return op
+    return share_operator(gammas.shape[1], sp.csr_matrix(gammas), w, r)
 
 
 class TestAssemble:
@@ -42,17 +33,27 @@ class TestAssemble:
         for _ in range(5):
             v = rng.standard_normal(6)
             assert np.max(np.abs(op.matvec(v) - op.dr1_matvec(v))) < 1e-14
-        assert op.dr1_active
-        dr1_dense = np.diag(op.dr1_diag) - op.dr1_omega * np.outer(op.dr1_xi, op.dr1_xi)
+        assert op.dr1_xi is not None
+        dr1_dense = np.diag(op.diag) - op.dr1_omega * np.outer(op.dr1_xi, op.dr1_xi)
         assert np.max(np.abs(op.dense() - dr1_dense)) < 1e-14
 
     def test_omega_cancellation_drops_rank_one(self):
         # r = +0.5 and r = -0.5 with budgets tuned so sum w r/(1-r) = 0
         gam = np.array([[0.3, 0.7], [0.6, 0.4]])
         op = op_from_gammas(gam, w=np.array([1.0, 3.0]), r=np.array([0.5, -0.5]))
-        assert not op.dr1_active
+        assert op.dr1_xi is None
         v = np.array([0.2, -1.0])
-        assert np.allclose(op.dr1_matvec(v), op.dr1_diag * v)
+        assert np.allclose(op.dr1_matvec(v), op.diag * v)
+
+    def test_zero_omega_drops_rank_one_without_dividing(self):
+        # r = 0 for every player: s = 0, so omega = 0 and there is no xi
+        gam = np.array([[0.3, 0.7], [0.6, 0.4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = share_operator(2, sp.csr_matrix(gam), np.array([1.0, 3.0]), np.zeros(2))
+        assert op.dr1_omega == 0.0 and op.dr1_xi is None
+        v = np.array([0.2, -1.0])
+        assert np.array_equal(op.dr1_matvec(v), op.matvec(v))
 
     def test_dr1_error_decreases_in_m(self):
         rng = np.random.default_rng(0)
@@ -100,7 +101,7 @@ class TestAssemble:
         inst = mixed_flow_instance()
         p = rng.uniform(0.5, 2.0, inst.n)
         op = assemble(inst, p)
-        assert op.dr1_diag is not None and op.con_block is not None
+        assert op.dr1_omega is not None and op.con_block is not None
         with pytest.raises(ValueError, match="unconstrained"):
             dr1_solve(op, 1e-3, np.ones(inst.n))
         with pytest.raises(ValueError, match="unconstrained"):
@@ -114,7 +115,7 @@ def rel_err(a, b):
 def linear_blocks_reference(inst, p):
     """Sum of the per-player linear-barrier blocks (w/sigma)[diag((gamma+sigma)^2)
     - v v^T/(sigma+|gamma|^2)], v = (gamma+sigma) gamma; returns (H, rank-one part)."""
-    gammas = mq.market_state(inst, p).linear_gammas
+    gammas = mq.market_state(inst, p).G
     H = np.zeros((inst.n, inst.n))
     R = np.zeros((inst.n, inst.n))
     for u, w, g in zip(inst.utilities, inst.budgets, gammas):
@@ -143,8 +144,9 @@ class TestArrayPieces:
         inst = mixed_sign_ces_instance(rng, m=2 * hes.GRAM_BLOCK + 37)
         op = assemble(inst, rng.uniform(0.5, 2.0, inst.n))
         assert op.s.min() < 0 < op.s.max()
-        G = op.G.toarray()
-        ref = np.diag(G.T @ op.a) - G.T @ np.diag(op.s) @ G
+        G = op.R.toarray()
+        a = inst.budgets / (1 - inst.r)
+        ref = np.diag(G.T @ a) - G.T @ np.diag(op.s) @ G
         assert rel_err(op.dense(), ref) <= 1e-12
 
     def test_dense_into_a_buffer_writes_the_upper_triangle(self, rng):
@@ -160,7 +162,7 @@ class TestArrayPieces:
 
 class TestDr1Solve:
     def test_diagonal_only_closed_form(self):
-        op = ScaledHessianOp(n=3, dr1_diag=np.ones(3), dr1_omega=0.0, dr1_active=False)
+        op = ScaledHessianOp(n=3, diag=np.ones(3), dr1_omega=0.0)
         d = dr1_solve(op, 1.0, np.array([2.0, 4.0, -1.0]))
         assert np.allclose(d, [1.0, 2.0, -0.5])
 
@@ -179,7 +181,7 @@ class TestDr1Solve:
         rhs = rng.standard_normal(n)
         mu = 1e-3
         d = dr1_solve(op, mu, rhs)
-        Ht = np.diag(op.dr1_diag) - op.dr1_omega * np.outer(op.dr1_xi, op.dr1_xi)
+        Ht = np.diag(op.diag) - op.dr1_omega * np.outer(op.dr1_xi, op.dr1_xi)
         dense = np.linalg.solve(Ht + mu * np.eye(n), rhs)
         assert np.max(np.abs(d - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
 
@@ -195,8 +197,7 @@ class TestDr1Solve:
     def test_singular_update_detected(self):
         # craft Omega^-1 == xi^T M^-1 xi exactly: D = 1, mu = 0, xi = e1,
         # Omega = 1
-        op = ScaledHessianOp(n=2, dr1_diag=np.ones(2), dr1_omega=1.0,
-                             dr1_xi=np.array([1.0, 0.0]), dr1_active=True)
+        op = ScaledHessianOp(n=2, diag=np.ones(2), dr1_omega=1.0, dr1_xi=np.array([1.0, 0.0]))
         with pytest.raises(SingularUpdateError):
             dr1_solve(op, 0.0, np.array([1.0, 1.0]))
 
@@ -236,7 +237,7 @@ class TestPcg:
         assert wins >= 9
 
     def test_zero_rhs(self):
-        op = ScaledHessianOp(n=3, dr1_diag=np.ones(3), dr1_omega=0.0, dr1_active=False)
+        op = ScaledHessianOp(n=3, diag=np.ones(3), dr1_omega=0.0)
         d, iters = pcg_solve(op, 1.0, np.zeros(3), 1e-8)
         assert iters == 0 and np.all(d == 0)
 
@@ -260,8 +261,7 @@ class TestPreconditioner:
         assert np.max(np.abs(pre - G.T @ inst.budgets)) < 1e-12
 
     def test_zero_guard(self):
-        op = ScaledHessianOp(n=2, dr1_diag=np.zeros(2), dr1_omega=0.0, dr1_active=False)
-        op.G = None
+        op = ScaledHessianOp(n=2, diag=np.zeros(2), dr1_omega=0.0)
         pre = op.preconditioner()
         assert np.all(pre >= hes.KC_FLOOR)
 

@@ -106,6 +106,18 @@ class TestValidate:
             assert np.isnan(inst.r[0]) and np.isnan(inst.k[0])
             assert any("rho must be nonzero" in v for v in validate(inst))
 
+    # a -1 must not wrap onto good 2 and hide that no player values it
+    @pytest.mark.parametrize("n, idx, unvalued", [(2, [0, 5], [1]), (3, [-1, 0], [1, 2])])
+    def test_out_of_range_index_reported(self, n, idx, unvalued):
+        inst = MarketInstance(n, 1, [1.0], [UtilitySpec(CES, idx, [1.0, 1.0], rho=0.5)])
+        report = validate(inst)
+        assert "player 0: coefficient index out of range" in report
+        assert f"goods valued by no player: {unvalued}" in report
+
+    def test_additive_missing_exponent_reported(self):
+        inst = MarketInstance(2, 1, [1.0], [UtilitySpec(ADDITIVE, [0, 1], [1.0, 1.0])])
+        assert "player 0: additive players need both k and r" in validate(inst)
+
     def test_rank_deficient_constraints_flagged(self):
         A = np.array([[1.0, -1.0], [-1.0, 1.0]])
         inst = MarketInstance(2, 1, [1.0],

@@ -211,8 +211,8 @@ class TestLinearBarrier:
         inst = mq.generate_random(6, 4, 0.8, seed=3, kind="linear_barrier", sigma=0.05)
         p = rng.uniform(0.5, 2.0, 6)
         st = market_state(inst, p)
-        assert np.max(np.abs(st.linear_gammas.sum(axis=1) - 1.0)) < 1e-10
-        assert np.all(st.linear_gammas > -1e-12)
+        assert np.max(np.abs(st.G.sum(axis=1) - 1.0)) < 1e-10
+        assert np.all(st.G > -1e-12)
 
 
 CHECKS = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
