@@ -1,11 +1,12 @@
 """Scaled Hessian operator, DR1 surrogate, preconditioner, and linear solvers.
 
 The exact operator H(p) = P grad^2 phi(p) P is kept matrix-free as
-    H v = diag * v - R^T (s * (R v)) + constrained blocks,
-one diagonal-plus-rank-one piece over the unconstrained players' bidding
-rows R: the share matrix G for CES/additive players, with diag = G^T a,
-a_i = w_i/(1-r_i) and s_i = w_i r_i/(1-r_i); linear-barrier markets carry
-the same shape with dense rows v_i = (gamma_i+sigma) gamma_i in place of G.
+    H v = diag * v - R^T (s * (R v)),
+one diagonal-plus-low-rank piece over every player's rows of R: the share
+matrix G for CES/additive players, with diag = G^T a, a_i = w_i/(1-r_i) and
+s_i = w_i r_i/(1-r_i), then 1 + rows P-scaled rows per constrained player
+(``oracle.constrained_hessian_rows``); linear-barrier markets carry the same
+shape with dense rows v_i = (gamma_i+sigma) gamma_i in place of G.
 The DR1 surrogate collapses the CES rank-one sum to a single outer product
 of xi = sum_i omega_i gamma_i, whose inverse is an O(n) Sherman-Morrison
 solve.  The optimal diagonal preconditioner is the row sum
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 
 from .market import MarketInstance
-from .oracle import MarketState, constrained_dual_hessians, market_state
+from .oracle import MarketState, constrained_hessian_rows, market_state
 from .oracle import constrained_dual_hessian  # noqa: F401  (bench/tracer.py patches this name)
 
 DENSE_LIMIT = 512  # dense materialization is a test path, never the big-n path
@@ -74,23 +75,23 @@ def _sub_share_gram(H: np.ndarray, G: sp.csr_matrix, weights: np.ndarray) -> np.
 
 @dataclass
 class ScaledHessianOp:
-    """H(p) = P grad^2 phi(p) P, one diagonal-plus-rank-one block per player.
+    """H(p) = P grad^2 phi(p) P, one diagonal-plus-low-rank block per player.
 
-    The unconstrained players' blocks are one piece, diag(diag) - R^T diag(s) R,
-    one bidding row per player in R: the CSR share rows G for CES/additive
-    players (``share_operator``); for linear-barrier players, whose blocks are
+    All players' blocks are one piece, diag(diag) - R^T diag(s) R.  R is a
+    CSR of one share row per CES/additive player (``share_operator``), then
+    1 + rows full rows per constrained player (``assemble_from_state``); for
+    linear-barrier players, whose blocks are
     (w_i/sigma_i) [diag((gamma_i+sigma_i)^2) - v_i v_i^T / (sigma_i + |gamma_i|^2)],
-    the dense rows v_i = (gamma_i+sigma_i) gamma_i.  ``con_block`` sums the
-    constrained players' dense (n, n) blocks.  Only CES/additive operators
-    carry the DR1 surrogate diag(diag) - dr1_omega xi xi^T: ``dr1_omega`` is
-    None without one, ``dr1_xi`` None when its rank-one term cancels.
+    R is the dense array of rows v_i = (gamma_i+sigma_i) gamma_i.  Only
+    operators of CES/additive players alone carry the DR1 surrogate
+    diag(diag) - dr1_omega xi xi^T: ``dr1_omega`` is None without one,
+    ``dr1_xi`` None when its rank-one term cancels.
     """
 
     n: int
     diag: np.ndarray | None = None
     R: sp.csr_matrix | np.ndarray | None = None
     s: np.ndarray | None = None
-    con_block: np.ndarray | None = None
     dr1_omega: float | None = None
     dr1_xi: np.ndarray | None = None
 
@@ -101,8 +102,6 @@ class ScaledHessianOp:
         out = np.zeros(self.n) if self.diag is None else self.diag * v
         if self.R is not None:
             out -= self.R.T @ (self.s * (self.R @ v))
-        if self.con_block is not None:
-            out += self.con_block @ v
         return out
 
     def dr1_matvec(self, v: np.ndarray) -> np.ndarray:
@@ -124,10 +123,10 @@ class ScaledHessianOp:
     def dense(self, out: np.ndarray | None = None) -> np.ndarray:
         """H as a Fortran-ordered (n, n) array, built on the upper triangle.
 
-        Sparse rows R go through ``_sub_share_gram``, dense ones (positive
-        weights) through one dsyrk.  Given ``out`` (Fortran (n, n)), only
-        that triangle is written into it, for a Cholesky that reads no other;
-        without it, the triangle is mirrored into a new symmetric H.
+        A CSR R (weights of either sign) goes through ``_sub_share_gram``, a
+        dense one (positive weights) through one dsyrk.  Given ``out``
+        (Fortran (n, n)), only that triangle is written into it, for a
+        Cholesky that reads no other; without it, the triangle is mirrored.
         """
         if self.n > DENSE_LIMIT:
             raise ValueError(f"dense materialization capped at n={DENSE_LIMIT}")
@@ -144,8 +143,6 @@ class ScaledHessianOp:
             H[np.diag_indices(self.n)] += self.diag
         if out is None:
             H += np.triu(H, 1).T
-        if self.con_block is not None:
-            H += self.con_block
         return H
 
     def preconditioner(self) -> np.ndarray:
@@ -180,16 +177,26 @@ def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledH
                                R=shifted * g,
                                s=w / (sig * (sig + np.einsum("ij,ij->i", g, g))))
 
-    uncon = instance.uncon
-    op = (share_operator(instance.n, state.G, w[uncon], instance.r[uncon]) if uncon.size
-          else ScaledHessianOp(n=instance.n))
-    p = state.p
+    n, uncon = instance.n, instance.uncon
+    G = state.G if uncon.size else sp.csr_matrix((0, n))
+    op = share_operator(n, G, w[uncon], instance.r[uncon])
+    if not instance.con.size:
+        return op
+    # each constrained player's 1 + rows dense rows join G's CSR arrays as full rows
+    data, weights = [G.data], [op.s]
     for grp in instance.con_groups():
         X = np.stack([state.con_responses[i].x for i in grp.players.tolist()])
-        M = constrained_dual_hessians(X, grp.C, grp.k, grp.r, grp.w, grp.A)
-        weight = grp.w / instance.degree[grp.players]
-        block = np.einsum("g,gij->ij", weight, M) * p[:, None] * p[None, :]
-        op.con_block = block if op.con_block is None else op.con_block + block
+        D, R, s = constrained_hessian_rows(X, grp.C, grp.k, grp.r, grp.w, grp.A)
+        scale = grp.w / instance.degree[grp.players]
+        op.diag += (scale @ D) * state.p**2
+        data.append((R * state.p).reshape(-1))
+        weights.append((scale[:, None] * s).reshape(-1))
+    op.s = np.concatenate(weights)
+    k = op.s.size - G.shape[0]
+    indptr = np.concatenate([G.indptr, G.indptr[-1] + n * np.arange(1, k + 1)])
+    indices = np.concatenate([G.indices, np.tile(np.arange(n, dtype=G.indices.dtype), k)])
+    op.R = sp.csr_matrix((np.concatenate(data), indices, indptr), shape=(op.s.size, n))
+    op.dr1_omega = op.dr1_xi = None
     return op
 
 
@@ -202,10 +209,10 @@ def dr1_solve(op: ScaledHessianOp, mu: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(D) + mu I - Omega xi xi^T) d = rhs in O(n) via Sherman-Morrison.
 
     Only an operator of CES/additive players alone carries the surrogate
-    (``dr1_omega`` set, no ``con_block``); any other is refused rather than
-    solved without its linear-barrier or constrained pieces.
+    (``dr1_omega`` set); any other is refused rather than solved without its
+    linear-barrier or constrained pieces.
     """
-    if op.dr1_omega is None or op.con_block is not None:
+    if op.dr1_omega is None:
         raise ValueError("DR1 surrogate is defined for unconstrained CES/additive players only")
     M = op.diag + mu
     if np.any(M <= 0):

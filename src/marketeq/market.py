@@ -98,11 +98,12 @@ def ces_spec(c, rho: float) -> UtilitySpec:
 def _exponents(u: UtilitySpec) -> tuple[float, float, float]:
     """(r, k, sigma) of one player; NaN where its kind has none or it is invalid."""
     nan = float("nan")
-    if u.kind == CES and u.rho:
+    finite = lambda *vals: None not in vals and all(map(math.isfinite, vals))
+    if u.kind == CES and u.rho and finite(u.rho):
         return u.rho, 1.0 / u.rho, nan
-    if u.kind == ADDITIVE and u.k is not None and u.r is not None:
+    if u.kind == ADDITIVE and finite(u.k, u.r):
         return u.r, u.k, nan
-    if u.kind == LINEAR_BARRIER and u.sigma is not None:
+    if u.kind == LINEAR_BARRIER and finite(u.sigma):
         return nan, nan, u.sigma
     return nan, nan, nan
 
@@ -267,6 +268,8 @@ class MarketInstance:
                 utilities.append(UtilitySpec(LINEAR_BARRIER, idx, val, sigma=float(param)))
             else:
                 raise ValueError(f"unknown utility kind {kind!r}")
+        if not all(type(doc[key]) is int for key in ("n", "m")):  # no truncation, no coercion
+            raise ValueError(f"n and m must be integers, got {doc['n']!r} and {doc['m']!r}")
         constraints = doc.get("constraints")
         return cls(doc["n"], doc["m"], doc["budgets"], utilities, constraints)
 
@@ -305,7 +308,7 @@ def _validate_spec(i: int, u: UtilitySpec, n: int, report: list[str]) -> None:
     if u.kind == CES:
         if u.rho is None or u.rho == 0.0:
             report.append(f"player {i}: rho must be nonzero")
-        elif not (u.rho < 1.0):
+        elif not (np.isfinite(u.rho) and u.rho < 1.0):
             report.append(f"player {i}: rho must lie in (-inf,0) or (0,1)")
     elif u.kind == ADDITIVE:
         k, r = u.k, u.r
@@ -317,15 +320,19 @@ def _validate_spec(i: int, u: UtilitySpec, n: int, report: list[str]) -> None:
                 "concavity window r in (0,1), k in (0,1/r] or r<0, k in [1/r,0)"
             )
     else:
-        if u.sigma is None or not (u.sigma > 0):
-            report.append(f"player {i}: sigma must be positive")
+        if u.sigma is None or not (0.0 < u.sigma < np.inf):
+            report.append(f"player {i}: sigma must be positive and finite")
     if len(u.idx) == 0:
         report.append(f"player {i}: needs at least one positive coefficient")
     else:
-        if np.any(u.val < 0):
-            report.append(f"player {i}: coefficients must be nonnegative")
-        if not np.any(u.val > 0):
-            report.append(f"player {i}: needs at least one positive coefficient")
+        lo, hi = u.val.min(), u.val.max()  # NaN propagates to both
+        if not (-np.inf < lo and hi < np.inf):
+            report.append(f"player {i}: coefficients must be finite")
+        else:
+            if lo < 0:
+                report.append(f"player {i}: coefficients must be nonnegative")
+            if not hi > 0:
+                report.append(f"player {i}: needs at least one positive coefficient")
         if u.idx[0] < 0 or u.idx[-1] >= n:
             report.append(f"player {i}: coefficient index out of range")
 
@@ -338,8 +345,8 @@ def validate(instance: MarketInstance) -> list[str]:
         return report
     if len(instance.budgets) != instance.m:
         report.append("budgets length must equal m")
-    elif not np.all(instance.budgets > 0):
-        report.append("all budgets must be positive")
+    elif not np.all((instance.budgets > 0) & (instance.budgets < np.inf)):
+        report.append("all budgets must be positive and finite")
     if len(instance.utilities) != instance.m:
         report.append("utilities length must equal m")
         return report
@@ -349,7 +356,7 @@ def validate(instance: MarketInstance) -> list[str]:
     kinds = instance.kinds
     if LINEAR_BARRIER in kinds and kinds != {LINEAR_BARRIER}:
         report.append("linear_barrier players cannot be mixed with other kinds")
-    elif instance.is_linear and np.ptp(instance.sigma) > 0:
+    elif instance.is_linear and np.any(instance.sigma != instance.sigma[0]):
         # the gradient, the sigma continuation and the certificate take one sigma
         report.append("linear_barrier players must share one sigma")
 

@@ -10,8 +10,8 @@ players run a damped feasible Newton, all of them at once per price query,
 stacked in groups of equal constraint-row count: hess v is
 diagonal-plus-rank-one with the closed-form inverse
 W^-1 = (diag(x^2/gamma) - r x x^T) / (d (1-r)), so each Newton step is a
-small Schur-complement solve B W^-1 B^T nu = -B W^-1 g per player
-(B = [A; p]) and their dual-Hessian blocks need no matrix inverse.
+small Schur-complement solve B W^-1 B^T nu = -B W^-1 g per player (B = [A; p]),
+and their dual-Hessian blocks are a diagonal plus 1 + rows weighted rows.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from .market import ADDITIVE, CES, MarketInstance
 
 class OracleError(RuntimeError):
     """Numerical breakdown inside a best-response computation."""
-
-
-class RootBracketError(OracleError):
-    """The psi root could not be bracketed."""
 
 
 class FeasibleStartError(OracleError):
@@ -142,18 +138,21 @@ def _psi_roots(C: sp.csr_matrix, cols: np.ndarray, p: np.ndarray, sig: np.ndarra
     x_j = sigma / (lam p_j - c_j/u) with u = <c, x> the root of
         psi(u) = S(u) - u,   S(u) = sum_j sigma c_j / (lam p_j - c_j/u),
     strictly decreasing on (u_lo, inf), u_lo = max_j c_j/(lam p_j) its
-    largest pole.  After bracketing the root, a safeguarded Newton iterates
-    on the pole-free F(u) = 1/S(u) - 1/u (opposite sign to psi, near-linear
-    by the pole, where Newton on psi only doubles its distance from it per
-    round), bisecting wherever a step leaves the bracket.  A row stops once
-    its step or bracket is within a few ulps; rows still moving after
-    PSI_ROUND_CAP rounds raise OracleError.  Six extended-precision Newton
-    steps on psi then polish u (``_psi_polish``, which skips the rounds
-    left once every row repeats): u is ill-conditioned when sigma is tiny
-    (denominators cancel at eps/sigma), but demand built from an accurate u
-    is not, so KKT residuals reach ~1e-12 at sigma = eps/n.  Goods with
-    c_j = 0 get x_j = sigma / (lam p_j).  Every step is row-local, so a
-    player's demand does not depend on who else is solved in the call.
+    largest pole.  The budget bounds u <= w max_j c_j/p_j = (1 + sigma n) u_lo,
+    so [u_lo, (1 + sigma n) u_lo] brackets every row's root.  From
+    u_lo (1 + 1e-8), or the bracket's midpoint if nearer, a safeguarded
+    Newton iterates on the pole-free F(u) = 1/S(u) - 1/u (opposite sign to
+    psi, near-linear by the pole, where Newton on psi only doubles its
+    distance from it per round), bisecting wherever a step leaves the
+    bracket.  A row stops once its step or bracket is within a few ulps;
+    rows still moving after PSI_ROUND_CAP rounds raise OracleError.  Six
+    extended-precision Newton steps on psi then polish u (``_psi_polish``,
+    which skips the rounds left once every row repeats): u is ill-conditioned
+    when sigma is tiny (denominators cancel at eps/sigma), but demand built
+    from an accurate u is not, so KKT residuals reach ~1e-12 at
+    sigma = eps/n.  Goods with c_j = 0 get x_j = sigma / (lam p_j).  Every
+    step is row-local, so a player's demand does not depend on who else is
+    solved in the call.
 
     Returns (X, u, lam, rounds): the dense (m, n) demand, the polished roots
     in longdouble, the budget multipliers and the Newton rounds taken.
@@ -172,25 +171,8 @@ def _psi_roots(C: sp.csr_matrix, cols: np.ndarray, p: np.ndarray, sig: np.ndarra
     if np.any(u_lo <= 0.0):
         raise OracleError("player has no positive coefficient")
 
-    def psi(u):
-        return np.add.reduceat(sc / (lamp - c / u[rows]), starts) - u
-
-    lo = u_lo * (1.0 + 1e-8)
-    for _ in range(200):
-        bad = psi(lo) < 0.0
-        if not bad.any():
-            break
-        lo[bad] = u_lo[bad] + (lo[bad] - u_lo[bad]) * 0.5
-    hi = np.maximum(lo * 2.0, u_lo + w)
-    for _ in range(200):
-        grow = psi(hi) > 0.0
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
-    if (psi(lo) < 0.0).any() or (psi(hi) > 0.0).any():
-        raise RootBracketError("vectorized psi bracket failed")
-
-    u = lo.copy()
+    lo, hi = u_lo, (1.0 + sig * n) * u_lo
+    u = np.minimum(u_lo * (1.0 + 1e-8), 0.5 * (lo + hi))
     active = np.ones(m, dtype=bool)
     for rounds in range(1, PSI_ROUND_CAP + 1):
         denom = lamp - c / u[rows]
@@ -447,29 +429,31 @@ def constrained_best_response(p, c, k: float, r: float, w: float, A: np.ndarray,
     return _responses(p, X, c[None, :], k, r)[0], Y[0], float(lam[0])
 
 
-def constrained_dual_hessians(X, C, k, r, w, A) -> np.ndarray:
-    """Dual Hessians of f for a constrained group with best responses X, stacked:
-    (d^2/w^2) (W^-1 - W^-1 A^T (A W^-1 A^T)^-1 A W^-1), W = hess v(x), with
-    the closed-form W^-1 = (diag(x^2/gamma) - r x x^T) / (d (1-r)) (see
-    ``_constrained_newton``).  Raises ConditioningError when some
-    A W^-1 A^T has a condition number above 1e13.
+def constrained_hessian_rows(X, C, k, r, w, A):
+    """Dual Hessians of f for a constrained group with best responses X, as rows.
+
+    Player g's block (d^2/w^2) (W^-1 - W^-1 A^T (A W^-1 A^T)^-1 A W^-1),
+    W = hess v(x), is diag(D_g) - R_g^T diag(s_g) R_g.  With the closed form
+    W' = d (1-r) W^-1 = diag(q) - r x x^T, q = x^2/gamma (see
+    ``_constrained_newton``), c = d / (w^2 (1-r)) and S = A W' A^T = L L^T,
+    the block is c (W' - W' A^T S^-1 A W'): D = c q, row 0 of R is x with
+    weight c r, and rows 1..rows are L^-1 A W' with weight c.  Returns
+    (D, R, s) of shapes (G, n), (G, 1 + rows, n) and (G, 1 + rows).  Raises
+    ConditioningError when some S has a condition number above 1e13.
     """
     t = C * X ** r[:, None]
-    gamma = t / t.sum(axis=1, keepdims=True)
-    d = k * r
-    Winv = -r[:, None, None] * X[:, :, None] * X[:, None, :]
-    Winv[:, np.arange(X.shape[1]), np.arange(X.shape[1])] += X * X / gamma
-    Winv /= (d * (1.0 - r))[:, None, None]
-    scale = (d * d / (w * w))[:, None, None]
-    if A.shape[1] == 0:
-        return scale * Winv
-    AW = A @ Winv
-    AWA = AW @ A.transpose(0, 2, 1)
-    cond = np.linalg.cond(AWA)
-    if not np.all(np.isfinite(cond)) or np.any(cond > 1e13):
-        raise ConditioningError(f"A W^-1 A^T condition number {float(np.nanmax(cond)):.3e}")
-    corr = AW.transpose(0, 2, 1) @ np.linalg.solve(AWA, AW)
-    return scale * (Winv - corr)
+    q = X * X / (t / t.sum(axis=1, keepdims=True))
+    c = k * r / (w * w * (1.0 - r))
+    R, s = X[:, None, :], (c * r)[:, None]
+    if A.shape[1]:
+        AW = A * q[:, None, :] - r[:, None, None] * (A @ X[..., None]) * X[:, None, :]
+        S = AW @ A.transpose(0, 2, 1)
+        cond = np.linalg.cond(S)
+        if not np.all(np.isfinite(cond)) or np.any(cond > 1e13):
+            raise ConditioningError(f"A W^-1 A^T condition number {float(np.nanmax(cond)):.3e}")
+        R = np.concatenate([R, np.linalg.solve(np.linalg.cholesky(S), AW)], axis=1)
+        s = np.concatenate([s, np.repeat(c[:, None], A.shape[1], axis=1)], axis=1)
+    return c[:, None] * q, R, s
 
 
 def _constrained_player(instance: MarketInstance, i: int):
@@ -483,13 +467,15 @@ def constrained_dual_hessian(instance: MarketInstance, i: int, x) -> np.ndarray:
     """Dual Hessian of f_i for a constrained player with best response x = x_i(p):
     (d^2/w^2) (W^{-1} - W^{-1} A^T (A W^{-1} A^T)^{-1} A W^{-1}), W = hess v(x).
 
-    The one-player case of ``constrained_dual_hessians``, which
-    ``hessian.assemble_from_state`` runs per constraint-row count.
+    The dense (n, n) view diag(D) - R^T diag(s) R of the one-player case of
+    ``constrained_hessian_rows``, whose rows ``hessian.assemble_from_state``
+    appends to the operator per constraint-row count.
     """
     c, k, r, w, A = _constrained_player(instance, i)
     one = lambda v: np.array([float(v)])
-    return constrained_dual_hessians(np.asarray(x, float)[None, :], c[None, :], one(k), one(r),
-                                     one(w), A.reshape(-1, instance.n)[None])[0]
+    D, R, s = constrained_hessian_rows(np.asarray(x, float)[None, :], c[None, :], one(k), one(r),
+                                       one(w), A.reshape(-1, instance.n)[None])
+    return np.diag(D[0]) - R[0].T @ (s[0][:, None] * R[0])
 
 
 # ---------------------------------------------------------------------------

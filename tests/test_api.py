@@ -29,7 +29,7 @@ CONFIG_FIELDS = {
 
 # the Newton system's data: a new piece of the operator or the state is a deliberate edit
 STATE_FIELDS = {
-    mq.hessian.ScaledHessianOp: ["n", "diag", "R", "s", "con_block", "dr1_omega", "dr1_xi"],
+    mq.hessian.ScaledHessianOp: ["n", "diag", "R", "s", "dr1_omega", "dr1_xi"],
     mq.oracle.MarketState: ["p", "grad", "demand", "value", "G", "con_responses", "linear_x",
                             "kkt_resid", "psi_rounds", "con_newton_steps"],
 }

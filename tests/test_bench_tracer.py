@@ -1,9 +1,13 @@
 """The benchmark's tracer (bench/tracer.py) patches marketeq functions by the
 names the drivers call them through.  A renamed or deleted name crashes the
 traced round; a call moved behind a name the tracer does not patch silently
-drops out of the per-layer counts, price queries included."""
+drops out of the per-layer counts, price queries included.  The benchmark's
+markets (bench/workloads.py) and its independent checks (bench/checks.py)
+read the instance, the certificate and the flow players' responses; a break
+there would show only as a failed benchmark run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +15,19 @@ import numpy as np
 import marketeq as mq
 from marketeq import hessian, ipm, oracle
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("tracer")
 
 
 def test_every_target_resolves_on_its_owner():
@@ -77,3 +86,19 @@ def test_traced_near_linear_solve_counts_every_polish_query(monkeypatch):
     assert trace.status == "Converged"
     assert trace.extras["continuation"]
     assert len(batches) == tracer.layer_totals(tr.spans)["oracle"]["calls"]
+
+
+def test_workloads_build_and_flow_solve_passes_the_checks():
+    workloads, checks = load_bench("workloads"), load_bench("checks")
+    for name, build in workloads.BUILDERS.items():
+        for cell in build(1):
+            assert mq.validate(cell.instance) == [], f"{name}: {cell.label}"
+            workloads.fill_caches(cell.instance)
+    cell = workloads.BUILDERS["flow-mixed"](1)[0]
+    p, trace = workloads.solves_of([cell])[0].runner()()
+    assert trace.status == "Converged"
+    cert = mq.equilibrium_certificate(cell.instance, p, eps=cell.eps)
+    assert cert["converged"] and cert.get("clearing_within_bound", True)
+    # the flow players' allocations, taken as bench/run.py's verify takes them
+    flow_x = {i: resp.x for i, resp in mq.market_state(cell.instance, p).con_responses.items()}
+    assert checks.check_solution(cell, np.asarray(p), flow_x) == []

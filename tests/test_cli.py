@@ -165,7 +165,15 @@ class TestSolve:
         ({"n": 2, "m": 1, "budgets": [1.0],
           "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [5, 1.0]]}]},
          "coefficient index out of range"),
-    ], ids=["null-param", "entry-without-coefficient", "top-level-list", "index-out-of-range"])
+        # n must not be truncated to 2 (reported only as an index out of range) or coerced
+        ({"n": 2.7, "m": 1, "budgets": [1.0],
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [1, 1.0], [2, 1.0]]}]},
+         "malformed instance file"),
+        ({"n": "3", "m": 1, "budgets": [1.0],
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [1, 1.0], [2, 1.0]]}]},
+         "malformed instance file"),
+    ], ids=["null-param", "entry-without-coefficient", "top-level-list", "index-out-of-range",
+            "fractional-n", "string-n"])
     def test_malformed_instance_exit_3(self, tmp_path, capsys, doc, message):
         path = os.path.join(tmp_path, "bad.json")
         with open(path, "w") as fh:

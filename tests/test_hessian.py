@@ -96,12 +96,12 @@ class TestAssemble:
             dr1_solve(assemble(inst, np.ones(4)), 1e-3, np.ones(4))
 
     def test_dr1_rejected_for_flow_markets(self, rng):
-        # the CES players give the operator DR1 data, the flow players a dense
-        # block the surrogate cannot represent
+        # the flow players' rows join the CES players' in R, and the operator
+        # carries no DR1 data: the surrogate cannot represent them
         inst = mixed_flow_instance()
         p = rng.uniform(0.5, 2.0, inst.n)
         op = assemble(inst, p)
-        assert op.dr1_omega is not None and op.con_block is not None
+        assert op.dr1_omega is None
         with pytest.raises(ValueError, match="unconstrained"):
             dr1_solve(op, 1e-3, np.ones(inst.n))
         with pytest.raises(ValueError, match="unconstrained"):

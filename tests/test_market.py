@@ -118,6 +118,30 @@ class TestValidate:
         inst = MarketInstance(2, 1, [1.0], [UtilitySpec(ADDITIVE, [0, 1], [1.0, 1.0])])
         assert "player 0: additive players need both k and r" in validate(inst)
 
+    # non-finite input is reported rather than solved into a misleading
+    # "demand overflow"; neither building the instance nor validating it may warn
+    @pytest.mark.parametrize("budgets, spec, message", [
+        ([0.5, 0.5], UtilitySpec(CES, [0, 1], [np.nan, 1.0], rho=0.5),
+         "player 0: coefficients must be finite"),
+        ([0.5, 0.5], UtilitySpec(CES, [0, 1], [np.inf, 1.0], rho=0.5),
+         "player 0: coefficients must be finite"),
+        ([0.5, 0.5], UtilitySpec(CES, [0, 1], [-np.inf, 1.0], rho=0.5),
+         "player 0: coefficients must be finite"),
+        ([np.inf, 0.5], UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=0.5),
+         "all budgets must be positive and finite"),
+        ([0.5, 0.5], UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=-np.inf),
+         "player 0: rho must lie in (-inf,0) or (0,1)"),
+        ([0.5, 0.5], UtilitySpec(LINEAR_BARRIER, [0, 1], [1.0, 1.0], sigma=np.inf),
+         "player 0: sigma must be positive and finite"),
+    ], ids=["nan-coefficient", "inf-coefficient", "minus-inf-coefficient", "inf-budget",
+            "ces-rho-minus-inf", "linear-sigma-inf"])
+    def test_non_finite_input_reported(self, budgets, spec, message):
+        # a valid second player of the same kind
+        second = (UtilitySpec(LINEAR_BARRIER, [0, 1], [1.0, 1.0], sigma=0.1)
+                  if spec.kind == LINEAR_BARRIER else UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=0.5))
+        inst = MarketInstance(2, 2, budgets, [spec, second])
+        assert message in validate(inst)
+
     def test_rank_deficient_constraints_flagged(self):
         A = np.array([[1.0, -1.0], [-1.0, 1.0]])
         inst = MarketInstance(2, 1, [1.0],

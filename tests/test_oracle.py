@@ -159,14 +159,25 @@ class TestJacobianAndBlocks:
             Jfd = central_diff_vec(lambda q, i=i: best_response(inst, i, q).x, p)
             assert np.max(np.abs(J - Jfd)) / np.max(np.abs(Jfd)) < 1e-4
 
-    def test_scaled_hessian_matvec_matches_finite_differences(self, rng):
-        inst = mq.generate_random(5, 7, 0.9, rho=0.8, seed=4)
-        p = rng.uniform(0.5, 2.0, 5)
+    @staticmethod
+    def check_matvec_against_finite_differences(inst, rng):
+        p = rng.uniform(0.5, 2.0, inst.n)
         op = hes.assemble(inst, p)
-        v = rng.standard_normal(5)
+        v = rng.standard_normal(inst.n)
         h = 1e-6
         fd = p * (potential_gradient(inst, p + h * p * v) - potential_gradient(inst, p - h * p * v)) / (2 * h)
         assert np.linalg.norm(op.matvec(v) - fd) / np.linalg.norm(fd) < 1e-4
+
+    def test_scaled_hessian_matvec_matches_finite_differences(self, rng):
+        self.check_matvec_against_finite_differences(mq.generate_random(5, 7, 0.9, rho=0.8, seed=4),
+                                                     rng)
+
+    @pytest.mark.parametrize("build", [lambda: mixed_flow_instance(),
+                                       lambda: mixed_row_count_instance()],
+                             ids=["flow", "row-counts"])
+    def test_constrained_hessian_matvec_matches_finite_differences(self, build, rng):
+        # the constrained players' rows, appended to the share rows of R
+        self.check_matvec_against_finite_differences(build(), rng)
 
 
 class TestLinearBarrier:
@@ -407,7 +418,9 @@ class TestConstrained:
         blocks = [inst.budgets[i] / inst.degree[i] * np.outer(p, p)
                   * constrained_dual_hessian(inst, i, state.con_responses[i].x) for i in inst.con]
         assert len(blocks) == 3
-        assert np.allclose(op.con_block, sum(blocks), rtol=1e-12, atol=0.0)
+        uncon = inst.uncon
+        share = hes.share_operator(inst.n, state.G, inst.budgets[uncon], inst.r[uncon])
+        assert np.allclose(op.dense(), share.dense() + sum(blocks), rtol=1e-12, atol=0.0)
         assert sum(solved) == 3
 
     def test_batch_equals_serial_kkt(self):
@@ -424,7 +437,8 @@ class TestConstrained:
             assert set(state.con_responses) == {0, 1, 2, 3}
             for grp in groups:
                 X, Y, lam, _ = oracle._constrained_newton(p, grp.C, grp.k, grp.r, grp.w, grp.A)
-                M = oracle.constrained_dual_hessians(X, grp.C, grp.k, grp.r, grp.w, grp.A)
+                D, R, s = oracle.constrained_hessian_rows(X, grp.C, grp.k, grp.r, grp.w, grp.A)
+                M = [np.diag(D[g]) - R[g].T @ (s[g][:, None] * R[g]) for g in range(len(X))]
                 for g, i in enumerate(grp.players.tolist()):
                     c, k, r, w, A = grp.C[g], grp.k[g], grp.r[g], grp.w[g], grp.A[g]
                     x, y, lm = serial_kkt_response(p, c, k, r, w, A)
