@@ -124,6 +124,26 @@ class ConGroup(NamedTuple):
     A: np.ndarray
 
 
+class ShareFactors(NamedTuple):
+    """The price-independent factor of the unconstrained players' CES shares.
+
+    A CES or additive player's dual share theta_ij = exp(a_i log c_ij +
+    b_i log p_j), a = 1/(1-r), b = -r a, factors as c_ij^a_i * p_j^b_i.
+    Aligned with ``MarketInstance.uncon_rows()``: ``ca`` (nnz,) is
+    exp(a_i log c_ij - rmax_i), the row-normalized c^a, and ``rmax`` the row
+    maximum of a_i log c_ij.  ``b`` holds the distinct b values, ``klass``
+    each row's index into them, and ``index`` every nonzero's position in a
+    (len(b), n) table of p^b, klass_i * n + j (the column index itself when
+    there is one distinct b).
+    """
+
+    ca: np.ndarray
+    rmax: np.ndarray
+    b: np.ndarray
+    klass: np.ndarray
+    index: np.ndarray
+
+
 class MarketInstance:
     """A Fisher market: n goods (unit supply), m budgeted players.
 
@@ -134,7 +154,9 @@ class MarketInstance:
     value; ``con``/``uncon`` index the players with and without a
     constraint matrix.  Solvers read the columns, not the spec objects;
     ``kinds`` and ``is_linear`` summarize the players' kinds.
-    ``con_groups()`` stacks the constrained players by constraint-row count.
+    ``con_groups()`` stacks the constrained players by constraint-row count,
+    and ``share_factors()`` caches the price-independent half of the
+    unconstrained players' shares.
     """
 
     def __init__(self, n, m, budgets, utilities, constraints=None):
@@ -158,6 +180,7 @@ class MarketInstance:
         self._nnz_rows = None
         self._nnz_cols = None
         self._uncon_rows = None
+        self._share_factors = None
         self._con_groups = None
 
     # -- derived views -----------------------------------------------------
@@ -209,6 +232,25 @@ class MarketInstance:
                 C, logc, cols = C[self.uncon], logc[keep], cols[keep]
             self._uncon_rows = (C, logc, cols)
         return self._uncon_rows
+
+    def share_factors(self) -> ShareFactors:
+        """The ShareFactors of the unconstrained rows, built on first use.
+
+        Meaningful for CES and additive players only; ``oracle.bid_shares``
+        is its one reader.
+        """
+        if self._share_factors is None:
+            C, logc, cols = self.uncon_rows()
+            starts, counts = C.indptr[:-1], np.diff(C.indptr)
+            r = self.r[self.uncon]
+            a = 1.0 / (1.0 - r)
+            alogc = np.repeat(a, counts) * logc
+            rmax = np.maximum.reduceat(alogc, starts)
+            alogc -= np.repeat(rmax, counts)
+            b, klass = np.unique(-r * a, return_inverse=True)
+            index = cols if b.size == 1 else np.repeat(klass * self.n, counts) + cols
+            self._share_factors = ShareFactors(np.exp(alogc, out=alogc), rmax, b, klass, index)
+        return self._share_factors
 
     def con_groups(self) -> list[ConGroup]:
         """The constrained players grouped by constraint-row count, built once.
@@ -378,7 +420,9 @@ def validate(instance: MarketInstance) -> list[str]:
         if A.ndim != 2 or A.shape[1] != instance.n:
             report.append(f"player {i}: constraint matrix must have n columns")
             continue
-        if A.shape[0] and np.linalg.matrix_rank(A) < A.shape[0]:
+        if not np.all(np.isfinite(A)):  # matrix_rank's SVD would not converge
+            report.append(f"player {i}: constraint matrix entries must be finite")
+        elif A.shape[0] and np.linalg.matrix_rank(A) < A.shape[0]:
             report.append(f"player {i}: constraint matrix is not full row rank")
         u = instance.utilities[i]
         if len(u.idx) != instance.n or not np.all(u.val > 0):

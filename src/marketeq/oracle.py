@@ -3,8 +3,10 @@
 Everything the solvers consume is reconstructed from players' best
 responses: demand aggregates into the potential gradient, and the bidding
 vectors (money shares) gamma_i = P x_i / w_i assemble the scaled Hessian.
-CES and power-form additive utilities share one closed form, evaluated in
-the log domain so extreme exponents cannot overflow.  Linear-barrier
+CES and power-form additive utilities share one closed form, the share
+theta_ij = c_ij^a_i p_j^b_i, evaluated as a cached, row-normalized c^a
+times a per-query table of p^b (``bid_shares``), with a log-domain softmax
+where the price spread could underflow that product.  Linear-barrier
 players reduce to a one-dimensional root-find.  Homogeneously constrained
 players run a damped feasible Newton, all of them at once per price query,
 stacked in groups of equal constraint-row count: hess v is
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .market import ADDITIVE, CES, MarketInstance
+from .market import ADDITIVE, CES, MarketInstance, UtilitySpec
 
 
 class OracleError(RuntimeError):
@@ -69,37 +71,39 @@ class PotentialConstants:
 # closed-form responses for the power family
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+def _power_response(p, c, w: float, kind: str, **exponents) -> BestResponse:
+    """One CES or additive player's demand: the one-row case of ``bid_shares``.
+
+    The row is a one-player market over the goods with c_j > 0; gamma is its
+    share row (zero off the support), x_j = w gamma_j / p_j and
+    log u = d log w + k (1-r) log_S, as ``market_state`` computes them.
+    """
+    p = np.asarray(p, dtype=float)
+    c = np.asarray(c, dtype=float)
+    supp = np.flatnonzero(c > 0)
+    if supp.size == 0:
+        raise OracleError("player has no positive coefficient")
+    if np.any(p[supp] <= 0) or not np.all(np.isfinite(p[supp])):
+        raise OracleError("prices must stay strictly positive and finite")
+    row = MarketInstance(supp.size, 1, [w], [UtilitySpec(kind, np.arange(supp.size), c[supp],
+                                                         **exponents)])
+    G, logS = bid_shares(row, p[supp])
+    gamma = np.zeros(len(p))
+    gamma[supp] = G.data
+    x = w * gamma / p
+    k, r = row.k[0], row.r[0]
+    log_u = float(k * r * np.log(w) + k * (1.0 - r) * logS[0])
+    return BestResponse(x, gamma, log_u, float(p @ x))
 
 
 def ces_best_response(p, c, rho: float, w: float) -> BestResponse:
     """Walrasian demand for u(x) = <c, x^rho>^(1/rho), rho in (-inf,0)u(0,1).
 
     theta_j = c_j^{1/(1-rho)} p_j^{-rho/(1-rho)} gives the bidding shares;
-    demand is x_j = w * gamma_j / p_j.  Evaluated with a max-subtracted
-    softmax of the log theta so powers never overflow.
+    demand is x_j = w * gamma_j / p_j.  The one-player case of the batch
+    kernel ``bid_shares``, so it runs the code ``market_state`` runs.
     """
-    p = np.asarray(p, dtype=float)
-    c = np.asarray(c, dtype=float)
-    n = len(p)
-    supp = np.flatnonzero(c > 0)
-    if supp.size == 0:
-        raise OracleError("player has no positive coefficient")
-    a = 1.0 / (1.0 - rho)
-    logits = a * np.log(c[supp]) - rho * a * np.log(p[supp])
-    if not np.all(np.isfinite(logits)):
-        raise OracleError("overflow in log-domain power evaluation")
-    gamma = np.zeros(n)
-    gamma[supp] = _softmax(logits)
-    x = w * gamma / p
-    # log u via log(sum c x^rho) / rho restricted to the support
-    with np.errstate(divide="ignore"):
-        terms = np.log(c[supp]) + rho * np.log(x[supp])
-    log_u = float(_logsumexp(terms) / rho)
-    return BestResponse(x, gamma, log_u, float(p @ x))
+    return _power_response(p, c, float(w), CES, rho=float(rho))
 
 
 def additive_best_response(p, c, k: float, r: float, w: float) -> BestResponse:
@@ -108,16 +112,7 @@ def additive_best_response(p, c, k: float, r: float, w: float) -> BestResponse:
     The outer power does not move the argmax, so this is the CES closed form
     with rho := r; only the attained utility differs.
     """
-    br = ces_best_response(p, c, r, w)
-    supp = np.flatnonzero(np.asarray(c, dtype=float) > 0)
-    terms = np.log(np.asarray(c, dtype=float)[supp]) + r * np.log(br.x[supp])
-    log_u = float(k * _logsumexp(terms))
-    return BestResponse(br.x, br.gamma, log_u, br.spend)
-
-
-def _logsumexp(v: np.ndarray) -> float:
-    mx = v.max()
-    return float(mx + np.log(np.exp(v - mx).sum()))
+    return _power_response(p, c, float(w), ADDITIVE, k=float(k), r=float(r))
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +487,9 @@ def _row_softmax(logits: np.ndarray, indptr: np.ndarray):
     return e / np.repeat(sums, counts), mx + np.log(sums)
 
 
+SPREAD_LIMIT = 600.0  # largest |b| (max log p - min log p) the factored shares take
+
+
 def bid_shares(instance: MarketInstance, p):
     """Bidding-share matrix G (csr, rows of gamma) of the unconstrained players.
 
@@ -499,16 +497,38 @@ def bid_shares(instance: MarketInstance, p):
     those of ``instance.uncon_rows()``, not copies, so they stay read-only.
     Returns (G, log_S) where log_S[i] is logsumexp of the dual theta row,
     from which the attained log-utility is d_i log w_i + k_i (1-r_i) log_S_i.
+
+    theta_ij = exp(a_i log c_ij + b_i log p_j) factors as c_ij^a_i * p_j^b_i.
+    The first factor, row-normalized, is cached per instance
+    (``instance.share_factors()``); a query builds the table
+    exp(b log p - bmax) for each distinct b, gathers it onto the nonzeros,
+    multiplies by the cached factor and normalizes by the row sums, so no
+    per-nonzero ``exp`` and no row-maximum pass runs.  Each row's largest
+    cached factor is 1, so with |b| (max log p - min log p) <= SPREAD_LIMIT
+    every row sum is at least e^-600 and a product that underflows is below
+    e^-144 of its row sum.  Beyond that spread, or when the table would
+    outgrow the nonzeros, the log-domain ``_row_softmax`` runs instead.
     """
     C, logc, cols = instance.uncon_rows()
-    counts = np.diff(C.indptr)
-    r = instance.r[instance.uncon]
-    a = 1.0 / (1.0 - r)
-    b = -r * a
+    f = instance.share_factors()
     logp = np.log(np.asarray(p, dtype=float))
-    # mode="clip" skips take's bounds check: cols indexes p by construction
-    logits = np.repeat(a, counts) * logc + np.repeat(b, counts) * np.take(logp, cols, mode="clip")
-    gdata, logS = _row_softmax(logits, C.indptr)
+    if (np.abs(f.b).max() * (logp.max() - logp.min()) > SPREAD_LIMIT
+            or f.b.size * instance.n > C.nnz):
+        counts = np.diff(C.indptr)
+        r = instance.r[instance.uncon]
+        a = 1.0 / (1.0 - r)
+        # mode="clip" skips take's bounds check: cols indexes p by construction
+        logits = (np.repeat(a, counts) * logc
+                  + np.repeat(-r * a, counts) * np.take(logp, cols, mode="clip"))
+        gdata, logS = _row_softmax(logits, C.indptr)
+        return sp.csr_matrix((gdata, C.indices, C.indptr), shape=C.shape), logS
+    blogp = f.b[:, None] * logp
+    bmax = blogp.max(axis=1)
+    gdata = np.take(np.exp(blogp - bmax[:, None]), f.index, mode="clip")
+    gdata *= f.ca
+    sums = np.add.reduceat(gdata, C.indptr[:-1])
+    gdata /= np.repeat(sums, np.diff(C.indptr))
+    logS = f.rmax + bmax[f.klass] + np.log(sums)
     return sp.csr_matrix((gdata, C.indices, C.indptr), shape=C.shape), logS
 
 

@@ -172,8 +172,12 @@ class TestSolve:
         ({"n": "3", "m": 1, "budgets": [1.0],
           "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [1, 1.0], [2, 1.0]]}]},
          "malformed instance file"),
+        ({"n": 3, "m": 1, "budgets": [1.0],
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [1, 1.0], [2, 1.0]]}],
+          "constraints": {"0": [[1.0, float("nan"), -1.0]]}},
+         "player 0: constraint matrix entries must be finite"),
     ], ids=["null-param", "entry-without-coefficient", "top-level-list", "index-out-of-range",
-            "fractional-n", "string-n"])
+            "fractional-n", "string-n", "nan-constraint"])
     def test_malformed_instance_exit_3(self, tmp_path, capsys, doc, message):
         path = os.path.join(tmp_path, "bad.json")
         with open(path, "w") as fh:

@@ -149,6 +149,13 @@ class TestValidate:
                               constraints={0: A})
         assert any("full row rank" in v for v in validate(inst))
 
+    # matrix_rank's SVD does not converge on a NaN; validate must report, not raise
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_constraint_reported(self, bad):
+        inst = MarketInstance(3, 1, [1.0], [UtilitySpec(CES, [0, 1, 2], [1.0, 1.0, 1.0], rho=0.5)],
+                              constraints={0: np.array([[1.0, bad, -1.0]])})
+        assert validate(inst) == ["player 0: constraint matrix entries must be finite"]
+
 
 class TestGenerate:
     def test_dense_example(self):

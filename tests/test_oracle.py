@@ -554,6 +554,85 @@ class TestConstrained:
         assert np.max(np.abs(M - closed)) < 1e-8 * np.max(np.abs(closed))
 
 
+def softmax_reference(inst, p):
+    """The log-domain softmax of every unconstrained row: (shares, log_S)."""
+    C, logc, cols = inst.uncon_rows()
+    counts = np.diff(C.indptr)
+    r = inst.r[inst.uncon]
+    a = 1.0 / (1.0 - r)
+    logits = np.repeat(a, counts) * logc + np.repeat(-r * a, counts) * np.log(p)[cols]
+    return oracle._row_softmax(logits, C.indptr)
+
+
+def assert_matches_softmax(inst, p):
+    G, logS = oracle.bid_shares(inst, p)
+    shares, ref_logS = softmax_reference(inst, p)
+    assert np.all(np.isfinite(G.data))
+    np.testing.assert_allclose(np.add.reduceat(G.data, G.indptr[:-1]), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(G.data, shares, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(logS, ref_logS, rtol=1e-13, atol=0.0)
+    return G
+
+
+def mixed_exponent_market(seed=3, n=30, m=40):
+    """CES and additive players with several distinct exponents, about 60% dense."""
+    rng = np.random.default_rng(seed)
+    utilities = []
+    for i in range(m):
+        idx = np.flatnonzero(rng.random(n) < 0.6)
+        idx = idx if idx.size else np.array([i % n])
+        val = rng.uniform(0.05, 2.0, idx.size)
+        r = (0.9, 0.5, -0.5, -2.0)[i % 4]
+        utilities.append(UtilitySpec(CES, idx, val, rho=r) if i % 2 else
+                         UtilitySpec(ADDITIVE, idx, val, k=0.8 / r, r=r))
+    return MarketInstance(n, m, rng.uniform(0.5, 1.5, m), utilities)
+
+
+class TestBidShares:
+    """The factored kernel theta = c^a p^b against the log-domain softmax."""
+
+    def test_mixed_exponents_match_softmax(self, rng):
+        inst = mixed_exponent_market()
+        f = inst.share_factors()
+        assert f.b.size == 4 and f.b.size * inst.n <= inst.uncon_rows()[0].nnz  # factored
+        for _ in range(5):
+            assert_matches_softmax(inst, rng.uniform(0.05, 20.0, inst.n))
+
+    def test_wide_price_spread_falls_back(self):
+        # |b| (max log p - min log p) = 9 * 40 log 10 > SPREAD_LIMIT: the factored
+        # table would underflow the rows that value only the dearest goods
+        n = 12
+        utilities = [UtilitySpec(CES, np.arange(n), np.linspace(1.0, 2.0, n), rho=0.9),
+                     UtilitySpec(CES, [n - 2, n - 1], [1.0, 0.5], rho=0.9)]
+        inst = MarketInstance(n, 2, [0.5, 0.5], utilities)
+        p = np.logspace(-40, 0, n)
+        assert 9.0 * np.log(p[-1] / p[0]) > oracle.SPREAD_LIMIT
+        G = assert_matches_softmax(inst, p)
+        assert G.data[-2:].min() > 0.0
+
+    def test_table_larger_than_nonzeros_falls_back(self, rng):
+        # five distinct b over 50 goods make a 250-entry table for 15 nonzeros
+        n = 50
+        utilities = [UtilitySpec(CES, rng.choice(n, 3, replace=False), rng.uniform(0.5, 2.0, 3),
+                                 rho=rho) for rho in (0.9, 0.5, 0.2, -0.5, -2.0)]
+        inst = MarketInstance(n, 5, np.full(5, 0.2), utilities)
+        f = inst.share_factors()
+        assert f.b.size * n > inst.uncon_rows()[0].nnz
+        assert_matches_softmax(inst, rng.uniform(0.1, 10.0, n))
+
+    def test_queries_return_fresh_data_and_keep_the_cache(self, rng):
+        inst = mixed_exponent_market()
+        f = inst.share_factors()
+        ca = f.ca.copy()
+        G1, _ = oracle.bid_shares(inst, rng.uniform(0.5, 2.0, inst.n))
+        first = G1.data.copy()
+        G2, _ = oracle.bid_shares(inst, rng.uniform(0.5, 2.0, inst.n))
+        assert not np.shares_memory(G1.data, G2.data)
+        assert not np.shares_memory(G1.data, f.ca)
+        assert np.array_equal(G1.data, first)
+        assert inst.share_factors() is f and np.array_equal(f.ca, ca)
+
+
 class TestConstants:
     def test_t_phi_examples(self):
         inst = MarketInstance(2, 1, [1.0], [UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=0.5)])
