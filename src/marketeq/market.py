@@ -129,19 +129,15 @@ class ShareFactors(NamedTuple):
 
     A CES or additive player's dual share theta_ij = exp(a_i log c_ij +
     b_i log p_j), a = 1/(1-r), b = -r a, factors as c_ij^a_i * p_j^b_i.
-    Aligned with ``MarketInstance.uncon_rows()``: ``ca`` (nnz,) is
-    exp(a_i log c_ij - rmax_i), the row-normalized c^a, and ``rmax`` the row
-    maximum of a_i log c_ij.  ``b`` holds the distinct b values, ``klass``
-    each row's index into them, and ``index`` every nonzero's position in a
-    (len(b), n) table of p^b, klass_i * n + j (the column index itself when
-    there is one distinct b).
+    Built when every unconstrained row has the same exponent r, so one ``b``
+    serves them all.  Aligned with ``MarketInstance.uncon_rows()``: ``ca``
+    (nnz,) is exp(a log c_ij - rmax_i), the row-normalized c^a, and ``rmax``
+    the row maximum of a log c_ij.
     """
 
     ca: np.ndarray
     rmax: np.ndarray
-    b: np.ndarray
-    klass: np.ndarray
-    index: np.ndarray
+    b: float
 
 
 class MarketInstance:
@@ -233,24 +229,24 @@ class MarketInstance:
             self._uncon_rows = (C, logc, cols)
         return self._uncon_rows
 
-    def share_factors(self) -> ShareFactors:
+    def share_factors(self) -> ShareFactors | None:
         """The ShareFactors of the unconstrained rows, built on first use.
 
-        Meaningful for CES and additive players only; ``oracle.bid_shares``
-        is its one reader.
+        None when those rows have more than one exponent r.  Meaningful for
+        CES and additive players only; ``oracle.bid_shares`` is its one reader.
         """
         if self._share_factors is None:
-            C, logc, cols = self.uncon_rows()
-            starts, counts = C.indptr[:-1], np.diff(C.indptr)
             r = self.r[self.uncon]
-            a = 1.0 / (1.0 - r)
-            alogc = np.repeat(a, counts) * logc
-            rmax = np.maximum.reduceat(alogc, starts)
-            alogc -= np.repeat(rmax, counts)
-            b, klass = np.unique(-r * a, return_inverse=True)
-            index = cols if b.size == 1 else np.repeat(klass * self.n, counts) + cols
-            self._share_factors = ShareFactors(np.exp(alogc, out=alogc), rmax, b, klass, index)
-        return self._share_factors
+            self._share_factors = False  # rows with different exponents
+            if np.all(r == r[0]):
+                C, logc, _ = self.uncon_rows()
+                counts = np.diff(C.indptr)
+                a = 1.0 / (1.0 - r[0])
+                alogc = a * logc
+                rmax = np.maximum.reduceat(alogc, C.indptr[:-1])
+                alogc -= np.repeat(rmax, counts)
+                self._share_factors = ShareFactors(np.exp(alogc, out=alogc), rmax, float(-r[0] * a))
+        return self._share_factors or None
 
     def con_groups(self) -> list[ConGroup]:
         """The constrained players grouped by constraint-row count, built once.

@@ -4,9 +4,10 @@ Everything the solvers consume is reconstructed from players' best
 responses: demand aggregates into the potential gradient, and the bidding
 vectors (money shares) gamma_i = P x_i / w_i assemble the scaled Hessian.
 CES and power-form additive utilities share one closed form, the share
-theta_ij = c_ij^a_i p_j^b_i, evaluated as a cached, row-normalized c^a
-times a per-query table of p^b (``bid_shares``), with a log-domain softmax
-where the price spread could underflow that product.  Linear-barrier
+theta_ij = c_ij^a_i p_j^b_i.  When the players share one exponent it is a
+cached, row-normalized c^a times a per-query row of p^b (``bid_shares``);
+mixed exponents, or a price spread that could underflow that product, take
+a log-domain softmax instead.  Linear-barrier
 players reduce to a one-dimensional root-find.  Homogeneously constrained
 players run a damped feasible Newton, all of them at once per price query,
 stacked in groups of equal constraint-row count: hess v is
@@ -499,21 +500,20 @@ def bid_shares(instance: MarketInstance, p):
     from which the attained log-utility is d_i log w_i + k_i (1-r_i) log_S_i.
 
     theta_ij = exp(a_i log c_ij + b_i log p_j) factors as c_ij^a_i * p_j^b_i.
-    The first factor, row-normalized, is cached per instance
-    (``instance.share_factors()``); a query builds the table
-    exp(b log p - bmax) for each distinct b, gathers it onto the nonzeros,
-    multiplies by the cached factor and normalizes by the row sums, so no
-    per-nonzero ``exp`` and no row-maximum pass runs.  Each row's largest
-    cached factor is 1, so with |b| (max log p - min log p) <= SPREAD_LIMIT
-    every row sum is at least e^-600 and a product that underflows is below
-    e^-144 of its row sum.  Beyond that spread, or when the table would
-    outgrow the nonzeros, the log-domain ``_row_softmax`` runs instead.
+    When the rows share one exponent, the first factor, row-normalized, is
+    cached per instance (``instance.share_factors()``); a query builds the
+    row exp(b log p - bmax), gathers it onto the nonzeros, multiplies by the
+    cached factor and normalizes by the row sums, so no per-nonzero ``exp``
+    and no row-maximum pass runs.  Each row's largest cached factor is 1, so
+    with |b| (max log p - min log p) <= SPREAD_LIMIT every row sum is at
+    least e^-600 and a product that underflows is below e^-144 of its row
+    sum.  Beyond that spread, or when the rows' exponents differ, the
+    log-domain ``_row_softmax`` runs instead.
     """
     C, logc, cols = instance.uncon_rows()
     f = instance.share_factors()
     logp = np.log(np.asarray(p, dtype=float))
-    if (np.abs(f.b).max() * (logp.max() - logp.min()) > SPREAD_LIMIT
-            or f.b.size * instance.n > C.nnz):
+    if f is None or abs(f.b) * (logp.max() - logp.min()) > SPREAD_LIMIT:
         counts = np.diff(C.indptr)
         r = instance.r[instance.uncon]
         a = 1.0 / (1.0 - r)
@@ -522,13 +522,13 @@ def bid_shares(instance: MarketInstance, p):
                   + np.repeat(-r * a, counts) * np.take(logp, cols, mode="clip"))
         gdata, logS = _row_softmax(logits, C.indptr)
         return sp.csr_matrix((gdata, C.indices, C.indptr), shape=C.shape), logS
-    blogp = f.b[:, None] * logp
-    bmax = blogp.max(axis=1)
-    gdata = np.take(np.exp(blogp - bmax[:, None]), f.index, mode="clip")
+    blogp = f.b * logp
+    bmax = blogp.max()
+    gdata = np.take(np.exp(blogp - bmax), cols, mode="clip")
     gdata *= f.ca
     sums = np.add.reduceat(gdata, C.indptr[:-1])
     gdata /= np.repeat(sums, np.diff(C.indptr))
-    logS = f.rmax + bmax[f.klass] + np.log(sums)
+    logS = f.rmax + bmax + np.log(sums)
     return sp.csr_matrix((gdata, C.indices, C.indptr), shape=C.shape), logS
 
 

@@ -110,6 +110,8 @@ def test_oracle_invariants_property(seed):
     S = float(np.sum(c[supp] * br.x[supp] ** r))
     gv[supp] = -k * r * c[supp] * br.x[supp] ** (r - 1.0) / S
     assert abs(float(gv[supp] @ br.x[supp]) + d) <= 1e-10 * max(1.0, abs(d))
+    # log u = k log S, with S = sum c x^r evaluated at the returned demand
+    assert abs(br.log_utility - k * np.log(S)) <= 1e-12 * max(1.0, abs(k * np.log(S)))
 
 
 class TestPotential:
@@ -574,15 +576,15 @@ def assert_matches_softmax(inst, p):
     return G
 
 
-def mixed_exponent_market(seed=3, n=30, m=40):
-    """CES and additive players with several distinct exponents, about 60% dense."""
+def mixed_exponent_market(seed=3, n=30, m=40, exponents=(0.9, 0.5, -0.5, -2.0)):
+    """CES and additive players cycling through ``exponents``, about 60% dense."""
     rng = np.random.default_rng(seed)
     utilities = []
     for i in range(m):
         idx = np.flatnonzero(rng.random(n) < 0.6)
         idx = idx if idx.size else np.array([i % n])
         val = rng.uniform(0.05, 2.0, idx.size)
-        r = (0.9, 0.5, -0.5, -2.0)[i % 4]
+        r = exponents[i % len(exponents)]
         utilities.append(UtilitySpec(CES, idx, val, rho=r) if i % 2 else
                          UtilitySpec(ADDITIVE, idx, val, k=0.8 / r, r=r))
     return MarketInstance(n, m, rng.uniform(0.5, 1.5, m), utilities)
@@ -591,16 +593,23 @@ def mixed_exponent_market(seed=3, n=30, m=40):
 class TestBidShares:
     """The factored kernel theta = c^a p^b against the log-domain softmax."""
 
-    def test_mixed_exponents_match_softmax(self, rng):
+    @pytest.mark.parametrize("r", [0.9, 0.5, -0.5, -2.0])
+    def test_shared_exponent_matches_softmax(self, rng, r):
+        # CES and additive players with one r share one b: the factored path
+        inst = mixed_exponent_market(exponents=(r,))
+        assert inst.share_factors() is not None
+        for _ in range(5):
+            assert_matches_softmax(inst, rng.uniform(0.05, 20.0, inst.n))
+
+    def test_mixed_exponents_fall_back(self, rng):
         inst = mixed_exponent_market()
-        f = inst.share_factors()
-        assert f.b.size == 4 and f.b.size * inst.n <= inst.uncon_rows()[0].nnz  # factored
+        assert inst.share_factors() is None
         for _ in range(5):
             assert_matches_softmax(inst, rng.uniform(0.05, 20.0, inst.n))
 
     def test_wide_price_spread_falls_back(self):
         # |b| (max log p - min log p) = 9 * 40 log 10 > SPREAD_LIMIT: the factored
-        # table would underflow the rows that value only the dearest goods
+        # product would underflow the rows that value only the dearest goods
         n = 12
         utilities = [UtilitySpec(CES, np.arange(n), np.linspace(1.0, 2.0, n), rho=0.9),
                      UtilitySpec(CES, [n - 2, n - 1], [1.0, 0.5], rho=0.9)]
@@ -610,18 +619,17 @@ class TestBidShares:
         G = assert_matches_softmax(inst, p)
         assert G.data[-2:].min() > 0.0
 
-    def test_table_larger_than_nonzeros_falls_back(self, rng):
-        # five distinct b over 50 goods make a 250-entry table for 15 nonzeros
+    def test_goods_outnumbering_nonzeros(self, rng):
+        # the p^b row spans all 50 goods while the rows hold 15 nonzeros
         n = 50
         utilities = [UtilitySpec(CES, rng.choice(n, 3, replace=False), rng.uniform(0.5, 2.0, 3),
-                                 rho=rho) for rho in (0.9, 0.5, 0.2, -0.5, -2.0)]
+                                 rho=-0.5) for _ in range(5)]
         inst = MarketInstance(n, 5, np.full(5, 0.2), utilities)
-        f = inst.share_factors()
-        assert f.b.size * n > inst.uncon_rows()[0].nnz
+        assert inst.share_factors() is not None and inst.uncon_rows()[0].nnz < n
         assert_matches_softmax(inst, rng.uniform(0.1, 10.0, n))
 
     def test_queries_return_fresh_data_and_keep_the_cache(self, rng):
-        inst = mixed_exponent_market()
+        inst = mixed_exponent_market(exponents=(0.5,))
         f = inst.share_factors()
         ca = f.ca.copy()
         G1, _ = oracle.bid_shares(inst, rng.uniform(0.5, 2.0, inst.n))
