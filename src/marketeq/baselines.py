@@ -84,7 +84,7 @@ def tat_run(instance: MarketInstance, config: BaselineConfig, p0, callback=None)
 
 def default_bids(instance: MarketInstance) -> sp.csr_matrix:
     """b0 proportional to coefficients: b_ij = w_i c_ij / sum_k c_ik."""
-    C = instance.coeff_csr()
+    C = instance.C
     sums = np.add.reduceat(C.data, C.indptr[:-1])
     counts = np.diff(C.indptr)
     data = C.data / np.repeat(sums, counts) * np.repeat(instance.budgets, counts)
@@ -105,7 +105,7 @@ def propres_run(instance: MarketInstance, config: BaselineConfig, b0=None, callb
         raise ValueError("proportional response needs CES or additive players")
     rhos = instance.r
     B = default_bids(instance) if b0 is None else b0.tocsr(copy=True)
-    C = instance.coeff_csr()
+    C = instance.C
     if B.nnz != C.nnz or np.any(B.indices != C.indices):
         raise ValueError("b0 must be supported on supp(c)")
     row_sums = np.add.reduceat(B.data, B.indptr[:-1])
@@ -115,8 +115,8 @@ def propres_run(instance: MarketInstance, config: BaselineConfig, b0=None, callb
     m, n = C.shape
     counts = np.diff(C.indptr)
     rows_of = np.repeat(np.arange(m), counts)
-    logc = instance.log_coeff_data()
-    cols = instance.nnz_col_index()
+    logc = np.log(C.data)
+    cols = instance.cols
     w_rep = np.repeat(instance.budgets, counts)
     # damping exponent: 1 for substitutes, 1/(1-rho) for complements
     alpha = np.where(rhos > 0, 1.0, 1.0 / (1.0 - rhos))

@@ -250,27 +250,32 @@ def newton_decrement(op: hes.ScaledHessianOp, g_scaled: np.ndarray,
 _NUMERICAL_ERRORS = (OracleError, FloatingPointError, scipy.linalg.LinAlgError)
 
 
-def _backtrack(instance: MarketInstance, state, d: np.ndarray):
+def _query(instance: MarketInstance, p, trace: SolveTrace):
+    """market_state at p, counted in trace.extras["price_queries"]."""
+    trace.extras["price_queries"] = trace.extras.get("price_queries", 0) + 1
+    return market_state(instance, p)
+
+
+def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace):
     """Armijo backtracking on phi along p (1 + alpha d), alpha = 1, 1/2, ...
 
     Accepts phi falling by ARMIJO times the predicted decrease, or, when the
     full step predicts less than phi's accuracy, rising by at most that.
-    Returns (alpha, state there, price queries); (None, None, queries) when
-    no alpha >= MIN_ALPHA is acceptable."""
+    Returns (alpha, state there); (None, None) when no alpha >= MIN_ALPHA is
+    acceptable."""
     slope = float((state.p * state.grad) @ d)
     tol = PHI_ACCURACY * max(1.0, abs(state.value))
-    alpha, queries = 1.0, 0
+    alpha = 1.0
     while alpha >= MIN_ALPHA:
-        queries += 1
         try:
-            trial = market_state(instance, state.p * (1.0 + alpha * d))
+            trial = _query(instance, state.p * (1.0 + alpha * d), trace)
             rise = trial.value - state.value
             if rise <= ARMIJO * alpha * slope or (-slope <= tol and rise <= tol):
-                return alpha, trial, queries
+                return alpha, trial
         except OracleError:
             pass  # outside the oracle's domain: shorten the step
         alpha *= 0.5
-    return None, None, queries
+    return None, None
 
 
 def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure, step,
@@ -292,15 +297,15 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
     iterates = [p.copy()] if config.keep_iterates else None
     # exact mode's Newton matrix, rebuilt and factored in place every iteration
     buf = np.empty((instance.n,) * 2, order="F") if config.hessian_mode == "exact" else None
-    trace.extras.update(safeguards=0, dr1_fallbacks=0, price_queries=0)
+    trace.extras.update(safeguards=0, dr1_fallbacks=0,
+                        price_queries=trace.extras.get("price_queries", 0))
     status = STATUS_MAXITERS
     state = None
     for k in range(config.max_iters):
         tic = time.perf_counter()
         try:
             if state is None:
-                state = market_state(instance, p)
-                trace.extras["price_queries"] += 1
+                state = _query(instance, p, trace)
             solver = _StepSolver(hes.assemble_from_state(state, instance), config.hessian_mode,
                                  config.eps_k, buf)
             homotopy, nbhd, decrement = measure(k, state, solver)
@@ -330,8 +335,7 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
             d = d * ((1.0 - STEP_SAFEGUARD_ETA) / (-dmin))
             trace.extras["safeguards"] += 1
         if damped:
-            alpha, state, queries = _backtrack(instance, state, d)
-            trace.extras["price_queries"] += queries
+            alpha, state = _backtrack(instance, state, d, trace)
             if state is None:
                 trace.extras["error"] = f"no step fraction >= {MIN_ALPHA:g} decreases phi"
                 break
@@ -384,7 +388,7 @@ def lemma_initial_mu(instance: MarketInstance, Q: float) -> float:
     return math.sqrt(effective_budget(instance) / Q)
 
 
-def logbar_init(instance: MarketInstance, Q: float):
+def logbar_init(instance: MarketInstance, Q: float, trace: SolveTrace | None = None):
     """Initial center: p0 = mu0 * 1 on the ray of uniform prices.
 
     Start from mu0 = sqrt(W_eff / Q) and verify membership in C(mu0, Q)
@@ -395,13 +399,14 @@ def logbar_init(instance: MarketInstance, Q: float):
     passes at practical Q through l2 slack and keeps mu0 small.  W_eff
     is sum beta_i w_i with beta_i = 1 for the additive family and
     1 + sigma*n for linear-barrier players (whose gradient scales demand
-    by that factor).
+    by that factor).  Its price queries are counted in ``trace`` when given.
     """
+    trace = SolveTrace() if trace is None else trace
     w_eff = effective_budget(instance)
     mu0 = lemma_initial_mu(instance, Q)
     for _ in range(128):
         p0 = np.full(instance.n, mu0)
-        resid = np.linalg.norm(p0 * market_state(instance, p0).grad - mu0) / mu0
+        resid = np.linalg.norm(p0 * _query(instance, p0, trace).grad - mu0) / mu0
         if resid <= Q * (1.0 + 1e-12):
             return mu0, p0
         if mu0 >= w_eff / Q:
@@ -431,7 +436,7 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
     (mu, sigma) jointly instead.  Each stage adds one trace row (homotopy =
     its sigma, the gradient norms of its polish's last row) and one entry
     to extras["continuation"] with the polish's Newton steps, price
-    queries and status.
+    queries and status; extras["price_queries"] counts every phase's.
     """
     target = float(instance.sigma[0])
     smooth = with_barrier_sigma(instance, SIGMA_SMOOTH)
@@ -461,6 +466,7 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
             "sigma": sigma, "grad_inf": last.grad_inf, "status": polish.status,
             "newton_steps": sum(not math.isnan(r.step_norm) for r in polish.rows),
             "price_queries": polish.extras["price_queries"]})
+        trace.extras["price_queries"] += polish.extras["price_queries"]
     trace.status = polish.status
     if "error" in polish.extras:
         trace.extras["error"] = polish.extras["error"]
@@ -482,17 +488,18 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
     if instance.is_linear and instance.sigma[0] < SIGMA_SMOOTH:
         return _linear_continuation_run(instance, config, callback=callback)
     Q = theory_strict_Q(instance, config.eps) if config.theory_strict else config.Q
+    trace = SolveTrace(extras={"Q": Q})
     try:
-        mu, p = logbar_init(instance, Q)
+        mu, p = logbar_init(instance, Q, trace)
     except OracleError as exc:
-        return np.ones(instance.n), SolveTrace(
-            status=STATUS_NUMFAIL, extras={"error": str(exc)})
+        trace.status = STATUS_NUMFAIL
+        trace.extras["error"] = str(exc)
+        return np.ones(instance.n), trace
     n = instance.n
     sigma = config.sigma_override if config.sigma_override is not None else \
         (Q + math.sqrt(n)) / (2.0 * Q + math.sqrt(n))
     mu_threshold = config.eps / (1.0 + math.sqrt(n))
-
-    trace = SolveTrace(extras={"Q": Q, "sigma": sigma, "mu0": mu, "mu_threshold_k": None})
+    trace.extras.update(sigma=sigma, mu0=mu, mu_threshold_k=None)
 
     def measure(k, state, solver):
         # the decrement comes from the step: ||P grad phi - mu+ 1||* (NaN on the last row)
@@ -583,14 +590,16 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     if np.any(p <= 0):
         raise ConfigError("p0 must be strictly positive")
     C = config.c_phi if config.c_phi is not None else PRACTICAL_C_PHI
-    try:
-        g0u = market_state(instance, p).grad  # frozen anchor
-    except OracleError as exc:
-        return p, SolveTrace(status=STATUS_NUMFAIL, extras={"error": str(exc)})
-    t = 1.0
-    a = b = g0_norm = None  # H~^-1 P grad phi, H~^-1 P grad phi(p0), sqrt(P grad phi(p0) . b)
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
                                "centering_warnings": 0, "t_zero_k": None})
+    try:
+        g0u = _query(instance, p, trace).grad  # frozen anchor
+    except OracleError as exc:
+        trace.status = STATUS_NUMFAIL
+        trace.extras["error"] = str(exc)
+        return p, trace
+    t = 1.0
+    a = b = g0_norm = None  # H~^-1 P grad phi, H~^-1 P grad phi(p0), sqrt(P grad phi(p0) . b)
 
     def measure(k, state, solver):
         nonlocal a, b, g0_norm

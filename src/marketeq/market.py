@@ -108,6 +108,18 @@ def _exponents(u: UtilitySpec) -> tuple[float, float, float]:
     return nan, nan, nan
 
 
+def _coefficients(specs, n: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(C, cols): the specs' coefficients as CSR rows, and C's column index as intp.
+
+    Nothing is checked here; a negative n gives C no columns.
+    """
+    indptr = np.zeros(len(specs) + 1, dtype=np.int64)
+    np.cumsum([len(u.idx) for u in specs], out=indptr[1:])
+    cols = np.concatenate([np.zeros(0, np.intp)] + [u.idx for u in specs], dtype=np.intp)
+    data = np.concatenate([np.zeros(0)] + [u.val for u in specs])
+    return sp.csr_matrix((data, cols, indptr), shape=(len(specs), max(n, 0))), cols
+
+
 class ConGroup(NamedTuple):
     """Constrained players sharing one constraint-row count, as stacked arrays.
 
@@ -130,9 +142,9 @@ class ShareFactors(NamedTuple):
     A CES or additive player's dual share theta_ij = exp(a_i log c_ij +
     b_i log p_j), a = 1/(1-r), b = -r a, factors as c_ij^a_i * p_j^b_i.
     Built when every unconstrained row has the same exponent r, so one ``b``
-    serves them all.  Aligned with ``MarketInstance.uncon_rows()``: ``ca``
-    (nnz,) is exp(a log c_ij - rmax_i), the row-normalized c^a, and ``rmax``
-    the row maximum of a log c_ij.
+    serves them all.  Aligned with ``MarketInstance.uncon_C``: ``ca`` (nnz,)
+    is exp(a log c_ij - rmax_i), the row-normalized c^a, and ``rmax`` the
+    row maximum of a log c_ij.
     """
 
     ca: np.ndarray
@@ -143,16 +155,18 @@ class ShareFactors(NamedTuple):
 class MarketInstance:
     """A Fisher market: n goods (unit supply), m budgeted players.
 
-    The players are also stored as columns, built once from ``utilities``:
-    ``r`` and ``k`` (rho and 1/rho for CES, r and k for additive players),
-    ``sigma`` (linear-barrier players) and ``degree`` (k*r, or 1 + sigma*n
-    for linear-barrier players), NaN where a player's kind has no such
-    value; ``con``/``uncon`` index the players with and without a
-    constraint matrix.  Solvers read the columns, not the spec objects;
-    ``kinds`` and ``is_linear`` summarize the players' kinds.
-    ``con_groups()`` stacks the constrained players by constraint-row count,
-    and ``share_factors()`` caches the price-independent half of the
-    unconstrained players' shares.
+    The constructor builds, from the ``utilities`` specs (the input record
+    that JSON writes), the arrays the solvers read: the CSR coefficients
+    ``C``, its column index ``cols`` as intp (gathers such as ``p[cols]``
+    skip the cast of C's int32 indices), the same for the unconstrained
+    players' rows, ``uncon_C`` and ``uncon_cols`` (``C`` and ``cols``
+    themselves without constraints), and the per-player columns ``r`` and
+    ``k`` (rho and 1/rho for CES, r and k for additive players), ``sigma``
+    (linear-barrier players) and ``degree`` (k*r, or 1 + sigma*n for
+    linear-barrier players), NaN where a player's kind has no such value.
+    ``con``/``uncon`` index the players with and without a constraint
+    matrix; ``kinds`` and ``is_linear`` summarize the players' kinds.  It
+    rejects nothing: ``validate`` reports bad input.
     """
 
     def __init__(self, n, m, budgets, utilities, constraints=None):
@@ -166,87 +180,51 @@ class MarketInstance:
         }
         self.kinds = {u.kind for u in self.utilities}
         self.is_linear = self.kinds == {LINEAR_BARRIER}
-        cols = np.array([_exponents(u) for u in self.utilities], dtype=float).reshape(-1, 3)
-        self.r, self.k, self.sigma = cols.T.copy()
+        exponents = np.array([_exponents(u) for u in self.utilities], dtype=float).reshape(-1, 3)
+        self.r, self.k, self.sigma = exponents.T.copy()
         self.degree = np.where(np.isnan(self.sigma), self.k * self.r, 1.0 + self.sigma * self.n)
         self.con = np.array(sorted(self.constraints), dtype=np.int64)
         self.uncon = np.setdiff1d(np.arange(self.m), self.con)
-        self._csr = None
-        self._log_cdata = None
-        self._nnz_rows = None
-        self._nnz_cols = None
-        self._uncon_rows = None
+        self.C, self.cols = _coefficients(self.utilities, self.n)
+        self.uncon_C, self.uncon_cols = self.C, self.cols
+        if self.constraints:
+            self.uncon_C, self.uncon_cols = _coefficients(
+                [u for i, u in enumerate(self.utilities) if i not in self.constraints], self.n)
         self._share_factors = None
         self._con_groups = None
 
     # -- derived views -----------------------------------------------------
 
     def coeff_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            indptr = np.zeros(self.m + 1, dtype=np.int64)
-            for i, u in enumerate(self.utilities):
-                indptr[i + 1] = indptr[i] + len(u.idx)
-            indices = np.concatenate([u.idx for u in self.utilities]) if self.m else np.zeros(0, np.int64)
-            data = np.concatenate([u.val for u in self.utilities]) if self.m else np.zeros(0)
-            self._csr = sp.csr_matrix((data, indices, indptr), shape=(self.m, self.n))
-        return self._csr
+        return self.C
 
     def log_coeff_data(self) -> np.ndarray:
-        if self._log_cdata is None:
-            self._log_cdata = np.log(self.coeff_csr().data)
-        return self._log_cdata
+        """log c of every stored coefficient, aligned with ``C.data``."""
+        return np.log(self.C.data)
 
     def nnz_row_index(self) -> np.ndarray:
-        """Row (player) index of every stored coefficient, aligned with csr data."""
-        if self._nnz_rows is None:
-            C = self.coeff_csr()
-            counts = np.diff(C.indptr)
-            self._nnz_rows = np.repeat(np.arange(self.m, dtype=np.int64), counts)
-        return self._nnz_rows
+        """Row (player) index of every stored coefficient, aligned with ``C.data``."""
+        return np.repeat(np.arange(self.C.shape[0], dtype=np.int64), np.diff(self.C.indptr))
 
-    def nnz_col_index(self) -> np.ndarray:
-        """Column (good) index of every stored coefficient as intp.
+    def share_factors(self) -> ShareFactors | np.ndarray:
+        """The price-independent half of the unconstrained rows' shares, built on first use.
 
-        ``coeff_csr()`` keeps int32 indices, which numpy casts on every gather
-        such as ``p[C.indices]``; gathers through this copy skip the cast.
-        """
-        if self._nnz_cols is None:
-            self._nnz_cols = self.coeff_csr().indices.astype(np.intp)
-        return self._nnz_cols
-
-    def uncon_rows(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-        """(C, log_c, cols) restricted to the unconstrained players' rows.
-
-        Without constraints these are ``coeff_csr()``, ``log_coeff_data()``
-        and ``nnz_col_index()`` themselves; otherwise copies of their
-        unconstrained rows, built once.
-        """
-        if self._uncon_rows is None:
-            C, logc, cols = self.coeff_csr(), self.log_coeff_data(), self.nnz_col_index()
-            if self.con.size:
-                keep = np.isin(self.nnz_row_index(), self.uncon)
-                C, logc, cols = C[self.uncon], logc[keep], cols[keep]
-            self._uncon_rows = (C, logc, cols)
-        return self._uncon_rows
-
-    def share_factors(self) -> ShareFactors | None:
-        """The ShareFactors of the unconstrained rows, built on first use.
-
-        None when those rows have more than one exponent r.  Meaningful for
-        CES and additive players only; ``oracle.bid_shares`` is its one reader.
+        Their ShareFactors when those rows share one exponent r; otherwise
+        log c, aligned with ``uncon_C.data``.  Meaningful for CES and
+        additive players only; ``oracle.bid_shares`` is its one reader.
         """
         if self._share_factors is None:
+            C = self.uncon_C
+            logc = np.log(C.data)
             r = self.r[self.uncon]
-            self._share_factors = False  # rows with different exponents
+            self._share_factors = logc  # rows with different exponents
             if np.all(r == r[0]):
-                C, logc, _ = self.uncon_rows()
-                counts = np.diff(C.indptr)
                 a = 1.0 / (1.0 - r[0])
-                alogc = a * logc
-                rmax = np.maximum.reduceat(alogc, C.indptr[:-1])
-                alogc -= np.repeat(rmax, counts)
-                self._share_factors = ShareFactors(np.exp(alogc, out=alogc), rmax, float(-r[0] * a))
-        return self._share_factors or None
+                logc *= a
+                rmax = np.maximum.reduceat(logc, C.indptr[:-1])
+                logc -= np.repeat(rmax, np.diff(C.indptr))
+                self._share_factors = ShareFactors(np.exp(logc, out=logc), rmax, float(-r[0] * a))
+        return self._share_factors
 
     def con_groups(self) -> list[ConGroup]:
         """The constrained players grouped by constraint-row count, built once.
@@ -260,7 +238,7 @@ class MarketInstance:
             self._con_groups = []
             for count, players in sorted(rows.items()):
                 idx = np.array(players, dtype=np.intp)
-                C = np.stack([self.utilities[i].dense(self.n) for i in players])
+                C = self.C[idx].toarray()
                 A = np.stack([self.constraints[i].reshape(count, self.n) for i in players])
                 self._con_groups.append(ConGroup(idx, C, self.k[idx], self.r[idx],
                                                  self.budgets[idx], A))
@@ -339,10 +317,11 @@ def load_instance(path: str) -> MarketInstance:
 # validation
 
 
-def _validate_spec(i: int, u: UtilitySpec, n: int, report: list[str]) -> None:
+def _validate_spec(i: int, u: UtilitySpec, report: list[str]) -> bool:
+    """Report player i's kind and exponent problems; False for an unknown kind."""
     if u.kind not in _KINDS:
         report.append(f"player {i}: unknown utility kind {u.kind!r}")
-        return
+        return False
     if u.kind == CES:
         if u.rho is None or u.rho == 0.0:
             report.append(f"player {i}: rho must be nonzero")
@@ -360,19 +339,35 @@ def _validate_spec(i: int, u: UtilitySpec, n: int, report: list[str]) -> None:
     else:
         if u.sigma is None or not (0.0 < u.sigma < np.inf):
             report.append(f"player {i}: sigma must be positive and finite")
-    if len(u.idx) == 0:
-        report.append(f"player {i}: needs at least one positive coefficient")
-    else:
-        lo, hi = u.val.min(), u.val.max()  # NaN propagates to both
-        if not (-np.inf < lo and hi < np.inf):
-            report.append(f"player {i}: coefficients must be finite")
-        else:
-            if lo < 0:
-                report.append(f"player {i}: coefficients must be nonnegative")
-            if not hi > 0:
-                report.append(f"player {i}: needs at least one positive coefficient")
-        if u.idx[0] < 0 or u.idx[-1] >= n:
-            report.append(f"player {i}: coefficient index out of range")
+    return True
+
+
+def _coefficient_problems(instance: MarketInstance) -> dict[int, list[str]]:
+    """Player -> the problems of its row of C, in report order (players without any absent)."""
+    C, cols = instance.C, instance.cols
+    m = C.shape[0]
+    rows = instance.nnz_row_index()
+    full = np.diff(C.indptr) > 0
+    starts = C.indptr[:-1][full]  # reduceat over the nonempty rows only
+    lo, hi = np.zeros(m), np.zeros(m)
+    lo[full], hi[full] = np.minimum.reduceat(C.data, starts), np.maximum.reduceat(C.data, starts)
+    finite = full & (-np.inf < lo) & (hi < np.inf)  # NaN fails both
+    # a row's indices are sorted, so a repeated good sits next to its twin
+    twin = (cols[1:] == cols[:-1]) & (rows[1:] == rows[:-1])
+    checks = [
+        (~full, "needs at least one positive coefficient"),
+        (full & ~finite, "coefficients must be finite"),
+        (finite & (lo < 0), "coefficients must be nonnegative"),
+        (finite & ~(hi > 0), "needs at least one positive coefficient"),
+        (np.bincount(rows[(cols < 0) | (cols >= instance.n)], minlength=m) > 0,
+         "coefficient index out of range"),
+        (np.bincount(rows[1:][twin], minlength=m) > 0, "duplicate coefficient index"),
+    ]
+    problems: dict[int, list[str]] = {}
+    for bad, message in checks:
+        for i in np.flatnonzero(bad).tolist():
+            problems.setdefault(i, []).append(f"player {i}: {message}")
+    return problems
 
 
 def validate(instance: MarketInstance) -> list[str]:
@@ -388,8 +383,10 @@ def validate(instance: MarketInstance) -> list[str]:
     if len(instance.utilities) != instance.m:
         report.append("utilities length must equal m")
         return report
+    problems = _coefficient_problems(instance)
     for i, u in enumerate(instance.utilities):
-        _validate_spec(i, u, instance.n, report)
+        if _validate_spec(i, u, report):
+            report.extend(problems.get(i, ()))
 
     kinds = instance.kinds
     if LINEAR_BARRIER in kinds and kinds != {LINEAR_BARRIER}:
@@ -398,13 +395,10 @@ def validate(instance: MarketInstance) -> list[str]:
         # the gradient, the sigma continuation and the certificate take one sigma
         report.append("linear_barrier players must share one sigma")
 
+    C, cols = instance.C, instance.cols
     valued = np.zeros(instance.n, dtype=bool)
-    for u in instance.utilities:
-        idx = u.idx[u.val > 0]  # sorted
-        if idx.size and (idx[0] < 0 or idx[-1] >= instance.n):
-            # reported per player above; a negative index must not wrap
-            idx = idx[(idx >= 0) & (idx < instance.n)]
-        valued[idx] = True
+    # a negative index is reported above and must not wrap
+    valued[cols[(C.data > 0) & (cols >= 0) & (cols < instance.n)]] = True
     unvalued = np.flatnonzero(~valued)
     if unvalued.size:
         report.append(f"goods valued by no player: {unvalued.tolist()}")
@@ -420,8 +414,8 @@ def validate(instance: MarketInstance) -> list[str]:
             report.append(f"player {i}: constraint matrix entries must be finite")
         elif A.shape[0] and np.linalg.matrix_rank(A) < A.shape[0]:
             report.append(f"player {i}: constraint matrix is not full row rank")
-        u = instance.utilities[i]
-        if len(u.idx) != instance.n or not np.all(u.val > 0):
+        row = C.data[C.indptr[i]:C.indptr[i + 1]]
+        if row.size != instance.n or not np.all(row > 0):
             report.append(
                 f"player {i}: constrained players need strictly positive "
                 "coefficients on every good (interior solutions)"
@@ -692,16 +686,12 @@ def build_flow_instance(edges, terminals, rho: float = 0.5, coefficients=None) -
 def with_barrier_sigma(instance: MarketInstance, sigma: float) -> MarketInstance:
     """Clone a linear-barrier instance with every player's sigma replaced.
 
-    The clone shares the parent's coefficient arrays and their CSR, log,
-    row-index and column-index caches; only the specs' sigma and the
-    sigma/degree columns are new.  A sigma that is not positive and finite
-    raises ValueError.
+    The clone shares the parent's coefficient arrays; only the specs' sigma
+    and the sigma/degree columns are new.  A sigma that is not positive and
+    finite raises ValueError.
     """
     if not (0.0 < sigma < math.inf):
         raise ValueError("sigma must be positive")
-    instance.log_coeff_data()  # fill the parent's caches first, so the clone shares them
-    instance.nnz_row_index()
-    instance.nnz_col_index()
     clone = copy.copy(instance)
     clone.utilities = [copy.copy(u) for u in instance.utilities]
     for u in clone.utilities:

@@ -19,12 +19,13 @@ and their dual-Hessian blocks are a diagonal plus 1 + rows weighted rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .market import ADDITIVE, CES, MarketInstance, UtilitySpec
+from .market import ADDITIVE, CES, MarketInstance, ShareFactors, UtilitySpec
 
 
 class OracleError(RuntimeError):
@@ -455,7 +456,7 @@ def constrained_hessian_rows(X, C, k, r, w, A):
 def _constrained_player(instance: MarketInstance, i: int):
     """(c, k, r, w, A) of constrained player i, the arguments after p of
     constrained_best_response; c is the dense coefficient row."""
-    return (instance.utilities[i].dense(instance.n), instance.k[i], instance.r[i],
+    return (instance.C[i].toarray()[0], instance.k[i], instance.r[i],
             float(instance.budgets[i]), instance.constraints.get(i, np.zeros((0, instance.n))))
 
 
@@ -495,7 +496,7 @@ def bid_shares(instance: MarketInstance, p):
     """Bidding-share matrix G (csr, rows of gamma) of the unconstrained players.
 
     Row i of G belongs to player ``instance.uncon[i]``.  G's index arrays are
-    those of ``instance.uncon_rows()``, not copies, so they stay read-only.
+    those of ``instance.uncon_C``, not copies, so they stay read-only.
     Returns (G, log_S) where log_S[i] is logsumexp of the dual theta row,
     from which the attained log-utility is d_i log w_i + k_i (1-r_i) log_S_i.
 
@@ -510,10 +511,12 @@ def bid_shares(instance: MarketInstance, p):
     sum.  Beyond that spread, or when the rows' exponents differ, the
     log-domain ``_row_softmax`` runs instead.
     """
-    C, logc, cols = instance.uncon_rows()
+    C, cols = instance.uncon_C, instance.uncon_cols
     f = instance.share_factors()
     logp = np.log(np.asarray(p, dtype=float))
-    if f is None or abs(f.b) * (logp.max() - logp.min()) > SPREAD_LIMIT:
+    factored = isinstance(f, ShareFactors)
+    if not factored or abs(f.b) * (logp.max() - logp.min()) > SPREAD_LIMIT:
+        logc = np.log(C.data) if factored else f
         counts = np.diff(C.indptr)
         r = instance.r[instance.uncon]
         a = 1.0 / (1.0 - r)
@@ -544,9 +547,8 @@ def _linear_batch(instance: MarketInstance, p: np.ndarray):
     n = instance.n
     w = instance.budgets
     sig = instance.sigma
-    C = instance.coeff_csr()
+    C, cols = instance.C, instance.cols
     rows = instance.nnz_row_index()
-    cols = instance.nnz_col_index()
     X, _, lam, rounds = _psi_roots(C, cols, p, sig, w)
     gammas = (1.0 + sig[:, None] * n) * X * p[None, :] / w[:, None] - sig[:, None]
     uval = np.add.reduceat(C.data * X[rows, cols], C.indptr[:-1])
@@ -626,17 +628,14 @@ def potential_gradient(instance: MarketInstance, p) -> np.ndarray:
 
 def best_response(instance: MarketInstance, i: int, p) -> BestResponse:
     """Single-player dispatcher (serial path; the batch uses bid_shares)."""
-    u = instance.utilities[i]
     w = float(instance.budgets[i])
     p = np.asarray(p, dtype=float)
     if i in instance.constraints:
         return constrained_best_response(p, *_constrained_player(instance, i))[0]
-    if u.kind == CES:
-        return ces_best_response(p, u.dense(instance.n), u.rho, w)
-    if u.kind == ADDITIVE:
-        return additive_best_response(p, u.dense(instance.n), u.k, u.r, w)
-    resp, _, _ = linear_barrier_best_response(p, u.dense(instance.n), u.sigma, w)
-    return resp
+    c = instance.C[i].toarray()[0]
+    if math.isnan(instance.sigma[i]):  # CES is the additive case k = 1/rho, r = rho
+        return additive_best_response(p, c, instance.k[i], instance.r[i], w)
+    return linear_barrier_best_response(p, c, instance.sigma[i], w)[0]
 
 
 def response_jacobian(p, gamma, r: float, w: float) -> np.ndarray:

@@ -34,6 +34,11 @@ STATE_FIELDS = {
                             "kkt_resid", "psi_rounds", "con_newton_steps"],
 }
 
+# what an instance stores: the input record, the arrays the solvers read, two lazy caches
+INSTANCE_ATTRIBUTES = ["C", "_con_groups", "_share_factors", "budgets", "cols", "con",
+                       "constraints", "degree", "is_linear", "k", "kinds", "m", "n", "r", "sigma",
+                       "uncon", "uncon_C", "uncon_cols", "utilities"]
+
 
 def test_top_level_exports_are_the_workflow_api():
     assert set(mq.__all__) == WORKFLOW_API
@@ -47,3 +52,7 @@ def test_config_fields_are_pinned():
 def test_operator_and_state_fields_are_pinned():
     for cls, names in STATE_FIELDS.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+
+
+def test_instance_attributes_are_pinned():
+    assert sorted(vars(mq.generate_random(4, 6, 0.5, seed=1))) == INSTANCE_ATTRIBUTES

@@ -94,6 +94,12 @@ def test_workloads_build_and_flow_solve_passes_the_checks():
         for cell in build(1):
             assert mq.validate(cell.instance) == [], f"{name}: {cell.label}"
             workloads.fill_caches(cell.instance)
+            # the accessors fill_caches calls must stay aligned with the arrays the solvers read
+            C = cell.instance.C
+            assert cell.instance.coeff_csr() is C
+            assert np.array_equal(cell.instance.log_coeff_data(), np.log(C.data))
+            assert np.array_equal(cell.instance.nnz_row_index(),
+                                  np.repeat(np.arange(C.shape[0]), np.diff(C.indptr)))
     cell = workloads.BUILDERS["flow-mixed"](1)[0]
     p, trace = workloads.solves_of([cell])[0].runner()()
     assert trace.status == "Converged"

@@ -176,8 +176,12 @@ class TestSolve:
           "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [1, 1.0], [2, 1.0]]}],
           "constraints": {"0": [[1.0, float("nan"), -1.0]]}},
          "player 0: constraint matrix entries must be finite"),
+        ({"n": 2, "m": 2, "budgets": [0.5, 0.5],
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [0, 2.0], [1, 1.0]]},
+                        {"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [1, 1.0]]}]},
+         "player 0: duplicate coefficient index"),
     ], ids=["null-param", "entry-without-coefficient", "top-level-list", "index-out-of-range",
-            "fractional-n", "string-n", "nan-constraint"])
+            "fractional-n", "string-n", "nan-constraint", "duplicate-index"])
     def test_malformed_instance_exit_3(self, tmp_path, capsys, doc, message):
         path = os.path.join(tmp_path, "bad.json")
         with open(path, "w") as fh:

@@ -527,6 +527,30 @@ class TestSigmaContinuation:
         assert all(stage["newton_steps"] >= 1 for stage in stages)
 
 
+class TestPriceQueries:
+    # logbar_init's queries, PathFol's anchor and every sigma stage count too
+    @pytest.mark.parametrize("solve", [
+        lambda: logbar_run(mq.generate_random(20, 50, 0.5, seed=1, kind="linear_barrier",
+                                              sigma=1e-6 / 20),
+                           LogBarConfig(eps=1e-6, hessian_mode="exact", max_iters=600)),
+        lambda: logbar_run(mq.generate_random(30, 90, 0.5, rho=0.5, seed=1),
+                           LogBarConfig(eps=1e-7, sigma_override=0.6)),
+        lambda: pathfol_run(mq.generate_random(30, 90, 0.5, rho=0.5, seed=1),
+                            PathFolConfig(eps=1e-7), np.full(30, 1.0 / 30)),
+    ], ids=["near-linear-logbar", "ces-logbar", "ces-pathfol"])
+    def test_extras_count_every_market_state_call(self, monkeypatch, solve):
+        real, calls = ipm.market_state, []
+
+        def counting(instance, p):
+            calls.append(1)
+            return real(instance, p)
+
+        monkeypatch.setattr(ipm, "market_state", counting)
+        _, trace = solve()
+        assert trace.status == "Converged"
+        assert trace.extras["price_queries"] == len(calls)
+
+
 class TestNewtonDecrement:
     def test_zero_at_equilibrium(self):
         inst = symmetric_instance(4, 6)

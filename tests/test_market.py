@@ -142,6 +142,44 @@ class TestValidate:
         inst = MarketInstance(2, 2, budgets, [spec, second])
         assert message in validate(inst)
 
+    def test_duplicate_index_reported(self):
+        # the batch summed both entries of good 0 (shares 0.769/0.231 at p = (0.6, 0.4))
+        # while best_response kept the last (0.727/0.273)
+        inst = MarketInstance(2, 2, [0.5, 0.5], [
+            UtilitySpec(CES, [0, 0, 1], [1.0, 2.0, 1.0], rho=0.5),
+            UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=0.5),
+        ])
+        assert validate(inst) == ["player 0: duplicate coefficient index"]
+
+    def test_reports_come_player_by_player(self):
+        inst = MarketInstance(3, 4, [0.25] * 4, [
+            UtilitySpec("linear", [0], [1.0]),  # an unknown kind skips the coefficient checks
+            UtilitySpec(CES, [0, 5], [-1.0, 0.0], rho=0.0),
+            UtilitySpec(CES, [], [], rho=0.5),
+            UtilitySpec(CES, [0, 1], [np.nan, 1.0], rho=0.5),
+        ])
+        assert validate(inst) == [
+            "player 0: unknown utility kind 'linear'",
+            "player 1: rho must be nonzero",
+            "player 1: coefficients must be nonnegative",
+            "player 1: needs at least one positive coefficient",
+            "player 1: coefficient index out of range",
+            "player 2: needs at least one positive coefficient",
+            "player 3: coefficients must be finite",
+            "goods valued by no player: [2]",
+        ]
+
+    # the constructor builds the coefficient arrays but rejects nothing: validate reports
+    @pytest.mark.parametrize("n, m, budgets, constraints, message", [
+        (2, 3, [1.0, 1.0, 1.0], {2: [[1.0, -1.0]]}, "utilities length must equal m"),
+        (-1, 1, [1.0], None, "n and m must be at least 1"),
+        (2, 1, [1.0], {-1: [[1.0, -1.0]]}, "constraint for unknown player -1"),
+    ], ids=["constrained-player-without-spec", "negative-n", "constraint-of-unknown-player"])
+    def test_constructor_leaves_bad_input_to_validate(self, n, m, budgets, constraints, message):
+        inst = MarketInstance(n, m, budgets, [UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=0.5)],
+                              constraints)
+        assert message in validate(inst)
+
     def test_rank_deficient_constraints_flagged(self):
         A = np.array([[1.0, -1.0], [-1.0, 1.0]])
         inst = MarketInstance(2, 1, [1.0],
@@ -279,10 +317,8 @@ class TestColumns:
         inst = generate_random(6, 8, 0.5, seed=3, kind=LINEAR_BARRIER, sigma=0.05)
         before = {name: col.copy() for name, col in columns(inst).items()}
         clone = market.with_barrier_sigma(inst, 0.002)
-        assert clone.coeff_csr() is inst.coeff_csr()
-        assert clone.log_coeff_data() is inst.log_coeff_data()
-        assert clone.nnz_row_index() is inst.nnz_row_index()
-        assert clone.nnz_col_index() is inst.nnz_col_index()
+        assert clone.C is inst.C and clone.cols is inst.cols
+        assert clone.uncon_C is inst.uncon_C and clone.uncon_cols is inst.uncon_cols
         assert np.array_equal(clone.sigma, np.full(8, 0.002))
         assert np.array_equal(clone.degree, 1.0 + clone.sigma * 6)
         assert [u.sigma for u in clone.utilities] == [0.002] * 8
@@ -304,21 +340,16 @@ class TestColumns:
 
     def test_nnz_col_index_is_intp_csr_indices(self):
         inst = generate_random(6, 9, 0.5, rho=-0.37, seed=1)
-        cols = inst.nnz_col_index()
-        assert cols.dtype == np.intp and inst.nnz_col_index() is cols
-        assert np.array_equal(cols, inst.coeff_csr().indices)
+        assert inst.cols.dtype == np.intp
+        assert np.array_equal(inst.cols, inst.C.indices)
 
     def test_uncon_rows(self):
         plain = generate_random(6, 9, 0.5, rho=-0.37, seed=1)
-        C, logc, cols = plain.uncon_rows()
-        assert C is plain.coeff_csr()
-        assert logc is plain.log_coeff_data() and cols is plain.nnz_col_index()
+        assert plain.uncon_C is plain.C and plain.uncon_cols is plain.cols
         flow = mixed_flow_instance(players=2, ces_players=3)
-        C, logc, cols = flow.uncon_rows()
-        assert np.array_equal(C.toarray(), flow.coeff_csr().toarray()[flow.uncon])
+        C, cols = flow.uncon_C, flow.uncon_cols
+        assert np.array_equal(C.toarray(), flow.C.toarray()[flow.uncon])
         assert cols.dtype == np.intp and np.array_equal(cols, C.indices)
-        assert np.array_equal(logc, np.log(C.data))
-        assert flow.uncon_rows()[0] is C
 
 
 class TestIngest:

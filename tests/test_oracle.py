@@ -10,7 +10,8 @@ from scipy.optimize import minimize
 import marketeq as mq
 from marketeq import hessian as hes
 from marketeq import oracle
-from marketeq.market import ADDITIVE, CES, MarketInstance, UtilitySpec, build_flow_instance
+from marketeq.market import (ADDITIVE, CES, MarketInstance, ShareFactors, UtilitySpec,
+                             build_flow_instance)
 from marketeq.oracle import (
     OracleError,
     additive_best_response,
@@ -558,7 +559,8 @@ class TestConstrained:
 
 def softmax_reference(inst, p):
     """The log-domain softmax of every unconstrained row: (shares, log_S)."""
-    C, logc, cols = inst.uncon_rows()
+    C, cols = inst.uncon_C, inst.uncon_cols
+    logc = np.log(C.data)
     counts = np.diff(C.indptr)
     r = inst.r[inst.uncon]
     a = 1.0 / (1.0 - r)
@@ -597,13 +599,14 @@ class TestBidShares:
     def test_shared_exponent_matches_softmax(self, rng, r):
         # CES and additive players with one r share one b: the factored path
         inst = mixed_exponent_market(exponents=(r,))
-        assert inst.share_factors() is not None
+        assert isinstance(inst.share_factors(), ShareFactors)
         for _ in range(5):
             assert_matches_softmax(inst, rng.uniform(0.05, 20.0, inst.n))
 
     def test_mixed_exponents_fall_back(self, rng):
         inst = mixed_exponent_market()
-        assert inst.share_factors() is None
+        logc = inst.share_factors()  # the softmax's log c, cached in place of c^a
+        assert isinstance(logc, np.ndarray) and np.array_equal(logc, np.log(inst.uncon_C.data))
         for _ in range(5):
             assert_matches_softmax(inst, rng.uniform(0.05, 20.0, inst.n))
 
@@ -625,7 +628,7 @@ class TestBidShares:
         utilities = [UtilitySpec(CES, rng.choice(n, 3, replace=False), rng.uniform(0.5, 2.0, 3),
                                  rho=-0.5) for _ in range(5)]
         inst = MarketInstance(n, 5, np.full(5, 0.2), utilities)
-        assert inst.share_factors() is not None and inst.uncon_rows()[0].nnz < n
+        assert isinstance(inst.share_factors(), ShareFactors) and inst.uncon_C.nnz < n
         assert_matches_softmax(inst, rng.uniform(0.1, 10.0, n))
 
     def test_queries_return_fresh_data_and_keep_the_cache(self, rng):
@@ -639,6 +642,45 @@ class TestBidShares:
         assert not np.shares_memory(G1.data, f.ca)
         assert np.array_equal(G1.data, first)
         assert inst.share_factors() is f and np.array_equal(f.ca, ca)
+
+
+class NoSpecs:
+    """Stands in for ``MarketInstance.utilities``: any use of it fails."""
+
+    def refuse(self, *args):
+        raise AssertionError("a solver read instance.utilities")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __bool__ = __contains__ = refuse
+
+
+def additive_market(seed=4, n=6, m=10):
+    """Additive players with two exponents, so their shares take the softmax path."""
+    rng = np.random.default_rng(seed)
+    utilities = [UtilitySpec(ADDITIVE, np.arange(n), rng.uniform(0.5, 2.0, n), k=2.0, r=0.4)
+                 if i % 2 else
+                 UtilitySpec(ADDITIVE, np.arange(n), rng.uniform(0.5, 2.0, n), k=-1.0, r=-0.5)
+                 for i in range(m)]
+    return MarketInstance(n, m, rng.uniform(0.5, 1.5, m), utilities)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mq.generate_random(8, 16, 0.6, rho=0.5, seed=3),
+    additive_market,
+    mixed_flow_instance,
+    lambda: mq.generate_random(6, 10, 0.6, seed=2, kind="linear_barrier", sigma=0.1),
+], ids=["ces", "additive", "mixed-flow", "linear-barrier"])
+def test_solvers_never_read_the_specs(build):
+    inst = build()
+    assert mq.validate(inst) == []
+    inst.utilities = NoSpecs()
+    p = np.linspace(0.5, 1.5, inst.n) * inst.total_budget() / inst.n
+    state = market_state(inst, p)
+    hes.assemble_from_state(state, inst)
+    mq.equilibrium_certificate(inst, p)
+    for i in range(inst.m):
+        best_response(inst, i, p)
+    _, trace = mq.logbar_run(inst, mq.LogBarConfig(sigma_override=0.6, max_iters=3))
+    assert trace.iterations() == 3
 
 
 class TestConstants:
