@@ -1,20 +1,27 @@
 """Scaled Hessian operator, DR1 surrogate, preconditioner, and linear solvers.
 
 The exact operator H(p) = P grad^2 phi(p) P is kept matrix-free as
-    H v = diag * v - R^T (s * (R v)),
-one diagonal-plus-low-rank piece over every player's rows of R: the share
-matrix G for CES/additive players, with diag = G^T a, a_i = w_i/(1-r_i) and
-s_i = w_i r_i/(1-r_i), then 1 + rows P-scaled rows per constrained player
-(``oracle.constrained_hessian_rows``); linear-barrier markets carry the same
-shape with dense rows v_i = (gamma_i+sigma) gamma_i in place of G.
-The DR1 surrogate collapses the CES rank-one sum to a single outer product
-of xi = sum_i omega_i gamma_i, whose inverse is an O(n) Sherman-Morrison
-solve.  The optimal diagonal preconditioner is the row sum
-k_c = H 1 = sum_i w_i gamma_i.
+    H v = diag * v - G^T (s * (G v)) - R^T (t * (R v)),
+a diagonal minus two weighted Gram pieces.  G holds the CES/additive
+players' share rows in the oracle's factored form
+G = diag(1/S) C^a diag(q) (``oracle.ShareRows``), so a product with it is
+two sparse products and G is never built; s_i = w_i r_i/(1-r_i) and
+diag = G^T a, a_i = w_i/(1-r_i).  R holds dense rows: 1 + rows P-scaled
+rows per constrained player (``oracle.constrained_hessian_rows``), or the
+linear-barrier players' rows v_i = (gamma_i+sigma) gamma_i.
+
+The optimal diagonal preconditioner is the row sum
+k_c = H 1 = G^T (a - s) = G^T w = sum_i w_i gamma_i, the spend per good
+that the oracle already computed (rows of G sum to 1).  With one shared
+exponent r, diag = spend/(1-r) and the DR1 vector
+xi = G^T s / omega = r spend / ((1-r) omega) come from it too, so assembling
+a CES/additive operator is O(n).  The DR1 surrogate collapses the rank-one
+sum to the single outer product omega xi xi^T, whose inverse is an O(n)
+Sherman-Morrison solve.
 
 Exact mode materializes only H's upper triangle, by symmetric rank-k
-updates (dsyrk) on row blocks scaled by sqrt|s_i|, into a buffer the dense
-Newton solve reuses across a run and factors in place.
+updates (dsyrk) on row blocks scaled by sqrt|weight|, into a buffer the
+dense Newton solve reuses across a run and factors in place.
 """
 
 from __future__ import annotations
@@ -26,11 +33,11 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 
 from .market import MarketInstance
-from .oracle import MarketState, constrained_hessian_rows, market_state
+from .oracle import MarketState, ShareRows, constrained_hessian_rows, market_state
 from .oracle import constrained_dual_hessian  # noqa: F401  (bench/tracer.py patches this name)
 
 DENSE_LIMIT = 512  # dense materialization is a test path, never the big-n path
-GRAM_BLOCK = 256  # player rows per BLAS product in ScaledHessianOp.dense
+GRAM_BLOCK = 256  # share rows per BLAS product in ScaledHessianOp.dense
 OMEGA_DROP_REL = 1e-14
 KC_FLOOR = 1e-300
 
@@ -48,28 +55,34 @@ def _syrk(H: np.ndarray, R: np.ndarray, alpha: float) -> np.ndarray:
     return dsyrk(alpha, R.T, beta=1.0, c=H, overwrite_c=1)
 
 
-def _sub_share_gram(H: np.ndarray, G: sp.csr_matrix, weights: np.ndarray) -> np.ndarray:
+def _sub_gram(H: np.ndarray, B: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """H - B^T diag(sign(weights)) B on H's upper triangle, B's rows already
+    scaled by sqrt|weights|: one dsyrk per weight sign, zero weights skipped."""
+    for alpha, rows in ((-1.0, weights > 0), (1.0, weights < 0)):
+        if rows.all():
+            H = _syrk(H, B, alpha)
+        elif rows.any():
+            H = _syrk(H, B[rows], alpha)
+    return H
+
+
+def _sub_share_gram(H: np.ndarray, G: ShareRows, weights: np.ndarray) -> np.ndarray:
     """H - G^T diag(weights) G on the upper triangle of the Fortran-ordered H.
 
-    Rows of one weight sign, GRAM_BLOCK at a time and scaled by
-    sqrt|weight|, are scattered from G's CSR arrays into one dense block,
-    added by one dsyrk (alpha -1 for positive weights, +1 for negative
-    ones) and zeroed again; zero-weight rows are skipped.
+    GRAM_BLOCK rows at a time, scipy expands G's factor Ca into one reused
+    dense block, which is scaled by q along its columns and sqrt|weight|/S
+    along its rows, so it holds rows of G times sqrt|weight| (1/S is never
+    squared, see ``oracle.bid_shares``), and added by ``_sub_gram``.
     """
-    indptr, indices = G.indptr, G.indices
-    root = np.sqrt(np.abs(weights))
-    block = np.zeros((min(GRAM_BLOCK, G.shape[0]), G.shape[1]))
-    flat = block.reshape(-1)
-    for alpha, rows in ((-1.0, np.flatnonzero(weights > 0)), (1.0, np.flatnonzero(weights < 0))):
-        for start in range(0, rows.size, GRAM_BLOCK):
-            rr = rows[start:start + GRAM_BLOCK]
-            first, counts = indptr[rr], indptr[rr + 1] - indptr[rr]
-            local = np.repeat(np.arange(rr.size), counts)
-            nz = np.arange(local.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-            pos = local * G.shape[1] + indices[nz]
-            flat[pos] = G.data[nz] * root[rr][local]
-            H = _syrk(H, block[:rr.size], alpha)
-            flat[pos] = 0.0
+    m = G.Ca.shape[0]
+    root = np.sqrt(np.abs(weights)) / G.S
+    block = np.empty((min(GRAM_BLOCK, m), G.Ca.shape[1]))
+    for start in range(0, m, GRAM_BLOCK):
+        rows = slice(start, min(start + GRAM_BLOCK, m))
+        B = G.Ca[rows].toarray(out=block[:rows.stop - start])
+        B *= G.q
+        B *= root[rows, None]
+        H = _sub_gram(H, B, weights[rows])
     return H
 
 
@@ -77,31 +90,43 @@ def _sub_share_gram(H: np.ndarray, G: sp.csr_matrix, weights: np.ndarray) -> np.
 class ScaledHessianOp:
     """H(p) = P grad^2 phi(p) P, one diagonal-plus-low-rank block per player.
 
-    All players' blocks are one piece, diag(diag) - R^T diag(s) R.  R is a
-    CSR of one share row per CES/additive player (``share_operator``), then
-    1 + rows full rows per constrained player (``assemble_from_state``); for
-    linear-barrier players, whose blocks are
+    All players' blocks are one piece, diag(diag) - G^T diag(s) G -
+    R^T diag(t) R.  ``G`` is the CES/additive players' factored share rows
+    (``share_operator``); ``R`` the dense rows, 1 + rows per constrained
+    player (``assemble_from_state``) or, for linear-barrier players, whose
+    blocks are
     (w_i/sigma_i) [diag((gamma_i+sigma_i)^2) - v_i v_i^T / (sigma_i + |gamma_i|^2)],
-    R is the dense array of rows v_i = (gamma_i+sigma_i) gamma_i.  Only
-    operators of CES/additive players alone carry the DR1 surrogate
-    diag(diag) - dr1_omega xi xi^T: ``dr1_omega`` is None without one,
-    ``dr1_xi`` None when its rank-one term cancels.
+    the rows v_i = (gamma_i+sigma_i) gamma_i.  Only operators of CES/additive
+    players alone carry the DR1 surrogate diag(diag) - dr1_omega xi xi^T
+    (``dr1_omega`` is None without one, ``dr1_xi`` None when its rank-one
+    term cancels) and the row sums ``k_c`` in closed form (None: summed by
+    a product with ones).
     """
 
     n: int
     diag: np.ndarray | None = None
-    R: sp.csr_matrix | np.ndarray | None = None
+    G: ShareRows | None = None
     s: np.ndarray | None = None
+    R: np.ndarray | None = None
+    t: np.ndarray | None = None
     dr1_omega: float | None = None
     dr1_xi: np.ndarray | None = None
+    k_c: np.ndarray | None = None
 
     # -- products ----------------------------------------------------------
 
+    def _gram(self, v: np.ndarray) -> np.ndarray:
+        """(G^T diag(s) G + R^T diag(t) R) v, the part of diag - H that is not diagonal."""
+        out = np.zeros(self.n) if self.G is None else self.G.rmatvec(self.s * self.G.matvec(v))
+        if self.R is not None:
+            out += self.R.T @ (self.t * (self.R @ v))
+        return out
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """The exact product H v."""
-        out = np.zeros(self.n) if self.diag is None else self.diag * v
-        if self.R is not None:
-            out -= self.R.T @ (self.s * (self.R @ v))
+        out = -self._gram(v)
+        if self.diag is not None:
+            out += self.diag * v
         return out
 
     def dr1_matvec(self, v: np.ndarray) -> np.ndarray:
@@ -112,21 +137,22 @@ class ScaledHessianOp:
 
     def diff_matvec(self, v: np.ndarray) -> np.ndarray:
         """(H_dr1 - H_exact) v; diagonals cancel, only rank-one terms remain."""
-        out = np.zeros(self.n) if self.R is None else self.R.T @ (self.s * (self.R @ v))
+        out = self._gram(v)
         if self.dr1_xi is not None:
             out -= self.dr1_omega * (self.dr1_xi @ v) * self.dr1_xi
         return out
 
     def row_sums(self) -> np.ndarray:
-        return self.matvec(np.ones(self.n))
+        """H 1: ``k_c`` when the operator carries it, else a product with ones."""
+        return self.matvec(np.ones(self.n)) if self.k_c is None else self.k_c
 
     def dense(self, out: np.ndarray | None = None) -> np.ndarray:
         """H as a Fortran-ordered (n, n) array, built on the upper triangle.
 
-        A CSR R (weights of either sign) goes through ``_sub_share_gram``, a
-        dense one (positive weights) through one dsyrk.  Given ``out``
-        (Fortran (n, n)), only that triangle is written into it, for a
-        Cholesky that reads no other; without it, the triangle is mirrored.
+        The share rows go through ``_sub_share_gram``, the dense rows through
+        one dsyrk per weight sign.  Given ``out`` (Fortran (n, n)), only that
+        triangle is written into it, for a Cholesky that reads no other;
+        without it, the triangle is mirrored.
         """
         if self.n > DENSE_LIMIT:
             raise ValueError(f"dense materialization capped at n={DENSE_LIMIT}")
@@ -135,10 +161,10 @@ class ScaledHessianOp:
         else:
             H = out
             H.fill(0.0)
-        if sp.issparse(self.R):
-            H = _sub_share_gram(H, self.R, self.s)
-        elif self.R is not None:
-            H = _syrk(H, self.R * np.sqrt(self.s)[:, None], -1.0)
+        if self.G is not None and self.s.any():
+            H = _sub_share_gram(H, self.G, self.s)
+        if self.R is not None:
+            H = _sub_gram(H, self.R * np.sqrt(np.abs(self.t))[:, None], self.t)
         if self.diag is not None:
             H[np.diag_indices(self.n)] += self.diag
         if out is None:
@@ -150,53 +176,63 @@ class ScaledHessianOp:
         return np.maximum(self.row_sums(), KC_FLOOR)
 
 
-def share_operator(n: int, G: sp.csr_matrix, w, r) -> ScaledHessianOp:
-    """The CES/additive piece of the share rows G (CSR), budgets w and r.
+def share_operator(n: int, G: ShareRows | sp.csr_matrix, w, r,
+                   spend: np.ndarray | None = None) -> ScaledHessianOp:
+    """The CES/additive piece of the share rows G, budgets w and exponents r.
 
-    a = w/(1-r), s = w r/(1-r), diag = G^T a, and the DR1 data
-    omega = sum s, xi = G^T s / omega; the rank-one term is dropped
-    (xi None) when omega cancels to below OMEGA_DROP_REL of sum |s|,
-    and when it is exactly zero.
+    G is factored (``oracle.ShareRows``) or an explicit CSR whose rows sum
+    to 1; ``spend`` is G^T w, computed here when not given.  a = w/(1-r),
+    s = w r/(1-r), k_c = spend, and diag = G^T a and omega xi = G^T s,
+    read off spend in O(n) when the rows share one r.  The DR1 data is
+    omega = sum s and xi; the rank-one term is dropped (xi None) when omega
+    cancels to below OMEGA_DROP_REL of sum |s|, and when it is exactly zero.
     """
-    a = w / (1.0 - r)
+    if sp.issparse(G):
+        G = ShareRows(G, np.ones(n), np.ones(G.shape[0]))
+    w = np.asarray(w, dtype=float)
+    r = np.broadcast_to(np.asarray(r, dtype=float), w.shape)
+    if spend is None:
+        spend = G.rmatvec(w)
     s = w * r / (1.0 - r)
     omega = float(s.sum())
-    op = ScaledHessianOp(n=n, diag=G.T @ a, R=G, s=s, dr1_omega=omega)
+    if np.all(r == r[0]):
+        diag, s_xi = spend / (1.0 - r[0]), spend * (r[0] / (1.0 - r[0]))
+    else:
+        diag, s_xi = G.rmatvec(w / (1.0 - r)), G.rmatvec(s)
+    op = ScaledHessianOp(n=n, diag=diag, G=G, s=s, dr1_omega=omega, k_c=spend)
     if omega != 0.0 and abs(omega) >= OMEGA_DROP_REL * float(np.abs(s).sum()):
-        op.dr1_xi = (G.T @ s) / omega
+        op.dr1_xi = s_xi / omega
     return op
 
 
 def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledHessianOp:
     w = instance.budgets
     if instance.is_linear:
-        g = state.G
+        g = state.shares
         sig = instance.sigma
         shifted = g + sig[:, None]
         return ScaledHessianOp(n=instance.n, diag=((w / sig)[:, None] * shifted**2).sum(axis=0),
                                R=shifted * g,
-                               s=w / (sig * (sig + np.einsum("ij,ij->i", g, g))))
+                               t=w / (sig * (sig + np.einsum("ij,ij->i", g, g))))
 
     n, uncon = instance.n, instance.uncon
-    G = state.G if uncon.size else sp.csr_matrix((0, n))
-    op = share_operator(n, G, w[uncon], instance.r[uncon])
+    if uncon.size:
+        op = share_operator(n, state.shares, w[uncon], instance.r[uncon], state.spend)
+    else:
+        op = ScaledHessianOp(n=n, diag=np.zeros(n))
     if not instance.con.size:
         return op
-    # each constrained player's 1 + rows dense rows join G's CSR arrays as full rows
-    data, weights = [G.data], [op.s]
+    # each constrained player's 1 + rows dense rows
+    rows, weights = [], []
     for grp in instance.con_groups():
         X = np.stack([state.con_responses[i].x for i in grp.players.tolist()])
         D, R, s = constrained_hessian_rows(X, grp.C, grp.k, grp.r, grp.w, grp.A)
         scale = grp.w / instance.degree[grp.players]
         op.diag += (scale @ D) * state.p**2
-        data.append((R * state.p).reshape(-1))
+        rows.append((R * state.p).reshape(-1, n))
         weights.append((scale[:, None] * s).reshape(-1))
-    op.s = np.concatenate(weights)
-    k = op.s.size - G.shape[0]
-    indptr = np.concatenate([G.indptr, G.indptr[-1] + n * np.arange(1, k + 1)])
-    indices = np.concatenate([G.indices, np.tile(np.arange(n, dtype=G.indices.dtype), k)])
-    op.R = sp.csr_matrix((np.concatenate(data), indices, indptr), shape=(op.s.size, n))
-    op.dr1_omega = op.dr1_xi = None
+    op.R, op.t = np.concatenate(rows), np.concatenate(weights)
+    op.dr1_omega = op.dr1_xi = op.k_c = None
     return op
 
 

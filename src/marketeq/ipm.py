@@ -654,7 +654,8 @@ def equilibrium_certificate(instance: MarketInstance, p, eps: float | None = Non
     else:
         resid = 0.0
         if instance.uncon.size:
-            spends = np.add.reduceat(state.G.data, state.G.indptr[:-1])  # sum gamma = spend/w
+            G = state.G  # the explicit shares, built for this check
+            spends = np.add.reduceat(G.data, G.indptr[:-1])  # sum gamma = spend/w
             resid = float(np.max(np.abs(spends - 1.0)))
         kkt = 0.0
         for i, resp in state.con_responses.items():

@@ -142,12 +142,12 @@ class ShareFactors(NamedTuple):
     A CES or additive player's dual share theta_ij = exp(a_i log c_ij +
     b_i log p_j), a = 1/(1-r), b = -r a, factors as c_ij^a_i * p_j^b_i.
     Built when every unconstrained row has the same exponent r, so one ``b``
-    serves them all.  Aligned with ``MarketInstance.uncon_C``: ``ca`` (nnz,)
-    is exp(a log c_ij - rmax_i), the row-normalized c^a, and ``rmax`` the
-    row maximum of a log c_ij.
+    serves them all.  ``Ca`` is the CSR of exp(a log c_ij - rmax_i), the
+    row-normalized c^a, on ``MarketInstance.uncon_C``'s index arrays (not
+    copies), and ``rmax`` the row maximum of a log c_ij.
     """
 
-    ca: np.ndarray
+    Ca: sp.csr_matrix
     rmax: np.ndarray
     b: float
 
@@ -223,7 +223,8 @@ class MarketInstance:
                 logc *= a
                 rmax = np.maximum.reduceat(logc, C.indptr[:-1])
                 logc -= np.repeat(rmax, np.diff(C.indptr))
-                self._share_factors = ShareFactors(np.exp(logc, out=logc), rmax, float(-r[0] * a))
+                Ca = sp.csr_matrix((np.exp(logc, out=logc), C.indices, C.indptr), shape=C.shape)
+                self._share_factors = ShareFactors(Ca, rmax, float(-r[0] * a))
         return self._share_factors
 
     def con_groups(self) -> list[ConGroup]:

@@ -4,11 +4,16 @@ Everything the solvers consume is reconstructed from players' best
 responses: demand aggregates into the potential gradient, and the bidding
 vectors (money shares) gamma_i = P x_i / w_i assemble the scaled Hessian.
 CES and power-form additive utilities share one closed form, the share
-theta_ij = c_ij^a_i p_j^b_i.  When the players share one exponent it is a
-cached, row-normalized c^a times a per-query row of p^b (``bid_shares``);
-mixed exponents, or a price spread that could underflow that product, take
-a log-domain softmax instead.  Linear-barrier
-players reduce to a one-dimensional root-find.  Homogeneously constrained
+theta_ij = c_ij^a_i p_j^b_i.  When the players share one exponent the share
+matrix stays factored, G = diag(1/S) C^a diag(q) with the cached,
+row-normalized C^a, q = p^b and S = C^a q (``bid_shares``, ``ShareRows``),
+so a price query is two sparse products: S, and the spend per good
+G^T w = q * (C^a)^T (w/S), which gives demand and, read by
+``hessian.share_operator``, the Hessian's diagonal, its DR1 vector and its
+row sums k_c = H 1 = sum_i w_i gamma_i, all in O(n).  Mixed exponents, or a
+price spread that could underflow the factored product, take a log-domain
+softmax instead.  Linear-barrier players reduce to a one-dimensional
+root-find.  Homogeneously constrained
 players run a damped feasible Newton, all of them at once per price query,
 stacked in groups of equal constraint-row count: hess v is
 diagonal-plus-rank-one with the closed-form inverse
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,9 +95,9 @@ def _power_response(p, c, w: float, kind: str, **exponents) -> BestResponse:
         raise OracleError("prices must stay strictly positive and finite")
     row = MarketInstance(supp.size, 1, [w], [UtilitySpec(kind, np.arange(supp.size), c[supp],
                                                          **exponents)])
-    G, logS = bid_shares(row, p[supp])
+    shares, logS = bid_shares(row, p[supp])
     gamma = np.zeros(len(p))
-    gamma[supp] = G.data
+    gamma[supp] = shares.csr().data
     x = w * gamma / p
     k, r = row.k[0], row.r[0]
     log_u = float(k * r * np.log(w) + k * (1.0 - r) * logS[0])
@@ -492,24 +498,73 @@ def _row_softmax(logits: np.ndarray, indptr: np.ndarray):
 SPREAD_LIMIT = 600.0  # largest |b| (max log p - min log p) the factored shares take
 
 
-def bid_shares(instance: MarketInstance, p):
-    """Bidding-share matrix G (csr, rows of gamma) of the unconstrained players.
+def share_csr(C: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """An explicit share matrix: ``data`` on C's index arrays (not copies).
 
-    Row i of G belongs to player ``instance.uncon[i]``.  G's index arrays are
-    those of ``instance.uncon_C``, not copies, so they stay read-only.
-    Returns (G, log_S) where log_S[i] is logsumexp of the dual theta row,
-    from which the attained log-utility is d_i log w_i + k_i (1-r_i) log_S_i.
+    The one place a share matrix G is built; the price-query path
+    (``market_state``, ``hessian.assemble_from_state``, PCG) never calls it
+    on the factored path.
+    """
+    return sp.csr_matrix((data, C.indices, C.indptr), shape=C.shape)
+
+
+class ShareRows(NamedTuple):
+    """The unconstrained players' share matrix G = diag(1/S) Ca diag(q), as factors.
+
+    Row i of G is player ``instance.uncon[i]``'s bidding vector gamma_i.  On
+    the factored path ``Ca`` is the cached ``ShareFactors.Ca``, ``q`` the
+    per-query p^b scaled to a largest entry of 1 and ``S = Ca q`` the row
+    sums; the softmax path stores its explicit shares as ``Ca`` with ``q``
+    and ``S`` ones.  Products apply 1/S once, never squared (see
+    ``bid_shares``); ``csr`` builds G itself.
+    """
+
+    Ca: sp.csr_matrix
+    q: np.ndarray
+    S: np.ndarray
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """G v."""
+        return (self.Ca @ (self.q * v)) / self.S
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """G^T y."""
+        return self.q * (self.Ca.T @ (y / self.S))
+
+    def csr(self) -> sp.csr_matrix:
+        """G as an explicit CSR (``share_csr``), for the paths that read its entries."""
+        Ca = self.Ca
+        data = np.take(self.q, Ca.indices) * Ca.data / np.repeat(self.S, np.diff(Ca.indptr))
+        return share_csr(Ca, data)
+
+
+def bid_shares(instance: MarketInstance, p):
+    """The unconstrained players' bidding shares at p: (ShareRows G, log_S).
+
+    Row i of G belongs to player ``instance.uncon[i]``; log_S[i] is
+    logsumexp of the dual theta row, from which the attained log-utility is
+    d_i log w_i + k_i (1-r_i) log_S_i.
 
     theta_ij = exp(a_i log c_ij + b_i log p_j) factors as c_ij^a_i * p_j^b_i.
     When the rows share one exponent, the first factor, row-normalized, is
-    cached per instance (``instance.share_factors()``); a query builds the
-    row exp(b log p - bmax), gathers it onto the nonzeros, multiplies by the
-    cached factor and normalizes by the row sums, so no per-nonzero ``exp``
-    and no row-maximum pass runs.  Each row's largest cached factor is 1, so
-    with |b| (max log p - min log p) <= SPREAD_LIMIT every row sum is at
-    least e^-600 and a product that underflows is below e^-144 of its row
-    sum.  Beyond that spread, or when the rows' exponents differ, the
-    log-domain ``_row_softmax`` runs instead.
+    the cached CSR ``Ca`` (``instance.share_factors()``); a query computes
+    q = exp(b log p - bmax) over the goods and S = Ca q, one sparse product,
+    and keeps G = diag(1/S) Ca diag(q) as those factors: no per-nonzero
+    ``exp``, gather or division runs and no share matrix is built.
+
+    Ranges.  Each row of Ca has largest entry 1 and q lies in [e^-L, 1],
+    L = |b| (max log p - min log p) <= SPREAD_LIMIT = 600, so every S_i lies
+    in [e^-600, nnz_i].  1/S_i, at most e^600, is representable; its square
+    is not, so every product applies 1/S once per side of G (``ShareRows``,
+    ``hessian.ScaledHessianOp``), never as s/S^2.  A product Ca_ij q_j (in
+    S or G v) that leaves the normal range is below e^-708 < e^-108 S_i, a
+    share below e^-108 that the explicit product loses too.  In
+    G^T y = q * (Ca^T (y/S)) the terms Ca_ij y_i/S_i are at most
+    |y_i| e^600, so their sum stays finite for |y| up to e^100 / nnz, and
+    each is at least the explicit term G_ij y_i in size, so it underflows
+    only where G^T y does; q_j then scales it back.  Beyond that spread, or when the rows' exponents differ,
+    the log-domain ``_row_softmax`` computes the explicit shares, kept as
+    ``Ca`` with q and S ones.
     """
     C, cols = instance.uncon_C, instance.uncon_cols
     f = instance.share_factors()
@@ -524,15 +579,13 @@ def bid_shares(instance: MarketInstance, p):
         logits = (np.repeat(a, counts) * logc
                   + np.repeat(-r * a, counts) * np.take(logp, cols, mode="clip"))
         gdata, logS = _row_softmax(logits, C.indptr)
-        return sp.csr_matrix((gdata, C.indices, C.indptr), shape=C.shape), logS
-    blogp = f.b * logp
-    bmax = blogp.max()
-    gdata = np.take(np.exp(blogp - bmax), cols, mode="clip")
-    gdata *= f.ca
-    sums = np.add.reduceat(gdata, C.indptr[:-1])
-    gdata /= np.repeat(sums, np.diff(C.indptr))
-    logS = f.rmax + bmax + np.log(sums)
-    return sp.csr_matrix((gdata, C.indices, C.indptr), shape=C.shape), logS
+        return ShareRows(share_csr(C, gdata), np.ones(C.shape[1]), np.ones(C.shape[0])), logS
+    q = f.b * logp
+    bmax = q.max()
+    q -= bmax
+    np.exp(q, out=q)
+    S = f.Ca @ q
+    return ShareRows(f.Ca, q, S), f.rmax + bmax + np.log(S)
 
 
 def _linear_batch(instance: MarketInstance, p: np.ndarray):
@@ -561,20 +614,29 @@ def _linear_batch(instance: MarketInstance, p: np.ndarray):
 
 @dataclass
 class MarketState:
-    """Everything the solvers need at one price vector.  ``G`` holds the
-    unconstrained players' bidding rows: the CSR shares of ``bid_shares``
-    (CES/additive), or the dense (m, n) shifted bidding vectors (linear)."""
+    """Everything the solvers need at one price vector.  ``shares`` holds the
+    unconstrained players' bidding rows: the factored ``ShareRows`` of
+    ``bid_shares`` (CES/additive), or the dense (m, n) shifted bidding
+    vectors (linear); ``spend`` is the CES/additive players' spend per good,
+    G^T w."""
 
     p: np.ndarray
     grad: np.ndarray
     demand: np.ndarray
     value: float
-    G: sp.csr_matrix | np.ndarray | None = None
+    shares: ShareRows | np.ndarray | None = None
+    spend: np.ndarray | None = None
     con_responses: dict = field(default_factory=dict)
     linear_x: np.ndarray | None = None
     kkt_resid: float = 0.0
     psi_rounds: int = 0  # Newton rounds of the psi root-finder (linear markets)
     con_newton_steps: int = 0  # Newton steps of the constrained players, summed
+
+    @property
+    def G(self) -> sp.csr_matrix | np.ndarray | None:
+        """The bidding rows as an explicit matrix: CES/additive shares as a CSR
+        built on each call (``ShareRows.csr``), linear ones as stored."""
+        return self.shares.csr() if isinstance(self.shares, ShareRows) else self.shares
 
 
 def market_state(instance: MarketInstance, p) -> MarketState:
@@ -587,18 +649,19 @@ def market_state(instance: MarketInstance, p) -> MarketState:
         demand = X.sum(axis=0)
         grad = 1.0 - instance.degree[0] * demand
         return MarketState(p, grad, demand, value,
-                           G=gammas, linear_x=X, kkt_resid=worst, psi_rounds=rounds)
+                           shares=gammas, linear_x=X, kkt_resid=worst, psi_rounds=rounds)
 
     uncon = instance.uncon
     demand = np.zeros(instance.n)
     value = float(p.sum())
-    G = None
+    shares = spend = None
     if uncon.size:
-        G, logS = bid_shares(instance, p)
+        shares, logS = bid_shares(instance, p)
         wu = w[uncon]
         ru, ku, du = instance.r[uncon], instance.k[uncon], instance.degree[uncon]
-        # x_ij = w_i gamma_ij / p_j, summed over players as one sparse product
-        demand += (G.T @ wu) / p
+        # x_ij = w_i gamma_ij / p_j, summed over players: the spend G^T w over p
+        spend = shares.rmatvec(wu)
+        demand += spend / p
         value += float(np.sum(wu * np.log(wu))) + float(np.sum((wu / du) * ku * (1.0 - ru) * logS))
     con_responses = {}
     steps = 0
@@ -612,8 +675,8 @@ def market_state(instance: MarketInstance, p) -> MarketState:
     if not np.all(np.isfinite(demand)):
         raise OracleError("demand overflow (a price collapsed to zero)")
     grad = 1.0 - demand
-    return MarketState(p, grad, demand, value, G=G, con_responses=con_responses,
-                       con_newton_steps=steps)
+    return MarketState(p, grad, demand, value, shares=shares, spend=spend,
+                       con_responses=con_responses, con_newton_steps=steps)
 
 
 def potential_value(instance: MarketInstance, p) -> float:

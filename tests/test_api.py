@@ -29,9 +29,9 @@ CONFIG_FIELDS = {
 
 # the Newton system's data: a new piece of the operator or the state is a deliberate edit
 STATE_FIELDS = {
-    mq.hessian.ScaledHessianOp: ["n", "diag", "R", "s", "dr1_omega", "dr1_xi"],
-    mq.oracle.MarketState: ["p", "grad", "demand", "value", "G", "con_responses", "linear_x",
-                            "kkt_resid", "psi_rounds", "con_newton_steps"],
+    mq.hessian.ScaledHessianOp: ["n", "diag", "G", "s", "R", "t", "dr1_omega", "dr1_xi", "k_c"],
+    mq.oracle.MarketState: ["p", "grad", "demand", "value", "shares", "spend", "con_responses",
+                            "linear_x", "kkt_resid", "psi_rounds", "con_newton_steps"],
 }
 
 # what an instance stores: the input record, the arrays the solvers read, two lazy caches

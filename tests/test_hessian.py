@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 import marketeq as mq
 from marketeq import hessian as hes
+from marketeq.market import ADDITIVE, CES, MarketInstance, UtilitySpec
 from marketeq.hessian import (
     ScaledHessianOp,
     SingularUpdateError,
@@ -144,7 +145,7 @@ class TestArrayPieces:
         inst = mixed_sign_ces_instance(rng, m=2 * hes.GRAM_BLOCK + 37)
         op = assemble(inst, rng.uniform(0.5, 2.0, inst.n))
         assert op.s.min() < 0 < op.s.max()
-        G = op.R.toarray()
+        G = op.G.csr().toarray()
         a = inst.budgets / (1 - inst.r)
         ref = np.diag(G.T @ a) - G.T @ np.diag(op.s) @ G
         assert rel_err(op.dense(), ref) <= 1e-12
@@ -257,7 +258,7 @@ class TestPreconditioner:
         op = assemble(inst, p)
         pre = op.preconditioner()
         assert np.max(np.abs(pre - op.matvec(np.ones(8)))) < 1e-12
-        G, _ = mq.oracle.bid_shares(inst, p)
+        G = mq.oracle.bid_shares(inst, p)[0].csr()
         assert np.max(np.abs(pre - G.T @ inst.budgets)) < 1e-12
 
     def test_zero_guard(self):
@@ -276,3 +277,117 @@ class TestPreconditioner:
             Hc = H / np.sqrt(kc)[:, None] / np.sqrt(kc)[None, :]
             ev = np.linalg.eigvalsh(Hc)
             assert ev[-1] / ev[0] <= bound + 1e-8
+
+
+def shared_r_additive_instance(rng, n=25, m=70, r=0.4):
+    """Additive and CES players with one exponent r, so their shares stay factored."""
+    utilities = []
+    for i in range(m):
+        idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        c = rng.uniform(0.1, 2.0, idx.size)
+        utilities.append(UtilitySpec(ADDITIVE, idx, c, k=rng.uniform(0.2, 2.0), r=r) if i % 2
+                         else UtilitySpec(CES, idx, c, rho=r))
+    return MarketInstance(n, m, rng.uniform(0.5, 1.5, m) / m, utilities)
+
+
+def explicit_reference(inst, state):
+    """H, the DR1 vector xi and demand from the explicit share matrix, in dense numpy."""
+    uncon, p = inst.uncon, state.p
+    G = state.G.toarray()
+    w, r = inst.budgets[uncon], inst.r[uncon]
+    a, s = w / (1 - r), w * r / (1 - r)
+    H = np.diag(G.T @ a) - G.T @ (s[:, None] * G)
+    demand = G.T @ w / p
+    for i in inst.con:
+        x = state.con_responses[i].x
+        H += (inst.budgets[i] / inst.degree[i] * np.outer(p, p)
+              * mq.oracle.constrained_dual_hessian(inst, i, x))
+        demand = demand + x
+    return H, G.T @ s / s.sum(), demand
+
+
+FACTORED_MARKETS = {
+    "ces-rho=0.9": lambda rng: mq.generate_random(40, 120, 0.3, rho=0.9, seed=4),
+    "ces-rho=-0.9": lambda rng: mq.generate_random(40, 120, 0.3, rho=-0.9, seed=4),
+    "additive-shared-r": shared_r_additive_instance,
+    "flow": lambda rng: mixed_flow_instance(players=3, ces_players=6),
+}
+
+
+class TestFactoredShares:
+    """G = diag(1/S) C^a diag(q) kept factored against the explicit share matrix."""
+
+    @pytest.mark.parametrize("name", list(FACTORED_MARKETS))
+    def test_factored_matches_materialized(self, rng, monkeypatch, name):
+        inst = FACTORED_MARKETS[name](rng)
+        p = rng.uniform(0.5, 2.0, inst.n)
+        state = mq.market_state(inst, p)
+        assert state.shares.Ca is inst.share_factors().Ca  # the factored path ran
+        op = hes.assemble_from_state(state, inst)
+        # the softmax path computes the explicit shares independently
+        monkeypatch.setattr(mq.oracle, "SPREAD_LIMIT", -1.0)
+        ref = mq.market_state(inst, p)
+        assert ref.shares.Ca is not inst.share_factors().Ca
+        H, xi, demand = explicit_reference(inst, ref)
+        assert rel_err(state.demand, ref.demand) <= 1e-13
+        assert rel_err(state.demand, demand) <= 1e-13
+        assert abs(state.value - ref.value) <= 1e-13 * abs(ref.value)
+        assert rel_err(op.row_sums(), H.sum(axis=1)) <= 1e-13
+        assert rel_err(op.dense(), H) <= 1e-13
+        for _ in range(3):
+            v = rng.standard_normal(inst.n)
+            assert rel_err(op.matvec(v), H @ v) <= 1e-13
+        if not inst.con.size:
+            G = ref.G.toarray()
+            uncon = inst.uncon
+            a = inst.budgets[uncon] / (1 - inst.r[uncon])
+            assert rel_err(op.diag, G.T @ a) <= 1e-13
+            assert rel_err(op.dr1_xi, xi) <= 1e-13
+            assert rel_err(op.k_c, G.T @ inst.budgets[uncon]) <= 1e-13
+
+    def test_spread_just_under_the_limit(self, monkeypatch):
+        # rho = 0.9, so b = -9 and q = p^b spans e^-598.5: the player valuing only
+        # the two dearest goods has S ~ 1e-239, and 1/S^2 overflows
+        n = 12
+        utilities = [UtilitySpec(CES, np.arange(n), np.linspace(1.0, 2.0, n), rho=0.9),
+                     UtilitySpec(CES, [n - 2, n - 1], [0.5, 1.0], rho=0.9),
+                     UtilitySpec(CES, [0, 1, n - 1], [0.7, 1.0, 2.0], rho=0.9)]
+        inst = MarketInstance(n, 3, [0.3, 0.3, 0.4], utilities)
+        p = np.exp(np.linspace(-598.5 / 18, 598.5 / 18, n))
+        assert 9.0 * np.log(p[-1] / p[0]) == pytest.approx(598.5)
+        state = mq.market_state(inst, p)
+        assert state.shares.Ca is inst.share_factors().Ca
+        with np.errstate(over="ignore"):
+            assert (1.0 / state.shares.S.min()) ** 2 == np.inf
+        op = hes.assemble_from_state(state, inst)
+        monkeypatch.setattr(mq.oracle, "SPREAD_LIMIT", -1.0)
+        ref = mq.market_state(inst, p)
+        ref_op = hes.assemble_from_state(ref, inst)
+        H, _, _ = explicit_reference(inst, ref)
+        assert np.all(np.isfinite(state.demand)) and np.isfinite(state.value)
+        assert np.max(np.abs(state.demand - ref.demand) / ref.demand) <= 1e-12
+        assert abs(state.value - ref.value) <= 1e-12 * abs(ref.value)
+        dense = op.dense()
+        assert np.all(np.isfinite(dense))
+        assert rel_err(dense, ref_op.dense()) <= 1e-12 and rel_err(dense, H) <= 1e-12
+        for v in np.random.default_rng(5).standard_normal((3, n)):
+            Hv = op.matvec(v)
+            assert np.all(np.isfinite(Hv))
+            assert rel_err(Hv, ref_op.matvec(v)) <= 1e-12 and rel_err(Hv, H @ v) <= 1e-12
+
+    def test_price_query_to_pcg_builds_no_share_matrix(self, rng, monkeypatch):
+        inst = mq.generate_random(30, 60, 0.4, rho=0.9, seed=2)
+        p = rng.uniform(0.5, 2.0, inst.n)
+        mq.market_state(inst, p)  # the first query caches C^a, a CSR built once
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CSR matrix was built")
+
+        # oracle.sp and hessian.sp are this module
+        monkeypatch.setattr(sp, "csr_matrix", refuse)
+        state = mq.market_state(inst, p)
+        op = hes.assemble_from_state(state, inst)
+        d, iters = pcg_solve(op, 1e-3, state.p * state.grad, 1e-10, op.preconditioner())
+        assert iters > 0 and np.all(np.isfinite(d))
+        with pytest.raises(AssertionError, match="CSR"):
+            state.G  # the explicit share matrix is built on demand only

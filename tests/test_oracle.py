@@ -569,7 +569,8 @@ def softmax_reference(inst, p):
 
 
 def assert_matches_softmax(inst, p):
-    G, logS = oracle.bid_shares(inst, p)
+    shares, logS = oracle.bid_shares(inst, p)
+    G = shares.csr()
     shares, ref_logS = softmax_reference(inst, p)
     assert np.all(np.isfinite(G.data))
     np.testing.assert_allclose(np.add.reduceat(G.data, G.indptr[:-1]), 1.0, rtol=1e-14)
@@ -634,14 +635,20 @@ class TestBidShares:
     def test_queries_return_fresh_data_and_keep_the_cache(self, rng):
         inst = mixed_exponent_market(exponents=(0.5,))
         f = inst.share_factors()
-        ca = f.ca.copy()
-        G1, _ = oracle.bid_shares(inst, rng.uniform(0.5, 2.0, inst.n))
+        ca = f.Ca.data.copy()
+        # the cached c^a sits on uncon_C's index arrays, not copies
+        assert np.shares_memory(f.Ca.indices, inst.uncon_C.indices)
+        assert np.shares_memory(f.Ca.indptr, inst.uncon_C.indptr)
+        s1, _ = oracle.bid_shares(inst, rng.uniform(0.5, 2.0, inst.n))
+        G1 = s1.csr()
         first = G1.data.copy()
-        G2, _ = oracle.bid_shares(inst, rng.uniform(0.5, 2.0, inst.n))
-        assert not np.shares_memory(G1.data, G2.data)
-        assert not np.shares_memory(G1.data, f.ca)
+        s2, _ = oracle.bid_shares(inst, rng.uniform(0.5, 2.0, inst.n))
+        assert s1.Ca is s2.Ca is f.Ca
+        assert not np.shares_memory(s1.q, s2.q) and not np.shares_memory(s1.S, s2.S)
+        assert not np.shares_memory(G1.data, s2.csr().data)
+        assert not np.shares_memory(G1.data, f.Ca.data)
         assert np.array_equal(G1.data, first)
-        assert inst.share_factors() is f and np.array_equal(f.ca, ca)
+        assert inst.share_factors() is f and np.array_equal(f.Ca.data, ca)
 
 
 class NoSpecs:
@@ -695,14 +702,14 @@ class TestConstants:
     def test_uniform_bidding_kappa(self):
         n = 8
         inst = MarketInstance(n, 1, [1.0], [UtilitySpec(CES, np.arange(n), np.ones(n), rho=0.5)])
-        G, _ = mq.oracle.bid_shares(inst, np.ones(n))
+        G = mq.oracle.bid_shares(inst, np.ones(n))[0].csr()
         consts = potential_constants(inst, [G])
         assert abs(consts.kappa[0] - n) < 1e-9
         assert abs(consts.C_phi - 2.0 * n**3) < 1e-6
 
     def test_kappa_cap(self):
         inst = MarketInstance(2, 1, [1.0], [UtilitySpec(CES, [0, 1], [1.0, 1e-9], rho=0.9)])
-        G, _ = mq.oracle.bid_shares(inst, np.ones(2))
+        G = mq.oracle.bid_shares(inst, np.ones(2))[0].csr()
         consts = potential_constants(inst, [G])
         assert consts.kappa[0] == oracle.KAPPA_CAP == 1e4
 
