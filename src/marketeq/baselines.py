@@ -52,6 +52,8 @@ def tat_run(instance: MarketInstance, config: BaselineConfig, p0, callback=None)
     """
     config.validate()
     p = np.asarray(p0, dtype=float).copy()
+    if p.shape != (instance.n,) or not np.all((p > 0) & (p < math.inf)):
+        raise ValueError(f"p0 must be {instance.n} strictly positive, finite prices")
     trace = SolveTrace(extras={"step": config.step})
     status = STATUS_MAXITERS
     for k in range(config.max_iters):

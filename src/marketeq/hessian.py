@@ -36,7 +36,7 @@ from .market import MarketInstance
 from .oracle import MarketState, ShareRows, constrained_hessian_rows, market_state
 from .oracle import constrained_dual_hessian  # noqa: F401  (bench/tracer.py patches this name)
 
-DENSE_LIMIT = 512  # dense materialization is a test path, never the big-n path
+DENSE_LIMIT = 512  # largest n whose H exact mode builds dense; solves run it up to here
 GRAM_BLOCK = 256  # share rows per BLAS product in ScaledHessianOp.dense
 OMEGA_DROP_REL = 1e-14
 KC_FLOOR = 1e-300
@@ -208,8 +208,10 @@ def share_operator(n: int, G: ShareRows | sp.csr_matrix, w, r,
 def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledHessianOp:
     w = instance.budgets
     if instance.is_linear:
-        g = state.shares
+        # the shifted bidding vectors gamma_i = (1 + sigma_i n) P x_i / w_i - sigma_i
         sig = instance.sigma
+        g = ((1.0 + sig[:, None] * instance.n) * state.linear_x * state.p[None, :] / w[:, None]
+             - sig[:, None])
         shifted = g + sig[:, None]
         return ScaledHessianOp(n=instance.n, diag=((w / sig)[:, None] * shifted**2).sum(axis=0),
                                R=shifted * g,

@@ -40,7 +40,8 @@ import scipy.linalg
 
 from . import hessian as hes
 from .market import MarketInstance, atomic_write_text, with_barrier_sigma
-from .oracle import OracleError, PotentialConstants, market_state, potential_constants
+from .oracle import (OracleError, PotentialConstants, linear_barrier_kkt_residual,
+                     market_state, potential_constants)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITERS = "MaxIters"
@@ -140,7 +141,7 @@ class LogBarConfig:
     hessian_mode: str = "exact"  # exact | dr1 | pcg
     eps_k: float = 1e-8
     max_iters: int = 500
-    theory_strict: bool = False  # Q from the worst-case formula; enables mu_stop
+    theory_strict: bool = False  # Q from the worst-case formula, theory_strict_Q
     mu_stop: bool = False  # stop once mu <= eps/(1+sqrt(n)) (secondary guarantee)
     keep_iterates: bool = False
 
@@ -587,8 +588,8 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     if config.hessian_mode == "dr1":
         config = replace(config, hessian_mode="pcg")
     p = np.asarray(p0, dtype=float).copy()
-    if np.any(p <= 0):
-        raise ConfigError("p0 must be strictly positive")
+    if p.shape != (instance.n,) or not np.all((p > 0) & (p < math.inf)):
+        raise ConfigError(f"p0 must be {instance.n} strictly positive, finite prices")
     C = config.c_phi if config.c_phi is not None else PRACTICAL_C_PHI
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
                                "centering_warnings": 0, "t_zero_k": None})
@@ -630,7 +631,14 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
 
 
 def equilibrium_certificate(instance: MarketInstance, p, eps: float | None = None) -> dict:
-    """Residual report at p: gradient norms, clearing error, budgets, KKT."""
+    """Residual report at p: gradient norms, clearing error, budgets, KKT.
+
+    ``grad_inf`` and ``clearing_inf`` are the equilibrium evidence.  The
+    budget and KKT residuals check the oracle's accuracy on the players whose
+    demand an iterative solve produces (linear-barrier psi roots, constrained
+    Newton).  Closed-form CES/additive demand spends its budget by
+    construction (each share row is divided by its own sum): 0.0 for them.
+    """
     p = np.asarray(p, dtype=float)
     state = market_state(instance, p)
     report = {
@@ -640,11 +648,12 @@ def equilibrium_certificate(instance: MarketInstance, p, eps: float | None = Non
         "grad_l2": float(np.linalg.norm(state.grad)),
         "clearing_inf": float(np.max(np.abs(state.demand - 1.0))),
     }
+    w = instance.budgets
     if instance.is_linear:
-        spends = state.linear_x @ p
-        report["budget_residual_max"] = float(
-            np.max(np.abs(spends - instance.budgets) / instance.budgets))
-        report["kkt_residual_max"] = state.kkt_resid
+        X = state.linear_x
+        report["budget_residual_max"] = float(np.max(np.abs(X @ p - w) / w))
+        report["kkt_residual_max"] = linear_barrier_kkt_residual(p, instance.C.toarray(),
+                                                                 instance.sigma, w, X)
         sigma = float(instance.sigma[0])
         report["sigma"] = sigma
         if eps is not None:
@@ -652,14 +661,9 @@ def equilibrium_certificate(instance: MarketInstance, p, eps: float | None = Non
             report["remark1_bound"] = bound
             report["clearing_within_bound"] = bool(report["clearing_inf"] <= bound)
     else:
-        resid = 0.0
-        if instance.uncon.size:
-            G = state.G  # the explicit shares, built for this check
-            spends = np.add.reduceat(G.data, G.indptr[:-1])  # sum gamma = spend/w
-            resid = float(np.max(np.abs(spends - 1.0)))
-        kkt = 0.0
+        resid = kkt = 0.0
         for i, resp in state.con_responses.items():
-            resid = max(resid, abs(resp.spend - instance.budgets[i]) / instance.budgets[i])
+            resid = max(resid, abs(resp.spend - w[i]) / w[i])
             A = instance.constraints[i]
             kkt = max(kkt, float(np.max(np.abs(A @ resp.x))) if A.shape[0] else 0.0)
         report["budget_residual_max"] = resid

@@ -275,6 +275,8 @@ class MarketInstance:
             kind = rec["kind"]
             entries = rec["entries"]
             idx = [e[0] for e in entries]
+            if not all(type(j) is int for j in idx):  # 1.9, true and "1" are not good 1
+                raise ValueError(f"coefficient indices must be integers, got {idx!r}")
             val = [e[1] for e in entries]
             param = rec["param"]
             if kind == CES:

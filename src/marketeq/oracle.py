@@ -258,10 +258,13 @@ def linear_barrier_best_response(p, c, sigma: float, w: float):
     return BestResponse(x, gamma, log_obj, float(p @ x)), float(lam[0]), float(u[0])
 
 
-def linear_barrier_kkt_residual(p, c, sigma: float, w: float, x: np.ndarray) -> float:
-    """Max-norm residual of the stationarity condition c/<c,x> + sigma/x = lam*p."""
-    lam = (1.0 + sigma * len(p)) / w
-    res = c / float(c @ x) + sigma / x - lam * np.asarray(p, dtype=float)
+def linear_barrier_kkt_residual(p, c, sigma, w, x) -> float:
+    """Max-norm residual of the stationarity condition c/<c,x> + sigma/x = lam*p,
+    lam = (1 + sigma n)/w, over one player's row or a stack of rows: c and x
+    of shape (n,) or (m, n), sigma and w scalars or of shape (m,)."""
+    c, x = np.atleast_2d(c, x)
+    sigma, w = np.reshape(sigma, (-1, 1)), np.reshape(w, (-1, 1))
+    res = c / np.sum(c * x, axis=1, keepdims=True) + sigma / x - (1.0 + sigma * len(p)) / w * p
     return float(np.max(np.abs(res)))
 
 
@@ -592,51 +595,37 @@ def _linear_batch(instance: MarketInstance, p: np.ndarray):
     """All linear-barrier responses at once, from the CSR coefficients.
 
     One call of the psi root-finder ``_psi_roots`` covers every player.
-    Returns (X, gammas, value, kkt_resid, rounds): the dense (m, n) demand
-    (the barrier keeps every x_j > 0, so it has no sparsity to exploit), the
-    shifted bidding vectors, the potential's value, the largest KKT residual
+    Returns (X, value, rounds): the dense (m, n) demand (the barrier keeps
+    every x_j > 0, so it has no sparsity to exploit), the potential's value
     and the root-finder's Newton rounds.
     """
-    n = instance.n
     w = instance.budgets
     sig = instance.sigma
     C, cols = instance.C, instance.cols
-    rows = instance.nnz_row_index()
-    X, _, lam, rounds = _psi_roots(C, cols, p, sig, w)
-    gammas = (1.0 + sig[:, None] * n) * X * p[None, :] / w[:, None] - sig[:, None]
-    uval = np.add.reduceat(C.data * X[rows, cols], C.indptr[:-1])
+    X, _, _, rounds = _psi_roots(C, cols, p, sig, w)
+    uval = np.add.reduceat(C.data * X[instance.nnz_row_index(), cols], C.indptr[:-1])
     value = float(p.sum() + np.sum(w * (np.log(uval) + sig * np.log(X).sum(axis=1))))
-    resid = sig[:, None] / X
-    resid[rows, cols] += C.data / uval[rows]
-    resid -= lam[:, None] * p[None, :]
-    return X, gammas, value, float(np.abs(resid).max()), rounds
+    return X, value, rounds
 
 
 @dataclass
 class MarketState:
-    """Everything the solvers need at one price vector.  ``shares`` holds the
-    unconstrained players' bidding rows: the factored ``ShareRows`` of
-    ``bid_shares`` (CES/additive), or the dense (m, n) shifted bidding
-    vectors (linear); ``spend`` is the CES/additive players' spend per good,
-    G^T w."""
+    """What a Newton step reads at one price vector.  ``shares`` holds the
+    CES/additive players' bidding rows as the factored ``ShareRows`` of
+    ``bid_shares`` and ``spend`` their spend per good, G^T w; a linear
+    market keeps its dense demand rows in ``linear_x`` instead, from which
+    ``hessian.assemble_from_state`` forms the shifted bidding vectors."""
 
     p: np.ndarray
     grad: np.ndarray
     demand: np.ndarray
     value: float
-    shares: ShareRows | np.ndarray | None = None
+    shares: ShareRows | None = None
     spend: np.ndarray | None = None
     con_responses: dict = field(default_factory=dict)
     linear_x: np.ndarray | None = None
-    kkt_resid: float = 0.0
     psi_rounds: int = 0  # Newton rounds of the psi root-finder (linear markets)
     con_newton_steps: int = 0  # Newton steps of the constrained players, summed
-
-    @property
-    def G(self) -> sp.csr_matrix | np.ndarray | None:
-        """The bidding rows as an explicit matrix: CES/additive shares as a CSR
-        built on each call (``ShareRows.csr``), linear ones as stored."""
-        return self.shares.csr() if isinstance(self.shares, ShareRows) else self.shares
 
 
 def market_state(instance: MarketInstance, p) -> MarketState:
@@ -645,11 +634,10 @@ def market_state(instance: MarketInstance, p) -> MarketState:
         raise OracleError("prices must stay strictly positive and finite")
     w = instance.budgets
     if instance.is_linear:
-        X, gammas, value, worst, rounds = _linear_batch(instance, p)
+        X, value, rounds = _linear_batch(instance, p)
         demand = X.sum(axis=0)
         grad = 1.0 - instance.degree[0] * demand
-        return MarketState(p, grad, demand, value,
-                           shares=gammas, linear_x=X, kkt_resid=worst, psi_rounds=rounds)
+        return MarketState(p, grad, demand, value, linear_x=X, psi_rounds=rounds)
 
     uncon = instance.uncon
     demand = np.zeros(instance.n)

@@ -31,7 +31,7 @@ CONFIG_FIELDS = {
 STATE_FIELDS = {
     mq.hessian.ScaledHessianOp: ["n", "diag", "G", "s", "R", "t", "dr1_omega", "dr1_xi", "k_c"],
     mq.oracle.MarketState: ["p", "grad", "demand", "value", "shares", "spend", "con_responses",
-                            "linear_x", "kkt_resid", "psi_rounds", "con_newton_steps"],
+                            "linear_x", "psi_rounds", "con_newton_steps"],
 }
 
 # what an instance stores: the input record, the arrays the solvers read, two lazy caches

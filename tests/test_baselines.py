@@ -52,6 +52,13 @@ class TestTat:
         z = mq.market_state(inst, p).demand - 1.0
         assert (np.max(np.abs(p1 - p)) < 1e-14) == (np.max(np.abs(z)) < 1e-13)
 
+    @pytest.mark.parametrize("p0", [[0.5, 0.0, 0.5], [0.5, np.nan, 0.5], [0.5, np.inf, 0.5],
+                                    [0.5, 0.5]], ids=["zero", "nan", "inf", "wrong-length"])
+    def test_p0_validation(self, p0):
+        inst = symmetric_instance(3, 5)
+        with pytest.raises(ValueError, match="p0"):
+            tat_run(inst, BaselineConfig(method="tat", max_iters=5), np.array(p0))
+
 
 class TestPropRes:
     def test_conservation_laws(self):

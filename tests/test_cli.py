@@ -180,8 +180,19 @@ class TestSolve:
           "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [0, 2.0], [1, 1.0]]},
                         {"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [1, 1.0]]}]},
          "player 0: duplicate coefficient index"),
+        # an entry's index must not be coerced to good 1
+        ({"n": 2, "m": 1, "budgets": [1.0],
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [1.9, 2.0]]}]},
+         "malformed instance file"),
+        ({"n": 2, "m": 1, "budgets": [1.0],
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [True, 2.0]]}]},
+         "malformed instance file"),
+        ({"n": 2, "m": 1, "budgets": [1.0],
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], ["1", 2.0]]}]},
+         "malformed instance file"),
     ], ids=["null-param", "entry-without-coefficient", "top-level-list", "index-out-of-range",
-            "fractional-n", "string-n", "nan-constraint", "duplicate-index"])
+            "fractional-n", "string-n", "nan-constraint", "duplicate-index", "fractional-index",
+            "bool-index", "string-index"])
     def test_malformed_instance_exit_3(self, tmp_path, capsys, doc, message):
         path = os.path.join(tmp_path, "bad.json")
         with open(path, "w") as fh:

@@ -116,7 +116,8 @@ def rel_err(a, b):
 def linear_blocks_reference(inst, p):
     """Sum of the per-player linear-barrier blocks (w/sigma)[diag((gamma+sigma)^2)
     - v v^T/(sigma+|gamma|^2)], v = (gamma+sigma) gamma; returns (H, rank-one part)."""
-    gammas = mq.market_state(inst, p).G
+    gammas = [mq.oracle.linear_barrier_best_response(p, u.dense(inst.n), u.sigma, w)[0].gamma
+              for u, w in zip(inst.utilities, inst.budgets)]
     H = np.zeros((inst.n, inst.n))
     R = np.zeros((inst.n, inst.n))
     for u, w, g in zip(inst.utilities, inst.budgets, gammas):
@@ -293,7 +294,7 @@ def shared_r_additive_instance(rng, n=25, m=70, r=0.4):
 def explicit_reference(inst, state):
     """H, the DR1 vector xi and demand from the explicit share matrix, in dense numpy."""
     uncon, p = inst.uncon, state.p
-    G = state.G.toarray()
+    G = state.shares.csr().toarray()
     w, r = inst.budgets[uncon], inst.r[uncon]
     a, s = w / (1 - r), w * r / (1 - r)
     H = np.diag(G.T @ a) - G.T @ (s[:, None] * G)
@@ -338,7 +339,7 @@ class TestFactoredShares:
             v = rng.standard_normal(inst.n)
             assert rel_err(op.matvec(v), H @ v) <= 1e-13
         if not inst.con.size:
-            G = ref.G.toarray()
+            G = ref.shares.csr().toarray()
             uncon = inst.uncon
             a = inst.budgets[uncon] / (1 - inst.r[uncon])
             assert rel_err(op.diag, G.T @ a) <= 1e-13
@@ -390,4 +391,4 @@ class TestFactoredShares:
         d, iters = pcg_solve(op, 1e-3, state.p * state.grad, 1e-10, op.preconditioner())
         assert iters > 0 and np.all(np.isfinite(d))
         with pytest.raises(AssertionError, match="CSR"):
-            state.G  # the explicit share matrix is built on demand only
+            state.shares.csr()  # the explicit share matrix is built on demand only

@@ -27,7 +27,8 @@ from marketeq.ipm import (
     theory_strict_Q,
 )
 from marketeq.market import CES, MarketInstance, UtilitySpec
-from marketeq.oracle import OracleError, market_state, potential_constants
+from marketeq.oracle import (OracleError, linear_barrier_kkt_residual, market_state,
+                             potential_constants)
 
 from conftest import mixed_flow_instance, mixed_sign_ces_instance, symmetric_instance
 
@@ -417,6 +418,10 @@ class TestPathFolRun:
         inst = mq.generate_random(4, 4, 1.0, seed=0)
         with pytest.raises(ConfigError):
             pathfol_run(inst, PathFolConfig(), np.array([1.0, -1.0, 1.0, 1.0]))
+        # non-finite or wrong-length starts are refused up front, not run
+        for p0 in ([1.0, math.nan, 1.0, 1.0], [1.0, math.inf, 1.0, 1.0], [1.0, 1.0, 1.0]):
+            with pytest.raises(ConfigError, match="p0"):
+                pathfol_run(inst, PathFolConfig(), np.array(p0))
 
     def test_two_solves_per_row_while_homotopy_positive(self, monkeypatch):
         # rows are told apart by their price query: the anchor's, then one per row
@@ -644,6 +649,36 @@ class TestCertificate:
         assert trace.status == "Converged"
         assert rep["remark1_bound"] == (1e-5 + 1e-4 * 6) / (1 + 1e-4 * 6)
         assert rep["clearing_within_bound"]
+
+    @pytest.mark.parametrize("name", ["ces", "linear", "flow"])
+    def test_key_set_is_pinned(self, name):
+        # the fields of certificate.json: dropping or adding one is a deliberate edit
+        inst = {"ces": lambda: symmetric_instance(4, 6),
+                "linear": lambda: mq.generate_random(6, 10, 0.8, seed=2, kind="linear_barrier",
+                                                     sigma=1e-2),
+                "flow": mixed_flow_instance}[name]()
+        keys = {"n", "m", "grad_inf", "grad_l2", "clearing_inf", "budget_residual_max",
+                "kkt_residual_max", "eps", "converged"}
+        if name == "linear":
+            keys |= {"sigma", "remark1_bound", "clearing_within_bound"}
+        assert set(equilibrium_certificate(inst, np.ones(inst.n), eps=1e-6)) == keys
+        assert set(equilibrium_certificate(inst, np.ones(inst.n))) == keys - {
+            "eps", "converged", "remark1_bound", "clearing_within_bound"}
+
+    def test_linear_kkt_residual_is_the_one_row_maximum(self, rng):
+        inst = mq.generate_random(8, 14, 0.6, seed=4, kind="linear_barrier", sigma=1e-3)
+        p = rng.uniform(0.5, 2.0, inst.n)
+        X = market_state(inst, p).linear_x
+        rows = [linear_barrier_kkt_residual(p, u.dense(inst.n), u.sigma, w, x)
+                for u, w, x in zip(inst.utilities, inst.budgets, X)]
+        assert equilibrium_certificate(inst, p)["kkt_residual_max"] == max(rows)
+
+    def test_budget_residual_counts_iterative_players_only(self, rng):
+        # closed-form CES demand spends its budget by construction, at any prices
+        inst = mq.generate_random(10, 20, 0.5, rho=0.6, seed=3)
+        rep = equilibrium_certificate(inst, rng.uniform(0.01, 100.0, inst.n))
+        assert rep["grad_inf"] > 1e-3
+        assert rep["budget_residual_max"] == 0.0
 
 
 class TestTrace:

@@ -144,7 +144,7 @@ class TestPotential:
             state = market_state(inst, p)
             assert np.max(np.abs(serial - state.demand)) <= 1e-12
             gammas = np.array([best_response(inst, i, p).gamma for i in inst.uncon])
-            assert np.max(np.abs(state.G.toarray() - gammas)) <= 1e-12
+            assert np.max(np.abs(state.shares.csr().toarray() - gammas)) <= 1e-12
 
 
 class TestJacobianAndBlocks:
@@ -224,9 +224,10 @@ class TestLinearBarrier:
     def test_shifted_gamma_simplex(self, rng):
         inst = mq.generate_random(6, 4, 0.8, seed=3, kind="linear_barrier", sigma=0.05)
         p = rng.uniform(0.5, 2.0, 6)
-        st = market_state(inst, p)
-        assert np.max(np.abs(st.G.sum(axis=1) - 1.0)) < 1e-10
-        assert np.all(st.G > -1e-12)
+        G = np.array([linear_barrier_best_response(p, u.dense(inst.n), u.sigma, w)[0].gamma
+                      for u, w in zip(inst.utilities, inst.budgets)])
+        assert np.max(np.abs(G.sum(axis=1) - 1.0)) < 1e-10
+        assert np.all(G > -1e-12)
 
 
 CHECKS = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
@@ -422,7 +423,7 @@ class TestConstrained:
                   * constrained_dual_hessian(inst, i, state.con_responses[i].x) for i in inst.con]
         assert len(blocks) == 3
         uncon = inst.uncon
-        share = hes.share_operator(inst.n, state.G, inst.budgets[uncon], inst.r[uncon])
+        share = hes.share_operator(inst.n, state.shares.csr(), inst.budgets[uncon], inst.r[uncon])
         assert np.allclose(op.dense(), share.dense() + sum(blocks), rtol=1e-12, atol=0.0)
         assert sum(solved) == 3
 
@@ -716,7 +717,7 @@ class TestConstants:
     def test_kappa_of_constrained_market(self):
         # share matrices have rows only for the unconstrained players
         inst = mixed_flow_instance()
-        G = market_state(inst, np.ones(inst.n)).G
+        G = market_state(inst, np.ones(inst.n)).shares.csr()
         assert G.shape[0] == inst.uncon.size < inst.m
         consts = potential_constants(inst, [G])
         assert np.array_equal(consts.kappa[inst.uncon], oracle.kappa_from_shares(G))
