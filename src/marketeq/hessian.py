@@ -7,7 +7,8 @@ players' share rows in the oracle's factored form
 G = diag(1/S) C^a diag(q) (``oracle.ShareRows``), so a product with it is
 two sparse products and G is never built; s_i = w_i r_i/(1-r_i) and
 diag = G^T a, a_i = w_i/(1-r_i).  R holds dense rows: 1 + rows P-scaled
-rows per constrained player (``oracle.constrained_hessian_rows``), or the
+rows per constrained player, built from the demand stacked per group
+(``oracle.constrained_hessian_rows`` on ``MarketState.con_x``), or the
 linear-barrier players' rows v_i = (gamma_i+sigma) gamma_i.
 
 The optimal diagonal preconditioner is the row sum
@@ -226,8 +227,7 @@ def assemble_from_state(state: MarketState, instance: MarketInstance) -> ScaledH
         return op
     # each constrained player's 1 + rows dense rows
     rows, weights = [], []
-    for grp in instance.con_groups():
-        X = np.stack([state.con_responses[i].x for i in grp.players.tolist()])
+    for grp, X in state.con_x:
         D, R, s = constrained_hessian_rows(X, grp.C, grp.k, grp.r, grp.w, grp.A)
         scale = grp.w / instance.degree[grp.players]
         op.diag += (scale @ D) * state.p**2

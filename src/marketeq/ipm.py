@@ -79,6 +79,14 @@ def _validate_market(instance: MarketInstance) -> None:
         raise ConfigError("linear-barrier sigma must be positive and finite")
 
 
+def _start_prices(instance: MarketInstance, p, name: str) -> np.ndarray:
+    """A float copy of the start p; ConfigError unless it is n positive, finite prices."""
+    p = np.array(p, dtype=float)
+    if p.shape != (instance.n,) or not np.all((p > 0) & (p < math.inf)):
+        raise ConfigError(f"{name} must be {instance.n} strictly positive, finite prices")
+    return p
+
+
 @dataclass
 class TraceRow:
     k: int
@@ -361,11 +369,12 @@ def newton_polish(instance: MarketInstance, p, eps: float = 1e-12, max_iters: in
 
     PathFol's t = 0 rule, (H~ + MU_FLOOR I) d = -P grad phi, with Armijo
     backtracking on phi (Boyd & Vandenberghe, Convex Optimization, 9.5);
-    near the solution every step is a full one.  Returns (p, SolveTrace).
+    near the solution every step is a full one.  Returns (p, SolveTrace); a
+    start p that is not n positive, finite prices raises ConfigError.
     """
     config = PathFolConfig(eps=eps, eps_k=eps_k, max_iters=max_iters, hessian_mode=hessian_mode)
     trace = SolveTrace()
-    p = _newton_loop(instance, np.asarray(p, dtype=float).copy(), config, trace,
+    p = _newton_loop(instance, _start_prices(instance, p, "p"), config, trace,
                      measure=lambda k, state, solver: (0.0, math.nan, math.nan),
                      step=lambda k, state, solver: solver.newton_step(MU_FLOOR,
                                                                       -(state.p * state.grad)),
@@ -587,9 +596,7 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     config.validate(instance)
     if config.hessian_mode == "dr1":
         config = replace(config, hessian_mode="pcg")
-    p = np.asarray(p0, dtype=float).copy()
-    if p.shape != (instance.n,) or not np.all((p > 0) & (p < math.inf)):
-        raise ConfigError(f"p0 must be {instance.n} strictly positive, finite prices")
+    p = _start_prices(instance, p0, "p0")
     C = config.c_phi if config.c_phi is not None else PRACTICAL_C_PHI
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
                                "centering_warnings": 0, "t_zero_k": None})
@@ -662,12 +669,10 @@ def equilibrium_certificate(instance: MarketInstance, p, eps: float | None = Non
             report["clearing_within_bound"] = bool(report["clearing_inf"] <= bound)
     else:
         resid = kkt = 0.0
-        for i, resp in state.con_responses.items():
-            resid = max(resid, abs(resp.spend - w[i]) / w[i])
-            A = instance.constraints[i]
-            kkt = max(kkt, float(np.max(np.abs(A @ resp.x))) if A.shape[0] else 0.0)
-        report["budget_residual_max"] = resid
-        report["kkt_residual_max"] = kkt
+        for grp, X in state.con_x:  # one product per group of stacked demand rows
+            resid = max(resid, float(np.max(np.abs(X @ p - grp.w) / grp.w)))
+            kkt = max(kkt, float(np.max(np.abs(grp.A @ X[..., None]), initial=0.0)))
+        report.update(budget_residual_max=resid, kkt_residual_max=kkt)
     if eps is not None:
         report["eps"] = eps
         report["converged"] = bool(report["grad_inf"] <= eps)

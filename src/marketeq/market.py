@@ -184,12 +184,12 @@ class MarketInstance:
         self.r, self.k, self.sigma = exponents.T.copy()
         self.degree = np.where(np.isnan(self.sigma), self.k * self.r, 1.0 + self.sigma * self.n)
         self.con = np.array(sorted(self.constraints), dtype=np.int64)
-        self.uncon = np.setdiff1d(np.arange(self.m), self.con)
+        self.uncon = np.setdiff1d(np.arange(len(self.utilities)), self.con)
         self.C, self.cols = _coefficients(self.utilities, self.n)
         self.uncon_C, self.uncon_cols = self.C, self.cols
         if self.constraints:
-            self.uncon_C, self.uncon_cols = _coefficients(
-                [u for i, u in enumerate(self.utilities) if i not in self.constraints], self.n)
+            self.uncon_C = self.C[self.uncon]
+            self.uncon_cols = self.uncon_C.indices.astype(np.intp)
         self._share_factors = None
         self._con_groups = None
 
@@ -233,16 +233,13 @@ class MarketInstance:
         Groups come in increasing row count, players in increasing index.
         """
         if self._con_groups is None:
-            rows = {}
-            for i in self.con.tolist():
-                rows.setdefault(self.constraints[i].shape[0], []).append(i)
+            counts = np.array([self.constraints[i].shape[0] for i in self.con.tolist()], dtype=int)
             self._con_groups = []
-            for count, players in sorted(rows.items()):
-                idx = np.array(players, dtype=np.intp)
-                C = self.C[idx].toarray()
-                A = np.stack([self.constraints[i].reshape(count, self.n) for i in players])
-                self._con_groups.append(ConGroup(idx, C, self.k[idx], self.r[idx],
-                                                 self.budgets[idx], A))
+            for count in np.unique(counts).tolist():
+                idx = self.con[counts == count]
+                A = np.stack([self.constraints[i].reshape(count, self.n) for i in idx.tolist()])
+                self._con_groups.append(ConGroup(idx, self.C[idx].toarray(), self.k[idx],
+                                                 self.r[idx], self.budgets[idx], A))
         return self._con_groups
 
     def total_budget(self) -> float:
@@ -410,6 +407,8 @@ def validate(instance: MarketInstance) -> list[str]:
         if i < 0 or i >= instance.m:
             report.append(f"constraint for unknown player {i}")
             continue
+        if instance.utilities[i].kind not in (CES, ADDITIVE):  # market_state would ignore A
+            report.append(f"player {i}: constraints apply to CES and additive players only")
         if A.ndim != 2 or A.shape[1] != instance.n:
             report.append(f"player {i}: constraint matrix must have n columns")
             continue
@@ -607,35 +606,37 @@ def flow_constraint_rows(edges, nodes, s, t) -> np.ndarray:
     Three groups: source balance ``x_0 + inflow(s) - outflow(s) = 0`` (x_0
     enters s like a return edge), sink balance ``-x_0 + inflow(t) -
     outflow(t) = 0``, and conservation ``outflow(v) - inflow(v) = 0`` at
-    every other node.  The incidence structure makes the rows linearly
-    dependent (rank is at most #nodes - 1), so callers reduce the system
-    before storing it.
+    every other node of ``nodes``, which lists every edge's ends.  The
+    incidence structure makes the rows linearly dependent (rank is at most
+    #nodes - 1), so callers reduce the system before storing it.
     """
-    n = 1 + len(edges)
-    rows = []
-    for node in [s, t] + [v for v in nodes if v not in (s, t)]:
-        row = np.zeros(n)
-        inflow_sign = 1.0 if node in (s, t) else -1.0
-        if node == s:
-            row[0] = 1.0
-        elif node == t:
-            row[0] = -1.0
-        for e, (u, v) in enumerate(edges):
-            if u == node:
-                row[1 + e] -= inflow_sign  # outflow
-            if v == node:
-                row[1 + e] += inflow_sign  # inflow
-        rows.append(row)
-    return np.array(rows)
+    order = [s, t] + [v for v in nodes if v not in (s, t)]
+    at = {v: k for k, v in enumerate(order)}
+    sign = np.where(np.arange(len(order)) < 2, 1.0, -1.0)  # inflow sign of each row
+    rows = np.zeros((len(order), 1 + len(edges)))
+    rows[:2, 0] = 1.0, -1.0
+    for e, (u, v) in enumerate(edges, start=1):
+        rows[at[u], e] -= sign[at[u]]  # outflow
+        rows[at[v], e] += sign[at[v]]  # inflow
+    return rows
 
 
 def _independent_rows(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    keep: list[int] = []
-    for i in range(A.shape[0]):
-        cand = A[keep + [i]]
-        if np.linalg.matrix_rank(cand, tol=tol) == len(keep) + 1:
-            keep.append(i)
-    return A[keep]
+    """The rows of A independent of the rows kept before them, in order.
+
+    In a QR of A^T, |R_ii| is row i's distance from the span of the rows
+    before it while those are independent: the first row with |R_ii| <= tol
+    is dropped and the rest factored again.
+    """
+    keep = np.arange(A.shape[0])
+    while True:
+        d = np.abs(np.diagonal(np.linalg.qr(A[keep].T, mode="r")))
+        small = np.flatnonzero(d <= tol)
+        if not small.size:
+            return A[keep[:d.size]]  # past n rows, the first n span the rest
+        keep = np.delete(keep, small[0])
+        if small[0] == keep.size:  # it was the last row
+            return A[keep]
 
 
 def _has_path(edges, s, t) -> bool:

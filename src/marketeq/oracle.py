@@ -1,8 +1,8 @@
 """Best-response oracles and the calculus built from them.
 
-Everything the solvers consume is reconstructed from players' best
-responses: demand aggregates into the potential gradient, and the bidding
-vectors (money shares) gamma_i = P x_i / w_i assemble the scaled Hessian.
+Everything the solvers consume is rebuilt from best responses stacked per
+group of players: demand aggregates into the potential gradient, and the
+bidding vectors (money shares) gamma_i = P x_i / w_i assemble the scaled Hessian.
 CES and power-form additive utilities share one closed form, the share
 theta_ij = c_ij^a_i p_j^b_i.  When the players share one exponent the share
 matrix stays factored, G = diag(1/S) C^a diag(q) with the cached,
@@ -13,9 +13,10 @@ G^T w = q * (C^a)^T (w/S), which gives demand and, read by
 row sums k_c = H 1 = sum_i w_i gamma_i, all in O(n).  Mixed exponents, or a
 price spread that could underflow the factored product, take a log-domain
 softmax instead.  Linear-barrier players reduce to a one-dimensional
-root-find.  Homogeneously constrained
-players run a damped feasible Newton, all of them at once per price query,
-stacked in groups of equal constraint-row count: hess v is
+root-find.  Homogeneously constrained players run a damped feasible Newton,
+all of them at once per price query, stacked per group of equal
+constraint-row count, and their demand stays stacked per group
+(``MarketState.con_x``) for the Hessian and the certificate: hess v is
 diagonal-plus-rank-one with the closed-form inverse
 W^-1 = (diag(x^2/gamma) - r x x^T) / (d (1-r)), so each Newton step is a
 small Schur-complement solve B W^-1 B^T nu = -B W^-1 g per player (B = [A; p]),
@@ -26,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .market import ADDITIVE, CES, MarketInstance, ShareFactors, UtilitySpec
+from .market import ADDITIVE, CES, ConGroup, MarketInstance, ShareFactors, UtilitySpec
 
 
 class OracleError(RuntimeError):
@@ -401,30 +403,15 @@ def _constrained_newton(p, C, k, r, w, A, tol_stat: float = 1e-10, max_newton: i
     return X, nu[:, :-1], nu[:, -1], steps
 
 
-def _responses(p, X, C, k, r) -> list[BestResponse]:
-    """The BestResponse of every row of a constrained group's demand X."""
-    t = C * X ** r[:, None]
-    S = t.sum(axis=1)
-    gamma = t / S[:, None]
-    log_u = k * np.log(S)
-    spend = X @ p
-    return [BestResponse(X[g], gamma[g], float(log_u[g]), float(spend[g])) for g in range(len(X))]
-
-
 def constrained_best_response(p, c, k: float, r: float, w: float, A: np.ndarray,
                               tol_stat: float = 1e-10, max_newton: int = 100):
     """Equality-constrained LUMP via damped feasible Newton.
 
     Solves max log u(x) s.t. A x = 0, <p, x> = w, x > 0 for the power-form
-    additive family.  The one-player case of ``_constrained_newton``, the
+    additive family: the one-player case of ``_constrained_newton``, the
     batch that ``market_state`` runs per constraint-row count, so it returns
-    the same demand row: the unconstrained closed form projected onto the
-    constraint plane with a clip-and-reproject loop as the start, then
-    Newton steps from the Schur system B W^-1 B^T nu = -B W^-1 g on the
-    closed-form inverse W^-1 of hess v, with a 0.99 fraction-to-boundary
-    cap and Armijo backtracking on v = -log u.  Returns (response, y, lam):
-    constraint multipliers y and budget multiplier lam (equal to d/w at the
-    solution).
+    the same demand row.  Returns (response, y, lam): constraint multipliers
+    y and budget multiplier lam (equal to d/w at the solution).
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -432,7 +419,9 @@ def constrained_best_response(p, c, k: float, r: float, w: float, A: np.ndarray,
     k, r = np.array([float(k)]), np.array([float(r)])
     X, Y, lam, _ = _constrained_newton(p, c[None, :], k, r, np.array([float(w)]), A[None],
                                        tol_stat, max_newton)
-    return _responses(p, X, c[None, :], k, r)[0], Y[0], float(lam[0])
+    t = c * X[0] ** r
+    S = t.sum()
+    return BestResponse(X[0], t / S, float(k[0] * np.log(S)), float(X[0] @ p)), Y[0], float(lam[0])
 
 
 def constrained_hessian_rows(X, C, k, r, w, A):
@@ -462,13 +451,6 @@ def constrained_hessian_rows(X, C, k, r, w, A):
     return c[:, None] * q, R, s
 
 
-def _constrained_player(instance: MarketInstance, i: int):
-    """(c, k, r, w, A) of constrained player i, the arguments after p of
-    constrained_best_response; c is the dense coefficient row."""
-    return (instance.C[i].toarray()[0], instance.k[i], instance.r[i],
-            float(instance.budgets[i]), instance.constraints.get(i, np.zeros((0, instance.n))))
-
-
 def constrained_dual_hessian(instance: MarketInstance, i: int, x) -> np.ndarray:
     """Dual Hessian of f_i for a constrained player with best response x = x_i(p):
     (d^2/w^2) (W^{-1} - W^{-1} A^T (A W^{-1} A^T)^{-1} A W^{-1}), W = hess v(x).
@@ -477,10 +459,9 @@ def constrained_dual_hessian(instance: MarketInstance, i: int, x) -> np.ndarray:
     ``constrained_hessian_rows``, whose rows ``hessian.assemble_from_state``
     appends to the operator per constraint-row count.
     """
-    c, k, r, w, A = _constrained_player(instance, i)
-    one = lambda v: np.array([float(v)])
-    D, R, s = constrained_hessian_rows(np.asarray(x, float)[None, :], c[None, :], one(k), one(r),
-                                       one(w), A.reshape(-1, instance.n)[None])
+    A = instance.constraints.get(i, np.zeros((0, instance.n))).reshape(1, -1, instance.n)
+    D, R, s = constrained_hessian_rows(np.asarray(x, float)[None, :], instance.C[[i]].toarray(),
+                                       instance.k[[i]], instance.r[[i]], instance.budgets[[i]], A)
     return np.diag(D[0]) - R[0].T @ (s[0][:, None] * R[0])
 
 
@@ -614,7 +595,9 @@ class MarketState:
     CES/additive players' bidding rows as the factored ``ShareRows`` of
     ``bid_shares`` and ``spend`` their spend per good, G^T w; a linear
     market keeps its dense demand rows in ``linear_x`` instead, from which
-    ``hessian.assemble_from_state`` forms the shifted bidding vectors."""
+    ``hessian.assemble_from_state`` forms the shifted bidding vectors.
+    ``con_x`` pairs each of ``instance.con_groups()`` with its players'
+    demand, stacked per group as one (G, n) array."""
 
     p: np.ndarray
     grad: np.ndarray
@@ -622,10 +605,18 @@ class MarketState:
     value: float
     shares: ShareRows | None = None
     spend: np.ndarray | None = None
-    con_responses: dict = field(default_factory=dict)
+    con_x: list[tuple[ConGroup, np.ndarray]] = field(default_factory=list)
     linear_x: np.ndarray | None = None
     psi_rounds: int = 0  # Newton rounds of the psi root-finder (linear markets)
     con_newton_steps: int = 0  # Newton steps of the constrained players, summed
+
+    @property
+    def con_responses(self) -> MappingProxyType:
+        """Read-only view {player: namespace with demand row ``x``} of ``con_x``, built
+        on access for ``bench/run.py``'s check (and its test), which reads
+        ``con_responses[i].x``; moving that check to ``con_x`` retires it."""
+        return MappingProxyType({i: SimpleNamespace(x=x) for grp, X in self.con_x
+                                 for i, x in zip(grp.players.tolist(), X)})
 
 
 def market_state(instance: MarketInstance, p) -> MarketState:
@@ -651,20 +642,21 @@ def market_state(instance: MarketInstance, p) -> MarketState:
         spend = shares.rmatvec(wu)
         demand += spend / p
         value += float(np.sum(wu * np.log(wu))) + float(np.sum((wu / du) * ku * (1.0 - ru) * logS))
-    con_responses = {}
+    con_x = []
     steps = 0
     for grp in instance.con_groups():
         X, _, _, taken = _constrained_newton(p, grp.C, grp.k, grp.r, grp.w, grp.A)
         steps += taken
-        for i, resp in zip(grp.players.tolist(), _responses(p, X, grp.C, grp.k, grp.r)):
-            con_responses[i] = resp
-            demand += resp.x
-            value += (float(w[i]) / instance.degree[i]) * resp.log_utility
+        con_x.append((grp, X))
+        log_u = grp.k * np.log(np.sum(grp.C * X ** grp.r[:, None], axis=1))
+        for x, term in zip(X, grp.w / instance.degree[grp.players] * log_u):
+            demand += x  # player by player, in the order of con_groups
+            value += term
     if not np.all(np.isfinite(demand)):
         raise OracleError("demand overflow (a price collapsed to zero)")
     grad = 1.0 - demand
-    return MarketState(p, grad, demand, value, shares=shares, spend=spend,
-                       con_responses=con_responses, con_newton_steps=steps)
+    return MarketState(p, grad, demand, value, shares=shares, spend=spend, con_x=con_x,
+                       con_newton_steps=steps)
 
 
 def potential_value(instance: MarketInstance, p) -> float:
@@ -681,9 +673,10 @@ def best_response(instance: MarketInstance, i: int, p) -> BestResponse:
     """Single-player dispatcher (serial path; the batch uses bid_shares)."""
     w = float(instance.budgets[i])
     p = np.asarray(p, dtype=float)
-    if i in instance.constraints:
-        return constrained_best_response(p, *_constrained_player(instance, i))[0]
     c = instance.C[i].toarray()[0]
+    if i in instance.constraints:
+        return constrained_best_response(p, c, instance.k[i], instance.r[i], w,
+                                         instance.constraints[i])[0]
     if math.isnan(instance.sigma[i]):  # CES is the additive case k = 1/rho, r = rho
         return additive_best_response(p, c, instance.k[i], instance.r[i], w)
     return linear_barrier_best_response(p, c, instance.sigma[i], w)[0]

@@ -30,7 +30,7 @@ CONFIG_FIELDS = {
 # the Newton system's data: a new piece of the operator or the state is a deliberate edit
 STATE_FIELDS = {
     mq.hessian.ScaledHessianOp: ["n", "diag", "G", "s", "R", "t", "dr1_omega", "dr1_xi", "k_c"],
-    mq.oracle.MarketState: ["p", "grad", "demand", "value", "shares", "spend", "con_responses",
+    mq.oracle.MarketState: ["p", "grad", "demand", "value", "shares", "spend", "con_x",
                             "linear_x", "psi_rounds", "con_newton_steps"],
 }
 

@@ -190,9 +190,17 @@ class TestSolve:
         ({"n": 2, "m": 1, "budgets": [1.0],
           "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], ["1", 2.0]]}]},
          "malformed instance file"),
+        # the linear-barrier oracle ignores A: a solve would report A x != 0 as converged
+        ({"n": 3, "m": 2, "budgets": [0.5, 0.5],
+          "utilities": [{"kind": "linear_barrier", "param": 0.1,
+                         "entries": [[0, 1.0], [1, 2.0], [2, 0.5]]},
+                        {"kind": "linear_barrier", "param": 0.1,
+                         "entries": [[0, 0.5], [1, 1.0], [2, 2.0]]}],
+          "constraints": {"0": [[1.0, -1.0, 0.0]]}},
+         "player 0: constraints apply to CES and additive players only"),
     ], ids=["null-param", "entry-without-coefficient", "top-level-list", "index-out-of-range",
             "fractional-n", "string-n", "nan-constraint", "duplicate-index", "fractional-index",
-            "bool-index", "string-index"])
+            "bool-index", "string-index", "constrained-linear-player"])
     def test_malformed_instance_exit_3(self, tmp_path, capsys, doc, message):
         path = os.path.join(tmp_path, "bad.json")
         with open(path, "w") as fh:

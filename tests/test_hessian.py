@@ -299,11 +299,11 @@ def explicit_reference(inst, state):
     a, s = w / (1 - r), w * r / (1 - r)
     H = np.diag(G.T @ a) - G.T @ (s[:, None] * G)
     demand = G.T @ w / p
-    for i in inst.con:
-        x = state.con_responses[i].x
-        H += (inst.budgets[i] / inst.degree[i] * np.outer(p, p)
-              * mq.oracle.constrained_dual_hessian(inst, i, x))
-        demand = demand + x
+    for grp, X in state.con_x:
+        for i, x in zip(grp.players, X):
+            H += (inst.budgets[i] / inst.degree[i] * np.outer(p, p)
+                  * mq.oracle.constrained_dual_hessian(inst, i, x))
+            demand = demand + x
     return H, G.T @ s / s.sum(), demand
 
 

@@ -477,6 +477,14 @@ class TestNewtonPolish:
         # full steps: each accepted trial is the next iteration's price query
         assert trace.extras["price_queries"] == trace.iterations()
 
+    @pytest.mark.parametrize("start", [np.ones(3), np.array([1.0, np.nan, 1.0, 1.0]),
+                                       np.array([1.0, -1.0, 1.0, 1.0])],
+                             ids=["wrong-length", "nan", "negative"])
+    def test_polish_refuses_a_bad_start(self, start):
+        # a matmul ValueError and two NumericalFailure traces before the check
+        with pytest.raises(ConfigError, match="4 strictly positive, finite prices"):
+            newton_polish(mq.generate_random(4, 4, 1.0, seed=0), start)
+
     def test_polish_stops_at_iteration_budget(self):
         inst = mq.generate_random(15, 40, 0.8, rho=0.5, seed=8)
         p, trace = newton_polish(inst, np.full(15, 5.0), eps=1e-12, max_iters=2)

@@ -47,7 +47,43 @@ def exact_rank(rows):
     return rank
 
 
+def reference_flow_rows(edges, nodes, s, t):
+    """The balance rows built node by node, one scan of the edges per node."""
+    n = 1 + len(edges)
+    rows = []
+    for node in [s, t] + [v for v in nodes if v not in (s, t)]:
+        row = np.zeros(n)
+        inflow_sign = 1.0 if node in (s, t) else -1.0
+        if node == s:
+            row[0] = 1.0
+        elif node == t:
+            row[0] = -1.0
+        for e, (u, v) in enumerate(edges):
+            if u == node:
+                row[1 + e] -= inflow_sign  # outflow
+            if v == node:
+                row[1 + e] += inflow_sign  # inflow
+        rows.append(row)
+    return np.array(rows)
+
+
+def reference_independent_rows(A, tol=1e-10):
+    """Greedy selection: row i is kept when it raises matrix_rank of the kept rows."""
+    keep = []
+    for i in range(A.shape[0]):
+        if np.linalg.matrix_rank(A[keep + [i]], tol=tol) == len(keep) + 1:
+            keep.append(i)
+    return A[keep], keep
+
+
 class TestValidate:
+    def test_constraints_on_linear_barrier_players_refused(self):
+        # market_state's linear branch never reads A: the solve "converged" with A x = -0.44
+        specs = [UtilitySpec(LINEAR_BARRIER, [0, 1, 2], [1.0, 2.0, 0.5], sigma=0.1),
+                 UtilitySpec(LINEAR_BARRIER, [0, 1, 2], [0.5, 1.0, 2.0], sigma=0.1)]
+        inst = MarketInstance(3, 2, [0.5, 0.5], specs, {0: [[1.0, -1.0, 0.0]]})
+        assert validate(inst) == ["player 0: constraints apply to CES and additive players only"]
+
     def test_ces_rho_zero_rejected(self):
         inst = MarketInstance(2, 1, [1.0], [UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=0.0)])
         report = validate(inst)
@@ -453,6 +489,42 @@ class TestFlow:
         edges = [("s", "v"), ("v", "t"), ("s", "t")]
         inst = build_flow_instance(edges, [("s", "t"), ("s", "v")], rho=0.4)
         assert validate(inst) == []
+
+    def test_rows_match_the_node_by_node_reference_on_the_layered_graph(self):
+        # the benchmark's flow-mixed network: s -> 5 nodes -> 5 nodes -> t
+        left, right = [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)]
+        edges = ([("s", a) for a in left] + [(a, b) for a in left for b in right]
+                 + [(b, "t") for b in right])
+        nodes = sorted({u for u, _ in edges} | {v for _, v in edges}, key=str)
+        raw = flow_constraint_rows(edges, nodes, "s", "t")
+        assert np.array_equal(raw, reference_flow_rows(edges, nodes, "s", "t"))
+        reduced, keep = reference_independent_rows(raw)
+        assert keep == list(range(11))  # only the last row depends on the others
+        assert np.array_equal(market._independent_rows(raw), reduced)
+        assert np.array_equal(build_flow_instance(edges, [("s", "t")]).constraints[0], reduced)
+
+    def test_rows_match_the_reference_on_random_digraphs(self):
+        rng = np.random.default_rng(2024)
+        cases = inner_drops = 0
+        while cases < 150:
+            # up to three components, so dependent rows also fall before independent ones
+            count = int(rng.integers(3, 15))
+            part = rng.integers(0, rng.integers(1, 4), count)
+            density = rng.choice([0.15, 0.3, 0.6])
+            edges = [(u, v) for u in range(count) for v in range(count) if part[u] == part[v]
+                     and rng.random() < density and (u != v or rng.random() < 0.3)]
+            nodes = sorted({u for u, _ in edges} | {v for _, v in edges}, key=str)
+            if len(nodes) < 2:
+                continue
+            s, t = (int(v) for v in rng.choice(nodes, 2, replace=False))
+            raw = flow_constraint_rows(edges, nodes, s, t)
+            assert np.array_equal(raw, reference_flow_rows(edges, nodes, s, t))
+            reduced, keep = reference_independent_rows(raw)
+            assert np.array_equal(market._independent_rows(raw), reduced), (edges, s, t)
+            cases += 1
+            # a dropped row before a kept one: the case the QR must factor again
+            inner_drops += keep != list(range(len(keep)))
+        assert inner_drops >= 10
 
     def test_parse_flow_file(self, tmp_path):
         path = os.path.join(tmp_path, "g.txt")

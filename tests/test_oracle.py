@@ -420,7 +420,8 @@ class TestConstrained:
         op = hes.assemble_from_state(state, inst)
         p = state.p
         blocks = [inst.budgets[i] / inst.degree[i] * np.outer(p, p)
-                  * constrained_dual_hessian(inst, i, state.con_responses[i].x) for i in inst.con]
+                  * constrained_dual_hessian(inst, i, x)
+                  for grp, X in state.con_x for i, x in zip(grp.players, X)]
         assert len(blocks) == 3
         uncon = inst.uncon
         share = hes.share_operator(inst.n, state.shares.csr(), inst.budgets[uncon], inst.r[uncon])
@@ -438,15 +439,15 @@ class TestConstrained:
         for _ in range(3):
             p = rng.uniform(0.5, 2.0, inst.n)
             state = market_state(inst, p)
-            assert set(state.con_responses) == {0, 1, 2, 3}
-            for grp in groups:
+            assert [grp for grp, _ in state.con_x] == groups
+            for grp, stacked in state.con_x:
                 X, Y, lam, _ = oracle._constrained_newton(p, grp.C, grp.k, grp.r, grp.w, grp.A)
                 D, R, s = oracle.constrained_hessian_rows(X, grp.C, grp.k, grp.r, grp.w, grp.A)
                 M = [np.diag(D[g]) - R[g].T @ (s[g][:, None] * R[g]) for g in range(len(X))]
                 for g, i in enumerate(grp.players.tolist()):
                     c, k, r, w, A = grp.C[g], grp.k[g], grp.r[g], grp.w[g], grp.A[g]
                     x, y, lm = serial_kkt_response(p, c, k, r, w, A)
-                    assert np.array_equal(state.con_responses[i].x, X[g])
+                    assert np.array_equal(stacked[g], X[g])
                     assert rel(X[g], x) <= 1e-12
                     assert abs(lam[g] - lm) <= 1e-12 * abs(lm)
                     if A.shape[0]:
@@ -457,6 +458,34 @@ class TestConstrained:
                         ref = Winv - Winv @ A.T @ np.linalg.solve(A @ Winv @ A.T, A @ Winv)
                     ref = (k * r / w) ** 2 * ref
                     assert rel(M[g], ref) <= 1e-12
+
+    def test_query_assembly_and_certificate_read_the_stacks(self, monkeypatch):
+        inst = mixed_row_count_instance()
+        p = np.random.default_rng(3).uniform(0.5, 2.0, inst.n)
+
+        def no_response(*args, **kwargs):
+            raise AssertionError("a BestResponse was built")
+
+        monkeypatch.setattr(oracle, "BestResponse", no_response)
+        state = market_state(inst, p)
+        hes.assemble_from_state(state, inst)
+        cert = mq.equilibrium_certificate(inst, p)
+        monkeypatch.undo()
+        assert [X.shape for _, X in state.con_x] == [(1, inst.n), (1, inst.n), (2, inst.n)]
+        rows = {i: x for grp, X in state.con_x for i, x in zip(grp.players.tolist(), X)}
+        # the per-player formulas: relative budget miss and max |A_i x_i|
+        w, A = inst.budgets, inst.constraints
+        assert cert["budget_residual_max"] == max(abs(float(rows[i] @ p) - w[i]) / w[i]
+                                                  for i in rows)
+        assert cert["kkt_residual_max"] == max(float(np.max(np.abs(A[i] @ rows[i]), initial=0.0))
+                                               for i in rows)
+        assert cert["kkt_residual_max"] > 0.0
+        # the read-only per-player view that the benchmark's check reads
+        view = state.con_responses
+        assert sorted(view) == sorted(rows)
+        assert all(np.array_equal(view[i].x, rows[i]) for i in rows)
+        with pytest.raises(TypeError):
+            view[0] = None
 
     def test_uniform_price_fallback_start(self):
         # on the plane x_0 = 5e-8 x_1 the clip-and-reproject loop fails from
