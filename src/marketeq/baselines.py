@@ -22,6 +22,7 @@ from .ipm import (
     STATUS_NUMFAIL,
     SolveTrace,
     TraceRow,
+    _start_prices,
 )
 from .market import MarketInstance
 from .oracle import _row_softmax, market_state
@@ -46,20 +47,20 @@ class BaselineConfig:
 def tat_run(instance: MarketInstance, config: BaselineConfig, p0, callback=None):
     """Multiplicative tatonnement p_j <- p_j (1 + step * min(z_j, 1)).
 
-    z = sum_i x_i(p) - 1 is the excess demand; clipping keeps a single
-    update bounded and step < 1 keeps prices positive.  Stops at
-    ||z||_inf <= eps.
+    z = -grad phi(p) is the excess demand sum_i x_i(p) - 1, or
+    (1 + sigma n) sum_i x_i(p) - 1 on linear-barrier markets; clipping keeps
+    a single update bounded and step < 1 keeps prices positive.  Stops at
+    ||z||_inf <= eps, the equilibrium certificate's test.  A p0 that is not
+    n positive, finite prices raises ConfigError.
     """
     config.validate()
-    p = np.asarray(p0, dtype=float).copy()
-    if p.shape != (instance.n,) or not np.all((p > 0) & (p < math.inf)):
-        raise ValueError(f"p0 must be {instance.n} strictly positive, finite prices")
+    p = _start_prices(instance, p0, "p0")
     trace = SolveTrace(extras={"step": config.step})
     status = STATUS_MAXITERS
     for k in range(config.max_iters):
         tic = time.perf_counter()
         state = market_state(instance, p)
-        z = state.demand - 1.0
+        z = -state.grad
         zinf = float(np.max(np.abs(z)))
         row = TraceRow(k=k, homotopy=math.nan, grad_inf=zinf,
                        grad_l2=float(np.linalg.norm(z)), nbhd_resid=math.nan,
@@ -100,11 +101,15 @@ def propres_run(instance: MarketInstance, config: BaselineConfig, b0=None, callb
     and new bids follow utility contributions c_ij x_ij^rho.  Budgets are
     conserved exactly every iteration and the market clears every iteration.
     For rho < 0 the update is damped geometrically with exponent 1/(1-rho).
-    Stops when the relative price change drops below eps.
+    Stops when the relative price change drops below eps.  Linear-barrier
+    markets and players under constraints raise ValueError: the update
+    knows neither.
     """
     config.validate()
     if instance.is_linear:
         raise ValueError("proportional response needs CES or additive players")
+    if instance.constraints:
+        raise ValueError("proportional response needs players without constraints")
     rhos = instance.r
     B = default_bids(instance) if b0 is None else b0.tocsr(copy=True)
     C = instance.C

@@ -288,10 +288,11 @@ def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace
 
 
 def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure, step,
-                 stop=None, callback=None, damped=False) -> np.ndarray:
+                 stop=None, callback=None, damped=False, state=None) -> np.ndarray:
     """Newton steps p <- p (1 + d) until ||grad phi||_inf <= eps.
 
-    Each iteration queries the players at p and assembles H~; the driver's
+    Each iteration queries the players at p (the first one reads ``state``,
+    the driver's own query at p, when given) and assembles H~; the driver's
     rule does the rest, solving on the iteration's _StepSolver in
     config.hessian_mode: measure(k, state, solver) gives the row's
     (homotopy, nbhd_resid, decrement), stop(k) may end the run before the
@@ -309,7 +310,6 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
     trace.extras.update(safeguards=0, dr1_fallbacks=0,
                         price_queries=trace.extras.get("price_queries", 0))
     status = STATUS_MAXITERS
-    state = None
     for k in range(config.max_iters):
         tic = time.perf_counter()
         try:
@@ -370,9 +370,11 @@ def newton_polish(instance: MarketInstance, p, eps: float = 1e-12, max_iters: in
     PathFol's t = 0 rule, (H~ + MU_FLOOR I) d = -P grad phi, with Armijo
     backtracking on phi (Boyd & Vandenberghe, Convex Optimization, 9.5);
     near the solution every step is a full one.  Returns (p, SolveTrace); a
-    start p that is not n positive, finite prices raises ConfigError.
+    start p that is not n positive, finite prices, or a Hessian mode the
+    market does not allow, raises ConfigError before any price query.
     """
     config = PathFolConfig(eps=eps, eps_k=eps_k, max_iters=max_iters, hessian_mode=hessian_mode)
+    config.validate(instance)
     trace = SolveTrace()
     p = _newton_loop(instance, _start_prices(instance, p, "p"), config, trace,
                      measure=lambda k, state, solver: (0.0, math.nan, math.nan),
@@ -398,7 +400,7 @@ def lemma_initial_mu(instance: MarketInstance, Q: float) -> float:
     return math.sqrt(effective_budget(instance) / Q)
 
 
-def logbar_init(instance: MarketInstance, Q: float, trace: SolveTrace | None = None):
+def logbar_init(instance: MarketInstance, Q: float):
     """Initial center: p0 = mu0 * 1 on the ray of uniform prices.
 
     Start from mu0 = sqrt(W_eff / Q) and verify membership in C(mu0, Q)
@@ -409,16 +411,21 @@ def logbar_init(instance: MarketInstance, Q: float, trace: SolveTrace | None = N
     passes at practical Q through l2 slack and keeps mu0 small.  W_eff
     is sum beta_i w_i with beta_i = 1 for the additive family and
     1 + sigma*n for linear-barrier players (whose gradient scales demand
-    by that factor).  Its price queries are counted in ``trace`` when given.
+    by that factor).
     """
-    trace = SolveTrace() if trace is None else trace
+    mu0, state = _initial_center(instance, Q, SolveTrace())
+    return mu0, state.p
+
+
+def _initial_center(instance: MarketInstance, Q: float, trace: SolveTrace):
+    """logbar_init's (mu0, market state at p0 = mu0 * 1), its queries counted in trace."""
     w_eff = effective_budget(instance)
     mu0 = lemma_initial_mu(instance, Q)
     for _ in range(128):
-        p0 = np.full(instance.n, mu0)
-        resid = np.linalg.norm(p0 * _query(instance, p0, trace).grad - mu0) / mu0
+        state = _query(instance, np.full(instance.n, mu0), trace)
+        resid = np.linalg.norm(state.p * state.grad - mu0) / mu0
         if resid <= Q * (1.0 + 1e-12):
-            return mu0, p0
+            return mu0, state
         if mu0 >= w_eff / Q:
             break
         mu0 = min(2.0 * mu0, w_eff / Q)
@@ -500,7 +507,7 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
     Q = theory_strict_Q(instance, config.eps) if config.theory_strict else config.Q
     trace = SolveTrace(extras={"Q": Q})
     try:
-        mu, p = logbar_init(instance, Q, trace)
+        mu, state = _initial_center(instance, Q, trace)
     except OracleError as exc:
         trace.status = STATUS_NUMFAIL
         trace.extras["error"] = str(exc)
@@ -528,7 +535,8 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
             raise FloatingPointError(f"mu underflow: mu = {mu:g} after row {k}")
         return solver.newton_step(mu, -(state.p * state.grad - mu))
 
-    p = _newton_loop(instance, p, config, trace, measure, step, stop, callback=callback)
+    p = _newton_loop(instance, state.p, config, trace, measure, step, stop, callback=callback,
+                     state=state)
     if config.keep_iterates:
         trace.extras["mus"] = [r.homotopy for r in trace.rows]
     return p, trace
@@ -600,17 +608,14 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     C = config.c_phi if config.c_phi is not None else PRACTICAL_C_PHI
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
                                "centering_warnings": 0, "t_zero_k": None})
-    try:
-        g0u = _query(instance, p, trace).grad  # frozen anchor
-    except OracleError as exc:
-        trace.status = STATUS_NUMFAIL
-        trace.extras["error"] = str(exc)
-        return p, trace
     t = 1.0
-    a = b = g0_norm = None  # H~^-1 P grad phi, H~^-1 P grad phi(p0), sqrt(P grad phi(p0) . b)
+    # grad phi(p0), H~^-1 P grad phi, H~^-1 P grad phi(p0), sqrt(P grad phi(p0) . b)
+    g0u = a = b = g0_norm = None
 
     def measure(k, state, solver):
-        nonlocal a, b, g0_norm
+        nonlocal g0u, a, b, g0_norm
+        if k == 0:
+            g0u = state.grad  # the frozen anchor
         a, lam = solver.newton_step(MU_FLOOR, state.p * state.grad)
         nbhd = lam
         if t > 0.0:

@@ -621,66 +621,55 @@ def flow_constraint_rows(edges, nodes, s, t) -> np.ndarray:
     return rows
 
 
-def _independent_rows(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _independent_rows(A: np.ndarray) -> np.ndarray:
     """The rows of A independent of the rows kept before them, in order.
 
-    In a QR of A^T, |R_ii| is row i's distance from the span of the rows
-    before it while those are independent: the first row with |R_ii| <= tol
-    is dropped and the rest factored again.
+    A holds one player's balance rows from ``flow_constraint_rows``.  Rows
+    sharing a column form the components of the graph plus the x_0 return
+    edge; within a component the signed rows sum to zero and any smaller
+    subset is independent (the incidence matrix of a connected graph has
+    rank #vertices - 1).  So the last row of each component goes.
     """
-    keep = np.arange(A.shape[0])
-    while True:
-        d = np.abs(np.diagonal(np.linalg.qr(A[keep].T, mode="r")))
-        small = np.flatnonzero(d <= tol)
-        if not small.size:
-            return A[keep[:d.size]]  # past n rows, the first n span the rest
-        keep = np.delete(keep, small[0])
-        if small[0] == keep.size:  # it was the last row
-            return A[keep]
-
-
-def _has_path(edges, s, t) -> bool:
-    adj: dict = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-    seen = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        if u == t:
-            return True
-        for v in adj.get(u, []):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
+    from scipy.sparse import csgraph  # here, not at import: its ~45 modules serve flow markets
+    B = sp.csr_matrix(A != 0, dtype=float)
+    _, label = csgraph.connected_components(B @ B.T, directed=False)
+    last = np.zeros(label.max() + 1, dtype=np.int64)
+    np.maximum.at(last, label, np.arange(label.size))
+    return np.delete(A, last, axis=0)
 
 
 def build_flow_instance(edges, terminals, rho: float = 0.5, coefficients=None) -> MarketInstance:
     """Market over a flow network: goods are [flow value x_0; edge capacities].
 
     Each player routes an s_i -> t_i flow; the homogeneous balance equations
-    become that player's constraint matrix (reduced to full row rank).
+    become that player's constraint matrix (reduced to full row rank, once
+    per distinct terminal pair; each player gets its own copy).
     Coefficients default to all ones so the constrained best response stays
     interior.
     """
+    from scipy.sparse import csgraph
     edges = [tuple(e) for e in edges]
     nodes = sorted({u for u, _ in edges} | {v for _, v in edges}, key=str)
+    at = {v: k for k, v in enumerate(nodes)}
+    ends = np.array([(at[u], at[v]) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+    adj = sp.csr_matrix((np.ones(len(edges)), (ends[:, 0], ends[:, 1])), shape=(len(nodes),) * 2)
     n = 1 + len(edges)
     m = len(terminals)
     if m < 1:
         raise ValueError("need at least one terminal pair")
     utilities = []
     constraints = {}
+    rows: dict = {}  # terminal pair -> its reduced balance rows
     for i, (s, t) in enumerate(terminals):
-        if s == t:
-            raise ValueError(f"player {i}: source equals sink")
-        if s not in nodes or t not in nodes:
-            raise DisconnectedTerminalsError(f"player {i}: terminal not in graph")
-        if not _has_path(edges, s, t):
-            raise DisconnectedTerminalsError(f"player {i}: no directed {s}->{t} path")
-        raw = flow_constraint_rows(edges, nodes, s, t)
-        constraints[i] = _independent_rows(raw)
+        if (s, t) not in rows:
+            if s == t:
+                raise ValueError(f"player {i}: source equals sink")
+            if s not in at or t not in at:
+                raise DisconnectedTerminalsError(f"player {i}: terminal not in graph")
+            if at[t] not in csgraph.breadth_first_order(adj, at[s], return_predecessors=False):
+                raise DisconnectedTerminalsError(f"player {i}: no directed {s}->{t} path")
+            rows[s, t] = _independent_rows(flow_constraint_rows(edges, nodes, s, t))
+        constraints[i] = rows[s, t].copy()
         c = np.ones(n) if coefficients is None else np.asarray(coefficients, dtype=float)
         utilities.append(ces_spec(c, rho))
     w = np.full(m, 1.0 / m)

@@ -5,7 +5,7 @@ import marketeq as mq
 from marketeq.baselines import BaselineConfig, default_bids, propres_run, tat_run
 from marketeq.ipm import LogBarConfig, logbar_run
 
-from conftest import symmetric_instance
+from conftest import mixed_flow_instance, symmetric_instance
 
 
 class TestTat:
@@ -51,6 +51,14 @@ class TestTat:
         p1, _ = tat_run(inst, cfg, p)
         z = mq.market_state(inst, p).demand - 1.0
         assert (np.max(np.abs(p1 - p)) < 1e-14) == (np.max(np.abs(z)) < 1e-13)
+
+    def test_linear_market_stops_on_the_certificate(self):
+        # stopping on raw clearing reported Converged here after 76 iterations at grad_inf 0.1
+        inst = mq.generate_random(10, 30, 0.5, seed=3, kind="linear_barrier", sigma=1e-2)
+        p, trace = tat_run(inst, BaselineConfig(method="tat", eps=1e-7), np.full(10, 0.1))
+        cert = mq.equilibrium_certificate(inst, p, 1e-7)
+        assert trace.status == "Converged" and cert["converged"]
+        assert trace.rows[-1].grad_inf == cert["grad_inf"]
 
     @pytest.mark.parametrize("p0", [[0.5, 0.0, 0.5], [0.5, np.nan, 0.5], [0.5, np.inf, 0.5],
                                     [0.5, 0.5]], ids=["zero", "nan", "inf", "wrong-length"])
@@ -116,6 +124,11 @@ class TestPropRes:
         inst = mq.generate_random(4, 3, 1.0, seed=2, kind="linear_barrier", sigma=0.01)
         with pytest.raises(ValueError, match="CES or additive"):
             propres_run(inst, BaselineConfig(method="propres"))
+
+    def test_constrained_market_rejected(self):
+        # the update ignores A: a flow market "converged" at grad_inf 1.1
+        with pytest.raises(ValueError, match="without constraints"):
+            propres_run(mixed_flow_instance(), BaselineConfig(method="propres"))
 
     def test_default_bids_proportional_to_coefficients(self):
         inst = mq.generate_random(4, 3, 1.0, rho=0.5, seed=2)

@@ -46,7 +46,7 @@ def test_traced_solve_counts_every_query_and_step():
     assert trace.status == "Converged"
     totals = tracer.layer_totals(tr.spans)
     iters = trace.iterations()
-    assert totals["oracle"]["calls"] == iters + 1  # the frozen anchor, then one per iteration
+    assert totals["oracle"]["calls"] == iters  # one per iteration; row 0's is the anchor
     assert totals["hessian.assemble"]["calls"] == iters
     assert totals["ipm.factor"]["calls"] == iters
     assert ipm.market_state is oracle.market_state

@@ -104,6 +104,15 @@ class TestFlowGen:
         rc = cli.main(["flow-gen", "--graph", graph, "--out", os.path.join(tmp_path, "f.json")])
         assert rc == 3
 
+    def test_propres_refuses_a_flow_market(self, tmp_path, capsys):
+        graph, flow = os.path.join(tmp_path, "g.txt"), os.path.join(tmp_path, "flow.json")
+        with open(graph, "w") as fh:
+            fh.write("s t\ns v\nv t\nterminals:\ns t\ns t\n")
+        assert cli.main(["flow-gen", "--graph", graph, "--out", flow]) == 0
+        rc = cli.main(["solve", flow, "--method", "propres", "--out", os.path.join(tmp_path, "x")])
+        assert rc == 3
+        assert "without constraints" in capsys.readouterr().err
+
 
 class TestSolve:
     @pytest.mark.parametrize("method", ["logbar", "logbar-pcg", "pathfol", "tat", "propres"])

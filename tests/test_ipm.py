@@ -181,7 +181,7 @@ class TestLogBarRun:
         assert trace.extras["mu_threshold_k"] is not None
 
     def test_oracle_error_ends_the_run_as_numerical_failure(self, monkeypatch):
-        # call 1 is logbar_init's, calls 2-3 give rows 0-1, call 4 fails before row 2
+        # call 1 accepts the center and gives row 0, calls 2-3 rows 1-2, call 4 fails before row 3
         real, calls = ipm.market_state, []
 
         def failing(instance, p):
@@ -195,7 +195,7 @@ class TestLogBarRun:
         _, trace = logbar_run(inst, LogBarConfig(eps=1e-7, sigma_override=0.6, max_iters=200))
         assert trace.status == "NumericalFailure"
         assert trace.extras["error"] == "forced oracle failure"
-        assert trace.iterations() == 2
+        assert trace.iterations() == 3
 
     def test_dr1_failure_falls_back_to_pcg_bit_for_bit(self, monkeypatch):
         inst = mq.generate_random(30, 90, 0.5, rho=0.8, seed=5)
@@ -424,8 +424,8 @@ class TestPathFolRun:
                 pathfol_run(inst, PathFolConfig(), np.array(p0))
 
     def test_two_solves_per_row_while_homotopy_positive(self, monkeypatch):
-        # rows are told apart by their price query: the anchor's, then one per row
-        row, rows_of_solves = [-2], []
+        # rows are told apart by their price query, one per row (row 0's is the anchor)
+        row, rows_of_solves = [-1], []
         query, pcg_solve = ipm.market_state, hes.pcg_solve
 
         def counting_query(*args):
@@ -485,6 +485,19 @@ class TestNewtonPolish:
         with pytest.raises(ConfigError, match="4 strictly positive, finite prices"):
             newton_polish(mq.generate_random(4, 4, 1.0, seed=0), start)
 
+    @pytest.mark.parametrize("instance, mode, message", [
+        (lambda: mq.generate_random(4, 4, 1.0, seed=0), "foo", "unknown hessian mode"),
+        (lambda: mq.generate_random(hes.DENSE_LIMIT + 1, 4, 0.01, seed=0), "exact", "capped"),
+        (mixed_flow_instance, "dr1", "unconstrained"),
+    ], ids=["unknown", "exact-too-large", "dr1-constrained"])
+    def test_polish_refuses_a_bad_mode_before_querying(self, monkeypatch, instance, mode, message):
+        # these ran PCG, or failed as a bare ValueError inside the first Newton step
+        inst, calls = instance(), []
+        monkeypatch.setattr(ipm, "market_state", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match=message):
+            newton_polish(inst, np.ones(inst.n), hessian_mode=mode)
+        assert calls == []
+
     def test_polish_stops_at_iteration_budget(self):
         inst = mq.generate_random(15, 40, 0.8, rho=0.5, seed=8)
         p, trace = newton_polish(inst, np.full(15, 5.0), eps=1e-12, max_iters=2)
@@ -541,8 +554,8 @@ class TestSigmaContinuation:
 
 
 class TestPriceQueries:
-    # logbar_init's queries, PathFol's anchor and every sigma stage count too
-    @pytest.mark.parametrize("solve", [
+    # logbar_init's queries and every sigma stage count too
+    solves = pytest.mark.parametrize("solve", [
         lambda: logbar_run(mq.generate_random(20, 50, 0.5, seed=1, kind="linear_barrier",
                                               sigma=1e-6 / 20),
                            LogBarConfig(eps=1e-6, hessian_mode="exact", max_iters=600)),
@@ -550,7 +563,10 @@ class TestPriceQueries:
                            LogBarConfig(eps=1e-7, sigma_override=0.6)),
         lambda: pathfol_run(mq.generate_random(30, 90, 0.5, rho=0.5, seed=1),
                             PathFolConfig(eps=1e-7), np.full(30, 1.0 / 30)),
-    ], ids=["near-linear-logbar", "ces-logbar", "ces-pathfol"])
+        lambda: pathfol_run(mixed_flow_instance(), PathFolConfig(eps=1e-7), np.full(4, 0.25)),
+    ], ids=["near-linear-logbar", "ces-logbar", "ces-pathfol", "flow-pathfol"])
+
+    @solves
     def test_extras_count_every_market_state_call(self, monkeypatch, solve):
         real, calls = ipm.market_state, []
 
@@ -562,6 +578,22 @@ class TestPriceQueries:
         _, trace = solve()
         assert trace.status == "Converged"
         assert trace.extras["price_queries"] == len(calls)
+
+    @solves
+    def test_no_query_repeats_the_last_one(self, monkeypatch, solve):
+        # LogBar's row 0 reads its center's query and PathFol's anchor is its row 0 query;
+        # a sigma stage queries its start again, but on a different market
+        real, calls = ipm.market_state, []
+
+        def recording(instance, p):
+            calls.append((instance, np.array(p)))
+            return real(instance, p)
+
+        monkeypatch.setattr(ipm, "market_state", recording)
+        _, trace = solve()
+        assert trace.status == "Converged"
+        assert not any(a is c and np.array_equal(p, q)
+                       for (a, p), (c, q) in zip(calls, calls[1:]))
 
 
 class TestNewtonDecrement:
