@@ -18,7 +18,12 @@ exponent r, diag = spend/(1-r) and the DR1 vector
 xi = G^T s / omega = r spend / ((1-r) omega) come from it too, so assembling
 a CES/additive operator is O(n).  The DR1 surrogate collapses the rank-one
 sum to the single outer product omega xi xi^T, whose inverse is an O(n)
-Sherman-Morrison solve.
+Sherman-Morrison solve (``dr1_inverse``, factored once per shift).  That
+inverse serves twice: as LogBar's direct ``dr1`` solve, and as the CG
+preconditioner wherever the operator carries the DR1 data, where it keeps
+the rank-one term that the Jacobi row sums leave out.  Jacobi preconditions
+the linear-barrier and constrained operators, and any whose DR1
+factorization is singular or indefinite.
 
 Exact mode materializes only H's upper triangle, by symmetric rank-k
 updates (dsyrk) on row blocks scaled by sqrt|weight|, into a buffer the
@@ -173,7 +178,12 @@ class ScaledHessianOp:
         return H
 
     def preconditioner(self) -> np.ndarray:
-        """The Jacobi preconditioner k_c = H 1, floored at KC_FLOOR."""
+        """The Jacobi preconditioner k_c = H 1, floored at KC_FLOOR.
+
+        The drivers' CG uses it on operators without the DR1 data
+        (linear-barrier, constrained) and where ``dr1_inverse`` refuses the
+        shift; elsewhere the DR1 inverse preconditions.
+        """
         return np.maximum(self.row_sums(), KC_FLOOR)
 
 
@@ -243,49 +253,82 @@ def assemble(instance: MarketInstance, p) -> ScaledHessianOp:
     return assemble_from_state(market_state(instance, p), instance)
 
 
-def dr1_solve(op: ScaledHessianOp, mu: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (diag(D) + mu I - Omega xi xi^T) d = rhs in O(n) via Sherman-Morrison.
+def dr1_inverse(op: ScaledHessianOp, mu: float):
+    """(diag(D) + mu I - Omega xi xi^T)^-1 as an O(n) map, factored once.
 
-    Only an operator of CES/additive players alone carries the surrogate
-    (``dr1_omega`` set); any other is refused rather than solved without its
-    linear-barrier or constrained pieces.
+    The factorization is M = D + mu, M^-1 xi and the Sherman-Morrison
+    denominator 1/Omega - xi^T M^-1 xi; each application of the returned
+    function then costs three vector passes.  Only an operator of
+    CES/additive players alone carries the surrogate (``dr1_omega`` set);
+    any other is refused (ValueError) rather than inverted without its
+    linear-barrier or constrained pieces.  SingularUpdateError when M is
+    not positive, or when the denominator vanishes or has the sign opposite
+    to Omega's, where the surrogate is not positive definite (possible only
+    with exponents of both signs: with one sign it is positive definite at
+    any mu > 0).
     """
     if op.dr1_omega is None:
         raise ValueError("DR1 surrogate is defined for unconstrained CES/additive players only")
     M = op.diag + mu
     if np.any(M <= 0):
         raise SingularUpdateError("diagonal term not positive; increase mu")
-    d = rhs / M
-    if op.dr1_xi is not None:
-        Minv_xi = op.dr1_xi / M
-        denom = 1.0 / op.dr1_omega - float(op.dr1_xi @ Minv_xi)
-        scale = max(abs(1.0 / op.dr1_omega), abs(float(op.dr1_xi @ Minv_xi)))
-        if abs(denom) <= 1e-12 * scale:
-            raise SingularUpdateError("rank-one update singular; fall back to PCG")
-        d = d + Minv_xi * (float(op.dr1_xi @ d) / denom)
-    return d
+    if op.dr1_xi is None:
+        return lambda rhs: rhs / M
+    xi = op.dr1_xi
+    Minv_xi = xi / M
+    denom = 1.0 / op.dr1_omega - float(xi @ Minv_xi)
+    scale = max(abs(1.0 / op.dr1_omega), abs(float(xi @ Minv_xi)))
+    if (denom if op.dr1_omega > 0 else -denom) <= 1e-12 * scale:
+        raise SingularUpdateError("rank-one update singular or indefinite; fall back to PCG")
+
+    def apply(rhs: np.ndarray) -> np.ndarray:
+        d = rhs / M
+        return d + Minv_xi * (float(xi @ d) / denom)
+
+    return apply
 
 
-def pcg_solve(op, g_diag, rhs: np.ndarray, eps_k: float, k_c: np.ndarray | None = None):
+def dr1_solve(op: ScaledHessianOp, mu: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (diag(D) + mu I - Omega xi xi^T) d = rhs in O(n) via Sherman-Morrison
+    (``dr1_inverse``, whose errors it raises)."""
+    return dr1_inverse(op, mu)(rhs)
+
+
+def pcg_solve(op, g_diag, rhs: np.ndarray, eps_k: float, k_c: np.ndarray | None = None,
+              precond=None):
     """Conjugate gradient on (H + diag(g_diag)) d = rhs.
 
-    Given the row sums k_c = H 1 (ScaledHessianOp.preconditioner), it
-    preconditions with k_c + g_diag, the row sums of the full system matrix.
-    Terminates when the unpreconditioned residual satisfies ||(H+G)d - rhs||
-    <= eps_k * max(||d||, 1e-30), or after n iterations (CG is exact in exact
-    arithmetic).  Returns (d, iterations).
+    ``precond`` applies M^-1 to a residual (``dr1_inverse`` at the shift, in
+    the drivers); without it, given the row sums k_c = H 1
+    (ScaledHessianOp.preconditioner), CG is Jacobi-preconditioned with
+    k_c + g_diag, the row sums of the full system matrix, and with neither
+    it runs unpreconditioned.  Terminates when the unpreconditioned
+    residual satisfies ||(H+G)d - rhs|| <= eps_k * max(||d||, 1e-30), or
+    after n iterations (CG is exact in exact arithmetic).  Raises
+    FloatingPointError on an operator or a preconditioner that is not
+    positive on the iterates (d^T A d or r^T M^-1 r <= 0 or non-finite).
+    Returns (d, iterations).
     """
     n = len(rhs)
     g_diag = np.broadcast_to(np.asarray(g_diag, dtype=float), (n,))
     matvec = lambda v: op.matvec(v) + g_diag * v
-    m_diag = k_c + g_diag if k_c is not None else None
+    if precond is None:
+        m_diag = k_c + g_diag if k_c is not None else None
+        precond = (lambda r: r / m_diag) if m_diag is not None else (lambda r: r)
+
+    def inner(res):
+        z = precond(res)
+        rz = float(res @ z)
+        if not np.isfinite(rz) or rz <= 0:
+            raise FloatingPointError("preconditioner not positive on the CG residual")
+        return z, rz
+
     d = np.zeros(n)
     res = rhs.copy()
     if np.linalg.norm(res) == 0.0:
         return d, 0
-    z = res / m_diag if m_diag is not None else res
+    z, rz = inner(res)
     direction = z.copy()
-    rz = float(res @ z)
     iters = 0
     for _ in range(n):
         Ad = matvec(direction)
@@ -298,8 +341,7 @@ def pcg_solve(op, g_diag, rhs: np.ndarray, eps_k: float, k_c: np.ndarray | None 
         iters += 1
         if np.linalg.norm(res) <= eps_k * max(np.linalg.norm(d), 1e-30):
             break
-        z = res / m_diag if m_diag is not None else res
-        rz_new = float(res @ z)
+        z, rz_new = inner(res)
         direction = z + (rz_new / rz) * direction
         rz = rz_new
         if not np.all(np.isfinite(direction)):

@@ -16,7 +16,13 @@ solves twice per iteration, H~ a = P grad phi and, while t > 0,
 H~ b = P grad phi(p0); its dual norms and d = -(a - t+ b) combine the two.
 Its ``dr1`` mode runs PCG: the surrogate's relative spectral error, which
 the paper's superlinear rate needs below a certified delta, measured far
-above it on every market tried.
+above it on every market tried.  Both of its solves stop CG at the forcing
+term max(eps_k, min(PCG_FORCING_CAP, ||grad phi||_inf^2)) (Dembo, Eisenstat
+& Steihaug 1982), unit-free since grad phi = 1 - demand, and eps_k on the
+last rows.  LogBar and newton_polish keep a fixed eps_k: LogBar's short
+step bounds the step error against the decrement, and with the same term it
+lost the central path until mu underflowed (CES n=200, m=600, rho=0.9, 6 of
+seeds 1-8); the polish's price-query counts moved with it.
 
 Both take the same step -- query best responses, assemble H~ from the bids,
 solve (H~ + shift I) d = rhs, set p <- p (1 + d) -- in one loop
@@ -27,6 +33,13 @@ newton_polish runs the same loop with PathFol's t = 0 rule alone, damped by
 Armijo backtracking on phi; from the uniform prices it computes the reference
 prices of `marketeq bench`, and it polishes every stage of the sigma
 continuation for near-linear markets.
+
+PCG is preconditioned by the DR1 surrogate's O(n) inverse at the solve's
+shift wherever the operator carries the DR1 data (CES/additive players
+alone), else by Jacobi, k_c + mu, which also takes over when the DR1
+factorization is singular or indefinite (extras["dr1_fallbacks"]).  LogBar's
+``dr1`` mode solves the surrogate directly, the paper's method, and falls
+back to that same PCG.
 """
 
 from __future__ import annotations
@@ -55,6 +68,9 @@ STEP_SAFEGUARD_ETA = 0.01  # fraction-to-boundary: every price keeps >= 1% of it
 ARMIJO = 1e-4  # sufficient-decrease fraction of the polish's backtracking
 MIN_ALPHA = 1e-10  # the polish gives up below this step fraction
 PHI_ACCURACY = 1e-10  # relative accuracy of MarketState.value
+# PathFol's CG tolerance is max(eps_k, min(cap, ||grad phi||_inf^2)): loose
+# far from the solution, eps_k by the last rows
+PCG_FORCING_CAP = 1e-2
 
 
 class ConfigError(ValueError):
@@ -192,7 +208,10 @@ class _StepSolver:
     """(H~ + mu I) d = rhs on one operator, which every driver solves with one
     shift: one factorization is kept.  pcg_iters sums PCG iterations (or None).
     Exact mode builds and factors H in ``buf``, a Fortran (n, n) array that
-    _newton_loop hands to every iteration of a run (allocated here if None)."""
+    _newton_loop hands to every iteration of a run (allocated here if None).
+    PCG is preconditioned by the DR1 inverse at the shift on an operator
+    that carries the DR1 data, else (and when that factorization fails,
+    counted in ``fallbacks``) by Jacobi, 1/(k_c + mu)."""
 
     def __init__(self, op: hes.ScaledHessianOp, mode: str, eps_k: float,
                  buf: np.ndarray | None = None):
@@ -201,6 +220,7 @@ class _StepSolver:
         self.eps_k = eps_k
         self._buf = buf
         self._chol = None  # (mu, cho_factor, Jacobi scale)
+        self._precond = None  # (mu, DR1 inverse or None for Jacobi)
         self._k_c = None
         self.fallbacks = 0
         self.pcg_iters = None
@@ -226,8 +246,21 @@ class _StepSolver:
             d = d + s * scipy.linalg.cho_solve(cf, s * r, check_finite=False)
         return d
 
-    def solve(self, mu: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (H~ + mu I) d = rhs."""
+    def _dr1_preconditioner(self, mu: float):
+        """The DR1 inverse at shift mu, factored once per shift; None for Jacobi."""
+        if self._precond is None or self._precond[0] != mu:
+            inverse = None
+            if self.op.dr1_omega is not None:
+                try:
+                    inverse = hes.dr1_inverse(self.op, mu)
+                except hes.SingularUpdateError:
+                    if self.mode != "dr1":  # dr1 mode counted this failure in solve
+                        self.fallbacks += 1
+            self._precond = (mu, inverse)
+        return self._precond[1]
+
+    def solve(self, mu: float, rhs: np.ndarray, eps_k: float | None = None) -> np.ndarray:
+        """Solve (H~ + mu I) d = rhs; PCG stops at eps_k (default: the solver's)."""
         if self.mode == "exact":
             return self._dense_solve(mu, rhs)
         if self.mode == "dr1":
@@ -235,15 +268,17 @@ class _StepSolver:
                 return hes.dr1_solve(self.op, mu, rhs)
             except hes.SingularUpdateError:
                 self.fallbacks += 1
-        if self._k_c is None:
+        inverse = self._dr1_preconditioner(mu)
+        if inverse is None and self._k_c is None:
             self._k_c = self.op.preconditioner()
-        d, iters = hes.pcg_solve(self.op, mu, rhs, self.eps_k, self._k_c)
+        d, iters = hes.pcg_solve(self.op, mu, rhs, self.eps_k if eps_k is None else eps_k,
+                                 self._k_c, precond=inverse)
         self.pcg_iters = (self.pcg_iters or 0) + iters
         return d
 
-    def newton_step(self, mu: float, rhs: np.ndarray):
+    def newton_step(self, mu: float, rhs: np.ndarray, eps_k: float | None = None):
         """(d, sqrt(rhs . d)) with (H~ + mu I) d = rhs: the step and its decrement."""
-        d = self.solve(mu, rhs)
+        d = self.solve(mu, rhs, eps_k)
         return d, math.sqrt(max(float(rhs @ d), 0.0))
 
 
@@ -597,9 +632,11 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     H~(p_k) of its dual norm changes.  Each row solves H~ a = P grad phi and,
     while t > 0, H~ b = P grad phi(p0) (H~ shifted by MU_FLOOR): decrement
     sqrt(P grad phi . a), nbhd_resid sqrt(P(grad phi - t grad phi(p0)) .
-    (a - t b)), step d = -(a - t+ b); pcg_iters totals both solves.  The dr1
-    mode runs as pcg, with the row-sum preconditioner: the surrogate's
-    error never met the certified delta that its rate needs.
+    (a - t b)), step d = -(a - t+ b); pcg_iters totals both solves, which
+    stop CG at max(eps_k, min(PCG_FORCING_CAP, ||grad phi||_inf^2)).  The
+    dr1 mode runs as pcg, whose CG the DR1 inverse preconditions: the
+    surrogate's error never met the certified delta that its rate needs as
+    the Newton matrix itself.
     """
     config.validate(instance)
     if config.hessian_mode == "dr1":
@@ -616,10 +653,11 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
         nonlocal g0u, a, b, g0_norm
         if k == 0:
             g0u = state.grad  # the frozen anchor
-        a, lam = solver.newton_step(MU_FLOOR, state.p * state.grad)
+        tol = max(config.eps_k, min(PCG_FORCING_CAP, float(np.max(np.abs(state.grad))) ** 2))
+        a, lam = solver.newton_step(MU_FLOOR, state.p * state.grad, tol)
         nbhd = lam
         if t > 0.0:
-            b, g0_norm = solver.newton_step(MU_FLOOR, state.p * g0u)
+            b, g0_norm = solver.newton_step(MU_FLOOR, state.p * g0u, tol)
             nbhd = math.sqrt(max(float((state.p * (state.grad - t * g0u)) @ (a - t * b)), 0.0))
         if nbhd > config.beta / C * (1.0 + 1e-9):
             trace.extras["centering_warnings"] += 1

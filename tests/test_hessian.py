@@ -196,6 +196,13 @@ class TestDr1Solve:
             back = op.dr1_matvec(d) + 1e-2 * d
             assert np.max(np.abs(back - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
+    def test_indefinite_surrogate_refused(self):
+        # Omega > 0 with 1/Omega < xi^T M^-1 xi: D + mu - Omega xi xi^T has a
+        # negative eigenvalue, so it is neither a Newton metric nor a preconditioner
+        op = ScaledHessianOp(n=2, diag=np.ones(2), dr1_omega=2.0, dr1_xi=np.array([1.0, 0.0]))
+        with pytest.raises(SingularUpdateError):
+            dr1_solve(op, 0.0, np.array([1.0, 1.0]))
+
     def test_singular_update_detected(self):
         # craft Omega^-1 == xi^T M^-1 xi exactly: D = 1, mu = 0, xi = e1,
         # Omega = 1
@@ -250,6 +257,25 @@ class TestPcg:
                 return -v
         with pytest.raises(FloatingPointError):
             pcg_solve(BadOp(), 0.0, np.array([1.0, 0.0]), 1e-8)
+
+    def test_preconditioner_not_positive_refused(self):
+        op = ScaledHessianOp(n=3, diag=np.ones(3), dr1_omega=0.0)
+        with pytest.raises(FloatingPointError, match="preconditioner"):
+            pcg_solve(op, 1.0, np.array([1.0, 2.0, 3.0]), 1e-8, precond=lambda r: -r)
+
+    @pytest.mark.parametrize("r", [0.6, -0.8])
+    @pytest.mark.parametrize("mu", [1e-12, 1e-3])
+    def test_dr1_preconditioner_no_more_iterations_than_jacobi(self, r, mu):
+        n, eps_k = 120, 1e-8
+        for seed in range(5):
+            inst = mq.generate_random(n, 3 * n, 0.2, rho=r, seed=seed)
+            op = assemble(inst, np.random.default_rng(seed).uniform(0.5, 2.0, n))
+            rhs = np.random.default_rng(seed + 7).standard_normal(n)
+            d_jac, it_jac = pcg_solve(op, mu, rhs, eps_k, op.preconditioner())
+            d_dr1, it_dr1 = pcg_solve(op, mu, rhs, eps_k, precond=hes.dr1_inverse(op, mu))
+            for d in (d_jac, d_dr1):
+                assert np.linalg.norm(op.matvec(d) + mu * d - rhs) <= eps_k * np.linalg.norm(d)
+            assert it_dr1 <= it_jac, f"seed {seed}: DR1 {it_dr1} > Jacobi {it_jac}"
 
 
 class TestPreconditioner:

@@ -216,6 +216,28 @@ class TestLogBarRun:
         assert tr_dr1.extras["dr1_fallbacks"] == len(dr1_calls) == tr_dr1.iterations() - 1
         assert tr_pcg.extras["dr1_fallbacks"] == 0
 
+    def test_dr1_preconditioner_failure_falls_back_to_jacobi(self, monkeypatch):
+        inst = mq.generate_random(30, 90, 0.5, rho=0.8, seed=5)
+        op = hes.assemble(inst, np.random.default_rng(5).uniform(0.5, 2.0, 30))
+        rhs = np.random.default_rng(6).standard_normal(30)
+        solver = ipm._StepSolver(op, "pcg", 1e-10)
+        dr1_pcg = hes.pcg_solve(op, 1e-3, rhs, 1e-10, precond=hes.dr1_inverse(op, 1e-3))[0]
+        assert np.array_equal(solver.solve(1e-3, rhs), dr1_pcg) and solver.fallbacks == 0
+
+        def singular(op, mu):
+            raise hes.SingularUpdateError("forced")
+
+        monkeypatch.setattr(hes, "dr1_inverse", singular)
+        solver = ipm._StepSolver(op, "pcg", 1e-10)
+        jacobi = hes.pcg_solve(op, 1e-3, rhs, 1e-10, op.preconditioner())[0]
+        assert np.array_equal(solver.solve(1e-3, rhs), jacobi)
+        assert np.array_equal(solver.solve(1e-3, -rhs), -jacobi)
+        assert solver.fallbacks == 1  # one factorization per shift
+        cfg = LogBarConfig(eps=1e-7, sigma_override=0.6, hessian_mode="pcg", max_iters=300)
+        _, trace = logbar_run(inst, cfg)
+        assert trace.status == "Converged"
+        assert trace.extras["dr1_fallbacks"] == trace.iterations() - 1
+
     def test_config_validation(self):
         inst = mq.generate_random(4, 4, 1.0, seed=0)
         with pytest.raises(ConfigError):
@@ -446,6 +468,54 @@ class TestPathFolRun:
         assert ts[0] > 0.0 and ts[-1] == 0.0
         solves = Counter(rows_of_solves)
         assert [solves[r.k] for r in trace.rows] == [2 if t > 0.0 else 1 for t in ts]
+
+    def test_forcing_term_loose_early_and_eps_k_on_the_last_row(self, monkeypatch):
+        # rows are told apart by their price query, as in the test above
+        row, tols = [-1], []
+        query, pcg_solve = ipm.market_state, hes.pcg_solve
+
+        def counting_query(*args):
+            row[0] += 1
+            return query(*args)
+
+        def recording_pcg(op, mu, rhs, eps_k, *args, **kwargs):
+            tols.append((row[0], eps_k))
+            return pcg_solve(op, mu, rhs, eps_k, *args, **kwargs)
+
+        monkeypatch.setattr(ipm, "market_state", counting_query)
+        monkeypatch.setattr(hes, "pcg_solve", recording_pcg)
+        inst = mq.generate_random(20, 60, 0.7, rho=0.5, seed=10)
+        cfg = PathFolConfig(eps=1e-7, hessian_mode="pcg", eps_k=1e-9, max_iters=2000)
+        _, trace = pathfol_run(inst, cfg, np.full(20, inst.total_budget() / 20))
+        assert trace.status == "Converged"
+        last = trace.rows[-1]
+        solves = 2 if last.homotopy > 0.0 else 1
+        assert [tol for r, tol in tols if r == last.k] == [cfg.eps_k] * solves
+        for r, tol in tols:
+            g = trace.rows[r].grad_inf
+            assert tol == max(cfg.eps_k, min(ipm.PCG_FORCING_CAP, g * g))
+        assert tols[0][1] == ipm.PCG_FORCING_CAP
+
+    @pytest.mark.parametrize("rho", [0.9, -0.9])
+    def test_forcing_term_keeps_status_and_iterations(self, monkeypatch, rho):
+        # the benchmark's density.  A loose b solve underestimates the dual
+        # norm that sizes t's steps, by about 1e-3 relative here, so t runs
+        # slightly ahead and the last row can land one row early: seed 1 at
+        # rho = 0.9 takes 48 rows where every solve at eps_k takes 49
+        moved = []
+        for seed in range(1, 5):
+            inst = mq.generate_random(60, 180, 0.2, rho=rho, seed=seed)
+            p0 = np.full(60, inst.total_budget() / 60)
+            cfg = PathFolConfig(eps=1e-7, hessian_mode="pcg", eps_k=1e-8, max_iters=2000)
+            _, forced = pathfol_run(inst, cfg, p0)
+            with monkeypatch.context() as patch:
+                patch.setattr(ipm, "PCG_FORCING_CAP", 0.0)  # every solve at eps_k
+                _, fixed = pathfol_run(inst, cfg, p0)
+            assert forced.status == fixed.status == "Converged"
+            assert forced.extras["t_zero_k"] == fixed.extras["t_zero_k"]
+            assert sum(r.pcg_iters for r in forced.rows) < sum(r.pcg_iters for r in fixed.rows)
+            moved.append(forced.iterations() - fixed.iterations())
+        assert moved == ([-1, 0, 0, 0] if rho > 0 else [0, 0, 0, 0])
 
     def test_decrement_and_residual_are_dual_norms_at_each_iterate(self):
         # a and b combine linearly; each row must match direct solves at its iterate

@@ -9,7 +9,8 @@ the markets from this checkout's ``bench/workloads.py``, which it only
 reads.  It solves every workload's markets at each seed, in one process with
 one BLAS thread, and writes per solve its status, iterations, price queries
 and prices as ``float.hex`` strings, and per market a SHA-256 of its
-constraint matrices.  ``diff`` prints every key on which two records differ
+constraint matrices.  ``diff`` prints every key on which two records differ,
+with the largest relative price difference of a solve whose prices differ,
 and exits 1 if there is one, 0 if they are equal: a refactor that must not
 change any answer runs ``run`` on the parent's tree and on its own, then
 ``diff``.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -62,6 +64,16 @@ def run(src: Path, seeds, out: Path) -> None:
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _price_change(was, now) -> str:
+    """'prices' with the largest relative change max_j |now_j - was_j| / |was_j|."""
+    if was is None or now is None or len(was) != len(now):
+        return "prices"
+    pairs = [(float.fromhex(u), float.fromhex(v)) for u, v in zip(was, now)]
+    rel = max((abs(v - u) / abs(u) if u else (math.inf if v else 0.0) for u, v in pairs),
+              default=0.0)
+    return f"prices (max relative difference {rel:.3g})"
+
+
 def diff(old: Path, new: Path) -> int:
     a = json.loads(old.read_text(encoding="utf-8"))
     b = json.loads(new.read_text(encoding="utf-8"))
@@ -71,7 +83,8 @@ def diff(old: Path, new: Path) -> int:
         if isinstance(was, dict) and isinstance(now, dict):  # a solve: name the fields
             fields = sorted(f for f in was.keys() | now.keys() if was.get(f) != now.get(f))
             print(f"differs: {key}: " + ", ".join(
-                "prices" if f == "p" else f"{f} {was.get(f)} -> {now.get(f)}" for f in fields))
+                _price_change(was.get(f), now.get(f)) if f == "p"
+                else f"{f} {was.get(f)} -> {now.get(f)}" for f in fields))
         else:
             print(f"differs: {key}: {was} -> {now}")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} keys differ")
