@@ -171,8 +171,8 @@ def cmd_solve(args) -> int:
 
 def ground_truth(instance, eps: float = 1e-12):
     """High-precision reference prices and whether they converged: damped
-    Newton on phi (ipm.newton_polish, Newton-PCG steps with Armijo
-    backtracking) from the uniform prices W/n."""
+    Newton on phi (ipm.newton_polish, Newton-PCG steps with interpolating
+    Armijo backtracking) from the uniform prices W/n."""
     p, trace = ipm.newton_polish(instance, _default_p0(instance), eps=eps)
     return p, trace.status == STATUS_CONVERGED
 

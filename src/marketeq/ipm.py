@@ -30,9 +30,12 @@ solve (H~ + shift I) d = rhs, set p <- p (1 + d) -- in one loop
 The loop records a SolveTrace (CSV: one row per iteration, trailing status
 comment) and stops on the equilibrium certificate ||grad phi||_inf <= eps.
 newton_polish runs the same loop with PathFol's t = 0 rule alone, damped by
-Armijo backtracking on phi; from the uniform prices it computes the reference
-prices of `marketeq bench`, and it polishes every stage of the sigma
-continuation for near-linear markets.
+Armijo backtracking on phi: a rejected trial's successor minimises the
+quadratic fit to phi along the step (safeguarded to [BACKTRACK_MIN,
+BACKTRACK_MAX] of it), and each step's first trial is twice the last
+accepted fraction, capped at 1.  From the uniform prices it computes the
+reference prices of `marketeq bench`, and it polishes every stage of the
+sigma continuation for near-linear markets.
 
 PCG is preconditioned by the DR1 surrogate's O(n) inverse at the solve's
 shift wherever the operator carries the DR1 data (CES/additive players
@@ -66,6 +69,9 @@ MU_FLOOR = 1e-12
 PRACTICAL_C_PHI = 10.0  # run-time default; theory estimate via potential_constants
 STEP_SAFEGUARD_ETA = 0.01  # fraction-to-boundary: every price keeps >= 1% of its value
 ARMIJO = 1e-4  # sufficient-decrease fraction of the polish's backtracking
+# an interpolated backtracking trial keeps this much of the rejected one at least / at most
+BACKTRACK_MIN = 0.1
+BACKTRACK_MAX = 0.5
 MIN_ALPHA = 1e-10  # the polish gives up below this step fraction
 PHI_ACCURACY = 1e-10  # relative accuracy of MarketState.value
 # PathFol's CG tolerance is max(eps_k, min(cap, ||grad phi||_inf^2)): loose
@@ -300,25 +306,36 @@ def _query(instance: MarketInstance, p, trace: SolveTrace):
     return market_state(instance, p)
 
 
-def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace):
-    """Armijo backtracking on phi along p (1 + alpha d), alpha = 1, 1/2, ...
+def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace,
+               alpha: float):
+    """Armijo backtracking on phi along p (1 + alpha d) from the trial ``alpha``.
 
     Accepts phi falling by ARMIJO times the predicted decrease, or, when the
     full step predicts less than phi's accuracy, rising by at most that.
+    After a rejected trial at alpha, phi risen by D with slope g < 0 at 0,
+    the next trial minimises the quadratic through (0, 0) with slope g and
+    (alpha, D), -g alpha^2 / (2 (D - g alpha)), clamped to [BACKTRACK_MIN,
+    BACKTRACK_MAX] alpha (Nocedal & Wright, Numerical Optimization, 3.5); a
+    trial outside the oracle's domain, or a slope that is not negative,
+    halves alpha.  Each rejected trial adds one to extras["backtracks"].
     Returns (alpha, state there); (None, None) when no alpha >= MIN_ALPHA is
     acceptable."""
     slope = float((state.p * state.grad) @ d)
     tol = PHI_ACCURACY * max(1.0, abs(state.value))
-    alpha = 1.0
     while alpha >= MIN_ALPHA:
+        shorter = 0.5 * alpha
         try:
             trial = _query(instance, state.p * (1.0 + alpha * d), trace)
             rise = trial.value - state.value
             if rise <= ARMIJO * alpha * slope or (-slope <= tol and rise <= tol):
                 return alpha, trial
+            if slope < 0.0 and not math.isnan(rise):  # rejected, so D > alpha g: a convex fit
+                shorter = min(max(-slope * alpha**2 / (2.0 * (rise - slope * alpha)),
+                                  BACKTRACK_MIN * alpha), BACKTRACK_MAX * alpha)
         except OracleError:
-            pass  # outside the oracle's domain: shorten the step
-        alpha *= 0.5
+            pass  # outside the oracle's domain: halve the step
+        trace.extras["backtracks"] += 1
+        alpha = shorter
     return None, None
 
 
@@ -336,15 +353,18 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
     solves.  An oracle, floating-point or factorization error ends the run
     as NumericalFailure.
     With damped=True the safeguarded step is shortened by _backtrack, whose
-    accepted state is the next iteration's; when no step fraction is
-    acceptable the run ends as MaxIters with the reason in extras["error"].
+    accepted state is the next iteration's; each step after the first starts
+    its backtracking at min(1, 2 alpha), alpha the last accepted fraction.
+    When no step fraction is acceptable the run ends as MaxIters with the
+    reason in extras["error"].
     """
     iterates = [p.copy()] if config.keep_iterates else None
     # exact mode's Newton matrix, rebuilt and factored in place every iteration
     buf = np.empty((instance.n,) * 2, order="F") if config.hessian_mode == "exact" else None
-    trace.extras.update(safeguards=0, dr1_fallbacks=0,
+    trace.extras.update(safeguards=0, dr1_fallbacks=0, backtracks=0,
                         price_queries=trace.extras.get("price_queries", 0))
     status = STATUS_MAXITERS
+    alpha = 1.0  # the damped step's first trial fraction
     for k in range(config.max_iters):
         tic = time.perf_counter()
         try:
@@ -379,12 +399,13 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
             d = d * ((1.0 - STEP_SAFEGUARD_ETA) / (-dmin))
             trace.extras["safeguards"] += 1
         if damped:
-            alpha, state = _backtrack(instance, state, d, trace)
+            alpha, state = _backtrack(instance, state, d, trace, alpha)
             if state is None:
                 trace.extras["error"] = f"no step fraction >= {MIN_ALPHA:g} decreases phi"
                 break
             d = alpha * d
             p = state.p
+            alpha = min(1.0, 2.0 * alpha)
         else:
             state = None
             p = p * (1.0 + d)
@@ -403,10 +424,15 @@ def newton_polish(instance: MarketInstance, p, eps: float = 1e-12, max_iters: in
     """Damped Newton on phi from p until ||grad phi||_inf <= eps.
 
     PathFol's t = 0 rule, (H~ + MU_FLOOR I) d = -P grad phi, with Armijo
-    backtracking on phi (Boyd & Vandenberghe, Convex Optimization, 9.5);
-    near the solution every step is a full one.  Returns (p, SolveTrace); a
-    start p that is not n positive, finite prices, or a Hessian mode the
-    market does not allow, raises ConfigError before any price query.
+    backtracking on phi (Boyd & Vandenberghe, Convex Optimization, 9.5) by
+    safeguarded quadratic interpolation (_backtrack; Dennis & Schnabel 1983,
+    6.3.2).  The first step tries alpha = 1, each later one min(1, 2 alpha)
+    after an accepted alpha, so a run of short steps does not pay the
+    rejected trials above them every time; near the solution every step is
+    a full one.  extras["backtracks"] counts the rejected trials.  Returns
+    (p, SolveTrace); a start p that is not n positive, finite prices, or a
+    Hessian mode the market does not allow, raises ConfigError before any
+    price query.
     """
     config = PathFolConfig(eps=eps, eps_k=eps_k, max_iters=max_iters, hessian_mode=hessian_mode)
     config.validate(instance)
@@ -488,7 +514,8 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
     (mu, sigma) jointly instead.  Each stage adds one trace row (homotopy =
     its sigma, the gradient norms of its polish's last row) and one entry
     to extras["continuation"] with the polish's Newton steps, price
-    queries and status; extras["price_queries"] counts every phase's.
+    queries, rejected line-search trials and status; extras["price_queries"]
+    and extras["backtracks"] count every phase's.
     """
     target = float(instance.sigma[0])
     smooth = with_barrier_sigma(instance, SIGMA_SMOOTH)
@@ -517,8 +544,10 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
         trace.extras["continuation"].append({
             "sigma": sigma, "grad_inf": last.grad_inf, "status": polish.status,
             "newton_steps": sum(not math.isnan(r.step_norm) for r in polish.rows),
-            "price_queries": polish.extras["price_queries"]})
+            "price_queries": polish.extras["price_queries"],
+            "backtracks": polish.extras["backtracks"]})
         trace.extras["price_queries"] += polish.extras["price_queries"]
+        trace.extras["backtracks"] += polish.extras["backtracks"]
     trace.status = polish.status
     if "error" in polish.extras:
         trace.extras["error"] = polish.extras["error"]

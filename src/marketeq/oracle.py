@@ -159,8 +159,10 @@ def _psi_roots(C: sp.csr_matrix, cols: np.ndarray, p: np.ndarray, sig: np.ndarra
     step is row-local, so a player's demand does not depend on who else is
     solved in the call.
 
-    Returns (X, u, lam, rounds): the dense (m, n) demand, the polished roots
-    in longdouble, the budget multipliers and the Newton rounds taken.
+    Returns (X, u, lam, rows, rounds): the dense (m, n) demand, the polished
+    roots in longdouble, the budget multipliers, the row (player) index of
+    every stored coefficient, aligned with ``C.data``, and the Newton rounds
+    taken.
     """
     m, n = C.shape
     starts = C.indptr[:-1]
@@ -207,7 +209,7 @@ def _psi_roots(C: sp.csr_matrix, cols: np.ndarray, p: np.ndarray, sig: np.ndarra
     X[rows, cols] = (sig_l / (lamp_l - c_l / u[rows])).astype(float)
     if np.any(X <= 0) or not np.all(np.isfinite(X)):
         raise OracleError("linear-barrier demand left the positive orthant")
-    return X, u, lam, rounds
+    return X, u, lam, rows, rounds
 
 
 PSI_POLISH_ROUNDS = 6
@@ -252,8 +254,8 @@ def linear_barrier_best_response(p, c, sigma: float, w: float):
     c = np.asarray(c, dtype=float)
     n = len(p)
     C = sp.csr_matrix(c[None, :])
-    X, u, lam, _ = _psi_roots(C, C.indices.astype(np.intp), p, np.array([float(sigma)]),
-                              np.array([float(w)]))
+    X, u, lam, _, _ = _psi_roots(C, C.indices.astype(np.intp), p, np.array([float(sigma)]),
+                                 np.array([float(w)]))
     x = X[0]
     gamma = (1.0 + sigma * n) * x * p / w - sigma
     log_obj = float(np.log(c @ x) + sigma * np.sum(np.log(x)))
@@ -583,8 +585,8 @@ def _linear_batch(instance: MarketInstance, p: np.ndarray):
     w = instance.budgets
     sig = instance.sigma
     C, cols = instance.C, instance.cols
-    X, _, _, rounds = _psi_roots(C, cols, p, sig, w)
-    uval = np.add.reduceat(C.data * X[instance.nnz_row_index(), cols], C.indptr[:-1])
+    X, _, _, rows, rounds = _psi_roots(C, cols, p, sig, w)
+    uval = np.add.reduceat(C.data * X[rows, cols], C.indptr[:-1])
     value = float(p.sum() + np.sum(w * (np.log(uval) + sig * np.log(X).sum(axis=1))))
     return X, value, rounds
 

@@ -590,7 +590,9 @@ class TestNewtonPolish:
         assert "no step fraction" in trace.extras["error"]
         assert trace.iterations() == 1
         assert np.array_equal(p, p0)
-        assert trace.extras["price_queries"] == len(queries) > 30
+        # the start's query, then trials at 1, 0.1, ..., 1e-10: each rise clamps to a tenth
+        assert trace.extras["price_queries"] == len(queries) == 12
+        assert trace.extras["backtracks"] == trace.extras["price_queries"] - 1
 
     def test_oracle_error_at_a_trial_halves_the_step(self, monkeypatch):
         inst = mq.generate_random(15, 40, 0.8, rho=0.5, seed=8)
@@ -610,6 +612,97 @@ class TestNewtonPolish:
         assert halved.extras["price_queries"] == 3
         assert halved.rows[0].step_norm == pytest.approx(0.5 * full.rows[0].step_norm, rel=1e-12)
 
+    @staticmethod
+    def _line_search(monkeypatch, phi, refuse=(), direction=-1.0):
+        """_backtrack from p = (1, 1), grad phi = (1, 1) and phi = 0 along d =
+        direction (1, 1), where a trial at alpha reads phi(alpha) or, at the
+        trial numbers in ``refuse``, raises OracleError.  Returns (alpha, trial
+        alphas, rejected-trial count)."""
+        Start = dataclasses.make_dataclass("Start", ["p", "grad", "value"])
+        start, trials = Start(np.ones(2), np.ones(2), 0.0), []
+
+        def query(instance, p):
+            trials.append((float(p[0]) - 1.0) / direction)
+            if len(trials) in refuse:
+                raise OracleError("trial outside the oracle's domain")
+            return Start(p, None, phi(trials[-1]))
+
+        monkeypatch.setattr(ipm, "market_state", query)
+        trace = SolveTrace(extras={"price_queries": 0, "backtracks": 0})
+        alpha, _ = ipm._backtrack(None, start, np.full(2, direction), trace, 1.0)
+        return alpha, trials, trace.extras["backtracks"]
+
+    @pytest.mark.parametrize("phi, expected", [
+        (lambda a: -2 * a + 3 * a**2, [1, 1 / 3]),  # a quadratic: its minimiser
+        (lambda a: -2 * a + 40 * a**3, [1, 0.1]),  # fit at 0.025, clamped up
+        (lambda a: -2 * a + 1.99999 * a**2, [1, 0.5]),  # fit past 1/2, clamped down
+        (lambda a: -2 * a + 2e5 * a**4, [1, 0.1, 0.01]),
+    ], ids=["quadratic", "lower-clamp", "upper-clamp", "two-rejections"])
+    def test_backtrack_interpolates_within_the_clamp(self, monkeypatch, phi, expected):
+        alpha, trials, rejected = self._line_search(monkeypatch, phi)
+        assert trials == pytest.approx(expected, rel=1e-12)
+        assert rejected == len(trials) - 1
+        for prev, now in zip(trials, trials[1:]):
+            assert ipm.BACKTRACK_MIN * prev * (1 - 1e-12) <= now <= ipm.BACKTRACK_MAX * prev
+        assert alpha == pytest.approx(trials[-1], rel=1e-12)
+        assert phi(alpha) <= ipm.ARMIJO * alpha * -2.0
+
+    def test_oracle_error_at_an_interpolated_trial_halves_it(self, monkeypatch):
+        # the first rise interpolates to 1/3; that trial is refused, so the next is 1/6
+        alpha, trials, _ = self._line_search(monkeypatch, lambda a: -2 * a + 3 * a**2,
+                                             refuse={2})
+        assert trials == pytest.approx([1, 1 / 3, 1 / 6], rel=1e-12)
+        assert alpha == pytest.approx(1 / 6, rel=1e-12)
+
+    def test_a_slope_that_is_not_negative_halves(self, monkeypatch):
+        # phi = 10 alpha along an ascent direction: no trial is acceptable
+        alpha, trials, rejected = self._line_search(monkeypatch, lambda a: 10.0 * a,
+                                                    direction=1.0)
+        assert alpha is None
+        assert trials[:4] == pytest.approx([1, 0.5, 0.25, 0.125], rel=1e-12)
+        assert rejected == len(trials) == 34  # 2**-34 < MIN_ALPHA
+
+    def test_line_search_schedule_on_a_market(self, monkeypatch):
+        # every rejected trial within [0.1, 0.5] of the last, every accepted one Armijo's,
+        # and every step after the first starts at min(1, 2 x the last accepted fraction)
+        inst = mq.generate_random(20, 50, 0.5, seed=21, kind="linear_barrier", sigma=1e-4)
+        real_backtrack, real_query, searches = ipm._backtrack, ipm._query, []
+
+        def recording_query(instance, p, trace):
+            if searches and "found" not in searches[-1]:
+                searches[-1]["trials"].append(np.array(p))
+            return real_query(instance, p, trace)
+
+        def recording_backtrack(instance, state, d, trace, alpha):
+            searches.append({"state": state, "d": d, "first": alpha, "trials": []})
+            searches[-1]["found"] = real_backtrack(instance, state, d, trace, alpha)
+            return searches[-1]["found"]
+
+        monkeypatch.setattr(ipm, "_query", recording_query)
+        monkeypatch.setattr(ipm, "_backtrack", recording_backtrack)
+        _, trace = newton_polish(inst, np.full(20, inst.total_budget() / 20), eps=1e-9,
+                                 hessian_mode="exact")
+        assert trace.status == "Converged"
+        shortened = 0
+        for k, search in enumerate(searches):
+            state, d = search["state"], search["d"]
+            # each trial's alpha, read back from its prices to within tol
+            j = int(np.argmax(np.abs(d)))
+            alphas = [(q[j] / state.p[j] - 1.0) / d[j] for q in search["trials"]]
+            tol = 1e-13 / abs(d[j])
+            assert abs(alphas[0] - search["first"]) <= tol
+            for prev, now in zip(alphas, alphas[1:]):
+                assert ipm.BACKTRACK_MIN * prev - tol <= now <= ipm.BACKTRACK_MAX * prev + tol
+            alpha, accepted = search["found"]
+            assert abs(alpha - alphas[-1]) <= tol
+            slope = float((state.p * state.grad) @ d)
+            assert accepted.value - state.value <= ipm.ARMIJO * alpha * slope
+            if k:
+                previous = searches[k - 1]["found"][0]
+                assert search["first"] == min(1.0, 2.0 * previous)
+                shortened += previous < 1.0
+        assert shortened >= 2 and trace.extras["backtracks"] >= 2
+
 
 class TestSigmaContinuation:
     def test_ladder_lands_on_the_target(self):
@@ -621,6 +714,23 @@ class TestSigmaContinuation:
         assert len(stages) == 6
         assert stages[-1]["sigma"] == 5e-8
         assert all(stage["newton_steps"] >= 1 for stage in stages)
+
+    def test_stages_count_their_rejected_trials(self, monkeypatch):
+        real, polishes = ipm.newton_polish, []
+
+        def recording(*args, **kwargs):
+            p, polish = real(*args, **kwargs)
+            polishes.append(polish)
+            return p, polish
+
+        monkeypatch.setattr(ipm, "newton_polish", recording)
+        inst = mq.generate_random(20, 50, 0.5, seed=1, kind="linear_barrier", sigma=1e-6 / 20)
+        _, trace = logbar_run(inst, LogBarConfig(eps=1e-6, hessian_mode="exact", max_iters=600))
+        assert trace.status == "Converged"
+        counts = [stage["backtracks"] for stage in trace.extras["continuation"]]
+        assert counts == [polish.extras["backtracks"] for polish in polishes]
+        # the barrier phase has no line search; only the stages' polishes backtrack
+        assert trace.extras["backtracks"] == sum(counts) > 0
 
 
 class TestPriceQueries:

@@ -293,6 +293,17 @@ class TestPsiRootFinder:
         for p, X in zip(prices, short):
             assert np.array_equal(market_state(inst, p).linear_x, X)
 
+    def test_batch_value_reads_the_root_finder_row_index(self):
+        # _linear_batch gathers <c, x> with the rows _psi_roots built, not a fresh index
+        inst = mq.generate_random(12, 30, 0.5, seed=5, kind="linear_barrier", sigma=1e-3)
+        p = np.random.default_rng(5).uniform(0.2, 3.0, inst.n)
+        X, _, _, rows, _ = oracle._psi_roots(inst.C, inst.cols, p, inst.sigma, inst.budgets)
+        assert np.array_equal(rows, inst.nnz_row_index())
+        w, sig, C = inst.budgets, inst.sigma, inst.C
+        uval = np.add.reduceat(C.data * X[inst.nnz_row_index(), inst.cols], C.indptr[:-1])
+        value = float(p.sum() + np.sum(w * (np.log(uval) + sig * np.log(X).sum(axis=1))))
+        assert market_state(inst, p).value == value
+
     def test_round_cap_raises_instead_of_returning(self, monkeypatch):
         inst = mq.generate_random(12, 30, 0.5, seed=0, kind="linear_barrier", sigma=0.05)
         p = np.full(inst.n, inst.total_budget() / inst.n)

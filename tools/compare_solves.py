@@ -11,7 +11,8 @@ one BLAS thread, and writes per solve its status, iterations, price queries
 and prices as ``float.hex`` strings, and per market a SHA-256 of its
 constraint matrices.  ``diff`` prints every key on which two records differ,
 with the largest relative price difference of a solve whose prices differ,
-and exits 1 if there is one, 0 if they are equal: a refactor that must not
+then each workload's total price queries per seed in both records, and
+exits 1 if a key differs, 0 if they are equal: a refactor that must not
 change any answer runs ``run`` on the parent's tree and on its own, then
 ``diff``.
 """
@@ -74,6 +75,16 @@ def _price_change(was, now) -> str:
     return f"prices (max relative difference {rel:.3g})"
 
 
+def _query_totals(record) -> dict:
+    """'<workload> seed=<seed>' -> the price queries of its solves, summed."""
+    totals = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            group = key.split(" | ", 1)[0]
+            totals[group] = totals.get(group, 0) + value["price_queries"]
+    return totals
+
+
 def diff(old: Path, new: Path) -> int:
     a = json.loads(old.read_text(encoding="utf-8"))
     b = json.loads(new.read_text(encoding="utf-8"))
@@ -88,6 +99,9 @@ def diff(old: Path, new: Path) -> int:
         else:
             print(f"differs: {key}: {was} -> {now}")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} keys differ")
+    was, now = _query_totals(a), _query_totals(b)
+    for group in sorted(was.keys() | now.keys()):
+        print(f"price_queries: {group}: {was.get(group)} -> {now.get(group)}")
     return 1 if differ else 0
 
 
