@@ -37,9 +37,9 @@ def _default_p0(instance: market.MarketInstance) -> np.ndarray:
 
 
 def _default_hessian(instance: market.MarketInstance) -> str:
-    if instance.n <= hes.DENSE_LIMIT:
-        return "exact"
-    return "dr1" if not (instance.constraints or instance.is_linear) else "pcg"
+    if instance.constraints or instance.is_linear:
+        return "exact" if instance.n <= hes.DENSE_LIMIT else "pcg"
+    return "pcg" if instance.n <= hes.DENSE_LIMIT else "dr1"
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,7 @@ def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace
     """Armijo backtracking on phi along p (1 + alpha d) from the trial ``alpha``.
 
     Accepts phi falling by ARMIJO times the predicted decrease, or, when the
-    full step predicts less than phi's accuracy, rising by at most that.
+    slope is within phi's accuracy tol of 0, rising by at most tol.
     After a rejected trial at alpha, phi risen by D with slope g < 0 at 0,
     the next trial minimises the quadratic through (0, 0) with slope g and
     (alpha, D), -g alpha^2 / (2 (D - g alpha)), clamped to [BACKTRACK_MIN,
@@ -319,9 +319,12 @@ def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace
     trial outside the oracle's domain, or a slope that is not negative,
     halves alpha.  Each rejected trial adds one to extras["backtracks"].
     Returns (alpha, state there); (None, None) when no alpha >= MIN_ALPHA is
-    acceptable."""
+    acceptable.  A slope above tol (d is an ascent direction) raises
+    FloatingPointError before any price query."""
     slope = float((state.p * state.grad) @ d)
     tol = PHI_ACCURACY * max(1.0, abs(state.value))
+    if not slope <= tol:  # NaN included
+        raise FloatingPointError(f"the step is not a descent direction: slope {slope:.3e} of phi")
     while alpha >= MIN_ALPHA:
         shorter = 0.5 * alpha
         try:
@@ -355,8 +358,8 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
     With damped=True the safeguarded step is shortened by _backtrack, whose
     accepted state is the next iteration's; each step after the first starts
     its backtracking at min(1, 2 alpha), alpha the last accepted fraction.
-    When no step fraction is acceptable the run ends as MaxIters with the
-    reason in extras["error"].
+    When no step fraction is acceptable the run ends as MaxIters, along an
+    ascent direction as NumericalFailure, with the reason in extras["error"].
     """
     iterates = [p.copy()] if config.keep_iterates else None
     # exact mode's Newton matrix, rebuilt and factored in place every iteration
@@ -399,7 +402,12 @@ def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure
             d = d * ((1.0 - STEP_SAFEGUARD_ETA) / (-dmin))
             trace.extras["safeguards"] += 1
         if damped:
-            alpha, state = _backtrack(instance, state, d, trace, alpha)
+            try:
+                alpha, state = _backtrack(instance, state, d, trace, alpha)
+            except FloatingPointError as exc:  # an ascent direction
+                trace.extras["error"] = str(exc)
+                status = STATUS_NUMFAIL
+                break
             if state is None:
                 trace.extras["error"] = f"no step fraction >= {MIN_ALPHA:g} decreases phi"
                 break

@@ -1,14 +1,18 @@
 """Market instances: domain types, validation, generation, and ingestion.
 
 A market has ``n`` divisible goods in unit supply and ``m`` players with
-fixed budgets.  Each player carries a utility specification over the goods;
-three families are supported:
+fixed budgets.  Each player's utility over the goods is of one of three
+families:
 
 * ``ces``            -- u(x) = (sum_j c_j x_j^rho)^(1/rho), rho in (-inf,0)u(0,1)
 * ``additive``       -- u(x) = (sum_j c_j x_j^r)^k with (k, r) restricted so
                         that u is concave and the degree d = k*r is positive
 * ``linear_barrier`` -- log-utility log<c,x> regularized by sigma*sum_j log x_j
                         (the smoothed stand-in for a linear utility)
+
+An instance stores its players only as columns (see ``MarketInstance``);
+``UtilitySpec`` is one player's record in the JSON document and the
+constructor's input.
 
 Instances serialize to a JSON document::
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -41,8 +46,6 @@ import scipy.sparse as sp
 CES = "ces"
 ADDITIVE = "additive"
 LINEAR_BARRIER = "linear_barrier"
-
-_KINDS = (CES, ADDITIVE, LINEAR_BARRIER)
 
 
 class IngestError(ValueError):
@@ -95,31 +98,6 @@ def ces_spec(c, rho: float) -> UtilitySpec:
     return UtilitySpec(CES, idx, c[idx], rho=float(rho))
 
 
-def _exponents(u: UtilitySpec) -> tuple[float, float, float]:
-    """(r, k, sigma) of one player; NaN where its kind has none or it is invalid."""
-    nan = float("nan")
-    finite = lambda *vals: None not in vals and all(map(math.isfinite, vals))
-    if u.kind == CES and u.rho and finite(u.rho):
-        return u.rho, 1.0 / u.rho, nan
-    if u.kind == ADDITIVE and finite(u.k, u.r):
-        return u.r, u.k, nan
-    if u.kind == LINEAR_BARRIER and finite(u.sigma):
-        return nan, nan, u.sigma
-    return nan, nan, nan
-
-
-def _coefficients(specs, n: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """(C, cols): the specs' coefficients as CSR rows, and C's column index as intp.
-
-    Nothing is checked here; a negative n gives C no columns.
-    """
-    indptr = np.zeros(len(specs) + 1, dtype=np.int64)
-    np.cumsum([len(u.idx) for u in specs], out=indptr[1:])
-    cols = np.concatenate([np.zeros(0, np.intp)] + [u.idx for u in specs], dtype=np.intp)
-    data = np.concatenate([np.zeros(0)] + [u.val for u in specs])
-    return sp.csr_matrix((data, cols, indptr), shape=(len(specs), max(n, 0))), cols
-
-
 class ConGroup(NamedTuple):
     """Constrained players sharing one constraint-row count, as stacked arrays.
 
@@ -155,43 +133,72 @@ class ShareFactors(NamedTuple):
 class MarketInstance:
     """A Fisher market: n goods (unit supply), m budgeted players.
 
-    The constructor builds, from the ``utilities`` specs (the input record
-    that JSON writes), the arrays the solvers read: the CSR coefficients
-    ``C``, its column index ``cols`` as intp (gathers such as ``p[cols]``
-    skip the cast of C's int32 indices), the same for the unconstrained
-    players' rows, ``uncon_C`` and ``uncon_cols`` (``C`` and ``cols``
-    themselves without constraints), and the per-player columns ``r`` and
-    ``k`` (rho and 1/rho for CES, r and k for additive players), ``sigma``
-    (linear-barrier players) and ``degree`` (k*r, or 1 + sigma*n for
-    linear-barrier players), NaN where a player's kind has no such value.
+    The players are stored only as columns: the CSR coefficients ``C`` and
+    its column index ``cols`` as intp (gathers such as ``p[cols]`` skip the
+    cast of C's int32 indices), the same for the unconstrained players' rows
+    (``uncon_C``, ``uncon_cols``; ``C`` and ``cols`` without constraints),
+    ``kind``, ``exponents`` as given ((rho, NaN) for CES, (r, k) for
+    additive players, NaN where missing or of another kind) and the derived
+    ``r``, ``k`` (rho and 1/rho for CES), ``sigma`` and ``degree`` (k*r, or
+    1 + sigma*n), NaN where a player's kind has none or it is invalid.
     ``con``/``uncon`` index the players with and without a constraint
-    matrix; ``kinds`` and ``is_linear`` summarize the players' kinds.  It
-    rejects nothing: ``validate`` reports bad input.
+    matrix; ``kinds`` and ``is_linear`` summarize the kinds.  ``utilities``
+    is the players as ``UtilitySpec`` records, the constructor's input,
+    built again on first access.  Nothing is rejected here: ``validate``
+    reports bad input.
     """
 
     def __init__(self, n, m, budgets, utilities, constraints=None):
+        specs = list(utilities)  # None becomes NaN in a float array
+        exponents = [(u.rho, None) if u.kind == CES else (u.r, u.k) if u.kind == ADDITIVE
+                     else (None, None) for u in specs]
+        sigma = [u.sigma if u.kind == LINEAR_BARRIER else None for u in specs]
+        self._init(n, m, budgets, np.array([u.kind for u in specs], dtype=object),
+                   np.array(exponents, dtype=float).reshape(-1, 2), np.array(sigma, dtype=float),
+                   np.cumsum([0] + [len(u.idx) for u in specs], dtype=np.int64),
+                   np.concatenate([np.zeros(0, np.intp)] + [u.idx for u in specs], dtype=np.intp),
+                   np.concatenate([np.zeros(0)] + [u.val for u in specs]), constraints)
+
+    def _init(self, n, m, budgets, kind, exponents, sigma, indptr, cols, data, constraints):
+        """Store the players' columns (sigma as given, C as CSR arrays); derive the rest."""
         self.n = int(n)
         self.m = int(m)
         self.budgets = np.asarray(budgets, dtype=float)
-        self.utilities = list(utilities)
         # player index -> homogeneous constraint matrix A_i (rows x n)
         self.constraints: dict[int, np.ndarray] = {
             int(i): np.asarray(A, dtype=float) for i, A in (constraints or {}).items()
         }
-        self.kinds = {u.kind for u in self.utilities}
+        self.kind, self.exponents = kind, exponents
+        self.kinds = set(kind.tolist())
         self.is_linear = self.kinds == {LINEAR_BARRIER}
-        exponents = np.array([_exponents(u) for u in self.utilities], dtype=float).reshape(-1, 3)
-        self.r, self.k, self.sigma = exponents.T.copy()
+        x, k = exponents.T
+        ces = (kind == CES) & np.isfinite(x) & (x != 0.0)
+        additive = (kind == ADDITIVE) & np.isfinite(x) & np.isfinite(k)
+        with np.errstate(divide="ignore"):
+            self.k = np.where(ces, 1.0 / x, np.where(additive, k, np.nan))
+        self.r = np.where(ces | additive, x, np.nan)
+        self.sigma = np.where((kind == LINEAR_BARRIER) & np.isfinite(sigma), sigma, np.nan)
         self.degree = np.where(np.isnan(self.sigma), self.k * self.r, 1.0 + self.sigma * self.n)
+        self.cols = cols
+        self.C = sp.csr_matrix((data, cols, indptr), shape=(len(indptr) - 1, max(self.n, 0)))
         self.con = np.array(sorted(self.constraints), dtype=np.int64)
-        self.uncon = np.setdiff1d(np.arange(len(self.utilities)), self.con)
-        self.C, self.cols = _coefficients(self.utilities, self.n)
+        self.uncon = np.setdiff1d(np.arange(self.C.shape[0]), self.con)
         self.uncon_C, self.uncon_cols = self.C, self.cols
         if self.constraints:
             self.uncon_C = self.C[self.uncon]
             self.uncon_cols = self.uncon_C.indices.astype(np.intp)
         self._share_factors = None
         self._con_groups = None
+
+    @functools.cached_property
+    def utilities(self) -> list[UtilitySpec]:
+        """The players as ``UtilitySpec`` records, built from the columns on first use."""
+        at, given = self.C.indptr.tolist(), lambda v: None if math.isnan(v) else v
+        return [UtilitySpec(kind, self.cols[at[i]:at[i + 1]], self.C.data[at[i]:at[i + 1]],
+                            rho=given(x) if kind == CES else None, k=given(k),
+                            r=given(x) if kind == ADDITIVE else None, sigma=given(sigma))
+                for i, (kind, (x, k), sigma) in enumerate(zip(
+                    self.kind.tolist(), self.exponents.tolist(), self.sigma.tolist()))]
 
     # -- derived views -----------------------------------------------------
 
@@ -317,33 +324,16 @@ def load_instance(path: str) -> MarketInstance:
 # validation
 
 
-def _validate_spec(i: int, u: UtilitySpec, report: list[str]) -> bool:
-    """Report player i's kind and exponent problems; False for an unknown kind."""
-    if u.kind not in _KINDS:
-        report.append(f"player {i}: unknown utility kind {u.kind!r}")
-        return False
-    if u.kind == CES:
-        if u.rho is None or u.rho == 0.0:
-            report.append(f"player {i}: rho must be nonzero")
-        elif not (np.isfinite(u.rho) and u.rho < 1.0):
-            report.append(f"player {i}: rho must lie in (-inf,0) or (0,1)")
-    elif u.kind == ADDITIVE:
-        k, r = u.k, u.r
-        if k is None or r is None:
-            report.append(f"player {i}: additive players need both k and r")
-        elif not ((0.0 < r < 1.0 and 0.0 < k <= 1.0 / r) or (r < 0.0 and 1.0 / r <= k < 0.0)):
-            report.append(
-                f"player {i}: additive parameters (k={k}, r={r}) violate the "
-                "concavity window r in (0,1), k in (0,1/r] or r<0, k in [1/r,0)"
-            )
-    else:
-        if u.sigma is None or not (0.0 < u.sigma < np.inf):
-            report.append(f"player {i}: sigma must be positive and finite")
-    return True
-
-
-def _coefficient_problems(instance: MarketInstance) -> dict[int, list[str]]:
-    """Player -> the problems of its row of C, in report order (players without any absent)."""
+def _player_problems(instance: MarketInstance) -> list[str]:
+    """Every player's problems, player by player: kind and exponents, then its row of C."""
+    kind, (x, k), sigma = instance.kind, instance.exponents.T, instance.sigma
+    ces, additive, linear = kind == CES, kind == ADDITIVE, kind == LINEAR_BARRIER
+    known = ces | additive | linear
+    no_rho = np.isnan(x) | (x == 0.0)  # a missing exponent reads NaN
+    missing = np.isnan(x) | np.isnan(k)
+    with np.errstate(divide="ignore"):  # r = 0 is outside both windows
+        window = (((0.0 < x) & (x < 1.0) & (0.0 < k) & (k <= 1.0 / x))
+                  | ((x < 0.0) & (1.0 / x <= k) & (k < 0.0)))
     C, cols = instance.C, instance.cols
     m = C.shape[0]
     rows = instance.nnz_row_index()
@@ -355,19 +345,25 @@ def _coefficient_problems(instance: MarketInstance) -> dict[int, list[str]]:
     # a row's indices are sorted, so a repeated good sits next to its twin
     twin = (cols[1:] == cols[:-1]) & (rows[1:] == rows[:-1])
     checks = [
-        (~full, "needs at least one positive coefficient"),
-        (full & ~finite, "coefficients must be finite"),
-        (finite & (lo < 0), "coefficients must be nonnegative"),
-        (finite & ~(hi > 0), "needs at least one positive coefficient"),
-        (np.bincount(rows[(cols < 0) | (cols >= instance.n)], minlength=m) > 0,
+        (~known, "unknown utility kind {kind!r}"),
+        (ces & no_rho, "rho must be nonzero"),
+        (ces & ~no_rho & ~(np.isfinite(x) & (x < 1.0)), "rho must lie in (-inf,0) or (0,1)"),
+        (additive & missing, "additive players need both k and r"),
+        (additive & ~missing & ~window,
+         "additive parameters (k={k}, r={r}) violate the concavity window "
+         "r in (0,1), k in (0,1/r] or r<0, k in [1/r,0)"),
+        (linear & ~((0.0 < sigma) & (sigma < np.inf)), "sigma must be positive and finite"),
+        (known & ~full, "needs at least one positive coefficient"),
+        (known & full & ~finite, "coefficients must be finite"),
+        (known & finite & (lo < 0), "coefficients must be nonnegative"),
+        (known & finite & ~(hi > 0), "needs at least one positive coefficient"),
+        (known & (np.bincount(rows[(cols < 0) | (cols >= instance.n)], minlength=m) > 0),
          "coefficient index out of range"),
-        (np.bincount(rows[1:][twin], minlength=m) > 0, "duplicate coefficient index"),
+        (known & (np.bincount(rows[1:][twin], minlength=m) > 0), "duplicate coefficient index"),
     ]
-    problems: dict[int, list[str]] = {}
-    for bad, message in checks:
-        for i in np.flatnonzero(bad).tolist():
-            problems.setdefault(i, []).append(f"player {i}: {message}")
-    return problems
+    found = [(i, f"player {i}: " + message.format(kind=kind[i], k=float(k[i]), r=float(x[i])))
+             for bad, message in checks for i in np.flatnonzero(bad).tolist()]
+    return [text for _, text in sorted(found, key=lambda hit: hit[0])]  # stable: check order
 
 
 def validate(instance: MarketInstance) -> list[str]:
@@ -380,13 +376,10 @@ def validate(instance: MarketInstance) -> list[str]:
         report.append("budgets length must equal m")
     elif not np.all((instance.budgets > 0) & (instance.budgets < np.inf)):
         report.append("all budgets must be positive and finite")
-    if len(instance.utilities) != instance.m:
+    if instance.C.shape[0] != instance.m:
         report.append("utilities length must equal m")
         return report
-    problems = _coefficient_problems(instance)
-    for i, u in enumerate(instance.utilities):
-        if _validate_spec(i, u, report):
-            report.extend(problems.get(i, ()))
+    report.extend(_player_problems(instance))
 
     kinds = instance.kinds
     if LINEAR_BARRIER in kinds and kinds != {LINEAR_BARRIER}:
@@ -407,7 +400,7 @@ def validate(instance: MarketInstance) -> list[str]:
         if i < 0 or i >= instance.m:
             report.append(f"constraint for unknown player {i}")
             continue
-        if instance.utilities[i].kind not in (CES, ADDITIVE):  # market_state would ignore A
+        if instance.kind[i] not in (CES, ADDITIVE):  # market_state would ignore A
             report.append(f"player {i}: constraints apply to CES and additive players only")
         if A.ndim != 2 or A.shape[1] != instance.n:
             report.append(f"player {i}: constraint matrix must have n columns")
@@ -423,6 +416,15 @@ def validate(instance: MarketInstance) -> list[str]:
                 "coefficients on every good (interior solutions)"
             )
     return report
+
+
+def _market(n, budgets, kind, indptr, cols, data, rho=math.nan, sigma=math.nan,
+            constraints=None) -> MarketInstance:
+    """An instance of players of one kind sharing rho (CES) or sigma, from C's CSR arrays."""
+    m, instance = len(indptr) - 1, MarketInstance.__new__(MarketInstance)
+    instance._init(n, m, budgets, np.full(m, kind, dtype=object), np.tile([rho, math.nan], (m, 1)),
+                   np.full(m, sigma), indptr, cols, data, constraints)
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -480,20 +482,16 @@ def generate_random(
             i = int(rng.integers(m))
             cols_per_row[i] = np.unique(np.append(cols_per_row[i], j))
 
-    utilities = []
-    for i in range(m):
-        cols = cols_per_row[i]
-        vals = (1.0 - rng.random(cols.size)) * delta  # uniform on (0, delta]
-        if kind == CES:
-            utilities.append(UtilitySpec(CES, cols, vals, rho=float(rho)))
-        else:
-            utilities.append(UtilitySpec(LINEAR_BARRIER, cols, vals, sigma=float(sigma)))
+    indptr = np.cumsum([0] + [cols.size for cols in cols_per_row], dtype=np.int64)
+    vals = (1.0 - rng.random(indptr[-1])) * delta  # uniform on (0, delta]
 
     w = rng.random(m)
     while np.any(w == 0):
         w[w == 0] = rng.random(int(np.sum(w == 0)))
     w = w / w.sum()
-    return MarketInstance(n, m, w, utilities)
+    rho, sigma = (float(rho), math.nan) if kind == CES else (math.nan, float(sigma))
+    return _market(n, w, kind, indptr, np.concatenate(cols_per_row, dtype=np.intp), vals,
+                   rho=rho, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -579,21 +577,17 @@ def ingest_ratings(
         raise IngestError(["no usable ratings found"])
 
     divisor = max(v for d in per_user.values() for v in d.values()) if scale == "unit" else 1.0
-    utilities = []
-    for ui in kept_users:
-        d = per_user[ui]
-        cols = np.array([item_remap[ii] for ii in sorted(d)], dtype=np.int64)
-        vals = np.array([d[ii] / divisor for ii in sorted(d)])
-        utilities.append(UtilitySpec(CES, cols, vals, rho=float(rho)))
+    cols, vals = zip(*[(item_remap[ii], d[ii] / divisor)
+                       for d in map(per_user.get, kept_users) for ii in sorted(d)])
+    indptr = np.cumsum([0] + [len(per_user[ui]) for ui in kept_users], dtype=np.int64)
 
     m = len(kept_users)
-    n = len(rated_items)
-    w = np.full(m, 1.0 / m)
     mappings = {
         "users": [users[ui] for ui in kept_users],
         "items": [items[ii] for ii in rated_items],
     }
-    return MarketInstance(n, m, w, utilities), mappings
+    return _market(len(rated_items), np.full(m, 1.0 / m), CES, indptr,
+                   np.array(cols, dtype=np.intp), np.array(vals), rho=float(rho)), mappings
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +651,6 @@ def build_flow_instance(edges, terminals, rho: float = 0.5, coefficients=None) -
     m = len(terminals)
     if m < 1:
         raise ValueError("need at least one terminal pair")
-    utilities = []
     constraints = {}
     rows: dict = {}  # terminal pair -> its reduced balance rows
     for i, (s, t) in enumerate(terminals):
@@ -670,25 +663,23 @@ def build_flow_instance(edges, terminals, rho: float = 0.5, coefficients=None) -
                 raise DisconnectedTerminalsError(f"player {i}: no directed {s}->{t} path")
             rows[s, t] = _independent_rows(flow_constraint_rows(edges, nodes, s, t))
         constraints[i] = rows[s, t].copy()
-        c = np.ones(n) if coefficients is None else np.asarray(coefficients, dtype=float)
-        utilities.append(ces_spec(c, rho))
-    w = np.full(m, 1.0 / m)
-    return MarketInstance(n, m, w, utilities, constraints)
+    c = np.ones(n) if coefficients is None else np.asarray(coefficients, dtype=float)
+    idx = np.flatnonzero(c)  # every player has the same row
+    return _market(n, np.full(m, 1.0 / m), CES, np.arange(m + 1, dtype=np.int64) * idx.size,
+                   np.tile(idx, m), np.tile(c[idx], m), rho=float(rho), constraints=constraints)
 
 
 def with_barrier_sigma(instance: MarketInstance, sigma: float) -> MarketInstance:
     """Clone a linear-barrier instance with every player's sigma replaced.
 
-    The clone shares the parent's coefficient arrays; only the specs' sigma
-    and the sigma/degree columns are new.  A sigma that is not positive and
-    finite raises ValueError.
+    The clone shares every column of the parent but sigma and degree, which
+    are new; its ``utilities`` view is built from its own columns.  A sigma
+    that is not positive and finite raises ValueError.
     """
     if not (0.0 < sigma < math.inf):
         raise ValueError("sigma must be positive")
     clone = copy.copy(instance)
-    clone.utilities = [copy.copy(u) for u in instance.utilities]
-    for u in clone.utilities:
-        u.sigma = float(sigma)
+    clone.__dict__.pop("utilities", None)  # the parent's view, with the parent's sigma
     clone.sigma = np.full(instance.m, float(sigma))
     clone.degree = 1.0 + clone.sigma * instance.n
     return clone

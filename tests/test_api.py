@@ -34,10 +34,11 @@ STATE_FIELDS = {
                             "linear_x", "psi_rounds", "con_newton_steps"],
 }
 
-# what an instance stores: the input record, the arrays the solvers read, two lazy caches
+# what an instance stores: the players' columns, the arrays the solvers read, two lazy
+# caches; the ``utilities`` records are a view, built on first access
 INSTANCE_ATTRIBUTES = ["C", "_con_groups", "_share_factors", "budgets", "cols", "con",
-                       "constraints", "degree", "is_linear", "k", "kinds", "m", "n", "r", "sigma",
-                       "uncon", "uncon_C", "uncon_cols", "utilities"]
+                       "constraints", "degree", "exponents", "is_linear", "k", "kind", "kinds",
+                       "m", "n", "r", "sigma", "uncon", "uncon_C", "uncon_cols"]
 
 
 def test_top_level_exports_are_the_workflow_api():

@@ -250,6 +250,50 @@ class TestSolve:
         assert market.load_instance(path).sigma[0] == 0.1
 
 
+def star_flow(paths):
+    """s -> v_i -> t for i < paths: a flow market of n = 1 + 2 paths goods."""
+    edges = [e for i in range(paths) for e in (("s", f"v{i}"), (f"v{i}", "t"))]
+    return market.build_flow_instance(edges, [("s", "t")])
+
+
+class TestDefaultHessian:
+    @pytest.mark.parametrize("build, mode", [
+        (lambda: market.generate_random(12, 30, 0.8, seed=3), "pcg"),
+        (lambda: market.generate_random(512, 4, 0.01, seed=0), "pcg"),
+        (lambda: market.generate_random(513, 4, 0.01, seed=0), "dr1"),
+        (lambda: market.generate_random(512, 4, 0.01, seed=0, kind="linear_barrier",
+                                        sigma=1e-3), "exact"),
+        (lambda: market.generate_random(513, 4, 0.01, seed=0, kind="linear_barrier",
+                                        sigma=1e-3), "pcg"),
+        (lambda: star_flow(3), "exact"),
+        (lambda: star_flow(256), "pcg"),
+    ], ids=["ces-small", "ces-at-limit", "ces-above-limit", "linear-at-limit",
+            "linear-above-limit", "flow-small", "flow-above-limit"])
+    def test_each_branch(self, build, mode):
+        assert cli._default_hessian(build()) == mode
+
+    def test_ces_dense_sized_solve_picks_pcg_at_exacts_iterations(self, tmp_path, monkeypatch):
+        # the benchmark's ces-dense cell: n=500, m=1500, tau=0.2
+        path = os.path.join(tmp_path, "inst.json")
+        assert cli.main(["gen", "--n", "500", "--m", "1500", "--tau", "0.2", "--rho", "0.9",
+                         "--seed", "1", "--out", path]) == 0
+        modes, real_run = [], ipm.logbar_run
+
+        def recording_run(instance, cfg, **kwargs):
+            modes.append(cfg.hessian_mode)
+            return real_run(instance, cfg, **kwargs)
+
+        monkeypatch.setattr(ipm, "logbar_run", recording_run)
+        iterations = {}
+        for hessian in ([], ["--hessian", "exact"]):
+            out = os.path.join(tmp_path, "run" + "".join(hessian))
+            assert cli.main(["solve", path, "--method", "logbar", "--out", out] + hessian) == 0
+            with open(os.path.join(out, "certificate.json")) as fh:
+                iterations[modes[-1]] = json.load(fh)["iterations"]
+        assert modes == ["pcg", "exact"]
+        assert iterations["pcg"] == iterations["exact"]
+
+
 class TestBench:
     def test_single_cell(self, tmp_path):
         out = os.path.join(tmp_path, "bench")

@@ -654,13 +654,34 @@ class TestNewtonPolish:
         assert trials == pytest.approx([1, 1 / 3, 1 / 6], rel=1e-12)
         assert alpha == pytest.approx(1 / 6, rel=1e-12)
 
-    def test_a_slope_that_is_not_negative_halves(self, monkeypatch):
-        # phi = 10 alpha along an ascent direction: no trial is acceptable
-        alpha, trials, rejected = self._line_search(monkeypatch, lambda a: 10.0 * a,
-                                                    direction=1.0)
-        assert alpha is None
-        assert trials[:4] == pytest.approx([1, 0.5, 0.25, 0.125], rel=1e-12)
-        assert rejected == len(trials) == 34  # 2**-34 < MIN_ALPHA
+    @pytest.mark.parametrize("phi", [lambda a: 10.0 * a, lambda a: 1e-3 * a],
+                             ids=["steep-rise", "flat-rise"])
+    def test_an_ascent_direction_ends_the_search_unqueried(self, monkeypatch, phi):
+        # slope +2 along d: the flat rise was accepted at alpha = 2**-24 (rise 6e-11),
+        # the steep one halved 34 times
+        queried = []
+        with pytest.raises(FloatingPointError, match=r"not a descent direction: slope 2\.000e\+00"):
+            self._line_search(monkeypatch, lambda a: queried.append(a) or phi(a), direction=1.0)
+        assert queried == []
+
+    @pytest.mark.parametrize("direction", [-5e-12, 5e-12])
+    def test_a_slope_within_phi_accuracy_keeps_the_flat_rule(self, monkeypatch, direction):
+        # |slope| = 1e-11 <= PHI_ACCURACY: a rise of at most PHI_ACCURACY is accepted at once
+        alpha, trials, rejected = self._line_search(monkeypatch, lambda a: 5e-11,
+                                                    direction=direction)
+        assert (alpha, len(trials), rejected) == (1.0, 1, 0)
+
+    def test_an_ascent_direction_ends_the_polish_as_a_numerical_failure(self, monkeypatch):
+        inst = mq.generate_random(15, 40, 0.8, rho=0.5, seed=8)
+        real_step = ipm._StepSolver.newton_step
+        monkeypatch.setattr(ipm._StepSolver, "newton_step",
+                            lambda self, *args: (-real_step(self, *args)[0], math.nan))
+        p0 = np.full(15, 5.0)
+        p, trace = newton_polish(inst, p0, eps=1e-12)
+        assert trace.status == "NumericalFailure"
+        assert "not a descent direction: slope" in trace.extras["error"]
+        assert trace.iterations() == 1 and trace.extras["price_queries"] == 1
+        assert np.array_equal(p, p0)
 
     def test_line_search_schedule_on_a_market(self, monkeypatch):
         # every rejected trial within [0.1, 0.5] of the last, every accepted one Armijo's,

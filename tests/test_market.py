@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from marketeq import market
+from marketeq.ipm import LogBarConfig, logbar_run
 from marketeq.market import (
     ADDITIVE,
     CES,
@@ -299,6 +301,12 @@ def columns(inst):
     return {name: getattr(inst, name) for name in ("r", "k", "sigma", "degree", "con", "uncon")}
 
 
+def stored_arrays(inst):
+    """Every array an instance stores for its players, C's three included."""
+    return dict(columns(inst), kind=inst.kind, exponents=inst.exponents, cols=inst.cols,
+                indptr=inst.C.indptr, indices=inst.C.indices, data=inst.C.data)
+
+
 class TestColumns:
     def test_ces_both_signs(self):
         for rho in (0.7, -1.2):
@@ -340,20 +348,35 @@ class TestColumns:
 
     def test_json_round_trip_is_bitwise(self, tmp_path):
         flow = mixed_flow_instance()
-        for inst in (generate_random(6, 9, 0.5, rho=-0.37, seed=1), flow,
+        additive = MarketInstance(2, 2, [0.5, 0.5], [
+            UtilitySpec(ADDITIVE, [0, 1], [1.0, 2.0], k=2.0, r=0.4),
+            UtilitySpec(ADDITIVE, [1], [1.0], k=-1.0, r=-0.5),
+        ])
+        for inst in (generate_random(6, 9, 0.5, rho=-0.37, seed=1), flow, additive,
                      generate_random(4, 6, 0.7, seed=5, kind=LINEAR_BARRIER, sigma=3e-7)):
             path = os.path.join(tmp_path, "inst.json")
             save_instance(inst, path)
             back = load_instance(path)
-            for name, col in columns(inst).items():
-                assert np.array_equal(getattr(back, name), col, equal_nan=True), name
-            assert back.kinds == inst.kinds and back.is_linear == inst.is_linear
+            # the records the view builds rebuild the same arrays through the constructor
+            again = MarketInstance(inst.n, inst.m, inst.budgets, inst.utilities,
+                                   inst.constraints)
+            assert inst.utilities is inst.utilities  # built once
+            for other in (back, again):
+                for name, col in stored_arrays(inst).items():
+                    got = stored_arrays(other)[name]
+                    assert got.dtype == col.dtype, name
+                    assert np.array_equal(got, col, equal_nan=col.dtype != object), name
+                assert other.kinds == inst.kinds and other.is_linear == inst.is_linear
+                assert other.to_json_dict() == inst.to_json_dict()
 
     def test_with_barrier_sigma_changes_only_sigma(self):
         inst = generate_random(6, 8, 0.5, seed=3, kind=LINEAR_BARRIER, sigma=0.05)
         before = {name: col.copy() for name, col in columns(inst).items()}
+        view = inst.utilities  # cached before the clone: the clone must build its own
         clone = market.with_barrier_sigma(inst, 0.002)
+        assert inst.utilities is view and clone.utilities is not view
         assert clone.C is inst.C and clone.cols is inst.cols
+        assert clone.kind is inst.kind and clone.exponents is inst.exponents
         assert clone.uncon_C is inst.uncon_C and clone.uncon_cols is inst.uncon_cols
         assert np.array_equal(clone.sigma, np.full(8, 0.002))
         assert np.array_equal(clone.degree, 1.0 + clone.sigma * 6)
@@ -386,6 +409,69 @@ class TestColumns:
         C, cols = flow.uncon_C, flow.uncon_cols
         assert np.array_equal(C.toarray(), flow.C.toarray()[flow.uncon])
         assert cols.dtype == np.intp and np.array_equal(cols, C.indices)
+
+
+RATINGS = ("user_id,item_id,rating\nu1,i1,4\nu1,i2,2.5\nu2,i2,5\nu3,i3,0\nu2,i1,1\n"
+           "u4,i4,3\nu1,i1,2\nu5,i2,0\n")  # a zero-rated user and item, a duplicate, u5 over
+
+# SHA-256 of each generated market's arrays (see arrays_digest), pinned from the
+# construction through one UtilitySpec per player: building the arrays directly
+# changes no bit
+GENERATED_DIGESTS = {
+    "dense": "5910e38e21e694d52edd4794e8dac313689ca5fd0a30da76922614434098dbe9",
+    "sparse": "99d12a3975267836e035f30322e9197e6c91da52004695054144a97d89b55ed1",
+    "linear": "ce585b03aaf8c922072d88d3c03643b9206fc9fb46eecbaa700484555f054717",
+    "ratings": "d9d311313e038930c3a19f3634354df4055a4e390e1d9a7208e87e6304ab9657",
+    "flow": "15a84b50324e06ae89cbb0af2bd597e765be3e5f116cbe9cb045cbe5df80e435",
+}
+
+
+def generated_markets(tmp_path):
+    path = os.path.join(tmp_path, "ratings.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(RATINGS)
+    left, right = [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)]
+    layered = ([("s", a) for a in left] + [(a, b) for a in left for b in right]
+               + [(b, "t") for b in right])
+    return {
+        "dense": generate_random(12, 30, 1.0, rho=-0.7, seed=7),
+        # 4 empty rows and 43 unvalued goods: both repairs run
+        "sparse": generate_random(50, 10, 0.01, seed=4),
+        "linear": generate_random(20, 50, 0.5, seed=21, kind=LINEAR_BARRIER, sigma=1e-4),
+        "ratings": ingest_ratings(path, max_users=4, scale="unit", rho=0.3)[0],
+        "flow": build_flow_instance(layered, [("s", "t")] * 4 + [("s", "a2")]),
+    }
+
+
+def arrays_digest(inst):
+    digest = hashlib.sha256()
+    for a in (inst.C.indptr, inst.C.indices, inst.C.data, inst.budgets, inst.r, inst.k, inst.sigma):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    for i in sorted(inst.constraints):
+        digest.update(f"{i}:{inst.constraints[i].shape}".encode())
+        digest.update(inst.constraints[i].tobytes())
+    return digest.hexdigest()
+
+
+class TestColumnsOnly:
+    def test_generators_keep_every_bit(self, tmp_path):
+        markets = generated_markets(tmp_path)
+        assert {name: arrays_digest(inst) for name, inst in markets.items()} == GENERATED_DIGESTS
+        for inst in markets.values():
+            assert validate(inst) == []
+
+    def test_no_spec_is_built_from_generation_to_solve(self, tmp_path, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a UtilitySpec was built")
+
+        monkeypatch.setattr(UtilitySpec, "__init__", refuse)
+        markets = generated_markets(tmp_path)
+        clone = market.with_barrier_sigma(markets["linear"], 1e-3)
+        for inst in [*markets.values(), clone]:
+            assert validate(inst) == []
+        for inst in (markets["dense"], clone):  # the clone runs a sigma ladder
+            _, trace = logbar_run(inst, LogBarConfig(max_iters=3))
+            assert trace.status == "MaxIters" and trace.iterations() >= 3
 
 
 class TestIngest:

@@ -8,8 +8,10 @@
 the markets from this checkout's ``bench/workloads.py``, which it only
 reads.  It solves every workload's markets at each seed, in one process with
 one BLAS thread, and writes per solve its status, iterations, price queries
-and prices as ``float.hex`` strings, and per market a SHA-256 of its
-constraint matrices.  ``diff`` prints every key on which two records differ,
+and prices as ``float.hex`` strings, and per market a SHA-256 of its arrays:
+``C``'s CSR arrays, the budgets, the ``r``, ``k`` and ``sigma`` columns and
+the constraint matrices, so a construction change that alters a market
+shows in ``diff``.  ``diff`` prints every key on which two records differ,
 with the largest relative price difference of a solve whose prices differ,
 then each workload's total price queries per seed in both records, and
 exits 1 if a key differs, 0 if they are equal: a refactor that must not
@@ -30,8 +32,13 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _constraint_digest(instance) -> str:
+def instance_digest(instance) -> str:
+    """SHA-256 of a market's arrays; reads only what every recorded tree has."""
     digest = hashlib.sha256()
+    for a in (instance.C.indptr, instance.C.indices, instance.C.data, instance.budgets,
+              instance.r, instance.k, instance.sigma):
+        digest.update(f"{a.dtype}{a.shape}".encode())
+        digest.update(a.tobytes())
     for i in sorted(instance.constraints):
         A = instance.constraints[i]
         digest.update(f"{i}:{A.shape}".encode())
@@ -52,8 +59,8 @@ def run(src: Path, seeds, out: Path) -> None:
         for name in workloads.BUILDERS:
             cells = workloads.BUILDERS[name](seed)
             for cell in cells:
-                record[f"{name} seed={seed} | {cell.label} | constraints"] = \
-                    _constraint_digest(cell.instance)
+                record[f"{name} seed={seed} | {cell.label} | instance"] = \
+                    instance_digest(cell.instance)
             for solve in workloads.solves_of(cells):
                 p, trace = solve.runner()()
                 key = f"{name} seed={seed} | {solve.label}"
