@@ -2,9 +2,10 @@
 
 Both serve as correctness oracles and speed comparators for the
 second-order drivers.  Tat is the classical multiplicative price update
-driven by clipped excess demand; PropRes is bid-driven and clears the
-market at every iteration by construction.  Rate guarantees are out of
-scope; correctness is established by cross-method agreement.
+driven by clipped excess demand, run on the Newton drivers' loop
+(ipm._newton_loop) with a step that solves nothing; PropRes is bid-driven
+and clears the market at every iteration by construction.  Rate guarantees
+are out of scope; correctness is established by cross-method agreement.
 """
 
 from __future__ import annotations
@@ -16,18 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .ipm import (
-    STATUS_CONVERGED,
-    STATUS_MAXITERS,
-    STATUS_NUMFAIL,
-    SolveTrace,
-    TraceRow,
-    _start_prices,
-)
+from .ipm import (STATUS_CONVERGED, STATUS_MAXITERS, STATUS_NUMFAIL, SolveTrace, TraceRow,
+                  _newton_loop, _start_prices)
 from .market import MarketInstance
-from .oracle import _row_softmax, market_state
-
-DIVERGENCE_CAP = 1e12
+from .oracle import _row_softmax
+from .oracle import market_state  # noqa: F401  (bench/tracer.py patches this name)
 
 
 @dataclass
@@ -40,8 +34,8 @@ class BaselineConfig:
     def validate(self) -> None:
         if self.method not in ("tat", "propres"):
             raise ValueError(f"unknown baseline {self.method!r}")
-        if not (self.step > 0):
-            raise ValueError("step must be positive")
+        if not (0.0 < self.step < 1.0):
+            raise ValueError("step must lie in (0, 1)")
 
 
 def tat_run(instance: MarketInstance, config: BaselineConfig, p0, callback=None):
@@ -49,39 +43,23 @@ def tat_run(instance: MarketInstance, config: BaselineConfig, p0, callback=None)
 
     z = -grad phi(p) is the excess demand sum_i x_i(p) - 1, or
     (1 + sigma n) sum_i x_i(p) - 1 on linear-barrier markets; clipping keeps
-    a single update bounded and step < 1 keeps prices positive.  Stops at
-    ||z||_inf <= eps, the equilibrium certificate's test.  A p0 that is not
-    n positive, finite prices raises ConfigError.
+    a single update bounded and step < 1 keeps prices positive (above 0.99
+    the loop's fraction-to-boundary safeguard may shorten a step).  It runs
+    on ipm._newton_loop with a step that solves nothing, so no row assembles
+    H~.  Stops at ||z||_inf <= eps, the equilibrium certificate's test; an
+    oracle error ends the run as NumericalFailure, the reason in
+    extras["error"].  A p0 that is not n positive, finite prices raises
+    ConfigError.
     """
     config.validate()
-    p = _start_prices(instance, p0, "p0")
     trace = SolveTrace(extras={"step": config.step})
-    status = STATUS_MAXITERS
-    for k in range(config.max_iters):
-        tic = time.perf_counter()
-        state = market_state(instance, p)
-        z = -state.grad
-        zinf = float(np.max(np.abs(z)))
-        row = TraceRow(k=k, homotopy=math.nan, grad_inf=zinf,
-                       grad_l2=float(np.linalg.norm(z)), nbhd_resid=math.nan,
-                       decrement=math.nan)
-        trace.rows.append(row)
-        if zinf <= config.eps:
-            status = STATUS_CONVERGED
-            break
-        if callback is not None:
-            stop = callback(k, p)
-            if stop:
-                status = stop if isinstance(stop, str) else STATUS_CONVERGED
-                break
-        update = 1.0 + config.step * np.minimum(z, 1.0)
-        p = p * update
-        if float(np.max(p)) > DIVERGENCE_CAP or not np.all(np.isfinite(p)):
-            status = STATUS_NUMFAIL
-            break
-        row.step_norm = float(np.linalg.norm(update - 1.0))
-        row.wall_ms = (time.perf_counter() - tic) * 1e3
-    trace.status = status
+    # nothing is solved: "pcg" only keeps the loop from allocating exact mode's (n, n) matrix
+    p = _newton_loop(instance, _start_prices(instance, p0, "p0"), trace,
+                     measure=lambda k, state, solver: (math.nan,) * 3,
+                     step=lambda k, state, solver: (config.step * np.minimum(-state.grad, 1.0),
+                                                    math.nan),
+                     callback=callback, eps=config.eps, max_iters=config.max_iters,
+                     hessian_mode="pcg", eps_k=0.0)
     return p, trace
 
 

@@ -24,9 +24,12 @@ step bounds the step error against the decrement, and with the same term it
 lost the central path until mu underflowed (CES n=200, m=600, rho=0.9, 6 of
 seeds 1-8); the polish's price-query counts moved with it.
 
-Both take the same step -- query best responses, assemble H~ from the bids,
-solve (H~ + shift I) d = rhs, set p <- p (1 + d) -- in one loop
-(_newton_loop); each driver supplies only its homotopy rule and its solves.
+Both take the same step -- query best responses, solve (H~ + shift I) d =
+rhs, set p <- p (1 + d) -- in one loop (_newton_loop); each driver supplies
+only its homotopy rule and its solves, and a row assembles H~ from the bids
+only when it solves (neither LogBar's last row nor the polish's).
+baselines.tat_run runs the same loop with a step that solves nothing,
+d = step * min(-grad phi, 1).
 The loop records a SolveTrace (CSV: one row per iteration, trailing status
 comment) and stops on the equilibrium certificate ||grad phi||_inf <= eps.
 newton_polish runs the same loop with PathFol's t = 0 rule alone, damped by
@@ -50,6 +53,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import astuple, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -213,15 +217,16 @@ class PathFolConfig:
 class _StepSolver:
     """(H~ + mu I) d = rhs on one operator, which every driver solves with one
     shift: one factorization is kept.  pcg_iters sums PCG iterations (or None).
-    Exact mode builds and factors H in ``buf``, a Fortran (n, n) array that
-    _newton_loop hands to every iteration of a run (allocated here if None).
-    PCG is preconditioned by the DR1 inverse at the shift on an operator
-    that carries the DR1 data, else (and when that factorization fails,
-    counted in ``fallbacks``) by Jacobi, 1/(k_c + mu)."""
+    ``op`` is the operator or a function of no arguments that assembles it,
+    called on the first solve, so a solver that solves nothing assembles
+    nothing.  Exact mode builds and factors H in ``buf``, a Fortran (n, n)
+    array that _newton_loop hands to every iteration of a run (allocated here
+    if None).  PCG is preconditioned by the DR1 inverse at the shift on an
+    operator that carries the DR1 data, else (and when that factorization
+    fails, counted in ``fallbacks``) by Jacobi, 1/(k_c + mu)."""
 
-    def __init__(self, op: hes.ScaledHessianOp, mode: str, eps_k: float,
-                 buf: np.ndarray | None = None):
-        self.op = op
+    def __init__(self, op, mode: str, eps_k: float, buf: np.ndarray | None = None):
+        self._op = op
         self.mode = mode
         self.eps_k = eps_k
         self._buf = buf
@@ -230,6 +235,12 @@ class _StepSolver:
         self._k_c = None
         self.fallbacks = 0
         self.pcg_iters = None
+
+    @property
+    def op(self) -> hes.ScaledHessianOp:
+        if callable(self._op):
+            self._op = self._op()
+        return self._op
 
     def _dense_solve(self, mu: float, rhs: np.ndarray) -> np.ndarray:
         # Jacobi-scale before factoring: near-linear markets make H span
@@ -342,45 +353,48 @@ def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace
     return None, None
 
 
-def _newton_loop(instance: MarketInstance, p, config, trace: SolveTrace, measure, step,
-                 stop=None, callback=None, damped=False, state=None) -> np.ndarray:
-    """Newton steps p <- p (1 + d) until ||grad phi||_inf <= eps.
+def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, stop=None,
+                 callback=None, damped=False, state=None, *, eps: float, max_iters: int,
+                 hessian_mode: str, eps_k: float, keep_iterates: bool = False) -> np.ndarray:
+    """Steps p <- p (1 + d) until ||grad phi||_inf <= eps, at most max_iters rows.
 
     Each iteration queries the players at p (the first one reads ``state``,
-    the driver's own query at p, when given) and assembles H~; the driver's
-    rule does the rest, solving on the iteration's _StepSolver in
-    config.hessian_mode: measure(k, state, solver) gives the row's
-    (homotopy, nbhd_resid, decrement), stop(k) may end the run before the
-    step, and step(k, state, solver) gives (d, decrement), the decrement
-    filling a NaN one from measure.  The row's pcg_iters total all its PCG
-    solves.  An oracle, floating-point or factorization error ends the run
-    as NumericalFailure.
+    the driver's own query at p, when given); the driver's rule does the
+    rest, solving on the iteration's _StepSolver in ``hessian_mode`` with CG
+    tolerance ``eps_k``, which assembles H~ from the query on its first
+    solve: measure(k, state, solver) gives the row's (homotopy, nbhd_resid,
+    decrement), stop(k) may end the run before the step, and
+    step(k, state, solver) gives (d, decrement), the decrement filling a NaN
+    one from measure.  The row's pcg_iters total all its PCG solves.  An
+    oracle, floating-point or factorization error ends the run as
+    NumericalFailure, with the reason in extras["error"].
     With damped=True the safeguarded step is shortened by _backtrack, whose
     accepted state is the next iteration's; each step after the first starts
     its backtracking at min(1, 2 alpha), alpha the last accepted fraction.
     When no step fraction is acceptable the run ends as MaxIters, along an
     ascent direction as NumericalFailure, with the reason in extras["error"].
     """
-    iterates = [p.copy()] if config.keep_iterates else None
+    iterates = [p.copy()] if keep_iterates else None
     # exact mode's Newton matrix, rebuilt and factored in place every iteration
-    buf = np.empty((instance.n,) * 2, order="F") if config.hessian_mode == "exact" else None
+    buf = np.empty((instance.n,) * 2, order="F") if hessian_mode == "exact" else None
     trace.extras.update(safeguards=0, dr1_fallbacks=0, backtracks=0,
                         price_queries=trace.extras.get("price_queries", 0))
     status = STATUS_MAXITERS
     alpha = 1.0  # the damped step's first trial fraction
-    for k in range(config.max_iters):
+    for k in range(max_iters):
         tic = time.perf_counter()
         try:
             if state is None:
                 state = _query(instance, p, trace)
-            solver = _StepSolver(hes.assemble_from_state(state, instance), config.hessian_mode,
-                                 config.eps_k, buf)
+            # assemble_from_state is looked up per row, where bench/tracer.py patches it
+            solver = _StepSolver(partial(hes.assemble_from_state, state, instance), hessian_mode,
+                                 eps_k, buf)
             homotopy, nbhd, decrement = measure(k, state, solver)
             row = TraceRow(k=k, homotopy=homotopy, grad_inf=float(np.max(np.abs(state.grad))),
                            grad_l2=float(np.linalg.norm(state.grad)), nbhd_resid=nbhd,
                            decrement=decrement)
             trace.rows.append(row)
-            halt = (row.grad_inf <= config.eps or (stop(k) if stop else None)
+            halt = (row.grad_inf <= eps or (stop(k) if stop else None)
                     or (callback(k, p) if callback else None))
             if not halt:
                 d, decrement = step(k, state, solver)
@@ -442,14 +456,15 @@ def newton_polish(instance: MarketInstance, p, eps: float = 1e-12, max_iters: in
     Hessian mode the market does not allow, raises ConfigError before any
     price query.
     """
-    config = PathFolConfig(eps=eps, eps_k=eps_k, max_iters=max_iters, hessian_mode=hessian_mode)
-    config.validate(instance)
+    _validate_hessian_mode(hessian_mode, instance)
+    _validate_market(instance)
     trace = SolveTrace()
-    p = _newton_loop(instance, _start_prices(instance, p, "p"), config, trace,
+    p = _newton_loop(instance, _start_prices(instance, p, "p"), trace,
                      measure=lambda k, state, solver: (0.0, math.nan, math.nan),
                      step=lambda k, state, solver: solver.newton_step(MU_FLOOR,
                                                                       -(state.p * state.grad)),
-                     damped=True)
+                     damped=True, eps=eps, max_iters=max_iters, hessian_mode=hessian_mode,
+                     eps_k=eps_k)
     return p, trace
 
 
@@ -607,8 +622,10 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
             raise FloatingPointError(f"mu underflow: mu = {mu:g} after row {k}")
         return solver.newton_step(mu, -(state.p * state.grad - mu))
 
-    p = _newton_loop(instance, state.p, config, trace, measure, step, stop, callback=callback,
-                     state=state)
+    p = _newton_loop(instance, state.p, trace, measure, step, stop, callback=callback,
+                     state=state, eps=config.eps, max_iters=config.max_iters,
+                     hessian_mode=config.hessian_mode, eps_k=config.eps_k,
+                     keep_iterates=config.keep_iterates)
     if config.keep_iterates:
         trace.extras["mus"] = [r.homotopy for r in trace.rows]
     return p, trace
@@ -709,7 +726,9 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
             trace.extras["t_zero_k"] = k
         return -(a - t * b), math.nan
 
-    p = _newton_loop(instance, p, config, trace, measure, step, callback=callback)
+    p = _newton_loop(instance, p, trace, measure, step, callback=callback, eps=config.eps,
+                     max_iters=config.max_iters, hessian_mode=config.hessian_mode,
+                     eps_k=config.eps_k, keep_iterates=config.keep_iterates)
     return p, trace
 
 

@@ -34,14 +34,32 @@ class TestTat:
         assert trace.status == "Converged"
         assert np.linalg.norm(p - p_star) / np.linalg.norm(p_star) < 1e-5
 
-    def test_divergence_detected(self):
-        # budgets of ~1e13 put the equilibrium past the price cap
-        from marketeq.market import CES, MarketInstance, UtilitySpec
-        utilities = [UtilitySpec(CES, np.arange(2), np.ones(2), rho=0.5) for _ in range(2)]
-        inst = MarketInstance(2, 2, np.full(2, 1e13), utilities)
-        cfg = BaselineConfig(method="tat", step=0.9, max_iters=2000, eps=1e-30)
-        _, trace = tat_run(inst, cfg, np.ones(2))
-        assert trace.status == "NumericalFailure"
+    def test_prices_scale_with_money(self):
+        # budgets and p0 times 2^43, past 1e12 of money, give the same run at 2^43 times the
+        # prices: no absolute price bound stops tat on a large money scale
+        from marketeq.market import MarketInstance
+        scale = 2.0 ** 43
+        markets = [mq.generate_random(10, 30, 0.5, rho=rho, seed=3) for rho in (0.9, -0.9, 0.5)]
+        markets.append(mq.generate_random(10, 30, 0.5, seed=3, kind="linear_barrier", sigma=1e-2))
+        cfg = BaselineConfig(method="tat", eps=1e-9, max_iters=5000)
+        for inst in markets:
+            p0 = np.full(inst.n, inst.total_budget() / inst.n)
+            p, trace = tat_run(inst, cfg, p0)
+            rich = MarketInstance(inst.n, inst.m, inst.budgets * scale, inst.utilities)
+            p_rich, trace_rich = tat_run(rich, cfg, p0 * scale)
+            assert trace.status == trace_rich.status == "Converged"
+            assert trace.iterations() == trace_rich.iterations()
+            assert np.max(np.abs(p_rich - scale * p) / (scale * p)) <= 1e-12
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, 1.0, 1.5, np.nan])
+    def test_step_must_lie_in_the_unit_interval(self, step):
+        # at step 1.5 a price reached zero and the next query raised out of tat_run
+        inst = mq.generate_random(20, 60, 0.3, rho=0.5, seed=1)
+        cfg = BaselineConfig(method="tat", step=step)
+        with pytest.raises(ValueError, match="step must lie in"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="step must lie in"):
+            tat_run(inst, cfg, np.full(20, 5.0))
 
     def test_fixed_point_set_is_equilibrium_set(self):
         # if tat does not move, the point must clear the market

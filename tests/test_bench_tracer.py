@@ -49,6 +49,13 @@ def test_traced_solve_counts_every_query_and_step():
     assert totals["oracle"]["calls"] == iters  # one per iteration; row 0's is the anchor
     assert totals["hessian.assemble"]["calls"] == iters
     assert totals["ipm.factor"]["calls"] == iters
+    # LogBar's last row solves nothing, so it assembles no H~
+    tr = tracer.Tracer()
+    with tr.patched():
+        _, trace = mq.logbar_run(inst, mq.LogBarConfig(eps=1e-7, sigma_override=0.6))
+    assert trace.status == "Converged"
+    totals = tracer.layer_totals(tr.spans)
+    assert totals["hessian.assemble"]["calls"] == trace.iterations() - 1
     assert ipm.market_state is oracle.market_state
     assert hessian.market_state is oracle.market_state
 

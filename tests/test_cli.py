@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from marketeq import cli, ipm, market
+from marketeq import cli, ipm, market, oracle
 from marketeq.ipm import SolveTrace
 
 
@@ -157,6 +157,32 @@ class TestSolve:
         rc = cli.main(["solve", instance_file, "--method", "logbar",
                        "--out", os.path.join(tmp_path, "x"), "--Q", "0.9"])
         assert rc == 3
+
+    def test_tat_step_outside_the_unit_interval_exit_3(self, instance_file, tmp_path, capsys):
+        rc = cli.main(["solve", instance_file, "--method", "tat", "--step", "1.5",
+                       "--out", os.path.join(tmp_path, "x")])
+        assert rc == 3
+        assert "step must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_tat_oracle_failure_exit_2_with_outputs(self, instance_file, tmp_path, monkeypatch):
+        # the oracle raises at the third price query; the certificate's query succeeds
+        real, calls = oracle.bid_shares, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise oracle.OracleError("forced oracle failure")
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "bid_shares", failing)
+        out = os.path.join(tmp_path, "tat")
+        assert cli.main(["solve", instance_file, "--method", "tat", "--out", out]) == 2
+        trace = SolveTrace.from_csv(os.path.join(out, "trace.csv"))
+        assert trace.status == "NumericalFailure" and trace.iterations() == 2
+        assert len(cli.read_prices(os.path.join(out, "prices.txt"))) == 12
+        with open(os.path.join(out, "certificate.json")) as fh:
+            cert = json.load(fh)
+        assert cert["status"] == "NumericalFailure" and cert["iterations"] == 2
 
     def test_missing_instance_exit_3(self, tmp_path):
         rc = cli.main(["solve", os.path.join(tmp_path, "none.json"),

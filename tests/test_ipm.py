@@ -9,7 +9,7 @@ import scipy.linalg
 
 import marketeq as mq
 from marketeq import hessian as hes
-from marketeq import ipm
+from marketeq import ipm, oracle
 from marketeq.ipm import (
     ConfigError,
     LogBarConfig,
@@ -795,6 +795,73 @@ class TestPriceQueries:
         assert trace.status == "Converged"
         assert not any(a is c and np.array_equal(p, q)
                        for (a, p), (c, q) in zip(calls, calls[1:]))
+
+
+def _ces_market():
+    return mq.generate_random(20, 50, 0.5, rho=0.5, seed=1)
+
+
+# every driver that queries prices: the oracle kernel its queries run, and a converging solve
+DRIVERS = {
+    "ces-logbar": ("bid_shares", lambda: logbar_run(
+        _ces_market(), LogBarConfig(eps=1e-7, sigma_override=0.6))),
+    "near-linear-logbar": ("_linear_batch", lambda: logbar_run(
+        mq.generate_random(20, 50, 0.5, seed=1, kind="linear_barrier", sigma=1e-6 / 20),
+        LogBarConfig(eps=1e-6, hessian_mode="exact", max_iters=600))),
+    "pathfol": ("bid_shares", lambda: pathfol_run(
+        _ces_market(), PathFolConfig(eps=1e-7), np.full(20, 1.0 / 20))),
+    "polish": ("bid_shares", lambda: newton_polish(_ces_market(), np.full(20, 1.0 / 20))),
+    "tat": ("bid_shares", lambda: mq.tat_run(
+        _ces_market(), mq.BaselineConfig(eps=1e-9), np.full(20, 1.0 / 20))),
+}
+
+
+def _continuation_assemblies(trace):
+    # the smooth LogBar's rows but the last, then each stage's Newton steps (its rows but the last)
+    stages = trace.extras["continuation"]
+    assert all(stage["status"] == "Converged" for stage in stages)
+    return trace.iterations() - len(stages) - 1 + sum(s["newton_steps"] for s in stages)
+
+
+class TestEveryDriver:
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_an_oracle_error_ends_the_run_as_numerical_failure(self, monkeypatch, driver):
+        # the kernel raises on its third call; on the polish's first, since its later
+        # queries are line-search trials, where an oracle error halves the step instead
+        kernel, solve = DRIVERS[driver]
+        fail_at = 1 if driver == "polish" else 3
+        real, calls = getattr(oracle, kernel), []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise OracleError("forced oracle failure")
+            return real(*args)
+
+        monkeypatch.setattr(oracle, kernel, failing)
+        _, trace = solve()
+        assert trace.status == "NumericalFailure"
+        assert trace.extras["error"] == "forced oracle failure"
+
+    @pytest.mark.parametrize("driver, assembled", [
+        ("tat", lambda trace: 0),
+        ("ces-logbar", lambda trace: trace.iterations() - 1),
+        ("pathfol", lambda trace: trace.iterations()),
+        ("polish", lambda trace: trace.iterations() - 1),
+        ("near-linear-logbar", _continuation_assemblies),
+    ], ids=["tat", "ces-logbar", "pathfol", "polish", "near-linear-logbar"])
+    def test_only_rows_that_solve_assemble_the_hessian(self, monkeypatch, driver, assembled):
+        # PathFol solves on every row, LogBar and the polish on every row but the last, tat never
+        real, calls = hes.assemble_from_state, []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(hes, "assemble_from_state", counting)
+        _, trace = DRIVERS[driver][1]()
+        assert trace.status == "Converged"
+        assert len(calls) == assembled(trace)
 
 
 class TestNewtonDecrement:
