@@ -21,7 +21,15 @@ from .ipm import STATUS_CONVERGED, STATUS_MAXITERS
 
 
 def _write_json(path: str, doc: dict) -> None:
-    market.atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True))
+    # strict JSON (RFC 8259): a non-finite float raises ValueError instead of writing Infinity
+    market.atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+
+
+def _flag_values(doc: dict) -> dict:
+    """Command-line values for _write_json: strict JSON has no NaN or
+    infinity, so a non-finite float flag (say --time-limit-s inf) is null."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in doc.items()}
 
 
 def _write_prices(path: str, p: np.ndarray) -> None:
@@ -61,11 +69,11 @@ def cmd_gen(args) -> int:
         print("generated instance failed validation:", violations, file=sys.stderr)
         return 3
     market.save_instance(inst, args.out)
-    _write_json(args.out + ".provenance.json", {
+    _write_json(args.out + ".provenance.json", _flag_values({
         "seed": args.seed, "n": args.n, "m": args.m, "tau": args.tau,
         "delta": args.delta, "rho": args.rho, "kind": args.kind,
         "sigma_barrier": args.sigma_barrier,
-    })
+    }))
     print(f"wrote {args.out} (n={inst.n}, m={inst.m})")
     return 0
 
@@ -151,13 +159,17 @@ def cmd_solve(args) -> int:
     try:
         cert = ipm.equilibrium_certificate(instance, p, eps=args.eps)
     except OracleError as exc:
-        cert = {"error": str(exc), "grad_inf": math.inf}
+        cert = {"error": str(exc), "grad_inf": None}
     cert["method"] = args.method
     cert["status"] = trace.status
     cert["iterations"] = trace.iterations()
+    if "error" in trace.extras:  # the run's own reason; "error" is the certificate query's
+        cert["run_error"] = trace.extras["error"]
+        print(f"{args.method}: {trace.extras['error']}", file=sys.stderr)
     _write_json(os.path.join(args.out, "certificate.json"), cert)
+    grad_inf = "n/a" if cert["grad_inf"] is None else f"{cert['grad_inf']:.3e}"
     print(f"{args.method}: {trace.status} after {trace.iterations()} iterations, "
-          f"grad_inf={cert['grad_inf']:.3e}")
+          f"grad_inf={grad_inf}")
     if "error" in cert and trace.status == STATUS_CONVERGED:
         return 2
     if trace.status == STATUS_CONVERGED:
@@ -258,10 +270,10 @@ def cmd_bench(args) -> int:
     for row in all_rows:
         lines.append(",".join(str(row[h]) for h in header))
     market.atomic_write_text(os.path.join(args.out, "results.csv"), "\n".join(lines) + "\n")
-    _write_json(os.path.join(args.out, "bench_meta.json"), {
+    _write_json(os.path.join(args.out, "bench_meta.json"), _flag_values({
         "cells": args.cells, "methods": methods, "seed": args.seed, "tau": args.tau,
         "dist_tol": args.dist_tol, "time_limit_s": args.time_limit_s,
-    })
+    }))
     print(f"wrote {os.path.join(args.out, 'results.csv')} ({len(all_rows)} rows)")
     return 0
 

@@ -38,7 +38,9 @@ quadratic fit to phi along the step (safeguarded to [BACKTRACK_MIN,
 BACKTRACK_MAX] of it), and each step's first trial is twice the last
 accepted fraction, capped at 1.  From the uniform prices it computes the
 reference prices of `marketeq bench`, and it polishes every stage of the
-sigma continuation for near-linear markets.
+sigma continuation for near-linear markets, which hands off from its
+barrier phase (LogBar at SIGMA_SMOOTH) once ||grad phi||_inf <=
+max(eps, 1e-2): damped Newton converges from any positive start.
 
 PCG is preconditioned by the DR1 surrogate's O(n) inverse at the solve's
 shift wherever the operator carries the DR1 data (CES/additive players
@@ -534,19 +536,32 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
     The plain one-step loop cannot track the central path once sigma is at
     the eps/n scale the clearing bound wants -- the potential's scaled
     Lipschitz constant grows like 1/sigma^3 -- so the homotopy runs in
-    (mu, sigma) jointly instead.  Each stage adds one trace row (homotopy =
-    its sigma, the gradient norms of its polish's last row) and one entry
-    to extras["continuation"] with the polish's Newton steps, price
-    queries, rejected line-search trials and status; extras["price_queries"]
-    and extras["backtracks"] count every phase's.
+    (mu, sigma) jointly instead.  The barrier phase is LogBar on the
+    SIGMA_SMOOTH market, shrinking mu by the config's sigma_override or 0.5
+    (the default of `marketeq solve --mu-shrink`), and it stops at
+    ||grad phi||_inf <= max(eps, 1e-2).  Each stage's polish is damped
+    Newton on a convex potential, which converges from any positive start
+    (Boyd & Vandenberghe, Convex Optimization, 9.5), so a tighter stop
+    only buys price queries that the first stage throws away.
+    extras["barrier_phase"] records the phase's sigma, rows, price queries,
+    final grad_inf, last mu and status.  Each stage adds one trace row
+    (homotopy = its sigma, the gradient norms of its polish's last row) and
+    one entry to extras["continuation"] with the polish's Newton steps,
+    price queries, rejected line-search trials and status;
+    extras["price_queries"] and extras["backtracks"] count every phase's.
     """
     target = float(instance.sigma[0])
     smooth = with_barrier_sigma(instance, SIGMA_SMOOTH)
     inner_cfg = LogBarConfig(
-        Q=config.Q, eps=max(config.eps, 1e-5),
-        sigma_override=config.sigma_override or 0.8,
+        Q=config.Q, eps=max(config.eps, 1e-2),
+        sigma_override=config.sigma_override or 0.5,
         hessian_mode=config.hessian_mode, eps_k=config.eps_k, max_iters=config.max_iters)
     p, trace = logbar_run(smooth, inner_cfg, callback=callback)
+    last = trace.rows[-1] if trace.rows else TraceRow(0, math.nan, math.nan, math.nan)
+    trace.extras["barrier_phase"] = {
+        "sigma": SIGMA_SMOOTH, "rows": len(trace.rows),
+        "price_queries": trace.extras["price_queries"], "grad_inf": last.grad_inf,
+        "mu": last.homotopy, "status": trace.status}
     trace.extras["continuation"] = []
     if trace.status == STATUS_NUMFAIL:
         return p, trace
@@ -584,7 +599,8 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
     recorded mu column is exactly mu0 * sigma^k.  Near-linear markets
     (sigma below SIGMA_SMOOTH) detour through the sigma continuation, since
     their scaled Lipschitz constant ~1/sigma^3 makes the plain loop lose
-    the path in floating point: this loop at a smooth sigma, then one
+    the path in floating point: this loop at a smooth sigma, stopped at
+    ||grad phi||_inf <= max(eps, 1e-2) (extras["barrier_phase"]), then one
     damped-Newton polish (newton_polish) per stage of a x0.1 sigma ladder,
     each adding one trace row whose homotopy column is the stage's sigma.
     """

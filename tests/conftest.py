@@ -1,7 +1,22 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from marketeq.market import CES, ADDITIVE, MarketInstance, UtilitySpec
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name):
+    """A module of the benchmark's directory (workloads, checks, tracer), read only."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

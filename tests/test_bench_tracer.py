@@ -6,24 +6,12 @@ markets (bench/workloads.py) and its independent checks (bench/checks.py)
 read the instance, the certificate and the flow players' responses; a break
 there would show only as a failed benchmark run."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 
 import marketeq as mq
 from marketeq import hessian, ipm, oracle
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def load_bench(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_bench
 
 
 def load_tracer():

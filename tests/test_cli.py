@@ -34,6 +34,14 @@ class TestGen:
             prov = json.load(fh)
         assert prov["seed"] == 7 and prov["tau"] == 1.0
 
+    def test_a_non_finite_flag_is_written_as_null(self, tmp_path):
+        # --sigma-barrier is ignored by a CES market; strict JSON has no infinity
+        path = os.path.join(tmp_path, "a.json")
+        assert cli.main(["gen", "--n", "4", "--m", "6", "--tau", "1.0",
+                         "--sigma-barrier", "inf", "--out", path]) == 0
+        with open(path + ".provenance.json") as fh:
+            assert json.load(fh)["sigma_barrier"] is None
+
     def test_same_seed_identical_hash(self, tmp_path):
         a = os.path.join(tmp_path, "a.json")
         b = os.path.join(tmp_path, "b.json")
@@ -183,6 +191,37 @@ class TestSolve:
         with open(os.path.join(out, "certificate.json")) as fh:
             cert = json.load(fh)
         assert cert["status"] == "NumericalFailure" and cert["iterations"] == 2
+
+    @pytest.mark.parametrize("certificate_fails", [False, True],
+                             ids=["run-fails", "run-and-certificate-fail"])
+    def test_a_failed_run_writes_its_reason(self, instance_file, tmp_path, monkeypatch, capsys,
+                                            certificate_fails):
+        # the oracle raises at the third price query, and at every later one with
+        # certificate_fails (the certificate's query then fails too)
+        real, calls = oracle.bid_shares, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3 or (certificate_fails and len(calls) > 3):
+                raise oracle.OracleError("forced oracle failure")
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "bid_shares", failing)
+        out = os.path.join(tmp_path, "tat")
+        assert cli.main(["solve", instance_file, "--method", "tat", "--out", out]) == 2
+        assert "tat: forced oracle failure" in capsys.readouterr().err
+
+        def refuse(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        with open(os.path.join(out, "certificate.json")) as fh:
+            cert = json.loads(fh.read(), parse_constant=refuse)
+        assert cert["status"] == "NumericalFailure"
+        assert cert["run_error"] == "forced oracle failure"
+        if certificate_fails:
+            assert cert["error"] == "forced oracle failure" and cert["grad_inf"] is None
+        else:
+            assert "error" not in cert and cert["grad_inf"] > 0.0
 
     def test_missing_instance_exit_3(self, tmp_path):
         rc = cli.main(["solve", os.path.join(tmp_path, "none.json"),

@@ -30,7 +30,7 @@ from marketeq.market import CES, MarketInstance, UtilitySpec
 from marketeq.oracle import (OracleError, linear_barrier_kkt_residual, market_state,
                              potential_constants)
 
-from conftest import mixed_flow_instance, mixed_sign_ces_instance, symmetric_instance
+from conftest import load_bench, mixed_flow_instance, mixed_sign_ces_instance, symmetric_instance
 
 
 class TestLogBarInit:
@@ -752,6 +752,57 @@ class TestSigmaContinuation:
         assert counts == [polish.extras["backtracks"] for polish in polishes]
         # the barrier phase has no line search; only the stages' polishes backtrack
         assert trace.extras["backtracks"] == sum(counts) > 0
+
+
+    def test_benchmark_cells_hand_off_to_the_ladder_at_1e_2(self):
+        # the near-linear workload at seed 1, solved as bench/run.py solves it: the barrier
+        # phase is a LogBar run (mu shrink 0.5) that stops at grad_inf 1e-2, and the phase
+        # and the stages split the run's rows and queries between them
+        workloads = load_bench("workloads")
+        queries = 0
+        for cell in workloads.BUILDERS["near-linear"](1):
+            (solve,) = workloads.solves_of([cell])
+            p, trace = solve.runner()()
+            assert trace.status == "Converged", cell.label
+            assert equilibrium_certificate(cell.instance, p, eps=cell.eps)["clearing_within_bound"]
+            phase, stages = trace.extras["barrier_phase"], trace.extras["continuation"]
+            assert phase["sigma"] == ipm.SIGMA_SMOOTH and phase["status"] == "Converged"
+            assert phase["rows"] >= 1 and phase["grad_inf"] <= 1e-2
+            assert trace.extras["sigma"] == 0.5
+            assert phase["rows"] + len(stages) == trace.iterations()
+            assert phase["price_queries"] + sum(s["price_queries"] for s in stages) == \
+                trace.extras["price_queries"]
+            queries += trace.extras["price_queries"]
+        assert queries <= 260  # 478 with the phase run down to 1e-5 at mu shrink 0.8
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_budgets_at_money_scale_converge(self, seed):
+        # the ladder's polish starts from a phase ended far from the stage's solution
+        n, m, eps = 20, 50, 1e-6
+        inst = mq.generate_random(n, m, 0.5, seed=seed, kind="linear_barrier", sigma=eps / n)
+        inst = MarketInstance(n, m, 100.0 * (1.0 - np.random.default_rng(1000 + seed).random(m)),
+                              inst.utilities)
+        p, trace = logbar_run(inst, LogBarConfig(eps=eps, hessian_mode="exact", max_iters=600))
+        assert trace.status == "Converged"
+        assert equilibrium_certificate(inst, p, eps=eps)["clearing_within_bound"]
+
+    def test_a_failed_barrier_phase_is_reported(self, monkeypatch):
+        # the third price query fails inside the phase: no stage runs
+        real, calls = oracle._linear_batch, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OracleError("forced oracle failure")
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_linear_batch", failing)
+        inst = mq.generate_random(20, 50, 0.5, seed=1, kind="linear_barrier", sigma=1e-6 / 20)
+        _, trace = logbar_run(inst, LogBarConfig(eps=1e-6, hessian_mode="exact", max_iters=600))
+        assert trace.status == "NumericalFailure" and trace.extras["continuation"] == []
+        phase = trace.extras["barrier_phase"]
+        assert phase["status"] == "NumericalFailure" and phase["price_queries"] == 3
+        assert phase["rows"] == trace.iterations() == 2
 
 
 class TestPriceQueries:
