@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .ipm import (STATUS_CONVERGED, STATUS_MAXITERS, STATUS_NUMFAIL, SolveTrace, TraceRow,
-                  _newton_loop, _start_prices)
+from .ipm import (STATUS_CONVERGED, STATUS_MAXITERS, STATUS_NUMFAIL, ConfigError, SolveTrace,
+                  TraceRow, _newton_loop, _start_prices, _validate_eps, _validate_market)
 from .market import MarketInstance
 from .oracle import _row_softmax
 from .oracle import market_state  # noqa: F401  (bench/tracer.py patches this name)
@@ -26,16 +26,14 @@ from .oracle import market_state  # noqa: F401  (bench/tracer.py patches this na
 
 @dataclass
 class BaselineConfig:
-    method: str = "tat"  # tat | propres
     step: float = 0.1  # tat only
     max_iters: int = 200_000
     eps: float = 1e-8
 
     def validate(self) -> None:
-        if self.method not in ("tat", "propres"):
-            raise ValueError(f"unknown baseline {self.method!r}")
         if not (0.0 < self.step < 1.0):
-            raise ValueError("step must lie in (0, 1)")
+            raise ConfigError("step must lie in (0, 1)")
+        _validate_eps(self.eps)
 
 
 def tat_run(instance: MarketInstance, config: BaselineConfig, p0, callback=None):
@@ -48,10 +46,12 @@ def tat_run(instance: MarketInstance, config: BaselineConfig, p0, callback=None)
     on ipm._newton_loop with a step that solves nothing, so no row assembles
     H~.  Stops at ||z||_inf <= eps, the equilibrium certificate's test; an
     oracle error ends the run as NumericalFailure, the reason in
-    extras["error"].  A p0 that is not n positive, finite prices raises
-    ConfigError.
+    extras["error"].  A p0 that is not n positive, finite prices, or a
+    budget that is not positive and finite, raises ConfigError before any
+    price query.
     """
     config.validate()
+    _validate_market(instance)
     trace = SolveTrace(extras={"step": config.step})
     # nothing is solved: "pcg" only keeps the loop from allocating exact mode's (n, n) matrix
     p = _newton_loop(instance, _start_prices(instance, p0, "p0"), trace,
@@ -79,11 +79,12 @@ def propres_run(instance: MarketInstance, config: BaselineConfig, b0=None, callb
     and new bids follow utility contributions c_ij x_ij^rho.  Budgets are
     conserved exactly every iteration and the market clears every iteration.
     For rho < 0 the update is damped geometrically with exponent 1/(1-rho).
-    Stops when the relative price change drops below eps.  Linear-barrier
-    markets and players under constraints raise ValueError: the update
-    knows neither.
+    Stops when the relative price change drops below eps.  A budget that is
+    not positive and finite raises ConfigError; linear-barrier markets and
+    players under constraints raise ValueError: the update knows neither.
     """
     config.validate()
+    _validate_market(instance)
     if instance.is_linear:
         raise ValueError("proportional response needs CES or additive players")
     if instance.constraints:

@@ -121,8 +121,7 @@ def _run_method(instance, method: str, args, callback=None):
             c_phi=args.c_phi)
         return ipm.pathfol_run(instance, cfg, _default_p0(instance), callback=callback)
     if method in ("tat", "propres"):
-        cfg = baselines.BaselineConfig(method=method, step=args.step,
-                                       max_iters=args.max_iters, eps=args.eps)
+        cfg = baselines.BaselineConfig(step=args.step, max_iters=args.max_iters, eps=args.eps)
         if method == "tat":
             return baselines.tat_run(instance, cfg, _default_p0(instance), callback=callback)
         return baselines.propres_run(instance, cfg, callback=callback)
@@ -151,8 +150,6 @@ def cmd_solve(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     os.makedirs(args.out, exist_ok=True)
-    trace.extras.pop("iterates", None)
-    trace.extras.pop("bids", None)
     trace.to_csv(os.path.join(args.out, "trace.csv"))
     _write_prices(os.path.join(args.out, "prices.txt"), p)
     from .oracle import OracleError
@@ -290,7 +287,7 @@ def _add_solver_flags(sp):
                     help="LogBar mu shrink factor per iteration (default 0.5)")
     sp.add_argument("--beta", type=float, default=0.01)
     sp.add_argument("--gamma", type=float, default=0.04)
-    sp.add_argument("--c-phi", dest="c_phi", type=float, default=None)
+    sp.add_argument("--c-phi", dest="c_phi", type=float, default=ipm.PRACTICAL_C_PHI)
     sp.add_argument("--eps-k", dest="eps_k", type=float, default=1e-8)
     sp.add_argument("--step", type=float, default=0.1, help="tat step size")
     sp.add_argument("--max-iters", dest="max_iters", type=int, default=2000)

@@ -98,6 +98,11 @@ def _validate_hessian_mode(mode: str, instance: MarketInstance) -> None:
         raise ConfigError("dr1 mode needs an unconstrained CES/additive market")
 
 
+def _validate_eps(eps: float) -> None:
+    if not (0.0 < eps < math.inf):  # NaN included
+        raise ConfigError("eps must be positive and finite")
+
+
 def _validate_market(instance: MarketInstance) -> None:
     """The O(m) checks a driver makes on entry; the full market.validate is
     left to callers, outside the solve."""
@@ -177,13 +182,12 @@ class LogBarConfig:
     hessian_mode: str = "exact"  # exact | dr1 | pcg
     eps_k: float = 1e-8
     max_iters: int = 500
-    theory_strict: bool = False  # Q from the worst-case formula, theory_strict_Q
     mu_stop: bool = False  # stop once mu <= eps/(1+sqrt(n)) (secondary guarantee)
-    keep_iterates: bool = False
 
     def validate(self, instance: MarketInstance) -> None:
         if not (0.0 < self.Q < 0.5):
             raise ConfigError("Q must lie in (0, 1/2)")
+        _validate_eps(self.eps)
         if self.sigma_override is not None and not (0.0 < self.sigma_override < 1.0):
             raise ConfigError("sigma_override must lie in (0, 1)")
         _validate_hessian_mode(self.hessian_mode, instance)
@@ -198,8 +202,7 @@ class PathFolConfig:
     eps: float = 1e-7
     eps_k: float = 1e-10
     max_iters: int = 2000
-    c_phi: float | None = None  # None -> practical default constant
-    keep_iterates: bool = False
+    c_phi: float = PRACTICAL_C_PHI
 
     def validate(self, instance: MarketInstance) -> None:
         if not (0.0 < self.beta < 0.3):
@@ -208,6 +211,9 @@ class PathFolConfig:
             raise ConfigError("need beta + gamma < 1 and gamma in (0, 1)")
         if not (self.gamma_step > 2.0 * self.beta):
             raise ConfigError("need gamma > 2*beta")
+        if not (0.0 < self.c_phi < math.inf):
+            raise ConfigError("c_phi must be positive and finite")
+        _validate_eps(self.eps)
         _validate_hessian_mode(self.hessian_mode, instance)
         _validate_market(instance)
 
@@ -313,6 +319,12 @@ def newton_decrement(op: hes.ScaledHessianOp, g_scaled: np.ndarray,
 _NUMERICAL_ERRORS = (OracleError, FloatingPointError, scipy.linalg.LinAlgError)
 
 
+def _counters(extras: dict) -> dict:
+    """The counters _newton_loop keeps in a trace's extras, 0 where one is unset."""
+    return {key: extras.get(key, 0)
+            for key in ("price_queries", "safeguards", "dr1_fallbacks", "backtracks")}
+
+
 def _query(instance: MarketInstance, p, trace: SolveTrace):
     """market_state at p, counted in trace.extras["price_queries"]."""
     trace.extras["price_queries"] = trace.extras.get("price_queries", 0) + 1
@@ -357,7 +369,7 @@ def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace
 
 def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, stop=None,
                  callback=None, damped=False, state=None, *, eps: float, max_iters: int,
-                 hessian_mode: str, eps_k: float, keep_iterates: bool = False) -> np.ndarray:
+                 hessian_mode: str, eps_k: float) -> np.ndarray:
     """Steps p <- p (1 + d) until ||grad phi||_inf <= eps, at most max_iters rows.
 
     Each iteration queries the players at p (the first one reads ``state``,
@@ -376,11 +388,9 @@ def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, 
     When no step fraction is acceptable the run ends as MaxIters, along an
     ascent direction as NumericalFailure, with the reason in extras["error"].
     """
-    iterates = [p.copy()] if keep_iterates else None
     # exact mode's Newton matrix, rebuilt and factored in place every iteration
     buf = np.empty((instance.n,) * 2, order="F") if hessian_mode == "exact" else None
-    trace.extras.update(safeguards=0, dr1_fallbacks=0, backtracks=0,
-                        price_queries=trace.extras.get("price_queries", 0))
+    trace.extras.update(_counters(trace.extras))
     status = STATUS_MAXITERS
     alpha = 1.0  # the damped step's first trial fraction
     for k in range(max_iters):
@@ -435,11 +445,7 @@ def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, 
             p = p * (1.0 + d)
         row.step_norm = float(np.linalg.norm(d))
         row.wall_ms = (time.perf_counter() - tic) * 1e3
-        if iterates is not None:
-            iterates.append(p.copy())
     trace.status = status
-    if iterates is not None:
-        trace.extras["iterates"] = iterates
     return p
 
 
@@ -543,12 +549,13 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
     Newton on a convex potential, which converges from any positive start
     (Boyd & Vandenberghe, Convex Optimization, 9.5), so a tighter stop
     only buys price queries that the first stage throws away.
-    extras["barrier_phase"] records the phase's sigma, rows, price queries,
-    final grad_inf, last mu and status.  Each stage adds one trace row
-    (homotopy = its sigma, the gradient norms of its polish's last row) and
-    one entry to extras["continuation"] with the polish's Newton steps,
-    price queries, rejected line-search trials and status;
-    extras["price_queries"] and extras["backtracks"] count every phase's.
+    extras["barrier_phase"] records the phase's sigma, rows, final grad_inf,
+    last mu, status and loop counters (_counters: price queries, safeguard
+    clips, DR1 fallbacks, rejected line-search trials).  Each stage adds one
+    trace row (homotopy = its sigma, the gradient norms of its polish's last
+    row) and one entry to extras["continuation"] with the polish's sigma,
+    final grad_inf, status, Newton steps and the same counters; the run's
+    counters sum the phase's and every stage's.
     """
     target = float(instance.sigma[0])
     smooth = with_barrier_sigma(instance, SIGMA_SMOOTH)
@@ -559,9 +566,8 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
     p, trace = logbar_run(smooth, inner_cfg, callback=callback)
     last = trace.rows[-1] if trace.rows else TraceRow(0, math.nan, math.nan, math.nan)
     trace.extras["barrier_phase"] = {
-        "sigma": SIGMA_SMOOTH, "rows": len(trace.rows),
-        "price_queries": trace.extras["price_queries"], "grad_inf": last.grad_inf,
-        "mu": last.homotopy, "status": trace.status}
+        "sigma": SIGMA_SMOOTH, "rows": len(trace.rows), "grad_inf": last.grad_inf,
+        "mu": last.homotopy, "status": trace.status, **_counters(trace.extras)}
     trace.extras["continuation"] = []
     if trace.status == STATUS_NUMFAIL:
         return p, trace
@@ -579,13 +585,12 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
         k += 1
         trace.rows.append(TraceRow(k=k, homotopy=sigma, grad_inf=last.grad_inf,
                                    grad_l2=last.grad_l2, wall_ms=(time.perf_counter() - tic) * 1e3))
+        counters = _counters(polish.extras)
         trace.extras["continuation"].append({
             "sigma": sigma, "grad_inf": last.grad_inf, "status": polish.status,
-            "newton_steps": sum(not math.isnan(r.step_norm) for r in polish.rows),
-            "price_queries": polish.extras["price_queries"],
-            "backtracks": polish.extras["backtracks"]})
-        trace.extras["price_queries"] += polish.extras["price_queries"]
-        trace.extras["backtracks"] += polish.extras["backtracks"]
+            "newton_steps": sum(not math.isnan(r.step_norm) for r in polish.rows), **counters})
+        for key, count in counters.items():
+            trace.extras[key] += count
     trace.status = polish.status
     if "error" in polish.extras:
         trace.extras["error"] = polish.extras["error"]
@@ -607,7 +612,7 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
     config.validate(instance)
     if instance.is_linear and instance.sigma[0] < SIGMA_SMOOTH:
         return _linear_continuation_run(instance, config, callback=callback)
-    Q = theory_strict_Q(instance, config.eps) if config.theory_strict else config.Q
+    Q = config.Q
     trace = SolveTrace(extras={"Q": Q})
     try:
         mu, state = _initial_center(instance, Q, trace)
@@ -640,10 +645,7 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
 
     p = _newton_loop(instance, state.p, trace, measure, step, stop, callback=callback,
                      state=state, eps=config.eps, max_iters=config.max_iters,
-                     hessian_mode=config.hessian_mode, eps_k=config.eps_k,
-                     keep_iterates=config.keep_iterates)
-    if config.keep_iterates:
-        trace.extras["mus"] = [r.homotopy for r in trace.rows]
+                     hessian_mode=config.hessian_mode, eps_k=config.eps_k)
     return p, trace
 
 
@@ -712,7 +714,7 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     if config.hessian_mode == "dr1":
         config = replace(config, hessian_mode="pcg")
     p = _start_prices(instance, p0, "p0")
-    C = config.c_phi if config.c_phi is not None else PRACTICAL_C_PHI
+    C = config.c_phi
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
                                "centering_warnings": 0, "t_zero_k": None})
     t = 1.0
@@ -744,7 +746,7 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
 
     p = _newton_loop(instance, p, trace, measure, step, callback=callback, eps=config.eps,
                      max_iters=config.max_iters, hessian_mode=config.hessian_mode,
-                     eps_k=config.eps_k, keep_iterates=config.keep_iterates)
+                     eps_k=config.eps_k)
     return p, trace
 
 

@@ -294,6 +294,8 @@ class MarketInstance:
         if not all(type(doc[key]) is int for key in ("n", "m")):  # no truncation, no coercion
             raise ValueError(f"n and m must be integers, got {doc['n']!r} and {doc['m']!r}")
         constraints = doc.get("constraints")
+        if constraints is not None and not isinstance(constraints, dict):
+            raise ValueError("constraints must be an object mapping players to matrices")
         return cls(doc["n"], doc["m"], doc["budgets"], utilities, constraints)
 
 
@@ -372,8 +374,8 @@ def validate(instance: MarketInstance) -> list[str]:
     if instance.n < 1 or instance.m < 1:
         report.append("n and m must be at least 1")
         return report
-    if len(instance.budgets) != instance.m:
-        report.append("budgets length must equal m")
+    if instance.budgets.shape != (instance.m,):  # a number or null reads 0-d
+        report.append("budgets must be a vector of length m")
     elif not np.all((instance.budgets > 0) & (instance.budgets < np.inf)):
         report.append("all budgets must be positive and finite")
     if instance.C.shape[0] != instance.m:
@@ -637,7 +639,10 @@ def build_flow_instance(edges, terminals, rho: float = 0.5, coefficients=None) -
 
     Each player routes an s_i -> t_i flow; the homogeneous balance equations
     become that player's constraint matrix (reduced to full row rank, once
-    per distinct terminal pair; each player gets its own copy).
+    per distinct terminal pair; each player gets its own copy).  A player
+    with no directed s_i -> t_i path raises DisconnectedTerminalsError, and
+    one whose every feasible flow is 0 on some edge ValueError, since its
+    best response would have no interior point.
     Coefficients default to all ones so the constrained best response stays
     interior.
     """
@@ -659,8 +664,16 @@ def build_flow_instance(edges, terminals, rho: float = 0.5, coefficients=None) -
                 raise ValueError(f"player {i}: source equals sink")
             if s not in at or t not in at:
                 raise DisconnectedTerminalsError(f"player {i}: terminal not in graph")
-            if at[t] not in csgraph.breadth_first_order(adj, at[s], return_predecessors=False):
+            # some feasible flow is positive on an edge exactly when its ends lie in one
+            # strongly connected component of the graph plus the return edge t->s (Hoffman)
+            back = sp.csr_matrix(([1.0], ([at[t]], [at[s]])), shape=adj.shape)
+            _, label = csgraph.connected_components(adj + back, connection="strong")
+            if label[at[s]] != label[at[t]]:
                 raise DisconnectedTerminalsError(f"player {i}: no directed {s}->{t} path")
+            idle = np.flatnonzero(label[ends[:, 0]] != label[ends[:, 1]]).tolist()
+            if idle:
+                raise ValueError(f"player {i}: no {s}->{t} flow can use edges "
+                                 + ", ".join(f"{edges[e][0]}->{edges[e][1]}" for e in idle))
             rows[s, t] = _independent_rows(flow_constraint_rows(edges, nodes, s, t))
         constraints[i] = rows[s, t].copy()
     c = np.ones(n) if coefficients is None else np.asarray(coefficients, dtype=float)

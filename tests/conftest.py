@@ -19,6 +19,14 @@ def load_bench(name):
     return module
 
 
+def run_with_iterates(driver, *args):
+    """driver(*args, callback=...) as (p, trace, iterates): the p that the callback
+    receives on every row but the one that halts, then the returned p."""
+    iterates = []
+    p, trace = driver(*args, callback=lambda k, p: iterates.append(p.copy()))
+    return p, trace, iterates + [p]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -38,7 +38,7 @@ from marketeq.oracle import (
     response_jacobian,
 )
 
-from conftest import central_diff, central_diff_vec, random_player
+from conftest import central_diff, central_diff_vec, random_player, run_with_iterates
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -315,11 +315,9 @@ def _run_all_methods(inst):
     p, tr = pathfol_run(inst, PathFolConfig(eps=1e-7, hessian_mode="exact",
                                             c_phi=10.0, max_iters=3000), p0)
     out["pathfol"] = (p, tr)
-    p, tr = tat_run(inst, BaselineConfig(method="tat", step=0.1,
-                                         max_iters=300_000, eps=3e-9), p0)
+    p, tr = tat_run(inst, BaselineConfig(step=0.1, max_iters=300_000, eps=3e-9), p0)
     out["tat"] = (p, tr)
-    p, tr = propres_run(inst, BaselineConfig(method="propres",
-                                             max_iters=300_000, eps=1e-13))
+    p, tr = propres_run(inst, BaselineConfig(max_iters=300_000, eps=1e-13))
     out["propres"] = (p, tr)
     return out
 
@@ -361,11 +359,10 @@ def _iterations_to_distance(inst, p_star, method, tol=1e-5):
         pathfol_run(inst, PathFolConfig(eps=1e-14, hessian_mode="exact", c_phi=10.0,
                                         max_iters=200_000), p0, callback=watch)
     elif method == "tat":
-        tat_run(inst, BaselineConfig(method="tat", step=0.1, max_iters=300_000,
-                                     eps=1e-16), p0, callback=watch)
+        tat_run(inst, BaselineConfig(step=0.1, max_iters=300_000, eps=1e-16), p0,
+                callback=watch)
     else:
-        propres_run(inst, BaselineConfig(method="propres", max_iters=300_000,
-                                         eps=1e-16), callback=watch)
+        propres_run(inst, BaselineConfig(max_iters=300_000, eps=1e-16), callback=watch)
     return hit[0] if hit else math.inf
 
 
@@ -495,12 +492,10 @@ def test_criterion_11_neighborhood_invariance():
     inst = mq.generate_random(5, 8, 1.0, rho=-0.5, seed=3)
     eps = 0.1
     Q = theory_strict_Q(inst, eps)
-    cfg = LogBarConfig(eps=eps, theory_strict=True, hessian_mode="exact",
-                       max_iters=50_000, mu_stop=True, keep_iterates=True)
-    p, trace = logbar_run(inst, cfg)
+    cfg = LogBarConfig(Q=Q, eps=eps, hessian_mode="exact", max_iters=50_000, mu_stop=True)
+    p, trace, iterates = run_with_iterates(logbar_run, inst, cfg)
     sig = trace.extras["sigma"]
-    mus = trace.extras["mus"]
-    iterates = trace.extras["iterates"]
+    mus = [r.homotopy for r in trace.rows]
     mu_thr = eps / (1.0 + math.sqrt(inst.n))
     checked = violations = 0
     for k in range(len(mus) - 1):

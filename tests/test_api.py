@@ -21,10 +21,10 @@ WORKFLOW_API = {
 
 CONFIG_FIELDS = {
     mq.LogBarConfig: ["Q", "eps", "sigma_override", "hessian_mode", "eps_k", "max_iters",
-                      "theory_strict", "mu_stop", "keep_iterates"],
+                      "mu_stop"],
     mq.PathFolConfig: ["beta", "gamma_step", "hessian_mode", "eps", "eps_k", "max_iters",
-                       "c_phi", "keep_iterates"],
-    mq.BaselineConfig: ["method", "step", "max_iters", "eps"],
+                       "c_phi"],
+    mq.BaselineConfig: ["step", "max_iters", "eps"],
 }
 
 # the Newton system's data: a new piece of the operator or the state is a deliberate edit

@@ -112,6 +112,15 @@ class TestFlowGen:
         rc = cli.main(["flow-gen", "--graph", graph, "--out", os.path.join(tmp_path, "f.json")])
         assert rc == 3
 
+    def test_a_player_that_cannot_use_an_edge_exit_3(self, tmp_path, capsys):
+        # every feasible s->a flow is 0 on a->t and s->t: no interior best response
+        graph = os.path.join(tmp_path, "g.txt")
+        with open(graph, "w") as fh:
+            fh.write("s a\na t\ns t\nterminals:\ns t\ns a\n")
+        rc = cli.main(["flow-gen", "--graph", graph, "--out", os.path.join(tmp_path, "f.json")])
+        assert rc == 3
+        assert "player 1: no s->a flow can use edges a->t, s->t" in capsys.readouterr().err
+
     def test_propres_refuses_a_flow_market(self, tmp_path, capsys):
         graph, flow = os.path.join(tmp_path, "g.txt"), os.path.join(tmp_path, "flow.json")
         with open(graph, "w") as fh:
@@ -272,9 +281,22 @@ class TestSolve:
                          "entries": [[0, 0.5], [1, 1.0], [2, 2.0]]}],
           "constraints": {"0": [[1.0, -1.0, 0.0]]}},
          "player 0: constraints apply to CES and additive players only"),
+        # validate read len() of these and raised a TypeError
+        ({"n": 2, "m": 1, "budgets": 1.0,
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [1, 1.0]]}]},
+         "budgets must be a vector of length m"),
+        ({"n": 2, "m": 1, "budgets": None,
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [1, 1.0]]}]},
+         "budgets must be a vector of length m"),
+        # the constructor called .items() on the list and raised an AttributeError
+        ({"n": 2, "m": 1, "budgets": [1.0],
+          "utilities": [{"kind": "ces", "param": 0.5, "entries": [[0, 1.0], [1, 1.0]]}],
+          "constraints": [[1, -1]]},
+         "constraints must be an object"),
     ], ids=["null-param", "entry-without-coefficient", "top-level-list", "index-out-of-range",
             "fractional-n", "string-n", "nan-constraint", "duplicate-index", "fractional-index",
-            "bool-index", "string-index", "constrained-linear-player"])
+            "bool-index", "string-index", "constrained-linear-player", "number-budgets",
+            "null-budgets", "list-constraints"])
     def test_malformed_instance_exit_3(self, tmp_path, capsys, doc, message):
         path = os.path.join(tmp_path, "bad.json")
         with open(path, "w") as fh:
@@ -282,6 +304,21 @@ class TestSolve:
         rc = cli.main(["solve", path, "--method", "logbar", "--out", os.path.join(tmp_path, "x")])
         assert rc == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, flag, value", [
+        # --c-phi 0 divided by zero in PathFol's step; the others failed later
+        *[("pathfol", "--c-phi", v) for v in ("0", "-1", "nan", "inf")],
+        # --eps nan ran the solve, then the strict-JSON certificate refused NaN
+        *[(method, "--eps", v)
+          for method in ("logbar", "pathfol", "tat", "propres") for v in ("nan", "0", "inf")],
+    ])
+    def test_bad_solver_value_exit_3(self, instance_file, tmp_path, capsys, method, flag, value):
+        out = os.path.join(tmp_path, "x")
+        rc = cli.main(["solve", instance_file, "--method", method, "--out", out, flag, value])
+        assert rc == 3
+        name = {"--c-phi": "c_phi", "--eps": "eps"}[flag]
+        assert f"{name} must be positive and finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_sigma_barrier_flag_linear_only(self, instance_file, tmp_path):
         rc = cli.main(["solve", instance_file, "--method", "logbar",

@@ -30,7 +30,8 @@ from marketeq.market import CES, MarketInstance, UtilitySpec
 from marketeq.oracle import (OracleError, linear_barrier_kkt_residual, market_state,
                              potential_constants)
 
-from conftest import load_bench, mixed_flow_instance, mixed_sign_ces_instance, symmetric_instance
+from conftest import (load_bench, mixed_flow_instance, mixed_sign_ces_instance, run_with_iterates,
+                      symmetric_instance)
 
 
 class TestLogBarInit:
@@ -112,10 +113,10 @@ class TestLogBarRun:
 
     def test_positive_iterates_and_no_safeguard_on_path(self):
         inst = mq.generate_random(12, 30, 0.8, rho=-0.9, seed=6)
-        cfg = LogBarConfig(eps=1e-7, sigma_override=0.6, max_iters=200, keep_iterates=True)
-        _, trace = logbar_run(inst, cfg)
+        cfg = LogBarConfig(eps=1e-7, sigma_override=0.6, max_iters=200)
+        _, trace, iterates = run_with_iterates(logbar_run, inst, cfg)
         assert trace.status == "Converged"
-        assert all(np.all(p > 0) for p in trace.extras["iterates"])
+        assert all(np.all(p > 0) for p in iterates)
         assert trace.extras["safeguards"] == 0
 
     def test_all_modes_agree(self):
@@ -132,11 +133,9 @@ class TestLogBarRun:
     def test_decrement_is_the_step_barrier_decrement(self):
         # row k records ||P grad phi - mu_{k+1} 1||* in the metric H~ + mu_{k+1} I
         inst = mq.generate_random(10, 30, 0.8, rho=0.5, seed=4)
-        cfg = LogBarConfig(eps=1e-7, sigma_override=0.6, hessian_mode="exact", max_iters=200,
-                           keep_iterates=True)
-        _, trace = logbar_run(inst, cfg)
+        cfg = LogBarConfig(eps=1e-7, sigma_override=0.6, hessian_mode="exact", max_iters=200)
+        _, trace, iterates = run_with_iterates(logbar_run, inst, cfg)
         assert trace.status == "Converged"
-        iterates = trace.extras["iterates"]
         for k, row in enumerate(trace.rows[:-1]):
             mu = trace.rows[k + 1].homotopy
             state = market_state(inst, iterates[k])
@@ -309,12 +308,10 @@ class TestTheoryStrict:
         inst = mq.generate_random(4, 6, 1.0, rho=-0.5, seed=3)
         eps = 0.5
         Q = theory_strict_Q(inst, eps)
-        cfg = LogBarConfig(eps=eps, theory_strict=True, hessian_mode="exact",
-                           max_iters=20000, mu_stop=True, keep_iterates=True)
-        p, trace = logbar_run(inst, cfg)
+        cfg = LogBarConfig(Q=Q, eps=eps, hessian_mode="exact", max_iters=20000, mu_stop=True)
+        p, trace, iterates = run_with_iterates(logbar_run, inst, cfg)
         sig = trace.extras["sigma"]
-        mus = trace.extras["mus"]
-        iterates = trace.extras["iterates"]
+        mus = [r.homotopy for r in trace.rows]
         mu_thr = eps / (1.0 + math.sqrt(inst.n))
         checked = 0
         for k in range(len(mus) - 1):
@@ -521,13 +518,12 @@ class TestPathFolRun:
         # a and b combine linearly; each row must match direct solves at its iterate
         inst = mq.generate_random(8, 20, 0.8, rho=0.5, seed=2)
         p0 = np.full(8, inst.total_budget() / 8)
-        cfg = PathFolConfig(eps=1e-7, hessian_mode="exact", c_phi=10.0, max_iters=500,
-                            keep_iterates=True)
-        _, trace = pathfol_run(inst, cfg, p0)
+        cfg = PathFolConfig(eps=1e-7, hessian_mode="exact", c_phi=10.0, max_iters=500)
+        _, trace, iterates = run_with_iterates(pathfol_run, inst, cfg, p0)
         assert trace.status == "Converged"
         assert trace.rows[0].nbhd_resid == 0.0
         g0 = market_state(inst, p0).grad
-        for row, p in zip(trace.rows, trace.extras["iterates"]):
+        for row, p in zip(trace.rows, iterates):
             state = market_state(inst, p)
             op = hes.assemble_from_state(state, inst)
             lam = newton_decrement(op, p * state.grad)
@@ -753,6 +749,16 @@ class TestSigmaContinuation:
         # the barrier phase has no line search; only the stages' polishes backtrack
         assert trace.extras["backtracks"] == sum(counts) > 0
 
+
+    def test_run_counters_sum_the_phase_and_the_stages(self):
+        # the first stage's polish clips a step at the fraction to the boundary
+        inst = mq.generate_random(20, 50, 0.5, seed=2, kind="linear_barrier", sigma=5e-8)
+        _, trace = logbar_run(inst, LogBarConfig(eps=1e-6, hessian_mode="exact", max_iters=600))
+        assert trace.status == "Converged"
+        phase, stages = trace.extras["barrier_phase"], trace.extras["continuation"]
+        for key in ("price_queries", "safeguards", "dr1_fallbacks", "backtracks"):
+            assert trace.extras[key] == phase[key] + sum(stage[key] for stage in stages), key
+        assert trace.extras["safeguards"] >= 1
 
     def test_benchmark_cells_hand_off_to_the_ladder_at_1e_2(self):
         # the near-linear workload at seed 1, solved as bench/run.py solves it: the barrier

@@ -422,7 +422,7 @@ GENERATED_DIGESTS = {
     "sparse": "99d12a3975267836e035f30322e9197e6c91da52004695054144a97d89b55ed1",
     "linear": "ce585b03aaf8c922072d88d3c03643b9206fc9fb46eecbaa700484555f054717",
     "ratings": "d9d311313e038930c3a19f3634354df4055a4e390e1d9a7208e87e6304ab9657",
-    "flow": "15a84b50324e06ae89cbb0af2bd597e765be3e5f116cbe9cb045cbe5df80e435",
+    "flow": "5bf73fdd255b7db588668a49b25d1a0e77a92fb55eba9a132fa92a356505851d",
 }
 
 
@@ -431,8 +431,9 @@ def generated_markets(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(RATINGS)
     left, right = [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)]
+    # the return edge t -> s lets the s -> a2 player's flow use every edge
     layered = ([("s", a) for a in left] + [(a, b) for a in left for b in right]
-               + [(b, "t") for b in right])
+               + [(b, "t") for b in right] + [("t", "s")])
     return {
         "dense": generate_random(12, 30, 1.0, rho=-0.7, seed=7),
         # 4 empty rows and 43 unvalued goods: both repairs run
@@ -571,8 +572,14 @@ class TestFlow:
         with pytest.raises(ValueError):
             build_flow_instance([("a", "b")], [("a", "a")])
 
+    def test_a_player_that_cannot_use_an_edge_is_refused(self):
+        # the s->a player must balance flow at t, so a->t and s->t carry 0 in every
+        # feasible flow; validate passed this market and LogBar found no interior start
+        with pytest.raises(ValueError, match="player 1: no s->a flow can use edges a->t, s->t$"):
+            build_flow_instance([("s", "a"), ("a", "t"), ("s", "t")], [("s", "t"), ("s", "a")])
+
     def test_flow_instance_validates(self):
-        edges = [("s", "v"), ("v", "t"), ("s", "t")]
+        edges = [("s", "v"), ("v", "t"), ("s", "t"), ("t", "v")]
         inst = build_flow_instance(edges, [("s", "t"), ("s", "v")], rho=0.4)
         assert validate(inst) == []
 

@@ -11,7 +11,7 @@ import marketeq as mq
 from marketeq import hessian as hes
 from marketeq import oracle
 from marketeq.market import (ADDITIVE, CES, MarketInstance, ShareFactors, UtilitySpec,
-                             build_flow_instance)
+                             build_flow_instance, flow_constraint_rows)
 from marketeq.oracle import (
     OracleError,
     additive_best_response,
@@ -383,7 +383,7 @@ def mixed_row_count_instance(seed=5):
     constraint matrix.
     """
     edges = [("s", "a"), ("a", "t"), ("s", "t")]
-    flow = build_flow_instance(edges, [("s", "t"), ("a", "t")])
+    flow = build_flow_instance(edges, [("s", "t")])
     n = flow.n
     rng = np.random.default_rng(seed)
     pos = lambda: rng.uniform(0.5, 1.5, n)
@@ -396,7 +396,8 @@ def mixed_row_count_instance(seed=5):
         UtilitySpec(CES, np.arange(n), pos(), rho=-0.4),
     ]
     constraints = {0: flow.constraints[0], 1: flow.constraints[0],
-                   2: flow.constraints[1][:1], 3: np.zeros((0, n))}
+                   2: flow_constraint_rows(edges, ["a", "s", "t"], "a", "t")[:1],
+                   3: np.zeros((0, n))}
     budgets = rng.uniform(0.5, 1.5, len(utilities))
     return MarketInstance(n, len(utilities), budgets, utilities, constraints)
 

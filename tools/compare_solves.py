@@ -7,8 +7,10 @@
 ``run`` imports the program from SRC (a checkout's ``src`` directory) and
 the markets from this checkout's ``bench/workloads.py``, which it only
 reads.  It solves every workload's markets at each seed, in one process with
-one BLAS thread, and writes per solve its status, iterations, price queries
-and prices as ``float.hex`` strings, and per market a SHA-256 of its arrays:
+one BLAS thread, and writes per solve its status, iterations, the loop's
+counters (price queries, safeguard clips, DR1 fallbacks and rejected
+line-search trials, 0 where a tree does not count one) and prices as
+``float.hex`` strings, and per market a SHA-256 of its arrays:
 ``C``'s CSR arrays, the budgets, the ``r``, ``k`` and ``sigma`` columns and
 the constraint matrices, so a construction change that alters a market
 shows in ``diff``.  ``diff`` prints every key on which two records differ,
@@ -64,11 +66,12 @@ def run(src: Path, seeds, out: Path) -> None:
             for solve in workloads.solves_of(cells):
                 p, trace = solve.runner()()
                 key = f"{name} seed={seed} | {solve.label}"
-                queries = trace.extras.get("price_queries", 0)
                 record[key] = {"status": trace.status, "iterations": trace.iterations(),
-                               "price_queries": queries, "p": [float(v).hex() for v in p]}
+                               **{c: trace.extras.get(c, 0) for c in (
+                                   "price_queries", "safeguards", "dr1_fallbacks", "backtracks")},
+                               "p": [float(v).hex() for v in p]}
                 print(f"{key}: {trace.status}, {trace.iterations()} iterations, "
-                      f"{queries} queries", file=sys.stderr)
+                      f"{record[key]['price_queries']} queries", file=sys.stderr)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
