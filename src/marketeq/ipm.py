@@ -11,7 +11,12 @@ PathFol follows a barrier-free homotopy phi_t = phi - t<grad phi(p0), p>,
 driving t from 1 to 0 with steps sized by the self-concordance constant,
     t+ = max(t - gamma / (C ||P grad phi(p0)||*_{H~}), 0),
     H~ d = -P(grad phi - t+ grad phi(p0)),
-then finishes with pure inexact Newton inside the quadratic region.  It
+then finishes with pure inexact Newton inside the quadratic region.  gamma
+starts at gamma_step and follows the neighbourhood residual each row
+measures, gamma <- gamma clamp(sqrt(beta / (2C nbhd_resid)), 1/2, 2), so
+t-steps are as long as the neighbourhood beta/C allows; a step whose point
+leaves it, or whose price query raises OracleError, is rejected and retaken
+from the last kept point at half its t-step (extras["retreats"]).  It
 solves twice per iteration, H~ a = P grad phi and, while t > 0,
 H~ b = P grad phi(p0); its dual norms and d = -(a - t+ b) combine the two.
 Its ``dr1`` mode runs PCG: the surrogate's relative spectral error, which
@@ -19,15 +24,18 @@ the paper's superlinear rate needs below a certified delta, measured far
 above it on every market tried.  Both of its solves stop CG at the forcing
 term max(eps_k, min(PCG_FORCING_CAP, ||grad phi||_inf^2)) (Dembo, Eisenstat
 & Steihaug 1982), unit-free since grad phi = 1 - demand, and eps_k on the
-last rows.  LogBar and newton_polish keep a fixed eps_k: LogBar's short
+last rows; while t > 0 at no more than a tenth of gamma's target
+beta/(2C), so that CG noise in nbhd_resid does not steer gamma.
+LogBar and newton_polish keep a fixed eps_k: LogBar's short
 step bounds the step error against the decrement, and with the same term it
 lost the central path until mu underflowed (CES n=200, m=600, rho=0.9, 6 of
 seeds 1-8); the polish's price-query counts moved with it.
 
 Both take the same step -- query best responses, solve (H~ + shift I) d =
 rhs, set p <- p (1 + d) -- in one loop (_newton_loop); each driver supplies
-only its homotopy rule and its solves, and a row assembles H~ from the bids
-only when it solves (neither LogBar's last row nor the polish's).
+only its homotopy rule and its solves (PathFol also its retreat), and a row
+assembles H~ from the bids only when it solves (neither LogBar's last row
+nor the polish's).
 baselines.tat_run runs the same loop with a step that solves nothing,
 d = step * min(-grad phi, 1).
 The loop records a SolveTrace (CSV: one row per iteration, trailing status
@@ -81,8 +89,10 @@ BACKTRACK_MAX = 0.5
 MIN_ALPHA = 1e-10  # the polish gives up below this step fraction
 PHI_ACCURACY = 1e-10  # relative accuracy of MarketState.value
 # PathFol's CG tolerance is max(eps_k, min(cap, ||grad phi||_inf^2)): loose
-# far from the solution, eps_k by the last rows
+# far from the solution, eps_k by the last rows (below a tenth of gamma's
+# target while t > 0)
 PCG_FORCING_CAP = 1e-2
+MAX_RETREATS = 10  # PathFol's rejected t-steps in a row before the run gives up
 
 
 class ConfigError(ValueError):
@@ -197,7 +207,7 @@ class LogBarConfig:
 @dataclass
 class PathFolConfig:
     beta: float = 0.01
-    gamma_step: float = 0.04
+    gamma_step: float = 0.04  # the first t-step; later ones follow the measured nbhd_resid
     hessian_mode: str = "exact"
     eps: float = 1e-7
     eps_k: float = 1e-10
@@ -322,7 +332,7 @@ _NUMERICAL_ERRORS = (OracleError, FloatingPointError, scipy.linalg.LinAlgError)
 def _counters(extras: dict) -> dict:
     """The counters _newton_loop keeps in a trace's extras, 0 where one is unset."""
     return {key: extras.get(key, 0)
-            for key in ("price_queries", "safeguards", "dr1_fallbacks", "backtracks")}
+            for key in ("price_queries", "safeguards", "dr1_fallbacks", "backtracks", "retreats")}
 
 
 def _query(instance: MarketInstance, p, trace: SolveTrace):
@@ -367,9 +377,19 @@ def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace
     return None, None
 
 
+def _safeguarded(d: np.ndarray, trace: SolveTrace) -> np.ndarray:
+    """d shortened so that every price keeps STEP_SAFEGUARD_ETA of its value
+    (fraction to the boundary), each clip counted in extras["safeguards"]."""
+    dmin = float(d.min())
+    if 1.0 + dmin < STEP_SAFEGUARD_ETA:
+        trace.extras["safeguards"] += 1
+        return d * ((1.0 - STEP_SAFEGUARD_ETA) / (-dmin))
+    return d
+
+
 def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, stop=None,
-                 callback=None, damped=False, state=None, *, eps: float, max_iters: int,
-                 hessian_mode: str, eps_k: float) -> np.ndarray:
+                 callback=None, damped=False, state=None, retreat=None, *, eps: float,
+                 max_iters: int, hessian_mode: str, eps_k: float) -> np.ndarray:
     """Steps p <- p (1 + d) until ||grad phi||_inf <= eps, at most max_iters rows.
 
     Each iteration queries the players at p (the first one reads ``state``,
@@ -382,6 +402,13 @@ def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, 
     one from measure.  The row's pcg_iters total all its PCG solves.  An
     oracle, floating-point or factorization error ends the run as
     NumericalFailure, with the reason in extras["error"].
+    retreat(k, nbhd_resid, error), when given, is called after each measure
+    with the row's nbhd_resid and error None, or with NaN and the OracleError
+    that the query or measure raised: it returns None to keep the row, or
+    rejects the point with a step d from the last kept row's point to try in
+    its place (it raises to end the run).  A rejected trial adds no row; its
+    price query counts, its PCG iterations go to the row kept next, and it
+    adds one to extras["retreats"].
     With damped=True the safeguarded step is shortened by _backtrack, whose
     accepted state is the next iteration's; each step after the first starts
     its backtracking at min(1, 2 alpha), alpha the last accepted fraction.
@@ -395,13 +422,29 @@ def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, 
     alpha = 1.0  # the damped step's first trial fraction
     for k in range(max_iters):
         tic = time.perf_counter()
+        solvers = []  # the row's: its rejected trials' first
         try:
-            if state is None:
-                state = _query(instance, p, trace)
-            # assemble_from_state is looked up per row, where bench/tracer.py patches it
-            solver = _StepSolver(partial(hes.assemble_from_state, state, instance), hessian_mode,
-                                 eps_k, buf)
-            homotopy, nbhd, decrement = measure(k, state, solver)
+            while True:
+                try:
+                    if state is None:
+                        state = _query(instance, p, trace)
+                    # assemble_from_state is looked up per row, where bench/tracer.py patches it
+                    solvers.append(_StepSolver(partial(hes.assemble_from_state, state, instance),
+                                               hessian_mode, eps_k, buf))
+                    homotopy, nbhd, decrement = measure(k, state, solvers[-1])
+                    error = None
+                except OracleError as exc:
+                    if retreat is None:
+                        raise
+                    nbhd, error = math.nan, exc
+                d = retreat(k, nbhd, error) if retreat else None
+                if d is None:
+                    break
+                trace.extras["retreats"] += 1
+                d = _safeguarded(d, trace)
+                p, state = p_row * (1.0 + d), None
+                trace.rows[-1].step_norm = float(np.linalg.norm(d))
+            solver = solvers[-1]
             row = TraceRow(k=k, homotopy=homotopy, grad_inf=float(np.max(np.abs(state.grad))),
                            grad_l2=float(np.linalg.norm(state.grad)), nbhd_resid=nbhd,
                            decrement=decrement)
@@ -412,8 +455,9 @@ def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, 
                 d, decrement = step(k, state, solver)
                 if not np.all(np.isfinite(d)):
                     raise FloatingPointError("non-finite Newton step")
-            row.pcg_iters = solver.pcg_iters
-            trace.extras["dr1_fallbacks"] += solver.fallbacks
+            iters = [s.pcg_iters for s in solvers if s.pcg_iters is not None]
+            row.pcg_iters = sum(iters) if iters else None
+            trace.extras["dr1_fallbacks"] += sum(s.fallbacks for s in solvers)
         except _NUMERICAL_ERRORS as exc:
             trace.extras["error"] = str(exc)
             status = STATUS_NUMFAIL
@@ -423,10 +467,8 @@ def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, 
             break
         if math.isnan(row.decrement):
             row.decrement = decrement
-        dmin = float(d.min())
-        if 1.0 + dmin < STEP_SAFEGUARD_ETA:  # fraction to the boundary
-            d = d * ((1.0 - STEP_SAFEGUARD_ETA) / (-dmin))
-            trace.extras["safeguards"] += 1
+        d = _safeguarded(d, trace)
+        p_row = p
         if damped:
             try:
                 alpha, state = _backtrack(instance, state, d, trace, alpha)
@@ -551,11 +593,11 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
     only buys price queries that the first stage throws away.
     extras["barrier_phase"] records the phase's sigma, rows, final grad_inf,
     last mu, status and loop counters (_counters: price queries, safeguard
-    clips, DR1 fallbacks, rejected line-search trials).  Each stage adds one
-    trace row (homotopy = its sigma, the gradient norms of its polish's last
-    row) and one entry to extras["continuation"] with the polish's sigma,
-    final grad_inf, status, Newton steps and the same counters; the run's
-    counters sum the phase's and every stage's.
+    clips, DR1 fallbacks, rejected line-search trials, retreats).  Each
+    stage adds one trace row (homotopy = its sigma, the gradient norms of
+    its polish's last row) and one entry to extras["continuation"] with the
+    polish's sigma, final grad_inf, status, Newton steps and the same
+    counters; the run's counters sum the phase's and every stage's.
     """
     target = float(instance.sigma[0])
     smooth = with_barrier_sigma(instance, SIGMA_SMOOTH)
@@ -704,49 +746,94 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     H~(p_k) of its dual norm changes.  Each row solves H~ a = P grad phi and,
     while t > 0, H~ b = P grad phi(p0) (H~ shifted by MU_FLOOR): decrement
     sqrt(P grad phi . a), nbhd_resid sqrt(P(grad phi - t grad phi(p0)) .
-    (a - t b)), step d = -(a - t+ b); pcg_iters totals both solves, which
-    stop CG at max(eps_k, min(PCG_FORCING_CAP, ||grad phi||_inf^2)).  The
-    dr1 mode runs as pcg, whose CG the DR1 inverse preconditions: the
-    surrogate's error never met the certified delta that its rate needs as
-    the Newton matrix itself.
+    (a - t b)), step d = -(a - t+ b) with t+ = max(t - gamma / (C
+    sqrt(P grad phi(p0) . b)), 0); pcg_iters totals both solves, which stop
+    CG at the forcing term max(eps_k, min(PCG_FORCING_CAP, ||grad phi||_inf^2)),
+    and while t > 0 at no more than a tenth of the target below, so that CG
+    noise does not steer gamma.
+
+    gamma starts at gamma_step and follows the neighbourhood it measures
+    (long-step path following: Nesterov & Nemirovski 1994, ch. 3; Renegar
+    2001, 2.4): after each row past the anchor with t > 0, gamma <- gamma
+    clamp(sqrt(target / nbhd_resid), 1/2, 2), target = beta / (2C).  A
+    step whose point has nbhd_resid above beta/C, or whose query raises
+    OracleError, is rejected without a row: the run retreats to the last
+    kept row's point and steps again with half its t-step
+    (extras["retreats"] counts them), so no row stepped to by a t-step
+    leaves the neighbourhood (extras["centering_warnings"] counts the rows
+    that do, at t = 0 alone).  After MAX_RETREATS retreats in a row the run
+    ends as NumericalFailure.  The dr1 mode runs as pcg, whose CG the DR1
+    inverse preconditions: the surrogate's error never met the certified
+    delta that its rate needs as the Newton matrix itself.
     """
     config.validate(instance)
     if config.hessian_mode == "dr1":
         config = replace(config, hessian_mode="pcg")
     p = _start_prices(instance, p0, "p0")
     C = config.c_phi
+    limit = config.beta / C * (1.0 + 1e-9)  # the neighbourhood a t-step must keep
+    target = 0.5 * config.beta / C  # the nbhd_resid that gamma steers to
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
                                "centering_warnings": 0, "t_zero_k": None})
-    t = 1.0
-    # grad phi(p0), H~^-1 P grad phi, H~^-1 P grad phi(p0), sqrt(P grad phi(p0) . b)
-    g0u = a = b = g0_norm = None
+    t, gamma = 1.0, config.gamma_step
+    g0u = None  # grad phi(p0), the frozen anchor
+    # (t, H~^-1 P grad phi, H~^-1 P grad phi(p0), sqrt(P grad phi(p0) . b)) at the last
+    # kept row and at the measured point
+    kept = trial = None
+    retreats = 0  # in a row
 
     def measure(k, state, solver):
-        nonlocal g0u, a, b, g0_norm
+        nonlocal g0u, trial
         if k == 0:
-            g0u = state.grad  # the frozen anchor
+            g0u = state.grad
         tol = max(config.eps_k, min(PCG_FORCING_CAP, float(np.max(np.abs(state.grad))) ** 2))
+        if t > 0.0:
+            tol = max(config.eps_k, min(tol, 0.1 * target))
         a, lam = solver.newton_step(MU_FLOOR, state.p * state.grad, tol)
+        b = g0_norm = None
         nbhd = lam
         if t > 0.0:
             b, g0_norm = solver.newton_step(MU_FLOOR, state.p * g0u, tol)
             nbhd = math.sqrt(max(float((state.p * (state.grad - t * g0u)) @ (a - t * b)), 0.0))
-        if nbhd > config.beta / C * (1.0 + 1e-9):
-            trace.extras["centering_warnings"] += 1
+        trial = (t, a, b, g0_norm)
         return t, nbhd, lam
 
-    def step(k, state, solver):
-        nonlocal t
-        if t == 0.0:
-            return -a, math.nan
-        t = max(t - config.gamma_step / (C * g0_norm), 0.0)
-        if t == 0.0:
-            trace.extras["t_zero_k"] = k
-        return -(a - t * b), math.nan
+    def retreat(k, nbhd, error):
+        nonlocal kept, gamma, retreats
+        if kept is not None and kept[0] > 0.0 and (error is not None or nbhd > limit):
+            if retreats == MAX_RETREATS:
+                raise error or FloatingPointError(
+                    f"{MAX_RETREATS + 1} t-steps in a row left the neighbourhood: nbhd_resid "
+                    f"{nbhd:.3e} > beta/C = {config.beta / C:.3e}")
+            retreats += 1
+            gamma = 0.5 * (kept[0] - t) * C * kept[3]  # half the rejected t-step
+            return take_step(k - 1)
+        if error is not None:
+            raise error
+        retreats = 0
+        if kept is not None and trial[0] > 0.0:
+            gamma *= min(max(math.sqrt(target / nbhd), 0.5), 2.0) if nbhd > 0.0 else 2.0
+        kept = trial
+        if nbhd > limit:
+            trace.extras["centering_warnings"] += 1
+        return None
 
-    p = _newton_loop(instance, p, trace, measure, step, callback=callback, eps=config.eps,
-                     max_iters=config.max_iters, hessian_mode=config.hessian_mode,
-                     eps_k=config.eps_k)
+    def take_step(k):
+        """The step from the kept row k: -(a - t+ b), or -a once t = 0."""
+        nonlocal t
+        t_row, a, b, g0_norm = kept
+        if t_row == 0.0:
+            return -a
+        t = max(t_row - gamma / (C * g0_norm), 0.0)
+        trace.extras["t_zero_k"] = k if t == 0.0 else None
+        return -(a - t * b)
+
+    def step(k, state, solver):
+        return take_step(k), math.nan
+
+    p = _newton_loop(instance, p, trace, measure, step, callback=callback, retreat=retreat,
+                     eps=config.eps, max_iters=config.max_iters,
+                     hessian_mode=config.hessian_mode, eps_k=config.eps_k)
     return p, trace
 
 

@@ -487,18 +487,22 @@ class TestPathFolRun:
         assert trace.status == "Converged"
         last = trace.rows[-1]
         solves = 2 if last.homotopy > 0.0 else 1
+        assert trace.extras["retreats"] == 0  # one query per row
         assert [tol for r, tol in tols if r == last.k] == [cfg.eps_k] * solves
+        # while t > 0 the forcing term stops at a tenth of gamma's nbhd_resid target
+        cap = 0.1 * 0.5 * cfg.beta / cfg.c_phi
         for r, tol in tols:
-            g = trace.rows[r].grad_inf
-            assert tol == max(cfg.eps_k, min(ipm.PCG_FORCING_CAP, g * g))
-        assert tols[0][1] == ipm.PCG_FORCING_CAP
+            row = trace.rows[r]
+            forcing = min(ipm.PCG_FORCING_CAP, row.grad_inf ** 2)
+            assert tol == max(cfg.eps_k, min(forcing, cap) if row.homotopy > 0.0 else forcing)
+        assert tols[0][1] == min(ipm.PCG_FORCING_CAP, cap)
 
     @pytest.mark.parametrize("rho", [0.9, -0.9])
     def test_forcing_term_keeps_status_and_iterations(self, monkeypatch, rho):
-        # the benchmark's density.  A loose b solve underestimates the dual
-        # norm that sizes t's steps, by about 1e-3 relative here, so t runs
-        # slightly ahead and the last row can land one row early: seed 1 at
-        # rho = 0.9 takes 48 rows where every solve at eps_k takes 49
+        # the benchmark's density.  While t > 0 both solves stop at a tenth of
+        # gamma's nbhd_resid target, so the t-steps match; a looser solve at
+        # t = 0 can cost a row: seed 2 at rho = -0.9 takes one row more than
+        # with every solve at eps_k
         moved = []
         for seed in range(1, 5):
             inst = mq.generate_random(60, 180, 0.2, rho=rho, seed=seed)
@@ -512,7 +516,7 @@ class TestPathFolRun:
             assert forced.extras["t_zero_k"] == fixed.extras["t_zero_k"]
             assert sum(r.pcg_iters for r in forced.rows) < sum(r.pcg_iters for r in fixed.rows)
             moved.append(forced.iterations() - fixed.iterations())
-        assert moved == ([-1, 0, 0, 0] if rho > 0 else [0, 0, 0, 0])
+        assert moved == ([0, 0, 0, 0] if rho > 0 else [0, 1, 0, 0])
 
     def test_decrement_and_residual_are_dual_norms_at_each_iterate(self):
         # a and b combine linearly; each row must match direct solves at its iterate
@@ -530,6 +534,105 @@ class TestPathFolRun:
             nbhd = newton_decrement(op, p * (state.grad - row.homotopy * g0))
             assert abs(row.decrement - lam) <= 1e-10 * lam
             assert abs(row.nbhd_resid - nbhd) <= 1e-10 * nbhd
+
+    def test_a_step_that_leaves_the_neighbourhood_is_retaken_at_half_its_t_step(
+            self, monkeypatch):
+        measured = _inflate_nbhd_resid(monkeypatch, rows={2})
+        inst = mq.generate_random(8, 20, 0.8, rho=0.5, seed=2)
+        cfg = PathFolConfig(eps=1e-7, hessian_mode="exact")
+        _, trace = pathfol_run(inst, cfg, np.full(8, inst.total_budget() / 8))
+        assert trace.status == "Converged"
+        assert [k for k, _ in measured] == [0, 1, 2] + list(range(2, trace.iterations()))
+        t_before, t_rejected, t_kept = measured[1][1], measured[2][1], measured[3][1]
+        assert t_before == trace.rows[1].homotopy > t_rejected > 0.0
+        assert trace.rows[2].homotopy == t_kept
+        assert t_before - t_kept == pytest.approx(0.5 * (t_before - t_rejected), rel=1e-9)
+        assert trace.extras["retreats"] == 1
+        assert trace.extras["price_queries"] == trace.iterations() + 1
+        ts = [r.homotopy for r in trace.rows]
+        assert all(b <= a for a, b in zip(ts, ts[1:]))
+        assert trace.extras["centering_warnings"] == 0
+
+    def test_retreats_in_a_row_end_the_run_with_the_reason(self, monkeypatch):
+        # every point after the anchor reads outside the neighbourhood
+        measured = _inflate_nbhd_resid(monkeypatch, rows=None)
+        inst = mq.generate_random(8, 20, 0.8, rho=0.5, seed=2)
+        _, trace = pathfol_run(inst, PathFolConfig(eps=1e-7), np.full(8, inst.total_budget() / 8))
+        assert trace.status == "NumericalFailure"
+        assert "t-steps in a row left the neighbourhood" in trace.extras["error"]
+        assert trace.iterations() == 1
+        assert trace.extras["retreats"] == ipm.MAX_RETREATS
+        assert trace.extras["price_queries"] == len(measured) == ipm.MAX_RETREATS + 2
+        steps = [1.0 - t for _, t in measured[1:]]  # each trial's t-step from the anchor
+        assert all(b == pytest.approx(0.5 * a, rel=1e-9) for a, b in zip(steps, steps[1:]))
+
+    @pytest.mark.parametrize("persists", [False, True])
+    def test_an_oracle_error_after_the_anchor_retreats(self, monkeypatch, persists):
+        # the third query fails, then every one after it or none
+        real, calls = oracle.bid_shares, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3 or (persists and len(calls) > 3):
+                raise OracleError("forced oracle failure")
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "bid_shares", failing)
+        _, trace = DRIVERS["pathfol"][1]()
+        if persists:
+            assert trace.status == "NumericalFailure"
+            assert trace.extras["error"] == "forced oracle failure"
+            assert trace.extras["retreats"] == ipm.MAX_RETREATS
+            assert trace.iterations() == 2
+        else:
+            assert trace.status == "Converged"
+            assert trace.extras["retreats"] == 1
+            assert trace.extras["price_queries"] == trace.iterations() + 1
+
+    @pytest.mark.parametrize("start", [0.25, 0.5])
+    def test_flow_market_converges_from_either_start(self, start):
+        # from 0.5 a fixed t-step ended NumericalFailure after 169 rows: the constrained
+        # oracle's Newton stalled at a t-step's point ("no convergence in 100 Newton steps")
+        _, trace = pathfol_run(mixed_flow_instance(), PathFolConfig(eps=1e-7), np.full(4, start))
+        assert trace.status == "Converged"
+        assert trace.extras["centering_warnings"] == 0
+
+    @pytest.mark.parametrize("rho", [0.9, 0.5, -0.5, -0.9])
+    def test_random_budgets_at_money_scale_converge(self, rho):
+        # W ~ 90, then budgets x100, where a fixed t-step ran out of 2000 rows; the
+        # prices scale with the budgets
+        base = mq.generate_random(60, 180, 0.2, rho=rho, seed=1)
+        w = 1.0 - np.random.default_rng(1001).random(180)
+        prices = []
+        for scale in (1.0, 100.0):
+            inst = MarketInstance(60, 180, scale * w, base.utilities)
+            p, trace = pathfol_run(inst, PathFolConfig(eps=1e-7, hessian_mode="pcg"),
+                                   np.full(60, inst.total_budget() / 60))
+            assert trace.status == "Converged"
+            assert trace.extras["centering_warnings"] == 0
+            prices.append(p / scale)
+        np.testing.assert_allclose(prices[1], prices[0], rtol=1e-6)
+
+
+def _inflate_nbhd_resid(monkeypatch, rows):
+    """Make PathFol's measure report nbhd_resid 1.0 (far above beta/C) on the
+    first measure of each row in ``rows``, or on every measure after row 0's
+    when rows is None; returns the (k, homotopy) of every measure."""
+    real, measured = ipm._newton_loop, []
+
+    def loop(instance, p, trace, measure, step, *args, **kwargs):
+        def inflated(k, state, solver):
+            homotopy, nbhd, decrement = measure(k, state, solver)
+            first = all(j != k for j, _ in measured)
+            if (k in rows and first) if rows is not None else k > 0:
+                nbhd = 1.0
+            measured.append((k, homotopy))
+            return homotopy, nbhd, decrement
+
+        return real(instance, p, trace, inflated, step, *args, **kwargs)
+
+    monkeypatch.setattr(ipm, "_newton_loop", loop)
+    return measured
 
 
 class TestNewtonPolish:
@@ -883,10 +986,11 @@ def _continuation_assemblies(trace):
 class TestEveryDriver:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_an_oracle_error_ends_the_run_as_numerical_failure(self, monkeypatch, driver):
-        # the kernel raises on its third call; on the polish's first, since its later
-        # queries are line-search trials, where an oracle error halves the step instead
+        # the kernel raises on its third call; on the polish's and PathFol's first, since
+        # there an oracle error at a later query halves the step instead (the polish's
+        # line search, PathFol's retreat)
         kernel, solve = DRIVERS[driver]
-        fail_at = 1 if driver == "polish" else 3
+        fail_at = 1 if driver in ("polish", "pathfol") else 3
         real, calls = getattr(oracle, kernel), []
 
         def failing(*args):
