@@ -332,13 +332,25 @@ _NUMERICAL_ERRORS = (OracleError, FloatingPointError, scipy.linalg.LinAlgError)
 def _counters(extras: dict) -> dict:
     """The counters _newton_loop keeps in a trace's extras, 0 where one is unset."""
     return {key: extras.get(key, 0)
-            for key in ("price_queries", "safeguards", "dr1_fallbacks", "backtracks", "retreats")}
+            for key in ("price_queries", "safeguards", "dr1_fallbacks", "backtracks", "retreats",
+                        "con_newton_steps")}
 
 
-def _query(instance: MarketInstance, p, trace: SolveTrace):
-    """market_state at p, counted in trace.extras["price_queries"]."""
+def _query(instance: MarketInstance, p, trace: SolveTrace, prev=None):
+    """market_state at p, warm-started from ``prev``, counted in trace.extras.
+
+    The callers pass the most recent state their run queried, whether its
+    point was kept or not (a rejected line-search trial, a point PathFol
+    retreated from), so constrained players start their Newton from the
+    demand at the nearest earlier prices.  extras["price_queries"] counts
+    the queries and extras["con_newton_steps"] their constrained Newton
+    steps.
+    """
     trace.extras["price_queries"] = trace.extras.get("price_queries", 0) + 1
-    return market_state(instance, p)
+    state = market_state(instance, p, prev)
+    trace.extras["con_newton_steps"] = trace.extras.get("con_newton_steps", 0) \
+        + state.con_newton_steps
+    return state
 
 
 def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace,
@@ -352,7 +364,8 @@ def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace
     (alpha, D), -g alpha^2 / (2 (D - g alpha)), clamped to [BACKTRACK_MIN,
     BACKTRACK_MAX] alpha (Nocedal & Wright, Numerical Optimization, 3.5); a
     trial outside the oracle's domain, or a slope that is not negative,
-    halves alpha.  Each rejected trial adds one to extras["backtracks"].
+    halves alpha.  Each rejected trial adds one to extras["backtracks"];
+    each trial's query is warm-started from the last one's.
     Returns (alpha, state there); (None, None) when no alpha >= MIN_ALPHA is
     acceptable.  A slope above tol (d is an ascent direction) raises
     FloatingPointError before any price query."""
@@ -360,10 +373,11 @@ def _backtrack(instance: MarketInstance, state, d: np.ndarray, trace: SolveTrace
     tol = PHI_ACCURACY * max(1.0, abs(state.value))
     if not slope <= tol:  # NaN included
         raise FloatingPointError(f"the step is not a descent direction: slope {slope:.3e} of phi")
+    prev = state
     while alpha >= MIN_ALPHA:
         shorter = 0.5 * alpha
         try:
-            trial = _query(instance, state.p * (1.0 + alpha * d), trace)
+            trial = prev = _query(instance, state.p * (1.0 + alpha * d), trace, prev)
             rise = trial.value - state.value
             if rise <= ARMIJO * alpha * slope or (-slope <= tol and rise <= tol):
                 return alpha, trial
@@ -393,7 +407,8 @@ def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, 
     """Steps p <- p (1 + d) until ||grad phi||_inf <= eps, at most max_iters rows.
 
     Each iteration queries the players at p (the first one reads ``state``,
-    the driver's own query at p, when given); the driver's rule does the
+    the driver's own query at p, when given), warm-started from the run's
+    most recent query (_query); the driver's rule does the
     rest, solving on the iteration's _StepSolver in ``hessian_mode`` with CG
     tolerance ``eps_k``, which assembles H~ from the query on its first
     solve: measure(k, state, solver) gives the row's (homotopy, nbhd_resid,
@@ -420,6 +435,7 @@ def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, 
     trace.extras.update(_counters(trace.extras))
     status = STATUS_MAXITERS
     alpha = 1.0  # the damped step's first trial fraction
+    last = state  # the most recent query, rejected or kept: the next one's warm start
     for k in range(max_iters):
         tic = time.perf_counter()
         solvers = []  # the row's: its rejected trials' first
@@ -427,7 +443,7 @@ def _newton_loop(instance: MarketInstance, p, trace: SolveTrace, measure, step, 
             while True:
                 try:
                     if state is None:
-                        state = _query(instance, p, trace)
+                        state = last = _query(instance, p, trace, last)
                     # assemble_from_state is looked up per row, where bench/tracer.py patches it
                     solvers.append(_StepSolver(partial(hes.assemble_from_state, state, instance),
                                                hessian_mode, eps_k, buf))
@@ -555,8 +571,9 @@ def _initial_center(instance: MarketInstance, Q: float, trace: SolveTrace):
     """logbar_init's (mu0, market state at p0 = mu0 * 1), its queries counted in trace."""
     w_eff = effective_budget(instance)
     mu0 = lemma_initial_mu(instance, Q)
+    state = None
     for _ in range(128):
-        state = _query(instance, np.full(instance.n, mu0), trace)
+        state = _query(instance, np.full(instance.n, mu0), trace, state)
         resid = np.linalg.norm(state.p * state.grad - mu0) / mu0
         if resid <= Q * (1.0 + 1e-12):
             return mu0, state
@@ -593,7 +610,8 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
     only buys price queries that the first stage throws away.
     extras["barrier_phase"] records the phase's sigma, rows, final grad_inf,
     last mu, status and loop counters (_counters: price queries, safeguard
-    clips, DR1 fallbacks, rejected line-search trials, retreats).  Each
+    clips, DR1 fallbacks, rejected line-search trials, retreats, constrained
+    Newton steps).  Each
     stage adds one trace row (homotopy = its sigma, the gradient norms of
     its polish's last row) and one entry to extras["continuation"] with the
     polish's sigma, final grad_inf, status, Newton steps and the same

@@ -16,7 +16,11 @@ softmax instead.  Linear-barrier players reduce to a one-dimensional
 root-find.  Homogeneously constrained players run a damped feasible Newton,
 all of them at once per price query, stacked per group of equal
 constraint-row count, and their demand stays stacked per group
-(``MarketState.con_x``) for the Hessian and the certificate: hess v is
+(``MarketState.con_x``) for the Hessian and the certificate.  A query given
+the state of an earlier one (``market_state``'s ``prev``) starts each
+group's Newton from that demand scaled onto the new budget plane, which
+A x = 0 keeps feasible; the line search also accepts a step that leaves v
+flat to its accuracy where the slope is itself below it.  hess v is
 diagonal-plus-rank-one with the closed-form inverse
 W^-1 = (diag(x^2/gamma) - r x x^T) / (d (1-r)), so each Newton step is a
 small Schur-complement solve B W^-1 B^T nu = -B W^-1 g per player (B = [A; p]),
@@ -313,7 +317,8 @@ def _feasible_start(B, b, X, tol=1e-9, iters=200):
     return X, (X.min(axis=1) > 0) & (resid <= tol * (1.0 + np.abs(b[:, -1])))
 
 
-def _constrained_newton(p, C, k, r, w, A, tol_stat: float = 1e-10, max_newton: int = 100):
+def _constrained_newton(p, C, k, r, w, A, tol_stat: float = 1e-10, max_newton: int = 100,
+                        start=None):
     """The LUMPs of G players that share a constraint-row count, solved at once.
 
     Player g maximizes log u_g(x) = k_g log <C_g, x^r_g> subject to
@@ -330,7 +335,19 @@ def _constrained_newton(p, C, k, r, w, A, tol_stat: float = 1e-10, max_newton: i
     Armijo backtracking on v and stop rule (stationarity and squared
     decrement within ``tol_stat``), and a player that has stopped is not
     stepped again; a player's answer matches its one-player solve to
-    rounding (numpy may round x^r differently for a one-row stack).
+    rounding (numpy may round x^r differently for a one-row stack).  v is
+    accurate to tol = tol_stat max(1, |v|), so where a player's slope is
+    within tol of 0 a trial is also accepted when v rises by at most tol
+    (the flat rule of ``ipm._backtrack``): there Armijo's decrease is
+    decided by rounding, and without the rule the step fraction halves
+    to nothing on large budgets.
+
+    ``start``, when given, is a (G, n) positive demand whose rows satisfy
+    A_g x = 0, typically the group's demand at earlier prices: its rows
+    scaled onto the budget plane, x w / <p, x>, stay feasible (A x = 0 is
+    homogeneous) and are the Newton start.  Otherwise the start is the
+    unconstrained demand projected onto the feasible set
+    (``_feasible_start``).
 
     Returns (X, Y, lam, steps): the (G, n) demand, the constraint and budget
     multipliers of the last Newton system, and the steps taken in total.
@@ -339,18 +356,21 @@ def _constrained_newton(p, C, k, r, w, A, tol_stat: float = 1e-10, max_newton: i
     if np.any(C <= 0):
         raise OracleError("constrained oracle needs strictly positive coefficients")
     B = np.concatenate([A, np.broadcast_to(p, (G, 1, n))], axis=1)
-    b = np.zeros(B.shape[:2])
-    b[:, -1] = w
-    a = 1.0 / (1.0 - r)
-    logits = a[:, None] * np.log(C) - (r * a)[:, None] * np.log(p)
-    E = np.exp(logits - logits.max(axis=1, keepdims=True))
-    X, ok = _feasible_start(B, b, w[:, None] * (E / E.sum(axis=1, keepdims=True)) / p)
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        uniform = np.repeat((w[bad] / p.sum())[:, None], n, axis=1)
-        X[bad], ok[bad] = _feasible_start(B[bad], b[bad], uniform)
+    if start is not None:
+        X = start * (w / (start @ p))[:, None]
+    else:
+        b = np.zeros(B.shape[:2])
+        b[:, -1] = w
+        a = 1.0 / (1.0 - r)
+        logits = a[:, None] * np.log(C) - (r * a)[:, None] * np.log(p)
+        E = np.exp(logits - logits.max(axis=1, keepdims=True))
+        X, ok = _feasible_start(B, b, w[:, None] * (E / E.sum(axis=1, keepdims=True)) / p)
         if not ok.all():
-            raise FeasibleStartError("no strictly feasible interior start found")
+            bad = np.flatnonzero(~ok)
+            uniform = np.repeat((w[bad] / p.sum())[:, None], n, axis=1)
+            X[bad], ok[bad] = _feasible_start(B[bad], b[bad], uniform)
+            if not ok.all():
+                raise FeasibleStartError("no strictly feasible interior start found")
 
     d = k * r
 
@@ -386,6 +406,8 @@ def _constrained_newton(p, C, k, r, w, A, tol_stat: float = 1e-10, max_newton: i
             alpha = np.minimum(1.0, 0.99 * np.where(dx < 0, -x / dx, np.inf).min(axis=1))
         v0 = v_of(x, active)
         slope = np.sum(grad * dx, axis=1)
+        tol = tol_stat * np.maximum(1.0, np.abs(v0))  # v's accuracy, per player
+        flat = np.abs(slope) <= tol  # a slope of rounding size, never an ascent direction
         pending = np.arange(active.size)
         while pending.size:
             if np.any(alpha[pending] <= 1e-14):
@@ -394,8 +416,9 @@ def _constrained_newton(p, C, k, r, w, A, tol_stat: float = 1e-10, max_newton: i
             x_try = x[pending] + alpha[pending, None] * dx[pending]
             accept = x_try.min(axis=1) > 0
             pos = pending[accept]
-            accept[accept] = (v_of(x_try[accept], active[pos])
-                              <= v0[pos] + 1e-4 * alpha[pos] * slope[pos])
+            v_try = v_of(x_try[accept], active[pos])
+            accept[accept] = ((v_try <= v0[pos] + 1e-4 * alpha[pos] * slope[pos])
+                              | (flat[pos] & (v_try - v0[pos] <= tol[pos])))
             X[active[pending[accept]]] = x_try[accept]
             pending = pending[~accept]
             alpha[pending] *= 0.5
@@ -436,7 +459,8 @@ def constrained_hessian_rows(X, C, k, r, w, A):
     the block is c (W' - W' A^T S^-1 A W'): D = c q, row 0 of R is x with
     weight c r, and rows 1..rows are L^-1 A W' with weight c.  Returns
     (D, R, s) of shapes (G, n), (G, 1 + rows, n) and (G, 1 + rows).  Raises
-    ConditioningError when some S has a condition number above 1e13.
+    ConditioningError when some S has a condition number above 1e13,
+    lambda_max / lambda_min, or an eigenvalue that is not positive.
     """
     t = C * X ** r[:, None]
     q = X * X / (t / t.sum(axis=1, keepdims=True))
@@ -445,7 +469,9 @@ def constrained_hessian_rows(X, C, k, r, w, A):
     if A.shape[1]:
         AW = A * q[:, None, :] - r[:, None, None] * (A @ X[..., None]) * X[:, None, :]
         S = AW @ A.transpose(0, 2, 1)
-        cond = np.linalg.cond(S)
+        eig = np.linalg.eigvalsh(S)  # ascending; S is symmetric
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(eig[:, 0] > 0, eig[:, -1] / eig[:, 0], np.inf)
         if not np.all(np.isfinite(cond)) or np.any(cond > 1e13):
             raise ConditioningError(f"A W^-1 A^T condition number {float(np.nanmax(cond)):.3e}")
         R = np.concatenate([R, np.linalg.solve(np.linalg.cholesky(S), AW)], axis=1)
@@ -621,7 +647,17 @@ class MarketState:
                                  for i, x in zip(grp.players.tolist(), X)})
 
 
-def market_state(instance: MarketInstance, p) -> MarketState:
+def market_state(instance: MarketInstance, p, prev: MarketState | None = None) -> MarketState:
+    """Every player's best response at p, aggregated into what a Newton step reads.
+
+    ``prev``, a state of the same instance at other prices, warm-starts the
+    constrained players: each group's Newton starts from ``prev``'s demand
+    rows scaled onto the new budget plane (``_constrained_newton``'s
+    ``start``) instead of a projected cold start.  It is read only when its
+    ``con_x`` groups are this instance's own ``con_groups()``; otherwise,
+    and for every other player, the query is cold, so the answer depends on
+    ``prev`` only within the constrained Newton's tolerance.
+    """
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0) or not np.all(np.isfinite(p)):
         raise OracleError("prices must stay strictly positive and finite")
@@ -646,8 +682,13 @@ def market_state(instance: MarketInstance, p) -> MarketState:
         value += float(np.sum(wu * np.log(wu))) + float(np.sum((wu / du) * ku * (1.0 - ru) * logS))
     con_x = []
     steps = 0
-    for grp in instance.con_groups():
-        X, _, _, taken = _constrained_newton(p, grp.C, grp.k, grp.r, grp.w, grp.A)
+    groups = instance.con_groups()
+    starts = [None] * len(groups)
+    if prev is not None and len(prev.con_x) == len(groups) and all(
+            g is grp for (g, _), grp in zip(prev.con_x, groups)):
+        starts = [X for _, X in prev.con_x]
+    for grp, start in zip(groups, starts):
+        X, _, _, taken = _constrained_newton(p, grp.C, grp.k, grp.r, grp.w, grp.A, start=start)
         steps += taken
         con_x.append((grp, X))
         log_u = grp.k * np.log(np.sum(grp.C * X ** grp.r[:, None], axis=1))

@@ -23,7 +23,7 @@ def load_tool():
 def solve(queries, p=1.0, safeguards=0):
     return {"status": "Converged", "iterations": 3, "price_queries": queries,
             "safeguards": safeguards, "dr1_fallbacks": 0, "backtracks": 0, "retreats": 0,
-            "p": [float(p).hex()]}
+            "con_newton_steps": 0, "p": [float(p).hex()]}
 
 
 def test_diff_prints_each_workloads_query_totals(tmp_path, capsys):
@@ -57,7 +57,8 @@ def test_run_records_the_loops_counters(tmp_path, monkeypatch):
     record = json.loads((tmp_path / "record.json").read_text(encoding="utf-8"))
     (solve,) = [value for value in record.values() if isinstance(value, dict)]
     _, trace = workloads.solves_of([cell])[0].runner()()
-    counters = ("price_queries", "safeguards", "dr1_fallbacks", "backtracks", "retreats")
+    counters = ("price_queries", "safeguards", "dr1_fallbacks", "backtracks", "retreats",
+                "con_newton_steps")
     assert {key: solve[key] for key in counters} == {key: trace.extras[key] for key in counters}
     assert solve["safeguards"] >= 1
 

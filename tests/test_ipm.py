@@ -183,7 +183,7 @@ class TestLogBarRun:
         # call 1 accepts the center and gives row 0, calls 2-3 rows 1-2, call 4 fails before row 3
         real, calls = ipm.market_state, []
 
-        def failing(instance, p):
+        def failing(instance, p, prev=None):
             calls.append(1)
             if len(calls) == 4:
                 raise OracleError("forced oracle failure")
@@ -283,6 +283,20 @@ def test_logbar_on_flow_market():
     assert rep["grad_inf"] <= 1e-8
     assert rep["kkt_residual_max"] <= 1e-10
     assert abs(p.sum() - inst.total_budget()) < 1e-7
+
+
+def test_logbar_on_the_benchmark_flow_market_at_money_scale():
+    # W ~ 116: the constrained Newton's Armijo test, decided by rounding where a player's
+    # slope is within v's accuracy, ended this run NumericalFailure after 18 rows
+    # ("line search failed at stationarity 7.513e-09"); the flat rule accepts those steps
+    inst = load_bench("workloads")._flow_cells(13)[0].instance
+    w = 1.0 - np.random.default_rng(1013).random(inst.m)
+    inst = MarketInstance(inst.n, inst.m, w, inst.utilities, inst.constraints)
+    p, trace = logbar_run(inst, LogBarConfig(eps=1e-7, sigma_override=0.5, eps_k=1e-8,
+                                             hessian_mode="exact", max_iters=2000))
+    assert trace.status == "Converged", trace.extras.get("error")
+    rep = equilibrium_certificate(inst, p, eps=1e-7)
+    assert rep["converged"] and rep["kkt_residual_max"] <= 1e-12
 
 
 def test_solves_leave_coefficient_arrays_unchanged():
@@ -677,7 +691,7 @@ class TestNewtonPolish:
         inst = mq.generate_random(15, 40, 0.8, rho=0.5, seed=8)
         queries = []
 
-        def rising(instance, p):  # every query reads phi 1e6 higher than the last
+        def rising(instance, p, prev=None):  # every query reads phi 1e6 higher than the last
             queries.append(p)
             state = market_state(instance, p)
             return dataclasses.replace(state, value=state.value + 1e6 * len(queries))
@@ -699,7 +713,7 @@ class TestNewtonPolish:
         _, full = newton_polish(inst, p0, eps=1e-12, max_iters=1)
         queries = []
 
-        def refuse_first_trial(instance, p):
+        def refuse_first_trial(instance, p, prev=None):
             queries.append(p)
             if len(queries) == 2:
                 raise OracleError("trial outside the oracle's domain")
@@ -717,10 +731,11 @@ class TestNewtonPolish:
         direction (1, 1), where a trial at alpha reads phi(alpha) or, at the
         trial numbers in ``refuse``, raises OracleError.  Returns (alpha, trial
         alphas, rejected-trial count)."""
-        Start = dataclasses.make_dataclass("Start", ["p", "grad", "value"])
+        Start = dataclasses.make_dataclass("Start", ["p", "grad", "value",
+                                                     ("con_newton_steps", int, 0)])
         start, trials = Start(np.ones(2), np.ones(2), 0.0), []
 
-        def query(instance, p):
+        def query(instance, p, prev=None):
             trials.append((float(p[0]) - 1.0) / direction)
             if len(trials) in refuse:
                 raise OracleError("trial outside the oracle's domain")
@@ -788,10 +803,10 @@ class TestNewtonPolish:
         inst = mq.generate_random(20, 50, 0.5, seed=21, kind="linear_barrier", sigma=1e-4)
         real_backtrack, real_query, searches = ipm._backtrack, ipm._query, []
 
-        def recording_query(instance, p, trace):
+        def recording_query(instance, p, trace, prev=None):
             if searches and "found" not in searches[-1]:
                 searches[-1]["trials"].append(np.array(p))
-            return real_query(instance, p, trace)
+            return real_query(instance, p, trace, prev)
 
         def recording_backtrack(instance, state, d, trace, alpha):
             searches.append({"state": state, "d": d, "first": alpha, "trials": []})
@@ -859,9 +874,11 @@ class TestSigmaContinuation:
         _, trace = logbar_run(inst, LogBarConfig(eps=1e-6, hessian_mode="exact", max_iters=600))
         assert trace.status == "Converged"
         phase, stages = trace.extras["barrier_phase"], trace.extras["continuation"]
-        for key in ("price_queries", "safeguards", "dr1_fallbacks", "backtracks"):
+        for key in ("price_queries", "safeguards", "dr1_fallbacks", "backtracks",
+                    "con_newton_steps"):
             assert trace.extras[key] == phase[key] + sum(stage[key] for stage in stages), key
         assert trace.extras["safeguards"] >= 1
+        assert trace.extras["con_newton_steps"] == 0  # a linear market has no constrained player
 
     def test_benchmark_cells_hand_off_to_the_ladder_at_1e_2(self):
         # the near-linear workload at seed 1, solved as bench/run.py solves it: the barrier
@@ -931,7 +948,7 @@ class TestPriceQueries:
     def test_extras_count_every_market_state_call(self, monkeypatch, solve):
         real, calls = ipm.market_state, []
 
-        def counting(instance, p):
+        def counting(instance, p, prev=None):
             calls.append(1)
             return real(instance, p)
 
@@ -940,13 +957,39 @@ class TestPriceQueries:
         assert trace.status == "Converged"
         assert trace.extras["price_queries"] == len(calls)
 
+    @pytest.mark.parametrize("method, rejected", [
+        ("logbar", None), ("pathfol", "retreats"), ("polish", "backtracks")])
+    def test_each_query_is_warm_started_from_the_one_before(self, monkeypatch, method, rejected):
+        # rejected points included: PathFol's row 3 is made to leave the neighbourhood,
+        # and the polish rejects one line-search trial
+        real, calls = ipm.market_state, []
+
+        def recording(instance, p, prev=None):
+            calls.append((prev, real(instance, p, prev)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(ipm, "market_state", recording)
+        inst, p0 = mixed_flow_instance(), np.full(4, 0.5)
+        if method == "logbar":
+            _, trace = logbar_run(inst, LogBarConfig(eps=1e-7))
+        elif method == "pathfol":
+            _inflate_nbhd_resid(monkeypatch, {3})
+            _, trace = pathfol_run(inst, PathFolConfig(eps=1e-7), p0)
+        else:
+            _, trace = newton_polish(inst, p0, eps=1e-9, hessian_mode="exact")
+        assert trace.status == "Converged"
+        assert rejected is None or trace.extras[rejected] >= 1
+        assert calls[0][0] is None
+        assert all(prev is last for (prev, _), (_, last) in zip(calls[1:], calls))
+        assert trace.extras["con_newton_steps"] == sum(st.con_newton_steps for _, st in calls)
+
     @solves
     def test_no_query_repeats_the_last_one(self, monkeypatch, solve):
         # LogBar's row 0 reads its center's query and PathFol's anchor is its row 0 query;
         # a sigma stage queries its start again, but on a different market
         real, calls = ipm.market_state, []
 
-        def recording(instance, p):
+        def recording(instance, p, prev=None):
             calls.append((instance, np.array(p)))
             return real(instance, p)
 
@@ -1133,6 +1176,23 @@ class TestCertificate:
         assert set(equilibrium_certificate(inst, np.ones(inst.n), eps=1e-6)) == keys
         assert set(equilibrium_certificate(inst, np.ones(inst.n))) == keys - {
             "eps", "converged", "remark1_bound", "clearing_within_bound"}
+
+    def test_certificate_and_assembly_query_cold(self, monkeypatch):
+        # the oracle stays a function of its arguments outside the solve loop
+        inst = mixed_flow_instance()
+        prevs = []
+
+        def recording(instance, p, prev=None):
+            prevs.append(prev)
+            return market_state(instance, p, prev)
+
+        monkeypatch.setattr(ipm, "market_state", recording)
+        monkeypatch.setattr(hes, "market_state", recording)
+        p = np.full(inst.n, 0.5)
+        cert = equilibrium_certificate(inst, p)
+        hes.assemble(inst, p)
+        assert prevs == [None, None]
+        assert cert == equilibrium_certificate(inst, p)
 
     def test_linear_kkt_residual_is_the_one_row_maximum(self, rng):
         inst = mq.generate_random(8, 14, 0.6, seed=4, kind="linear_barrier", sigma=1e-3)

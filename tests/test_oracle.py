@@ -537,6 +537,53 @@ class TestConstrained:
         lin = mq.generate_random(8, 20, 0.5, seed=1, kind="linear_barrier", sigma=0.01)
         assert market_state(lin, np.ones(8)).con_newton_steps == 0
 
+    def test_warm_query_matches_cold_in_fewer_newton_steps(self):
+        # p1 -> p2 is a 1% move, the size of a solve's late steps.  Both answers meet the
+        # Newton's stop rule (stationarity 1e-10 (1 + |grad v|)), which leaves each one up
+        # to about 1e-10 from the exact demand: over these ten pairs the two agreed to
+        # 5e-16 - 1.2e-10 relative, so the bound is 1e-9
+        inst = mixed_flow_instance(players=3)
+        for seed in range(7, 17):
+            rng = np.random.default_rng(seed)
+            p2 = rng.uniform(0.3, 0.7, inst.n)
+            p1 = p2 * (1.0 + 0.01 * rng.standard_normal(inst.n))
+            warm = market_state(inst, p2, market_state(inst, p1))
+            cold = market_state(inst, p2)
+            assert np.max(np.abs(warm.demand - cold.demand) / cold.demand) <= 1e-9
+            assert warm.con_newton_steps < cold.con_newton_steps
+            (grp, X), = warm.con_x
+            assert np.max(np.abs(grp.A @ X[..., None])) <= 1e-12
+            assert np.max(np.abs(X @ p2 - grp.w) / grp.w) <= 1e-12
+
+    def test_warm_start_from_far_prices_converges(self):
+        inst = mixed_flow_instance(players=3)
+        for seed in range(7, 17):
+            p = np.random.default_rng(seed).uniform(0.3, 0.7, inst.n)
+            far = market_state(inst, 10.0 * p[::-1])
+            warm, cold = market_state(inst, p, far), market_state(inst, p)
+            assert warm.con_newton_steps > 0
+            assert np.max(np.abs(warm.demand - cold.demand) / cold.demand) <= 1e-9
+
+    def test_prev_of_another_market_is_not_read(self):
+        # same shapes, but other groups: the query is the cold one, bit for bit
+        inst, other = mixed_flow_instance(players=3), mixed_flow_instance(players=3)
+        p = np.full(inst.n, 0.5)
+        cold = market_state(inst, p)
+        for prev in (market_state(other, 0.9 * p), market_state(mq.generate_random(4, 6, 0.5), p)):
+            state = market_state(inst, p, prev)
+            assert state.con_newton_steps == cold.con_newton_steps
+            assert np.array_equal(state.demand, cold.demand)
+
+    def test_singular_schur_matrix_raises_conditioning_error(self):
+        # two equal constraint rows make A W' A^T singular
+        A = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0]])
+        X = np.array([[0.5, 0.5, 0.3]])
+        args = (np.ones((1, 3)), np.array([2.0]), np.array([0.5]), np.array([1.0]))
+        with pytest.raises(oracle.ConditioningError, match="A W\\^-1 A\\^T condition number"):
+            oracle.constrained_hessian_rows(X, *args, A[None])
+        D, R, s = oracle.constrained_hessian_rows(X, *args, A[None, :1])
+        assert R.shape == (1, 2, 3) and np.all(np.isfinite(R))
+
     def test_zero_rows_equals_unconstrained(self):
         p = np.array([1.0, 2.0])
         c = np.array([1.0, 1.0])

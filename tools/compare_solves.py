@@ -9,8 +9,8 @@ the markets from this checkout's ``bench/workloads.py``, which it only
 reads.  It solves every workload's markets at each seed, in one process with
 one BLAS thread, and writes per solve its status, iterations, the loop's
 counters (price queries, safeguard clips, DR1 fallbacks, rejected
-line-search trials and PathFol's retreats, 0 where a tree does not count
-one) and prices as
+line-search trials, PathFol's retreats and the constrained players' Newton
+steps, 0 where a tree does not count one) and prices as
 ``float.hex`` strings, and per market a SHA-256 of its arrays:
 ``C``'s CSR arrays, the budgets, the ``r``, ``k`` and ``sigma`` columns and
 the constraint matrices, so a construction change that alters a market
@@ -70,7 +70,7 @@ def run(src: Path, seeds, out: Path) -> None:
                 record[key] = {"status": trace.status, "iterations": trace.iterations(),
                                **{c: trace.extras.get(c, 0) for c in (
                                    "price_queries", "safeguards", "dr1_fallbacks", "backtracks",
-                                   "retreats")},
+                                   "retreats", "con_newton_steps")},
                                "p": [float(v).hex() for v in p]}
                 print(f"{key}: {trace.status}, {trace.iterations()} iterations, "
                       f"{record[key]['price_queries']} queries", file=sys.stderr)
