@@ -11,7 +11,6 @@ from .ipm import (
     equilibrium_certificate,
     logbar_run,
     pathfol_run,
-    pathfol_select_params,
 )
 from .market import (
     MarketInstance,

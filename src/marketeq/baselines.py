@@ -21,7 +21,8 @@ from .ipm import (STATUS_CONVERGED, STATUS_MAXITERS, STATUS_NUMFAIL, ConfigError
                   TraceRow, _newton_loop, _start_prices, _validate_eps, _validate_market)
 from .market import MarketInstance
 from .oracle import _row_softmax
-from .oracle import market_state  # noqa: F401  (bench/tracer.py patches this name)
+# kept only for bench/tracer.py / bench/run.py (ROADMAP item 21): the tracer patches this name
+from .oracle import market_state  # noqa: F401
 
 
 @dataclass

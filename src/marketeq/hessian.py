@@ -35,12 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 
 from .market import MarketInstance
 from .oracle import MarketState, ShareRows, constrained_hessian_rows, market_state
-from .oracle import constrained_dual_hessian  # noqa: F401  (bench/tracer.py patches this name)
+# kept only for bench/tracer.py / bench/run.py (ROADMAP item 21): the tracer patches this name
+from .oracle import constrained_dual_hessian  # noqa: F401
 
 DENSE_LIMIT = 512  # largest n whose H exact mode builds dense; solves run it up to here
 GRAM_BLOCK = 256  # share rows per BLAS product in ScaledHessianOp.dense
@@ -135,14 +135,11 @@ class ScaledHessianOp:
             out += self.diag * v
         return out
 
-    def dr1_matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        if self.dr1_xi is not None:
-            out -= self.dr1_omega * (self.dr1_xi @ v) * self.dr1_xi
-        return out
-
     def diff_matvec(self, v: np.ndarray) -> np.ndarray:
-        """(H_dr1 - H_exact) v; diagonals cancel, only rank-one terms remain."""
+        """(H_dr1 - H_exact) v; diagonals cancel, only rank-one terms remain.
+
+        Read by ``diff_norm_estimate`` alone; kept only for ``bench/tracer.py`` / ``bench/run.py`` (ROADMAP item 21).
+        """
         out = self._gram(v)
         if self.dr1_xi is not None:
             out -= self.dr1_omega * (self.dr1_xi @ v) * self.dr1_xi
@@ -187,19 +184,18 @@ class ScaledHessianOp:
         return np.maximum(self.row_sums(), KC_FLOOR)
 
 
-def share_operator(n: int, G: ShareRows | sp.csr_matrix, w, r,
+def share_operator(n: int, G: ShareRows, w, r,
                    spend: np.ndarray | None = None) -> ScaledHessianOp:
     """The CES/additive piece of the share rows G, budgets w and exponents r.
 
-    G is factored (``oracle.ShareRows``) or an explicit CSR whose rows sum
-    to 1; ``spend`` is G^T w, computed here when not given.  a = w/(1-r),
+    G is factored (``oracle.ShareRows``; an explicit CSR whose rows sum to 1
+    is ``ShareRows(G, ones(n), ones(m))``); ``spend`` is G^T w, computed
+    here when not given.  a = w/(1-r),
     s = w r/(1-r), k_c = spend, and diag = G^T a and omega xi = G^T s,
     read off spend in O(n) when the rows share one r.  The DR1 data is
     omega = sum s and xi; the rank-one term is dropped (xi None) when omega
     cancels to below OMEGA_DROP_REL of sum |s|, and when it is exactly zero.
     """
-    if sp.issparse(G):
-        G = ShareRows(G, np.ones(n), np.ones(G.shape[0]))
     w = np.asarray(w, dtype=float)
     r = np.broadcast_to(np.asarray(r, dtype=float), w.shape)
     if spend is None:
@@ -350,7 +346,10 @@ def pcg_solve(op, g_diag, rhs: np.ndarray, eps_k: float, k_c: np.ndarray | None 
 
 
 def diff_norm_estimate(op: ScaledHessianOp, iters: int = 30, seed: int = 0) -> float:
-    """Power-iteration estimate of ||H_dr1 - H_exact|| (symmetric operator)."""
+    """Power-iteration estimate of ||H_dr1 - H_exact|| (symmetric operator).
+
+    No solve calls it; kept only for ``bench/tracer.py`` / ``bench/run.py`` (ROADMAP item 21).
+    """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.n)
     v /= np.linalg.norm(v)

@@ -70,8 +70,7 @@ import scipy.linalg
 
 from . import hessian as hes
 from .market import MarketInstance, atomic_write_text, with_barrier_sigma
-from .oracle import (OracleError, PotentialConstants, linear_barrier_kkt_residual,
-                     market_state, potential_constants)
+from .oracle import OracleError, linear_barrier_kkt_residual, market_state
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITERS = "MaxIters"
@@ -80,7 +79,7 @@ STATUS_NUMFAIL = "NumericalFailure"
 TRACE_HEADER = "k,homotopy,grad_inf,grad_l2,nbhd_resid,decrement,step_norm,pcg_iters,wall_ms"
 
 MU_FLOOR = 1e-12
-PRACTICAL_C_PHI = 10.0  # run-time default; theory estimate via potential_constants
+PRACTICAL_C_PHI = 10.0  # PathFol's default C; a run-time setting, not a certified bound
 STEP_SAFEGUARD_ETA = 0.01  # fraction-to-boundary: every price keeps >= 1% of its value
 ARMIJO = 1e-4  # sufficient-decrease fraction of the polish's backtracking
 # an interpolated backtracking trial keeps this much of the rejected one at least / at most
@@ -317,12 +316,6 @@ class _StepSolver:
         return d, math.sqrt(max(float(rhs @ d), 0.0))
 
 
-def newton_decrement(op: hes.ScaledHessianOp, g_scaled: np.ndarray,
-                     mode: str = "exact", eps_k: float = 1e-10) -> float:
-    """Inexact Newton decrement lambda~ = ||P grad phi||*_{H~(p)}."""
-    return _StepSolver(op, mode, eps_k).newton_step(MU_FLOOR, np.asarray(g_scaled, float))[1]
-
-
 # ---------------------------------------------------------------------------
 # the Newton loop shared by LogBar, PathFol and the polish
 
@@ -550,8 +543,9 @@ def lemma_initial_mu(instance: MarketInstance, Q: float) -> float:
     return math.sqrt(effective_budget(instance) / Q)
 
 
-def logbar_init(instance: MarketInstance, Q: float):
-    """Initial center: p0 = mu0 * 1 on the ray of uniform prices.
+def _initial_center(instance: MarketInstance, Q: float, trace: SolveTrace):
+    """LogBar's initial center: (mu0, market state at p0 = mu0 * 1), on the ray
+    of uniform prices, its queries counted in trace.
 
     Start from mu0 = sqrt(W_eff / Q) and verify membership in C(mu0, Q)
     directly; if the residual ||sum x_i(mu0 1)|| (which is bounded by
@@ -561,14 +555,8 @@ def logbar_init(instance: MarketInstance, Q: float):
     passes at practical Q through l2 slack and keeps mu0 small.  W_eff
     is sum beta_i w_i with beta_i = 1 for the additive family and
     1 + sigma*n for linear-barrier players (whose gradient scales demand
-    by that factor).
+    by that factor).  Raises OracleError when mu0 = W_eff/Q still fails.
     """
-    mu0, state = _initial_center(instance, Q, SolveTrace())
-    return mu0, state.p
-
-
-def _initial_center(instance: MarketInstance, Q: float, trace: SolveTrace):
-    """logbar_init's (mu0, market state at p0 = mu0 * 1), its queries counted in trace."""
     w_eff = effective_budget(instance)
     mu0 = lemma_initial_mu(instance, Q)
     state = None
@@ -584,9 +572,20 @@ def _initial_center(instance: MarketInstance, Q: float, trace: SolveTrace):
 
 
 def theory_strict_Q(instance: MarketInstance, eps: float) -> float:
-    """Worst-case neighborhood radius Q <= eps / (14 eps + 4 T_phi (sqrt(n)+1))."""
-    consts = potential_constants(instance, [])
-    return eps / (14.0 * eps + 4.0 * consts.T_phi * (math.sqrt(instance.n) + 1.0))
+    """Worst-case neighborhood radius Q <= eps / (14 eps + 4 T_phi (sqrt(n)+1)).
+
+    T_phi is the potential's exact SLC constant, sum_i w_i T_i with
+    T_i = max(6/(1-r_i)^2, 2) for CES/additive players and
+    T_i = 2 (1+sigma_i)^3 / sigma_i^3 for linear-barrier players (the
+    linear-market potential is <p,1> + sum_i w_i f_i).
+    """
+    w = instance.budgets
+    if instance.is_linear:
+        sig = instance.sigma
+        T_phi = float(np.sum(w * (2.0 * (1.0 + sig) ** 3 / sig**3)))
+    else:
+        T_phi = float(np.sum(w * np.maximum(6.0 / (1.0 - instance.r) ** 2, 2.0)))
+    return eps / (14.0 * eps + 4.0 * T_phi * (math.sqrt(instance.n) + 1.0))
 
 
 SIGMA_SMOOTH = 0.05  # barrier-utility level the plain loop tracks comfortably
@@ -711,50 +710,6 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
 
 # ---------------------------------------------------------------------------
 # PathFol
-
-
-def omega_star(t: float) -> float:
-    return -t - math.log(1.0 - t)
-
-
-def _c12_certificate(delta: float, beta: float, gamma: float) -> dict:
-    s = math.sqrt(1.0 + delta)
-    bg = beta + gamma
-    cert = {
-        "delta": delta,
-        "beta": beta,
-        "gamma": gamma,
-        "c12b_ok": bg < 1.0 and beta < 0.3 and gamma < 1.0 and gamma > 2.0 * beta,
-        "c12c_lhs": math.inf,
-        "c12c_rhs": beta,
-        "c12d_lhs": gamma * (0.3 - beta) / 2.0,
-        "c12d_rhs": omega_star(bg) if bg < 1.0 else math.inf,
-    }
-    if bg * s < 1.0:
-        cert["c12c_lhs"] = (1.0 + delta) * bg**2 / (1.0 - bg * s) ** 2 + \
-            delta * bg * s / (1.0 - bg * s)
-    cert["c12c_ok"] = cert["c12c_lhs"] <= beta
-    cert["c12d_ok"] = cert["c12d_lhs"] > cert["c12d_rhs"]
-    cert["feasible"] = cert["c12b_ok"] and cert["c12c_ok"] and cert["c12d_ok"]
-    return cert
-
-
-def pathfol_select_params(constants: PotentialConstants, eps: float,
-                          delta_target: float = 1e-3, **config_kwargs):
-    """Pick (beta, gamma) = (0.01, 0.04), halving with gamma = 4*beta fixed
-    until the full parameter system holds at delta = min(delta_target,
-    C_phi*eps/2).  Returns (PathFolConfig, certificate)."""
-    if not math.isfinite(constants.C_phi):
-        raise ConfigError("C_phi must be finite to select parameters")
-    delta = min(delta_target, constants.C_phi * eps / 2.0)
-    beta = 0.01
-    while beta >= 1e-8:
-        cert = _c12_certificate(delta, beta, 4.0 * beta)
-        if cert["feasible"]:
-            cfg = PathFolConfig(beta=beta, gamma_step=4.0 * beta, eps=eps, **config_kwargs)
-            return cfg, cert
-        beta /= 2.0
-    raise ConfigError("no feasible (beta, gamma) pair above beta = 1e-8")
 
 
 def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=None):

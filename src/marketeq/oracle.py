@@ -29,7 +29,6 @@ and their dual-Hessian blocks are a diagonal plus 1 + rows weighted rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
@@ -37,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .market import ADDITIVE, CES, ConGroup, MarketInstance, ShareFactors, UtilitySpec
+from .market import ConGroup, MarketInstance, ShareFactors
 
 
 class OracleError(RuntimeError):
@@ -54,79 +53,6 @@ class NewtonStagnationError(OracleError):
 
 class ConditioningError(OracleError):
     """A W^{-1} A^T is numerically singular."""
-
-
-@dataclass
-class BestResponse:
-    """One player's demand at prices p.
-
-    ``gamma`` is the bidding vector (distribution of spent money; for the
-    linear-barrier kind it is the shifted vector X c / <c, x>).
-    ``log_utility`` is the attained log-objective of the player's LUMP,
-    which for CES/additive players equals log u(x).
-    """
-
-    x: np.ndarray
-    gamma: np.ndarray
-    log_utility: float
-    spend: float
-
-
-@dataclass
-class PotentialConstants:
-    """Smoothness data for the potential: exact T, heuristic kappa-based C."""
-
-    T_phi: float
-    C_phi: float
-    kappa: np.ndarray
-
-
-# ---------------------------------------------------------------------------
-# closed-form responses for the power family
-
-
-def _power_response(p, c, w: float, kind: str, **exponents) -> BestResponse:
-    """One CES or additive player's demand: the one-row case of ``bid_shares``.
-
-    The row is a one-player market over the goods with c_j > 0; gamma is its
-    share row (zero off the support), x_j = w gamma_j / p_j and
-    log u = d log w + k (1-r) log_S, as ``market_state`` computes them.
-    """
-    p = np.asarray(p, dtype=float)
-    c = np.asarray(c, dtype=float)
-    supp = np.flatnonzero(c > 0)
-    if supp.size == 0:
-        raise OracleError("player has no positive coefficient")
-    if np.any(p[supp] <= 0) or not np.all(np.isfinite(p[supp])):
-        raise OracleError("prices must stay strictly positive and finite")
-    row = MarketInstance(supp.size, 1, [w], [UtilitySpec(kind, np.arange(supp.size), c[supp],
-                                                         **exponents)])
-    shares, logS = bid_shares(row, p[supp])
-    gamma = np.zeros(len(p))
-    gamma[supp] = shares.csr().data
-    x = w * gamma / p
-    k, r = row.k[0], row.r[0]
-    log_u = float(k * r * np.log(w) + k * (1.0 - r) * logS[0])
-    return BestResponse(x, gamma, log_u, float(p @ x))
-
-
-def ces_best_response(p, c, rho: float, w: float) -> BestResponse:
-    """Walrasian demand for u(x) = <c, x^rho>^(1/rho), rho in (-inf,0)u(0,1).
-
-    theta_j = c_j^{1/(1-rho)} p_j^{-rho/(1-rho)} gives the bidding shares;
-    demand is x_j = w * gamma_j / p_j.  The one-player case of the batch
-    kernel ``bid_shares``, so it runs the code ``market_state`` runs.
-    """
-    return _power_response(p, c, float(w), CES, rho=float(rho))
-
-
-def additive_best_response(p, c, k: float, r: float, w: float) -> BestResponse:
-    """Demand for the power-form additive family u(x) = <c, x^r>^k.
-
-    The outer power does not move the argmax, so this is the CES closed form
-    with rho := r; only the attained utility differs.
-    """
-    return _power_response(p, c, float(w), ADDITIVE, k=float(k), r=float(r))
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +89,9 @@ def _psi_roots(C: sp.csr_matrix, cols: np.ndarray, p: np.ndarray, sig: np.ndarra
     step is row-local, so a player's demand does not depend on who else is
     solved in the call.
 
-    Returns (X, u, lam, rows, rounds): the dense (m, n) demand, the polished
-    roots in longdouble, the budget multipliers, the row (player) index of
-    every stored coefficient, aligned with ``C.data``, and the Newton rounds
-    taken.
+    Returns (X, rows, rounds): the dense (m, n) demand, the row (player)
+    index of every stored coefficient, aligned with ``C.data``, and the
+    Newton rounds taken.
     """
     m, n = C.shape
     starts = C.indptr[:-1]
@@ -213,7 +138,7 @@ def _psi_roots(C: sp.csr_matrix, cols: np.ndarray, p: np.ndarray, sig: np.ndarra
     X[rows, cols] = (sig_l / (lamp_l - c_l / u[rows])).astype(float)
     if np.any(X <= 0) or not np.all(np.isfinite(X)):
         raise OracleError("linear-barrier demand left the positive orthant")
-    return X, u, lam, rows, rounds
+    return X, rows, rounds
 
 
 PSI_POLISH_ROUNDS = 6
@@ -244,26 +169,6 @@ def _psi_polish(u, u_lo, c, sig, lamp, rows, starts):
         if repeats.all():
             return prev if (PSI_POLISH_ROUNDS - k) % 2 else u
     return u
-
-
-def linear_barrier_best_response(p, c, sigma: float, w: float):
-    """Demand for log<c,x> + sigma*<log x, 1> under the budget constraint.
-
-    The one-player case of the batch root-finder ``_psi_roots``, so it
-    returns bit for bit the demand row that ``market_state`` computes for
-    the same player.  Returns (response, lam, u) with lam = (1 + sigma*n)/w
-    the budget multiplier and u = <c, x> the root of psi.
-    """
-    p = np.asarray(p, dtype=float)
-    c = np.asarray(c, dtype=float)
-    n = len(p)
-    C = sp.csr_matrix(c[None, :])
-    X, u, lam, _, _ = _psi_roots(C, C.indices.astype(np.intp), p, np.array([float(sigma)]),
-                                 np.array([float(w)]))
-    x = X[0]
-    gamma = (1.0 + sigma * n) * x * p / w - sigma
-    log_obj = float(np.log(c @ x) + sigma * np.sum(np.log(x)))
-    return BestResponse(x, gamma, log_obj, float(p @ x)), float(lam[0]), float(u[0])
 
 
 def linear_barrier_kkt_residual(p, c, sigma, w, x) -> float:
@@ -428,6 +333,20 @@ def _constrained_newton(p, C, k, r, w, A, tol_stat: float = 1e-10, max_newton: i
     return X, nu[:, :-1], nu[:, -1], steps
 
 
+@dataclass
+class BestResponse:
+    """One constrained player's demand at prices p, as ``constrained_best_response``
+    returns it; kept only for ``bench/tracer.py`` / ``bench/run.py`` (ROADMAP item 21).
+
+    ``gamma`` is the bidding vector and ``log_utility`` the attained log u(x).
+    """
+
+    x: np.ndarray
+    gamma: np.ndarray
+    log_utility: float
+    spend: float
+
+
 def constrained_best_response(p, c, k: float, r: float, w: float, A: np.ndarray,
                               tol_stat: float = 1e-10, max_newton: int = 100):
     """Equality-constrained LUMP via damped feasible Newton.
@@ -436,7 +355,8 @@ def constrained_best_response(p, c, k: float, r: float, w: float, A: np.ndarray,
     additive family: the one-player case of ``_constrained_newton``, the
     batch that ``market_state`` runs per constraint-row count, so it returns
     the same demand row.  Returns (response, y, lam): constraint multipliers
-    y and budget multiplier lam (equal to d/w at the solution).
+    y and budget multiplier lam (equal to d/w at the solution).  No solve
+    calls it; kept only for ``bench/tracer.py`` / ``bench/run.py`` (ROADMAP item 21).
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -485,7 +405,8 @@ def constrained_dual_hessian(instance: MarketInstance, i: int, x) -> np.ndarray:
 
     The dense (n, n) view diag(D) - R^T diag(s) R of the one-player case of
     ``constrained_hessian_rows``, whose rows ``hessian.assemble_from_state``
-    appends to the operator per constraint-row count.
+    appends to the operator per constraint-row count.  No solve calls it;
+    kept only for ``bench/tracer.py`` / ``bench/run.py`` (ROADMAP item 21).
     """
     A = instance.constraints.get(i, np.zeros((0, instance.n))).reshape(1, -1, instance.n)
     D, R, s = constrained_hessian_rows(np.asarray(x, float)[None, :], instance.C[[i]].toarray(),
@@ -544,7 +465,7 @@ class ShareRows(NamedTuple):
         return self.q * (self.Ca.T @ (y / self.S))
 
     def csr(self) -> sp.csr_matrix:
-        """G as an explicit CSR (``share_csr``), for the paths that read its entries."""
+        """G as an explicit CSR (``share_csr``); no solve builds it, tests read its entries."""
         Ca = self.Ca
         data = np.take(self.q, Ca.indices) * Ca.data / np.repeat(self.S, np.diff(Ca.indptr))
         return share_csr(Ca, data)
@@ -611,7 +532,7 @@ def _linear_batch(instance: MarketInstance, p: np.ndarray):
     w = instance.budgets
     sig = instance.sigma
     C, cols = instance.C, instance.cols
-    X, _, _, rows, rounds = _psi_roots(C, cols, p, sig, w)
+    X, rows, rounds = _psi_roots(C, cols, p, sig, w)
     uval = np.add.reduceat(C.data * X[rows, cols], C.indptr[:-1])
     value = float(p.sum() + np.sum(w * (np.log(uval) + sig * np.log(X).sum(axis=1))))
     return X, value, rounds
@@ -641,8 +562,8 @@ class MarketState:
     @property
     def con_responses(self) -> MappingProxyType:
         """Read-only view {player: namespace with demand row ``x``} of ``con_x``, built
-        on access for ``bench/run.py``'s check (and its test), which reads
-        ``con_responses[i].x``; moving that check to ``con_x`` retires it."""
+        on access for ``bench/run.py``'s check, which reads ``con_responses[i].x``;
+        kept only for ``bench/tracer.py`` / ``bench/run.py`` (ROADMAP item 21)."""
         return MappingProxyType({i: SimpleNamespace(x=x) for grp, X in self.con_x
                                  for i, x in zip(grp.players.tolist(), X)})
 
@@ -701,72 +622,3 @@ def market_state(instance: MarketInstance, p, prev: MarketState | None = None) -
     return MarketState(p, grad, demand, value, shares=shares, spend=spend, con_x=con_x,
                        con_newton_steps=steps)
 
-
-def potential_value(instance: MarketInstance, p) -> float:
-    """phi(p) = <p,1> + sum_i (w_i/d_i) log u_i(x_i(p)) (linear: w_i f_i)."""
-    return market_state(instance, p).value
-
-
-def potential_gradient(instance: MarketInstance, p) -> np.ndarray:
-    """grad phi = 1 - sum_i x_i(p); linear markets scale demand by (1+sigma*n)."""
-    return market_state(instance, p).grad
-
-
-def best_response(instance: MarketInstance, i: int, p) -> BestResponse:
-    """Single-player dispatcher (serial path; the batch uses bid_shares)."""
-    w = float(instance.budgets[i])
-    p = np.asarray(p, dtype=float)
-    c = instance.C[i].toarray()[0]
-    if i in instance.constraints:
-        return constrained_best_response(p, c, instance.k[i], instance.r[i], w,
-                                         instance.constraints[i])[0]
-    if math.isnan(instance.sigma[i]):  # CES is the additive case k = 1/rho, r = rho
-        return additive_best_response(p, c, instance.k[i], instance.r[i], w)
-    return linear_barrier_best_response(p, c, instance.sigma[i], w)[0]
-
-
-def response_jacobian(p, gamma, r: float, w: float) -> np.ndarray:
-    """Jacobian of one player's demand: -(w/(1-r)) P^-1 (Gamma - r g g^T) P^-1."""
-    p = np.asarray(p, dtype=float)
-    g = np.asarray(gamma, dtype=float)
-    M = np.diag(g) - r * np.outer(g, g)
-    return -(w / (1.0 - r)) * (M / p[None, :]) / p[:, None]
-
-
-KAPPA_CAP = 1e4  # clip on the kappa estimates of potential_constants
-
-
-def kappa_from_shares(G: sp.csr_matrix) -> np.ndarray:
-    """Per row of the share matrix G, the inverse of its smallest positive share."""
-    data = np.where(G.data > 0, G.data, np.inf)
-    return 1.0 / np.minimum.reduceat(data, G.indptr[:-1])
-
-
-def potential_constants(instance: MarketInstance, gamma_samples) -> PotentialConstants:
-    """Exact SLC constant T_phi plus the kappa-estimated self-concordance C_phi.
-
-    kappa_i is estimated as the largest inverse bidding share seen on the
-    player's active set across the supplied sample matrices, clipped at
-    KAPPA_CAP; C_phi takes the max over players (self-concordance
-    composes by max, not sum).
-    """
-    w = instance.budgets
-    if instance.is_linear:
-        sig = instance.sigma
-        T_f = 2.0 * (1.0 + sig) ** 3 / sig**3
-        # the linear-market potential is <p,1> + sum_i w_i f_i, so the SLC
-        # weight of player i is w_i itself
-        T_phi = float(np.sum(w * T_f))
-        C_v = (2.0 + 2.0 * sig) / sig**1.5
-        kappa = np.full(instance.m, np.nan)
-        C_phi = float(np.max(C_v / np.sqrt(w)))
-        return PotentialConstants(T_phi, C_phi, kappa)
-
-    r, d = instance.r, instance.degree
-    T_phi = float(np.sum(w * np.maximum(6.0 / (1.0 - r) ** 2, 2.0)))
-    kappa = np.zeros(instance.m)
-    for G in gamma_samples:  # G has one row per unconstrained player
-        kappa[instance.uncon] = np.maximum(kappa[instance.uncon], kappa_from_shares(G))
-    kappa = np.minimum(kappa, KAPPA_CAP)
-    C_per = kappa**3 / np.sqrt(w) / np.sqrt(d) * np.maximum(2.0, 6.0 * r**2 - 6.0 * r + 2.0)
-    return PotentialConstants(T_phi, float(np.max(C_per)), kappa)

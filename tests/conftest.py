@@ -80,6 +80,14 @@ def random_player(rng, n, kind="ces", allow_negative_r=True):
     return UtilitySpec(ADDITIVE, np.flatnonzero(c), c[np.flatnonzero(c)], k=k, r=r)
 
 
+def one_player_market(c, w, kind=CES, **params):
+    """A market of one player over len(c) goods with budget w; the player's
+    support is the positive entries of the dense coefficients c."""
+    c = np.asarray(c, dtype=float)
+    idx = np.flatnonzero(c > 0)
+    return MarketInstance(len(c), 1, [w], [UtilitySpec(kind, idx, c[idx], **params)])
+
+
 def mixed_flow_instance(players=2, ces_players=3, seed=0):
     """s-t flow players on a triangle plus unconstrained CES players over all goods."""
     from marketeq.market import build_flow_instance, ces_spec

@@ -19,23 +19,19 @@ from marketeq.baselines import BaselineConfig, propres_run, tat_run
 from marketeq.ipm import (
     LogBarConfig,
     PathFolConfig,
+    SolveTrace,
+    _initial_center,
     equilibrium_certificate,
-    logbar_init,
     logbar_run,
     pathfol_run,
     theory_strict_Q,
 )
-from marketeq.market import build_flow_instance
+from marketeq.market import MarketInstance, build_flow_instance
 from marketeq.oracle import (
-    additive_best_response,
-    best_response,
-    ces_best_response,
+    ShareRows,
     constrained_best_response,
     constrained_dual_hessian,
     market_state,
-    potential_gradient,
-    potential_value,
-    response_jacobian,
 )
 
 from conftest import central_diff, central_diff_vec, random_player, run_with_iterates
@@ -58,25 +54,22 @@ def test_criterion_01_oracle_properties():
         w = float(rng.uniform(0.1, 5.0))
         p = rng.uniform(0.05, 10.0, n)
         c = spec.dense(n)
-        if spec.kind == "ces":
-            br = ces_best_response(p, c, spec.rho, w)
-            br2 = ces_best_response(2.0 * p, c, spec.rho, w)
-            k, r = 1.0 / spec.rho, spec.rho
-        else:
-            br = additive_best_response(p, c, spec.k, spec.r, w)
-            br2 = additive_best_response(2.0 * p, c, spec.k, spec.r, w)
-            k, r = spec.k, spec.r
+        # the player alone in a market, queried as every solve queries
+        inst = MarketInstance(n, 1, [w], [spec])
+        state = market_state(inst, p)
+        x, gamma = state.demand, state.shares.csr().toarray()[0]
+        x2 = market_state(inst, 2.0 * p).demand
+        k, r = inst.k[0], inst.r[0]
         d = k * r
-        worst["budget"] = max(worst["budget"], abs(br.spend - w) / w)
-        worst["simplex"] = max(worst["simplex"], abs(br.gamma.sum() - 1.0),
-                               float(-br.gamma.min()))
+        worst["budget"] = max(worst["budget"], abs(float(p @ x) - w) / w)
+        worst["simplex"] = max(worst["simplex"], abs(gamma.sum() - 1.0), float(-gamma.min()))
         worst["homog"] = max(worst["homog"],
-                             np.max(np.abs(br2.x - br.x / 2.0)) / max(1.0, np.max(np.abs(br.x))))
+                             np.max(np.abs(x2 - x / 2.0)) / max(1.0, np.max(np.abs(x))))
         supp = c > 0
-        S = float(np.sum(c[supp] * br.x[supp] ** r))
-        gv = -k * r * c[supp] * br.x[supp] ** (r - 1.0) / S
+        S = float(np.sum(c[supp] * x[supp] ** r))
+        gv = -k * r * c[supp] * x[supp] ** (r - 1.0) / S
         worst["loghom"] = max(worst["loghom"],
-                              abs(float(gv @ br.x[supp]) + d) / max(1.0, abs(d)))
+                              abs(float(gv @ x[supp]) + d) / max(1.0, abs(d)))
     ok = (worst["budget"] <= 1e-10 and worst["simplex"] <= 1e-12
           and worst["homog"] <= 1e-12 and worst["loghom"] <= 1e-10)
     verdict("1 oracle-properties", ok,
@@ -101,19 +94,21 @@ def test_criterion_02_calculus_vs_finite_differences():
         inst = mq.generate_random(n, m, 1.0, rho=float(rng.uniform(-1.5, 0.95)) or 0.5,
                                   seed=seed)
         p = rng.uniform(0.4, 2.5, n)
-        g = potential_gradient(inst, p)
-        fd = central_diff(lambda q: potential_value(inst, q), p)
+        g = market_state(inst, p).grad
+        fd = central_diff(lambda q: market_state(inst, q).value, p)
         worst_g = max(worst_g, float(np.max(np.abs(g - fd) / (1.0 + np.abs(fd)))))
+        # player i's demand Jacobian is -P^-1 H P^-1, H the scaled Hessian of
+        # its one-player market (grad phi = 1 - demand)
         i = int(rng.integers(m))
-        br = best_response(inst, i, p)
-        J = response_jacobian(p, br.gamma, inst.r[i], float(inst.budgets[i]))
-        Jfd = central_diff_vec(lambda q: best_response(inst, i, q).x, p)
+        one = MarketInstance(n, 1, [inst.budgets[i]], [inst.utilities[i]])
+        J = -hes.assemble(one, p).dense() / p[:, None] / p[None, :]
+        Jfd = central_diff_vec(lambda q: market_state(one, q).demand, p)
         worst_j = max(worst_j, float(np.max(np.abs(J - Jfd)) / np.max(np.abs(Jfd))))
         op = hes.assemble(inst, p)
         v = rng.standard_normal(n)
         h = 1e-6
-        fdh = p * (potential_gradient(inst, p + h * p * v)
-                   - potential_gradient(inst, p - h * p * v)) / (2 * h)
+        fdh = p * (market_state(inst, p + h * p * v).grad
+                   - market_state(inst, p - h * p * v).grad) / (2 * h)
         worst_h = max(worst_h, float(np.linalg.norm(op.matvec(v) - fdh) / np.linalg.norm(fdh)))
     ok = worst_g <= 1e-5 and worst_j <= 1e-4 and worst_h <= 1e-4
     verdict("2 calculus-vs-fd", ok,
@@ -133,10 +128,11 @@ def test_criterion_03_dr1_exactness_and_inverse():
     inst = mq.generate_random(10, 1, 1.0, rho=0.8, seed=1)
     p = rng.uniform(0.5, 2.0, 10)
     op = hes.assemble(inst, p)
+    H1 = np.diag(op.diag) - op.dr1_omega * np.outer(op.dr1_xi, op.dr1_xi)
     eq_err = 0.0
     for _ in range(20):
         v = rng.standard_normal(10)
-        eq_err = max(eq_err, float(np.max(np.abs(op.matvec(v) - op.dr1_matvec(v)))))
+        eq_err = max(eq_err, float(np.max(np.abs(op.matvec(v) - H1 @ v))))
     # 100 random systems: Sherman-Morrison residual
     resid = 0.0
     for seed in range(100):
@@ -145,7 +141,8 @@ def test_criterion_03_dr1_exactness_and_inverse():
         opk = hes.assemble(inst, np.random.default_rng(seed).uniform(0.5, 2.0, 12))
         rhs = np.random.default_rng(seed + 1).standard_normal(12)
         d = hes.dr1_solve(opk, 1e-2, rhs)
-        r = np.linalg.norm(opk.dr1_matvec(d) + 1e-2 * d - rhs) / np.linalg.norm(rhs)
+        Hk = np.diag(opk.diag) - opk.dr1_omega * np.outer(opk.dr1_xi, opk.dr1_xi)
+        r = np.linalg.norm(Hk @ d + 1e-2 * d - rhs) / np.linalg.norm(rhs)
         resid = max(resid, float(r))
     # dense agreement at n = 50
     inst = mq.generate_random(50, 80, 0.5, rho=0.4, seed=7)
@@ -202,7 +199,8 @@ def test_criterion_05_figure1_reproduction():
     errs = []
     for m in (50, 200, 800, 3200):
         gam = rng.dirichlet(np.ones(n), size=m)
-        op = hes.share_operator(n, sp.csr_matrix(gam), np.full(m, 1.0 / m), r)
+        op = hes.share_operator(n, ShareRows(sp.csr_matrix(gam), np.ones(n), np.ones(m)),
+                                np.full(m, 1.0 / m), r)
         errs.append(hes.diff_norm_estimate(op, iters=50, seed=1))
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     # (b) preconditioned PCG iteration counts on 50 seeds
@@ -231,12 +229,13 @@ def test_criterion_06_logbar_end_to_end(rho):
     t0 = time.time()
     inst = mq.generate_random(50, 150, 0.5, rho=rho, seed=42)
     Q = 0.25
-    mu0, p0 = logbar_init(inst, Q)
+    mu0, center = _initial_center(inst, Q, SolveTrace())
+    p0 = center.p
     g0 = market_state(inst, p0).grad
     init_resid = float(np.linalg.norm(p0 * g0 - mu0) / mu0)
     cfg = LogBarConfig(Q=Q, eps=1e-7, sigma_override=0.6, hessian_mode="exact", max_iters=400)
     p, trace = logbar_run(inst, cfg)
-    grad_inf = float(np.max(np.abs(potential_gradient(inst, p))))
+    grad_inf = float(np.max(np.abs(market_state(inst, p).grad)))
     mus = np.array([r.homotopy for r in trace.rows])
     ks = np.arange(len(mus))
     slope = float(np.polyfit(ks, np.log(mus), 1)[0])
@@ -267,7 +266,7 @@ def test_criterion_07_pathfol_behavior(rho):
                         c_phi=c_phi, max_iters=3000)
     p0 = np.full(50, inst.total_budget() / 50)
     p, trace = pathfol_run(inst, cfg, p0)
-    grad_inf = float(np.max(np.abs(potential_gradient(inst, p))))
+    grad_inf = float(np.max(np.abs(market_state(inst, p).grad)))
     ts = np.array([r.homotopy for r in trace.rows])
     lams = np.array([r.decrement for r in trace.rows])
     nonincreasing = bool(np.all(np.diff(ts) <= 1e-15))
@@ -468,7 +467,7 @@ def test_criterion_10_constrained_allocation():
                                float(np.max(np.abs(A @ M)) / np.max(np.abs(M))))
         d = inst.k[0] * inst.r[0]
         J = -(w / d) * M
-        Jfd = central_diff_vec(lambda q: best_response(inst, 0, q).x, p, rel_step=1e-5)
+        Jfd = central_diff_vec(lambda q: market_state(inst, q).demand, p, rel_step=1e-5)
         worst_fd = max(worst_fd, float(np.max(np.abs(J - Jfd)) / np.max(np.abs(Jfd))))
         details.append(f"{len(edges)} edges")
     ok = (worst_ax <= 1e-10 and worst_budget <= 1e-10

@@ -6,7 +6,9 @@ import scipy.sparse as sp
 
 import marketeq as mq
 from marketeq import hessian as hes
+from marketeq import ipm
 from marketeq.market import ADDITIVE, CES, MarketInstance, UtilitySpec
+from marketeq.oracle import ShareRows
 from marketeq.hessian import (
     ScaledHessianOp,
     SingularUpdateError,
@@ -16,14 +18,26 @@ from marketeq.hessian import (
     pcg_solve,
     share_operator,
 )
-from marketeq.ipm import newton_decrement
 
-from conftest import mixed_flow_instance, mixed_sign_ces_instance
+from conftest import load_bench, mixed_flow_instance, mixed_sign_ces_instance
+
+
+def explicit_rows(gammas):
+    """Dense bidding rows as ``oracle.ShareRows``: the explicit CSR, q and S ones."""
+    m, n = gammas.shape
+    return ShareRows(sp.csr_matrix(gammas), np.ones(n), np.ones(m))
 
 
 def op_from_gammas(gammas, w, r):
     """Operator straight from bidding rows (test construction path)."""
-    return share_operator(gammas.shape[1], sp.csr_matrix(gammas), w, r)
+    return share_operator(gammas.shape[1], explicit_rows(gammas), w, r)
+
+
+def dr1_dense(op):
+    """The DR1 surrogate diag(D) - Omega xi xi^T of an operator, as a dense matrix."""
+    if op.dr1_xi is None:
+        return np.diag(op.diag)
+    return np.diag(op.diag) - op.dr1_omega * np.outer(op.dr1_xi, op.dr1_xi)
 
 
 class TestAssemble:
@@ -33,10 +47,9 @@ class TestAssemble:
         op = assemble(inst, p)
         for _ in range(5):
             v = rng.standard_normal(6)
-            assert np.max(np.abs(op.matvec(v) - op.dr1_matvec(v))) < 1e-14
+            assert np.max(np.abs(op.matvec(v) - dr1_dense(op) @ v)) < 1e-14
         assert op.dr1_xi is not None
-        dr1_dense = np.diag(op.diag) - op.dr1_omega * np.outer(op.dr1_xi, op.dr1_xi)
-        assert np.max(np.abs(op.dense() - dr1_dense)) < 1e-14
+        assert np.max(np.abs(op.dense() - dr1_dense(op))) < 1e-14
 
     def test_omega_cancellation_drops_rank_one(self):
         # r = +0.5 and r = -0.5 with budgets tuned so sum w r/(1-r) = 0
@@ -44,17 +57,17 @@ class TestAssemble:
         op = op_from_gammas(gam, w=np.array([1.0, 3.0]), r=np.array([0.5, -0.5]))
         assert op.dr1_xi is None
         v = np.array([0.2, -1.0])
-        assert np.allclose(op.dr1_matvec(v), op.diag * v)
+        assert np.allclose(dr1_solve(op, 1.0, v), v / (op.diag + 1.0))  # the diagonal alone
 
     def test_zero_omega_drops_rank_one_without_dividing(self):
         # r = 0 for every player: s = 0, so omega = 0 and there is no xi
         gam = np.array([[0.3, 0.7], [0.6, 0.4]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            op = share_operator(2, sp.csr_matrix(gam), np.array([1.0, 3.0]), np.zeros(2))
+            op = share_operator(2, explicit_rows(gam), np.array([1.0, 3.0]), np.zeros(2))
         assert op.dr1_omega == 0.0 and op.dr1_xi is None
         v = np.array([0.2, -1.0])
-        assert np.array_equal(op.dr1_matvec(v), op.matvec(v))
+        assert np.array_equal(dr1_dense(op) @ v, op.matvec(v))
 
     def test_dr1_error_decreases_in_m(self):
         rng = np.random.default_rng(0)
@@ -106,7 +119,8 @@ class TestAssemble:
         with pytest.raises(ValueError, match="unconstrained"):
             dr1_solve(op, 1e-3, np.ones(inst.n))
         with pytest.raises(ValueError, match="unconstrained"):
-            newton_decrement(op, p * mq.market_state(inst, p).grad, mode="dr1")
+            ipm._StepSolver(op, "dr1", 1e-10).newton_step(ipm.MU_FLOOR,
+                                                          p * mq.market_state(inst, p).grad)
 
 
 def rel_err(a, b):
@@ -116,8 +130,12 @@ def rel_err(a, b):
 def linear_blocks_reference(inst, p):
     """Sum of the per-player linear-barrier blocks (w/sigma)[diag((gamma+sigma)^2)
     - v v^T/(sigma+|gamma|^2)], v = (gamma+sigma) gamma; returns (H, rank-one part)."""
-    gammas = [mq.oracle.linear_barrier_best_response(p, u.dense(inst.n), u.sigma, w)[0].gamma
-              for u, w in zip(inst.utilities, inst.budgets)]
+    # each player's demand from bench/checks.py's own root, apart from the oracle
+    checks = load_bench("checks")
+    xs = [checks.linear_barrier_demand(MarketInstance(inst.n, 1, [w], [u]), p)
+          for u, w in zip(inst.utilities, inst.budgets)]
+    gammas = [(1.0 + u.sigma * inst.n) * x * p / w - u.sigma
+              for u, w, x in zip(inst.utilities, inst.budgets, xs)]
     H = np.zeros((inst.n, inst.n))
     R = np.zeros((inst.n, inst.n))
     for u, w, g in zip(inst.utilities, inst.budgets, gammas):
@@ -173,7 +191,7 @@ class TestDr1Solve:
         op = assemble(inst, rng.uniform(0.5, 2.0, 6))
         rhs = rng.standard_normal(6)
         d = dr1_solve(op, 0.1, rhs)
-        resid = op.dr1_matvec(d) + 0.1 * d - rhs
+        resid = dr1_dense(op) @ d + 0.1 * d - rhs
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_matches_dense_factorization(self, rng):
@@ -193,7 +211,7 @@ class TestDr1Solve:
         for _ in range(20):
             rhs = rng.standard_normal(12)
             d = dr1_solve(op, 1e-2, rhs)
-            back = op.dr1_matvec(d) + 1e-2 * d
+            back = dr1_dense(op) @ d + 1e-2 * d
             assert np.max(np.abs(back - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
     def test_indefinite_surrogate_refused(self):

@@ -16,19 +16,14 @@ from marketeq.ipm import (
     PathFolConfig,
     SolveTrace,
     TraceRow,
-    _c12_certificate,
     equilibrium_certificate,
-    logbar_init,
     logbar_run,
-    newton_decrement,
     newton_polish,
     pathfol_run,
-    pathfol_select_params,
     theory_strict_Q,
 )
 from marketeq.market import CES, MarketInstance, UtilitySpec
-from marketeq.oracle import (OracleError, linear_barrier_kkt_residual, market_state,
-                             potential_constants)
+from marketeq.oracle import OracleError, linear_barrier_kkt_residual, market_state
 
 from conftest import (load_bench, mixed_flow_instance, mixed_sign_ces_instance, run_with_iterates,
                       symmetric_instance)
@@ -37,7 +32,8 @@ from conftest import (load_bench, mixed_flow_instance, mixed_sign_ces_instance, 
 class TestLogBarInit:
     def test_unit_budget_example(self):
         inst = symmetric_instance(4, 6)
-        mu0, p0 = logbar_init(inst, 0.25)
+        mu0, state = ipm._initial_center(inst, 0.25, SolveTrace())
+        p0 = state.p
         assert abs(mu0 - 2.0) < 1e-12
         assert np.allclose(p0, 2.0)
 
@@ -48,14 +44,16 @@ class TestLogBarInit:
         assert abs(lemma_initial_mu(inst, 0.25) - 4.0) < 1e-12
         # the lemma value fails direct membership on this symmetric instance
         # (residual ||sum x|| = 1/sqrt(3) > Q), so init escalates past it
-        mu0, p0 = logbar_init(inst, 0.25)
+        mu0, state = ipm._initial_center(inst, 0.25, SolveTrace())
+        p0 = state.p
         assert mu0 > 4.0
         g = market_state(inst, p0).grad
         assert np.linalg.norm(p0 * g - mu0) / mu0 <= 0.25
 
     def test_membership_verified(self):
         inst = mq.generate_random(10, 30, 0.8, rho=0.6, seed=4)
-        mu0, p0 = logbar_init(inst, 0.25)
+        mu0, state = ipm._initial_center(inst, 0.25, SolveTrace())
+        p0 = state.p
         g = market_state(inst, p0).grad
         assert np.linalg.norm(p0 * g - mu0) / mu0 <= 0.25
 
@@ -64,7 +62,8 @@ class TestLogBarInit:
         # must still return a certified center
         inst = mq.generate_random(5, 8, 1.0, rho=-0.5, seed=3)
         Q = 1e-4
-        mu0, p0 = logbar_init(inst, Q)
+        mu0, state = ipm._initial_center(inst, Q, SolveTrace())
+        p0 = state.p
         g = market_state(inst, p0).grad
         assert np.linalg.norm(p0 * g - mu0) / mu0 <= Q * (1 + 1e-12)
         assert mu0 > math.sqrt(1.0 / Q)  # escalated beyond the lemma value
@@ -346,53 +345,10 @@ class TestTheoryStrict:
 
 
 class TestPathFolParams:
-    def test_default_pair_feasible(self):
-        cert = _c12_certificate(1e-3, 0.01, 0.04)
-        assert cert["feasible"]
-        assert cert["c12c_lhs"] <= 0.01
-        assert cert["c12d_lhs"] > cert["c12d_rhs"]
-
-    def test_delta_zero_reduction(self):
-        cert = _c12_certificate(0.0, 0.01, 0.04)
-        bg = 0.05
-        assert abs(cert["c12c_lhs"] - bg**2 / (1 - bg) ** 2) < 1e-15
-        assert cert["feasible"]
-
     def test_beta_gamma_sum_above_one_rejected(self):
-        cert = _c12_certificate(1e-3, 0.25, 0.76)
-        assert not cert["feasible"]
         inst = mq.generate_random(4, 4, 1.0, seed=0)
         with pytest.raises(ConfigError):
             PathFolConfig(beta=0.25, gamma_step=0.76).validate(inst)
-
-    def test_select_params(self):
-        consts = potential_constants(mq.generate_random(4, 4, 1.0, seed=0), [])
-        cfg, cert = pathfol_select_params(consts, 1e-7)
-        assert cfg.beta == 0.01 and cfg.gamma_step == 0.04
-        assert cert["feasible"]
-        assert cert["delta"] == min(1e-3, consts.C_phi * 1e-7 / 2.0)
-
-    def test_select_params_halves_when_needed(self):
-        from marketeq.oracle import PotentialConstants
-        consts = PotentialConstants(T_phi=1.0, C_phi=1e12, kappa=np.ones(1))
-        # delta = 0.15 pushes (C.12c) past beta = 0.01 but stays feasible in
-        # the small-beta limit, so the halving loop must engage
-        cfg, cert = pathfol_select_params(consts, 1e-7, delta_target=0.15)
-        assert cfg.beta < 0.01
-        assert cert["feasible"]
-
-    def test_select_params_infeasible_delta(self):
-        from marketeq.oracle import PotentialConstants
-        # for delta > ~0.19 the delta term of (C.12c) alone exceeds beta at
-        # every scale, so no pair exists
-        consts = PotentialConstants(T_phi=1.0, C_phi=1e12, kappa=np.ones(1))
-        with pytest.raises(ConfigError):
-            pathfol_select_params(consts, 1e-7, delta_target=0.5)
-
-    def test_infeasible_c_phi(self):
-        from marketeq.oracle import PotentialConstants
-        with pytest.raises(ConfigError):
-            pathfol_select_params(PotentialConstants(1.0, math.inf, np.ones(1)), 1e-7)
 
 
 class TestPathFolRun:
@@ -544,8 +500,9 @@ class TestPathFolRun:
         for row, p in zip(trace.rows, iterates):
             state = market_state(inst, p)
             op = hes.assemble_from_state(state, inst)
-            lam = newton_decrement(op, p * state.grad)
-            nbhd = newton_decrement(op, p * (state.grad - row.homotopy * g0))
+            solver = ipm._StepSolver(op, "exact", 1e-10)
+            lam = solver.newton_step(ipm.MU_FLOOR, p * state.grad)[1]
+            nbhd = solver.newton_step(ipm.MU_FLOOR, p * (state.grad - row.homotopy * g0))[1]
             assert abs(row.decrement - lam) <= 1e-10 * lam
             assert abs(row.nbhd_resid - nbhd) <= 1e-10 * nbhd
 
@@ -932,7 +889,7 @@ class TestSigmaContinuation:
 
 
 class TestPriceQueries:
-    # logbar_init's queries and every sigma stage count too
+    # the initial center's queries and every sigma stage count too
     solves = pytest.mark.parametrize("solve", [
         lambda: logbar_run(mq.generate_random(20, 50, 0.5, seed=1, kind="linear_barrier",
                                               sigma=1e-6 / 20),
@@ -1074,7 +1031,7 @@ class TestNewtonDecrement:
         p = np.full(4, 0.25)
         state = market_state(inst, p)
         op = hes.assemble_from_state(state, inst)
-        lam = newton_decrement(op, p * state.grad)
+        lam = ipm._StepSolver(op, "exact", 1e-10).newton_step(ipm.MU_FLOOR, p * state.grad)[1]
         assert lam <= 1e-9
 
     def test_two_by_two_eigensolve(self, rng):
@@ -1086,7 +1043,7 @@ class TestNewtonDecrement:
         H = op.dense()
         evals, evecs = np.linalg.eigh(H)
         g = evecs[:, 0] * 0.37
-        lam = newton_decrement(op, g)
+        lam = ipm._StepSolver(op, "exact", 1e-10).newton_step(ipm.MU_FLOOR, g)[1]
         assert abs(lam - 0.37 / math.sqrt(evals[0])) < 1e-10
 
     def test_solver_route_consistency(self, rng):
@@ -1095,9 +1052,9 @@ class TestNewtonDecrement:
         state = market_state(inst, p)
         op = hes.assemble_from_state(state, inst)
         g = p * state.grad
-        lam_dense = newton_decrement(op, g, mode="exact")
-        lam_dr1 = newton_decrement(op, g, mode="dr1")
-        lam_pcg = newton_decrement(op, g, mode="pcg")
+        lam_dense, lam_dr1, lam_pcg = (
+            ipm._StepSolver(op, mode, 1e-10).newton_step(ipm.MU_FLOOR, g)[1]
+            for mode in ("exact", "dr1", "pcg"))
         assert abs(lam_dense - lam_pcg) <= 1e-10 * max(1.0, lam_dense)
         # dr1 uses the surrogate metric; only check it is finite and positive
         assert lam_dr1 > 0
@@ -1129,7 +1086,8 @@ class TestExactSolve:
 
         def callback(k, p):
             g = p * market_state(inst, p).grad
-            decrements.append(newton_decrement(hes.assemble(inst, p), g, mode="exact"))
+            solver = ipm._StepSolver(hes.assemble(inst, p), "exact", 1e-10)
+            decrements.append(solver.newton_step(ipm.MU_FLOOR, g)[1])
 
         p_plain, plain = logbar_run(inst, cfg)
         p_watched, watched = logbar_run(inst, cfg, callback=callback)

@@ -1,6 +1,4 @@
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,38 +8,45 @@ from scipy.optimize import minimize
 import marketeq as mq
 from marketeq import hessian as hes
 from marketeq import oracle
-from marketeq.market import (ADDITIVE, CES, MarketInstance, ShareFactors, UtilitySpec,
-                             build_flow_instance, flow_constraint_rows)
+from marketeq.ipm import theory_strict_Q
+from marketeq.market import (ADDITIVE, CES, LINEAR_BARRIER, MarketInstance, ShareFactors,
+                             UtilitySpec, build_flow_instance, flow_constraint_rows)
 from marketeq.oracle import (
     OracleError,
-    additive_best_response,
-    best_response,
-    ces_best_response,
     constrained_best_response,
     constrained_dual_hessian,
-    linear_barrier_best_response,
     linear_barrier_kkt_residual,
     market_state,
-    potential_constants,
-    potential_gradient,
-    potential_value,
-    response_jacobian,
 )
 
-from conftest import central_diff, central_diff_vec, mixed_flow_instance, random_player
+from conftest import (central_diff, central_diff_vec, load_bench, mixed_flow_instance,
+                      one_player_market, random_player)
+
+
+def bid_rows(state):
+    """The CES/additive players' bidding rows gamma of a market state, dense."""
+    return state.shares.csr().toarray()
+
+
+def log_utility(state, w, d):
+    """log u of a one-player market's player, read off the potential's value
+    phi = <p, 1> + (w/d) log u."""
+    return (state.value - float(state.p.sum())) * d / w
 
 
 class TestCesBestResponse:
+    """One-player markets through ``market_state``, the query every solve runs."""
+
     def test_single_good(self):
-        br = ces_best_response(np.array([4.0]), np.array([1.0]), 0.5, 2.0)
-        assert np.allclose(br.x, [0.5])
-        assert np.allclose(br.gamma, [1.0])
+        state = market_state(one_player_market([1.0], 2.0, rho=0.5), np.array([4.0]))
+        assert np.allclose(state.demand, [0.5])
+        assert np.allclose(bid_rows(state)[0], [1.0])
 
     @pytest.mark.parametrize("rho", [0.5, 0.9, -0.5, -2.0])
     def test_symmetric(self, rho):
-        br = ces_best_response(np.array([1.0, 1.0]), np.array([1.0, 1.0]), rho, 1.0)
-        assert np.allclose(br.x, [0.5, 0.5], atol=1e-15)
-        assert np.allclose(br.gamma, [0.5, 0.5], atol=1e-15)
+        state = market_state(one_player_market([1.0, 1.0], 1.0, rho=rho), np.array([1.0, 1.0]))
+        assert np.allclose(state.demand, [0.5, 0.5], atol=1e-15)
+        assert np.allclose(bid_rows(state)[0], [0.5, 0.5], atol=1e-15)
 
     def test_against_projected_gradient_oracle(self):
         # frozen from the entropic mirror-ascent UMP oracle over the bid
@@ -50,35 +55,38 @@ class TestCesBestResponse:
         p = np.array([1.0, 2.0, 3.0])
         c = np.array([1.0, 1.0, 2.0])
         expected = np.array([0.35294117647058826, 0.08823529411764706, 0.15686274509803921])
-        br = ces_best_response(p, c, 0.5, 1.0)
-        assert np.max(np.abs(br.x - expected)) < 1e-6
+        state = market_state(one_player_market(c, 1.0, rho=0.5), p)
+        assert np.max(np.abs(state.demand - expected)) < 1e-6
 
     def test_offsupport_zero(self):
-        br = ces_best_response(np.array([1.0, 2.0, 1.0]), np.array([1.0, 0.0, 2.0]), 0.5, 1.0)
-        assert br.x[1] == 0.0 and br.gamma[1] == 0.0
+        state = market_state(one_player_market([1.0, 0.0, 2.0], 1.0, rho=0.5),
+                             np.array([1.0, 2.0, 1.0]))
+        assert state.demand[1] == 0.0 and bid_rows(state)[0, 1] == 0.0
 
     def test_log_domain_survives_extreme_rho(self):
         # rho = 0.999 makes direct powers c^{1000} overflow
-        br = ces_best_response(np.array([1.0, 1.1]), np.array([1.0, 2.0]), 0.999, 1.0)
-        assert np.all(np.isfinite(br.x)) and abs(br.gamma.sum() - 1.0) < 1e-12
+        state = market_state(one_player_market([1.0, 2.0], 1.0, rho=0.999), np.array([1.0, 1.1]))
+        assert np.all(np.isfinite(state.demand)) and abs(bid_rows(state).sum() - 1.0) < 1e-12
 
-    def test_no_support_raises(self):
-        with pytest.raises(OracleError):
-            ces_best_response(np.array([1.0]), np.array([0.0]), 0.5, 1.0)
+    def test_no_support_is_refused_by_validate(self):
+        # the query does not check its market; validate refuses the player first
+        inst = one_player_market([0.0], 1.0, rho=0.5)
+        assert "player 0: needs at least one positive coefficient" in mq.validate(inst)
 
 
 class TestAdditiveBestResponse:
     def test_reduces_to_ces_for_k_equals_inv_r(self):
         p = np.array([1.0, 2.0, 0.5])
         c = np.array([1.0, 3.0, 2.0])
-        a = additive_best_response(p, c, 1.0 / 0.4, 0.4, 1.5)
-        b = ces_best_response(p, c, 0.4, 1.5)
-        assert np.allclose(a.x, b.x, atol=1e-15)
-        assert abs(a.log_utility - b.log_utility) < 1e-12
+        a = market_state(one_player_market(c, 1.5, ADDITIVE, k=1.0 / 0.4, r=0.4), p)
+        b = market_state(one_player_market(c, 1.5, rho=0.4), p)
+        assert np.allclose(a.demand, b.demand, atol=1e-15)
+        assert abs(log_utility(a, 1.5, 1.0) - log_utility(b, 1.5, 1.0)) < 1e-12
 
     def test_symmetric_half_power(self):
-        br = additive_best_response(np.array([2.0, 2.0]), np.array([1.0, 1.0]), 1.0, 0.5, 1.0)
-        assert np.allclose(br.x, [0.25, 0.25])
+        state = market_state(one_player_market([1.0, 1.0], 1.0, ADDITIVE, k=1.0, r=0.5),
+                             np.array([2.0, 2.0]))
+        assert np.allclose(state.demand, [0.25, 0.25])
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,28 +99,26 @@ def test_oracle_invariants_property(seed):
     w = float(rng.uniform(0.1, 5.0))
     p = rng.uniform(0.05, 10.0, n)
     c = spec.dense(n)
-    if spec.kind == CES:
-        br = ces_best_response(p, c, spec.rho, w)
-        k, r = 1.0 / spec.rho, spec.rho
-    else:
-        br = additive_best_response(p, c, spec.k, spec.r, w)
-        k, r = spec.k, spec.r
+    inst = MarketInstance(n, 1, [w], [spec])
+    k, r = inst.k[0], inst.r[0]
     d = k * r
-    assert abs(br.spend - w) <= 1e-10 * w
-    assert abs(br.gamma.sum() - 1.0) <= 1e-12
-    assert np.all(br.gamma >= 0)
+    state = market_state(inst, p)
+    x, gamma = state.demand, bid_rows(state)[0]
+    assert abs(float(p @ x) - w) <= 1e-10 * w
+    assert abs(gamma.sum() - 1.0) <= 1e-12
+    assert np.all(gamma >= 0)
     # homogeneity of degree -1
-    br2 = (ces_best_response if spec.kind == CES else additive_best_response)(
-        2.0 * p, c, *( (spec.rho, w) if spec.kind == CES else (spec.k, spec.r, w) ))
-    assert np.max(np.abs(br2.x - br.x / 2.0)) <= 1e-12 * max(1.0, np.max(np.abs(br.x)))
+    x2 = market_state(inst, 2.0 * p).demand
+    assert np.max(np.abs(x2 - x / 2.0)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
     # <grad v(x), x> = -d, with grad v evaluated directly from theta shares
     supp = c > 0
     gv = np.zeros(n)
-    S = float(np.sum(c[supp] * br.x[supp] ** r))
-    gv[supp] = -k * r * c[supp] * br.x[supp] ** (r - 1.0) / S
-    assert abs(float(gv[supp] @ br.x[supp]) + d) <= 1e-10 * max(1.0, abs(d))
+    S = float(np.sum(c[supp] * x[supp] ** r))
+    gv[supp] = -k * r * c[supp] * x[supp] ** (r - 1.0) / S
+    assert abs(float(gv[supp] @ x[supp]) + d) <= 1e-10 * max(1.0, abs(d))
     # log u = k log S, with S = sum c x^r evaluated at the returned demand
-    assert abs(br.log_utility - k * np.log(S)) <= 1e-12 * max(1.0, abs(k * np.log(S)))
+    log_u = log_utility(state, w, d)
+    assert abs(log_u - k * np.log(S)) <= 1e-12 * max(1.0, abs(k * np.log(S)))
 
 
 class TestPotential:
@@ -120,31 +126,37 @@ class TestPotential:
         from conftest import symmetric_instance
         inst = symmetric_instance(4, 6)
         p = np.full(4, 1.0 / 4.0)
-        g = potential_gradient(inst, p)
+        g = market_state(inst, p).grad
         assert np.max(np.abs(g)) < 1e-14
 
     def test_scaled_prices_gradient(self):
         from conftest import symmetric_instance
         inst = symmetric_instance(5, 3)
-        g = potential_gradient(inst, np.full(5, 2.0 / 5.0))
+        g = market_state(inst, np.full(5, 2.0 / 5.0)).grad
         assert np.allclose(g, 0.5)
 
     def test_gradient_matches_finite_differences(self, rng):
         inst = mq.generate_random(2, 3, 1.0, rho=0.7, seed=8)
         p = rng.uniform(0.5, 2.0, 2)
-        g = potential_gradient(inst, p)
-        fd = central_diff(lambda q: potential_value(inst, q), p)
+        g = market_state(inst, p).grad
+        fd = central_diff(lambda q: market_state(inst, q).value, p)
         assert np.max(np.abs(g - fd) / (1.0 + np.abs(fd))) < 1e-5
 
     def test_batch_matches_serial_reduction(self, rng):
-        # the second market has constrained players, so the batch covers a row subset
+        # bench/checks.py recomputes each CES player's demand from its own closed form;
+        # the second market has constrained players, so the batch covers a row subset,
+        # and checks.check_flow certifies their rows as best responses
+        checks = load_bench("checks")
         for inst in (mq.generate_random(6, 9, 0.7, rho=-0.8, seed=15), mixed_flow_instance()):
             p = rng.uniform(0.5, 2.0, inst.n)
-            serial = sum(best_response(inst, i, p).x for i in range(inst.m))
             state = market_state(inst, p)
+            flow_x = {i: x for grp, X in state.con_x for i, x in zip(grp.players.tolist(), X)}
+            serial = checks.ces_demand(inst, p, inst.uncon) + sum(flow_x.values(), np.zeros(inst.n))
             assert np.max(np.abs(serial - state.demand)) <= 1e-12
-            gammas = np.array([best_response(inst, i, p).gamma for i in inst.uncon])
-            assert np.max(np.abs(state.shares.csr().toarray() - gammas)) <= 1e-12
+            assert checks.check_flow(inst, p, flow_x) == []
+            gammas = np.array([checks.ces_demand(inst, p, [i]) * p / inst.budgets[i]
+                               for i in inst.uncon])
+            assert np.max(np.abs(bid_rows(state) - gammas)) <= 1e-12
 
 
 class TestJacobianAndBlocks:
@@ -154,12 +166,14 @@ class TestJacobianAndBlocks:
         assert np.allclose(H, [[0.75, -0.25], [-0.25, 0.75]])
 
     def test_jacobian_matches_finite_differences(self, rng):
+        # grad phi = 1 - demand, so one player's demand Jacobian is -P^-1 H P^-1
+        # with H the scaled Hessian of its one-player market
         inst = mq.generate_random(5, 4, 1.0, rho=-0.6, seed=3)
         p = rng.uniform(0.5, 2.0, 5)
         for i in range(2):
-            br = best_response(inst, i, p)
-            J = response_jacobian(p, br.gamma, inst.r[i], float(inst.budgets[i]))
-            Jfd = central_diff_vec(lambda q, i=i: best_response(inst, i, q).x, p)
+            one = MarketInstance(inst.n, 1, [inst.budgets[i]], [inst.utilities[i]])
+            J = -hes.assemble(one, p).dense() / p[:, None] / p[None, :]
+            Jfd = central_diff_vec(lambda q, one=one: market_state(one, q).demand, p)
             assert np.max(np.abs(J - Jfd)) / np.max(np.abs(Jfd)) < 1e-4
 
     @staticmethod
@@ -168,7 +182,8 @@ class TestJacobianAndBlocks:
         op = hes.assemble(inst, p)
         v = rng.standard_normal(inst.n)
         h = 1e-6
-        fd = p * (potential_gradient(inst, p + h * p * v) - potential_gradient(inst, p - h * p * v)) / (2 * h)
+        grad = lambda q: market_state(inst, q).grad
+        fd = p * (grad(p + h * p * v) - grad(p - h * p * v)) / (2 * h)
         assert np.linalg.norm(op.matvec(v) - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_scaled_hessian_matvec_matches_finite_differences(self, rng):
@@ -186,20 +201,22 @@ class TestJacobianAndBlocks:
 class TestLinearBarrier:
     def test_single_good_closed_form(self):
         for sigma in (0.5, 1e-3):
-            resp, lam, u = linear_barrier_best_response(np.array([2.0]), np.array([3.0]), sigma, 1.5)
-            assert abs(resp.x[0] - 0.75) < 1e-12
-            assert abs(u - 3.0 * 1.5 / 2.0) < 1e-10
+            inst = one_player_market([3.0], 1.5, LINEAR_BARRIER, sigma=sigma)
+            x = market_state(inst, np.array([2.0])).linear_x[0]
+            assert abs(x[0] - 0.75) < 1e-12
+            assert abs(3.0 * x[0] - 3.0 * 1.5 / 2.0) < 1e-10  # u = <c, x>
 
     def test_psi_root_and_kkt(self):
         p = np.array([1.0, 2.0, 3.0])
         c = np.array([3.0, 2.0, 1.0])
-        resp, lam, u = linear_barrier_best_response(p, c, 0.01, 1.0)
-        assert linear_barrier_kkt_residual(p, c, 0.01, 1.0, resp.x) < 1e-10
-        assert abs(resp.spend - 1.0) < 1e-10
-        assert abs(resp.gamma.sum() - 1.0) < 1e-12
+        x = market_state(one_player_market(c, 1.0, LINEAR_BARRIER, sigma=0.01), p).linear_x[0]
+        assert linear_barrier_kkt_residual(p, c, 0.01, 1.0, x) < 1e-10
+        assert abs(float(p @ x) - 1.0) < 1e-10
+        gamma = (1.0 + 0.01 * 3) * x * p / 1.0 - 0.01  # the shifted bidding vector
+        assert abs(gamma.sum() - 1.0) < 1e-12
         # frozen SLSQP oracle solution of max log<c,x> + sigma sum log x
         expected = np.array([0.97460036, 0.00724546, 0.00363624])
-        assert np.max(np.abs(resp.x - expected)) < 1e-5
+        assert np.max(np.abs(x - expected)) < 1e-5
 
     def test_sigma_sweep_concentrates_on_best_ratio(self):
         p = np.array([1.0, 2.0, 1.5, 0.8])
@@ -207,8 +224,9 @@ class TestLinearBarrier:
         best = int(np.argmax(c / p))
         shares = []
         for sigma in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
-            resp, _, _ = linear_barrier_best_response(p, c, sigma, 1.0)
-            shares.append(resp.x[best] * p[best] / 1.0)
+            inst = one_player_market(c, 1.0, LINEAR_BARRIER, sigma=sigma)
+            x = market_state(inst, p).linear_x[0]
+            shares.append(x[best] * p[best] / 1.0)
         assert all(b > a for a, b in zip(shares, shares[1:]))
         assert shares[-1] > 0.999
 
@@ -218,34 +236,25 @@ class TestLinearBarrier:
         op = hes.assemble(inst, p)
         v = rng.standard_normal(4)
         h = 1e-6
-        fd = p * (potential_gradient(inst, p + h * p * v) - potential_gradient(inst, p - h * p * v)) / (2 * h)
+        grad = lambda q: market_state(inst, q).grad
+        fd = p * (grad(p + h * p * v) - grad(p - h * p * v)) / (2 * h)
         assert np.linalg.norm(op.matvec(v) - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_shifted_gamma_simplex(self, rng):
         inst = mq.generate_random(6, 4, 0.8, seed=3, kind="linear_barrier", sigma=0.05)
         p = rng.uniform(0.5, 2.0, 6)
-        G = np.array([linear_barrier_best_response(p, u.dense(inst.n), u.sigma, w)[0].gamma
-                      for u, w in zip(inst.utilities, inst.budgets)])
+        # gamma_i = (1 + sigma n) P x_i / w_i - sigma, row by row
+        sig, w = inst.sigma[:, None], inst.budgets[:, None]
+        G = (1.0 + sig * inst.n) * market_state(inst, p).linear_x * p / w - sig
         assert np.max(np.abs(G.sum(axis=1) - 1.0)) < 1e-10
         assert np.all(G > -1e-12)
-
-
-CHECKS = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
-
-
-def load_checks():
-    """The benchmark's correctness checks, which solve each psi root on their own."""
-    spec = importlib.util.spec_from_file_location("bench_checks", CHECKS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestPsiRootFinder:
     @pytest.mark.parametrize("sigma", [0.05, 1e-3, 5e-8])
     def test_demand_matches_independent_root(self, sigma):
         # bench/checks.py roots every player with brentq in a shifted variable
-        checks = load_checks()
+        checks = load_bench("checks")
         for seed in range(3):
             inst = mq.generate_random(12, 30, 0.5, seed=seed, kind="linear_barrier", sigma=sigma)
             p = np.random.default_rng(seed).uniform(0.2, 3.0, inst.n)
@@ -253,15 +262,6 @@ class TestPsiRootFinder:
             ref = checks.linear_barrier_demand(inst, p)
             assert np.array_equal(st.demand, st.linear_x.sum(axis=0))
             assert np.max(np.abs(st.demand - ref) / ref) <= 1e-9
-
-    @pytest.mark.parametrize("sigma", [0.05, 1e-3, 5e-8])
-    def test_serial_response_is_the_batch_row(self, sigma):
-        inst = mq.generate_random(10, 25, 0.5, seed=4, kind="linear_barrier", sigma=sigma)
-        p = np.random.default_rng(4).uniform(0.2, 3.0, inst.n)
-        X = market_state(inst, p).linear_x
-        for i, u in enumerate(inst.utilities):
-            resp, _, _ = linear_barrier_best_response(p, u.dense(inst.n), sigma, float(inst.budgets[i]))
-            assert np.array_equal(resp.x, X[i])
 
     @pytest.mark.parametrize("n, m, seed, sigma", [(20, 50, 21, 5e-8), (40, 100, 21, 2.5e-8),
                                                    (50, 150, 1, 1e-3)])
@@ -297,7 +297,7 @@ class TestPsiRootFinder:
         # _linear_batch gathers <c, x> with the rows _psi_roots built, not a fresh index
         inst = mq.generate_random(12, 30, 0.5, seed=5, kind="linear_barrier", sigma=1e-3)
         p = np.random.default_rng(5).uniform(0.2, 3.0, inst.n)
-        X, _, _, rows, _ = oracle._psi_roots(inst.C, inst.cols, p, inst.sigma, inst.budgets)
+        X, rows, _ = oracle._psi_roots(inst.C, inst.cols, p, inst.sigma, inst.budgets)
         assert np.array_equal(rows, inst.nnz_row_index())
         w, sig, C = inst.budgets, inst.sigma, inst.C
         uval = np.add.reduceat(C.data * X[inst.nnz_row_index(), inst.cols], C.indptr[:-1])
@@ -351,7 +351,7 @@ def serial_kkt_response(p, c, k, r, w, A, tol_stat=1e-10):
         ok = np.min(x) > 0 and np.linalg.norm(B @ x - b) <= 1e-9 * (1.0 + w)
         return x if ok else None
 
-    x = start(ces_best_response(p, c, r, w).x)
+    x = start(market_state(one_player_market(c, w, rho=r), p).demand)
     if x is None:
         x = start(np.full(n, w / p.sum()))
     for _ in range(100):
@@ -436,7 +436,7 @@ class TestConstrained:
                   for grp, X in state.con_x for i, x in zip(grp.players, X)]
         assert len(blocks) == 3
         uncon = inst.uncon
-        share = hes.share_operator(inst.n, state.shares.csr(), inst.budgets[uncon], inst.r[uncon])
+        share = hes.share_operator(inst.n, state.shares, inst.budgets[uncon], inst.r[uncon])
         assert np.allclose(op.dense(), share.dense() + sum(blocks), rtol=1e-12, atol=0.0)
         assert sum(solved) == 3
 
@@ -507,7 +507,8 @@ class TestConstrained:
         C, k, r, w = np.ones((2, 4)), np.array([2.0, 2.0]), np.array([0.5, 0.5]), np.array([1.0, 0.5])
         B = np.concatenate([A, np.broadcast_to(p, (2, 1, 4))], axis=1)
         b = np.stack([np.zeros(2), w], axis=1)
-        start = np.stack([ces_best_response(p, C[g], r[g], w[g]).x for g in range(2)])
+        start = np.stack([market_state(one_player_market(C[g], w[g], rho=r[g]), p).demand
+                          for g in range(2)])
         assert oracle._feasible_start(B, b, start)[1].tolist() == [False, True]
         X, Y, lam, _ = oracle._constrained_newton(p, C, k, r, w, A)
         for g in range(2):
@@ -589,16 +590,16 @@ class TestConstrained:
         c = np.array([1.0, 1.0])
         A = np.zeros((0, 2))
         resp, y, lam = constrained_best_response(p, c, 2.0, 0.5, 1.0, A)
-        free = ces_best_response(p, c, 0.5, 1.0)
-        assert np.max(np.abs(resp.x - free.x)) < 1e-9
+        free = market_state(one_player_market(c, 1.0, rho=0.5), p).demand
+        assert np.max(np.abs(resp.x - free)) < 1e-9
 
     def test_single_edge_forced_value(self):
         inst = build_flow_instance([("s", "t")], [("s", "t")])
         p = np.array([1.3, 0.7])
-        resp = best_response(inst, 0, p)
+        x = market_state(inst, p).demand  # the one player's row
         w = float(inst.budgets[0])
-        assert np.max(np.abs(resp.x - w / (p.sum()))) < 1e-10
-        assert abs(resp.spend - w) < 1e-10
+        assert np.max(np.abs(x - w / (p.sum()))) < 1e-10
+        assert abs(float(p @ x) - w) < 1e-10
 
     def test_triangle_kkt_and_penalty_oracle(self):
         inst = build_flow_instance([("s", "t"), ("s", "v"), ("v", "t")], [("s", "t")])
@@ -623,13 +624,13 @@ class TestConstrained:
         inst = build_flow_instance([("s", "t")], [("s", "t")], rho=0.5)
         A = inst.constraints[0]
         p = np.array([1.3, 0.7])
-        M = constrained_dual_hessian(inst, 0, best_response(inst, 0, p).x)
+        M = constrained_dual_hessian(inst, 0, market_state(inst, p).demand)
         assert np.max(np.abs(A @ M)) <= 1e-10 * np.max(np.abs(M))
         assert np.linalg.eigvalsh((M + M.T) / 2).min() >= -1e-12 * np.max(np.abs(M))
         d = inst.k[0] * inst.r[0]
         w = float(inst.budgets[0])
         J = -(w / d) * M  # Jacobian of the constrained demand
-        Jfd = central_diff_vec(lambda q: best_response(inst, 0, q).x, p, rel_step=1e-5)
+        Jfd = central_diff_vec(lambda q: market_state(inst, q).demand, p, rel_step=1e-5)
         assert np.max(np.abs(J - Jfd)) / np.max(np.abs(Jfd)) < 1e-4
 
     def test_dual_hessian_zero_rows_matches_dr1_form(self, rng):
@@ -639,9 +640,10 @@ class TestConstrained:
                               constraints={0: np.zeros((0, n))})
         # constrained players must have positive coefficients; zero-row A
         p = rng.uniform(0.5, 2.0, n)
-        M = constrained_dual_hessian(inst, 0, best_response(inst, 0, p).x)
-        br = ces_best_response(p, np.array([1.0, 2.0, 0.5]), 0.4, 1.0)
-        closed = (1.0 / (1.0 - 0.4)) * (np.diag(br.gamma) - 0.4 * np.outer(br.gamma, br.gamma))
+        M = constrained_dual_hessian(inst, 0, market_state(inst, p).demand)
+        # the player's bids from bench/checks.py's closed form, apart from the oracle
+        gamma = load_bench("checks").ces_demand(inst, p, [0]) * p / 1.0
+        closed = (1.0 / (1.0 - 0.4)) * (np.diag(gamma) - 0.4 * np.outer(gamma, gamma))
         closed = closed / p[:, None] / p[None, :]
         assert np.max(np.abs(M - closed)) < 1e-8 * np.max(np.abs(closed))
 
@@ -773,56 +775,27 @@ def test_solvers_never_read_the_specs(build):
     state = market_state(inst, p)
     hes.assemble_from_state(state, inst)
     mq.equilibrium_certificate(inst, p)
-    for i in range(inst.m):
-        best_response(inst, i, p)
     _, trace = mq.logbar_run(inst, mq.LogBarConfig(sigma_override=0.6, max_iters=3))
     assert trace.iterations() == 3
 
 
 class TestConstants:
     def test_t_phi_examples(self):
-        inst = MarketInstance(2, 1, [1.0], [UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=0.5)])
-        consts = potential_constants(inst, [])
-        assert abs(consts.T_phi - 24.0) < 1e-12
-        inst = MarketInstance(2, 1, [1.0], [UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=-1.0)])
-        consts = potential_constants(inst, [])
-        assert abs(consts.T_phi - 2.0) < 1e-12
-
-    def test_uniform_bidding_kappa(self):
-        n = 8
-        inst = MarketInstance(n, 1, [1.0], [UtilitySpec(CES, np.arange(n), np.ones(n), rho=0.5)])
-        G = mq.oracle.bid_shares(inst, np.ones(n))[0].csr()
-        consts = potential_constants(inst, [G])
-        assert abs(consts.kappa[0] - n) < 1e-9
-        assert abs(consts.C_phi - 2.0 * n**3) < 1e-6
-
-    def test_kappa_cap(self):
-        inst = MarketInstance(2, 1, [1.0], [UtilitySpec(CES, [0, 1], [1.0, 1e-9], rho=0.9)])
-        G = mq.oracle.bid_shares(inst, np.ones(2))[0].csr()
-        consts = potential_constants(inst, [G])
-        assert consts.kappa[0] == oracle.KAPPA_CAP == 1e4
-
-    def test_kappa_of_constrained_market(self):
-        # share matrices have rows only for the unconstrained players
-        inst = mixed_flow_instance()
-        G = market_state(inst, np.ones(inst.n)).shares.csr()
-        assert G.shape[0] == inst.uncon.size < inst.m
-        consts = potential_constants(inst, [G])
-        assert np.array_equal(consts.kappa[inst.uncon], oracle.kappa_from_shares(G))
-        assert np.all(consts.kappa[inst.con] == 0.0)
-        assert math.isfinite(consts.C_phi)
+        # theory_strict_Q(inst, eps) = eps / (14 eps + 4 T_phi (sqrt(n) + 1))
+        for rho, T_phi in ((0.5, 24.0), (-1.0, 2.0)):
+            inst = MarketInstance(2, 1, [1.0], [UtilitySpec(CES, [0, 1], [1.0, 1.0], rho=rho)])
+            Q = 1.0 / (14.0 + 4.0 * T_phi * (math.sqrt(2.0) + 1.0))
+            assert abs(theory_strict_Q(inst, 1.0) - Q) < 1e-12 * Q
 
 
 class TestSlcAndSelfConcordance:
     @staticmethod
-    def f_value(p, c, k, r, w):
-        if r > 0:
-            br = ces_best_response(p, c, r, w)
-        else:
-            br = ces_best_response(p, c, r, w)
+    def f_value(inst, p, c, k, r):
+        """(k log S at the player's demand, demand, bids) of a one-player market."""
+        state = market_state(inst, p)
         supp = c > 0
-        S = float(np.sum(c[supp] * br.x[supp] ** r))
-        return k * math.log(S), br
+        S = float(np.sum(c[supp] * state.demand[supp] ** r))
+        return k * math.log(S), state.demand, bid_rows(state)[0]
 
     def test_dual_slc_third_order_remainder(self, rng):
         # |f(p+q) - quadratic model| <= rho^3 T_f / (6(1-rho)) for the scaled
@@ -831,18 +804,17 @@ class TestSlcAndSelfConcordance:
         for trial in range(10):
             spec = random_player(np.random.default_rng(trial), n)
             c = spec.dense(n)
-            inst = MarketInstance(n, 1, [1.0], [spec])
+            w = 1.3
+            inst = MarketInstance(n, 1, [w], [spec])
             k, r = inst.k[0], inst.r[0]
             d = k * r
-            w = 1.3
             p = rng.uniform(0.5, 2.0, n)
             q = rng.standard_normal(n)
             q *= 0.3 / np.linalg.norm(q / p) * rng.random()
             rho_n = np.linalg.norm(q / p)
-            f0, br = self.f_value(p, c, k, r, w)
-            f1, _ = self.f_value(p + q, c, k, r, w)
-            grad = -(d / w) * br.x
-            gamma = br.gamma
+            f0, x, gamma = self.f_value(inst, p, c, k, r)
+            f1, _, _ = self.f_value(inst, p + q, c, k, r)
+            grad = -(d / w) * x
             M = (d / (1.0 - r)) * (np.diag(gamma) - r * np.outer(gamma, gamma))
             hess_qq = float(q @ (M / p[:, None] / p[None, :] @ q))
             remainder = abs(f1 - f0 - float(grad @ q) - 0.5 * hess_qq)
@@ -860,9 +832,9 @@ class TestSlcAndSelfConcordance:
             inst = MarketInstance(n, 1, [1.0], [spec])
             k, r = inst.k[0], inst.r[0]
             d = k * r
-            br = ces_best_response(rng.uniform(0.5, 2.0, n), c, r, 1.0)
+            state = market_state(inst, rng.uniform(0.5, 2.0, n))
             supp = c > 0
-            x, gamma = br.x[supp], br.gamma[supp]
+            x, gamma = state.demand[supp], bid_rows(state)[0][supp]
             kappa = 1.0 / gamma.min()
             C_v = kappa**3 * max(2.0, 6.0 * r**2 - 6.0 * r + 2.0) / math.sqrt(d)
             for _ in range(20):
