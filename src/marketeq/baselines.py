@@ -81,15 +81,15 @@ def propres_run(instance: MarketInstance, config: BaselineConfig, b0=None, callb
     conserved exactly every iteration and the market clears every iteration.
     For rho < 0 the update is damped geometrically with exponent 1/(1-rho).
     Stops when the relative price change drops below eps.  A budget that is
-    not positive and finite raises ConfigError; linear-barrier markets and
-    players under constraints raise ValueError: the update knows neither.
+    not positive and finite, a linear-barrier market and players under
+    constraints raise ConfigError: the update knows neither of the last two.
     """
     config.validate()
     _validate_market(instance)
     if instance.is_linear:
-        raise ValueError("proportional response needs CES or additive players")
+        raise ConfigError("proportional response needs CES or additive players")
     if instance.constraints:
-        raise ValueError("proportional response needs players without constraints")
+        raise ConfigError("proportional response needs players without constraints")
     rhos = instance.r
     B = default_bids(instance) if b0 is None else b0.tocsr(copy=True)
     C = instance.C

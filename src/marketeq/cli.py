@@ -2,7 +2,9 @@
 
 Exit codes for solve: 0 converged, 1 iteration budget exhausted,
 2 numerical failure, 3 configuration or input error.  All outputs are
-written to a temp file first and renamed into place.
+written to a temp file first and renamed into place.  A --method name and
+its solver defaults are a row of ipm.METHODS, run by ipm.solve; a solver
+flag that the method does not read is dropped.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import baselines, hessian as hes, ipm, market
+from . import ipm, market, oracle
 from .ipm import STATUS_CONVERGED, STATUS_MAXITERS
 
 
@@ -40,14 +42,12 @@ def read_prices(path: str) -> np.ndarray:
     return np.loadtxt(path, ndmin=1)
 
 
-def _default_p0(instance: market.MarketInstance) -> np.ndarray:
-    return np.full(instance.n, instance.total_budget() / instance.n)
-
-
-def _default_hessian(instance: market.MarketInstance) -> str:
-    if instance.constraints or instance.is_linear:
-        return "exact" if instance.n <= hes.DENSE_LIMIT else "pcg"
-    return "pcg" if instance.n <= hes.DENSE_LIMIT else "dr1"
+def _settings(method: str, args, **fixed) -> dict:
+    """ipm.solve's settings for method: its row's, under the solver flags given
+    that it reads (--hessian is dropped for tat), under ``fixed``."""
+    table = ipm.METHODS[method].settings if method in ipm.METHODS else {}
+    given = {k: v for k, v in vars(args).items() if k in table and v is not None}
+    return {**table, **given, **fixed}
 
 
 # ---------------------------------------------------------------------------
@@ -105,29 +105,6 @@ def cmd_flow_gen(args) -> int:
     return 0
 
 
-def _run_method(instance, method: str, args, callback=None):
-    """Dispatch one solve; returns (p, trace)."""
-    hmode = args.hessian or _default_hessian(instance)
-    if method == "logbar" or method == "logbar-pcg":
-        cfg = ipm.LogBarConfig(
-            Q=args.Q, eps=args.eps, sigma_override=args.mu_shrink,
-            hessian_mode="pcg" if method == "logbar-pcg" else hmode,
-            eps_k=args.eps_k, max_iters=args.max_iters)
-        return ipm.logbar_run(instance, cfg, callback=callback)
-    if method == "pathfol":
-        cfg = ipm.PathFolConfig(
-            beta=args.beta, gamma_step=args.gamma, eps=args.eps,
-            hessian_mode=hmode, eps_k=args.eps_k, max_iters=args.max_iters,
-            c_phi=args.c_phi)
-        return ipm.pathfol_run(instance, cfg, _default_p0(instance), callback=callback)
-    if method in ("tat", "propres"):
-        cfg = baselines.BaselineConfig(step=args.step, max_iters=args.max_iters, eps=args.eps)
-        if method == "tat":
-            return baselines.tat_run(instance, cfg, _default_p0(instance), callback=callback)
-        return baselines.propres_run(instance, cfg, callback=callback)
-    raise ipm.ConfigError(f"unknown method {method!r}")
-
-
 def cmd_solve(args) -> int:
     try:
         try:
@@ -145,21 +122,19 @@ def cmd_solve(args) -> int:
         if violations:
             print("invalid instance:", violations, file=sys.stderr)
             return 3
-        p, trace = _run_method(instance, args.method, args)
+        settings = _settings(args.method, args)
+        p, trace = ipm.solve(instance, args.method, **settings)
     except (ipm.ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     os.makedirs(args.out, exist_ok=True)
     trace.to_csv(os.path.join(args.out, "trace.csv"))
     _write_prices(os.path.join(args.out, "prices.txt"), p)
-    from .oracle import OracleError
     try:
-        cert = ipm.equilibrium_certificate(instance, p, eps=args.eps)
-    except OracleError as exc:
+        cert = ipm.equilibrium_certificate(instance, p, eps=settings["eps"])
+    except oracle.OracleError as exc:
         cert = {"error": str(exc), "grad_inf": None}
-    cert["method"] = args.method
-    cert["status"] = trace.status
-    cert["iterations"] = trace.iterations()
+    cert.update(method=args.method, status=trace.status, iterations=trace.iterations())
     if "error" in trace.extras:  # the run's own reason; "error" is the certificate query's
         cert["run_error"] = trace.extras["error"]
         print(f"{args.method}: {trace.extras['error']}", file=sys.stderr)
@@ -167,10 +142,8 @@ def cmd_solve(args) -> int:
     grad_inf = "n/a" if cert["grad_inf"] is None else f"{cert['grad_inf']:.3e}"
     print(f"{args.method}: {trace.status} after {trace.iterations()} iterations, "
           f"grad_inf={grad_inf}")
-    if "error" in cert and trace.status == STATUS_CONVERGED:
-        return 2
     if trace.status == STATUS_CONVERGED:
-        return 0
+        return 2 if "error" in cert else 0
     return 1 if trace.status == STATUS_MAXITERS else 2
 
 
@@ -182,37 +155,31 @@ def ground_truth(instance, eps: float = 1e-12):
     """High-precision reference prices and whether they converged: damped
     Newton on phi (ipm.newton_polish, Newton-PCG steps with interpolating
     Armijo backtracking) from the uniform prices W/n."""
-    p, trace = ipm.newton_polish(instance, _default_p0(instance), eps=eps)
+    p, trace = ipm.newton_polish(instance, ipm._uniform_prices(instance), eps=eps)
     return p, trace.status == STATUS_CONVERGED
 
 
 def _parse_cells(spec: str):
-    cells = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        n, m, rho = part.split(",")
-        cells.append((int(n), int(m), float(rho)))
-    return cells
+    cells = [part.split(",") for part in spec.split(";") if part.strip()]
+    return [(int(n), int(m), float(rho)) for n, m, rho in cells]
 
 
 def bench_cell(n, m, rho, methods, args, outdir):
     """One (n, m, rho) cell: ground truth, then race every method to the
     distance target.  Returns result rows."""
     inst = market.generate_random(n, m, args.tau, rho=rho, seed=args.seed)
-    rows = []
+
+    def result(method, status, note, time_s="", iters="", final_dist=""):
+        return {"n": n, "m": m, "rho": rho, "method": method, "status": status,
+                "time_s": time_s, "iters": iters, "final_dist": final_dist, "note": note}
+
     try:
         p_star, ok = ground_truth(inst)
         if not ok:
             raise RuntimeError("ground truth run did not converge")
     except Exception as exc:  # noqa: BLE001 - cell marked unavailable
-        for method in methods:
-            rows.append({"n": n, "m": m, "rho": rho, "method": method,
-                         "status": "unavailable", "time_s": "", "iters": "",
-                         "final_dist": "", "note": str(exc)})
-        return rows
-
+        return [result(method, "unavailable", str(exc)) for method in methods]
+    rows = []
     for method in methods:
         dist_log = []
         t0 = time.perf_counter()
@@ -226,28 +193,21 @@ def bench_cell(n, m, rho, methods, args, outdir):
                 return STATUS_MAXITERS
             return None
 
-        run_args = argparse.Namespace(**vars(args))
-        run_args.eps = 1e-14  # let the distance callback decide
-        run_args.max_iters = 10_000_000
-        try:
-            p, trace = _run_method(inst, method, run_args, callback=watch)
+        try:  # eps 1e-14: the distance callback decides
+            p, trace = ipm.solve(inst, method, callback=watch,
+                                 **_settings(method, args, eps=1e-14, max_iters=10_000_000))
             elapsed = time.perf_counter() - t0
             final_dist = float(np.linalg.norm(p - p_star))
             timed_out = elapsed > args.time_limit_s and final_dist > args.dist_tol
-            rows.append({"n": n, "m": m, "rho": rho, "method": method,
-                         "status": "TimedOut" if timed_out else "ok",
-                         "time_s": f"{elapsed:.3f}", "iters": trace.iterations(),
-                         # the dagger convention: above-tolerance final distance
-                         "final_dist": f"{final_dist:.3e}",
-                         "note": "inaccurate" if final_dist > args.dist_tol else ""})
-            dist_path = os.path.join(outdir, f"cell_{n}_{m}_{rho}_{method}_dist.csv")
+            # the dagger convention: an above-tolerance final distance is "inaccurate"
+            rows.append(result(method, "TimedOut" if timed_out else "ok",
+                               "inaccurate" if final_dist > args.dist_tol else "",
+                               f"{elapsed:.3f}", trace.iterations(), f"{final_dist:.3e}"))
             market.atomic_write_text(
-                dist_path,
+                os.path.join(outdir, f"cell_{n}_{m}_{rho}_{method}_dist.csv"),
                 "k,dist\n" + "\n".join(f"{k},{d:.17g}" for k, d in dist_log) + "\n")
         except Exception as exc:  # noqa: BLE001
-            rows.append({"n": n, "m": m, "rho": rho, "method": method,
-                         "status": "failed", "time_s": "", "iters": "",
-                         "final_dist": "", "note": str(exc)})
+            rows.append(result(method, "failed", str(exc)))
     return rows
 
 
@@ -263,9 +223,7 @@ def cmd_bench(args) -> int:
     for n, m, rho in cells:
         all_rows.extend(bench_cell(n, m, rho, methods, args, args.out))
     header = ["n", "m", "rho", "method", "status", "time_s", "iters", "final_dist", "note"]
-    lines = [",".join(header)]
-    for row in all_rows:
-        lines.append(",".join(str(row[h]) for h in header))
+    lines = [",".join(header)] + [",".join(str(row[h]) for h in header) for row in all_rows]
     market.atomic_write_text(os.path.join(args.out, "results.csv"), "\n".join(lines) + "\n")
     _write_json(os.path.join(args.out, "bench_meta.json"), _flag_values({
         "cells": args.cells, "methods": methods, "seed": args.seed, "tau": args.tau,
@@ -280,17 +238,17 @@ def cmd_bench(args) -> int:
 
 
 def _add_solver_flags(sp):
-    sp.add_argument("--eps", type=float, default=1e-7)
-    sp.add_argument("--hessian", choices=["exact", "dr1", "pcg"], default=None)
-    sp.add_argument("--Q", type=float, default=0.25)
-    sp.add_argument("--mu-shrink", dest="mu_shrink", type=float, default=0.5,
-                    help="LogBar mu shrink factor per iteration (default 0.5)")
-    sp.add_argument("--beta", type=float, default=0.01)
-    sp.add_argument("--gamma", type=float, default=0.04)
-    sp.add_argument("--c-phi", dest="c_phi", type=float, default=ipm.PRACTICAL_C_PHI)
-    sp.add_argument("--eps-k", dest="eps_k", type=float, default=1e-8)
-    sp.add_argument("--step", type=float, default=0.1, help="tat step size")
-    sp.add_argument("--max-iters", dest="max_iters", type=int, default=2000)
+    sp.add_argument("--eps", type=float)
+    sp.add_argument("--hessian", dest="hessian_mode", choices=["exact", "dr1", "pcg"])
+    sp.add_argument("--Q", type=float)
+    sp.add_argument("--mu-shrink", dest="sigma_override", type=float,
+                    help="LogBar mu shrink factor per iteration")
+    sp.add_argument("--beta", type=float)
+    sp.add_argument("--gamma", dest="gamma_step", type=float)
+    sp.add_argument("--c-phi", dest="c_phi", type=float)
+    sp.add_argument("--eps-k", dest="eps_k", type=float)
+    sp.add_argument("--step", type=float, help="tat step size")
+    sp.add_argument("--max-iters", dest="max_iters", type=int)
     sp.add_argument("--sigma-barrier", dest="sigma_barrier", type=float, default=None)
 
 
@@ -329,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve an instance")
     s.add_argument("instance")
     s.add_argument("--method", required=True,
-                   choices=["logbar", "logbar-pcg", "pathfol", "tat", "propres"])
+                   choices=list(ipm.METHODS))
     s.add_argument("--out", required=True)
     _add_solver_flags(s)
     s.set_defaults(func=cmd_solve)

@@ -1,69 +1,46 @@
-"""Second-order tatonnement drivers: LogBar and PathFol.
+"""Second-order tatonnement drivers, LogBar and PathFol, and the method table.
 
-LogBar follows the log-barrier central path: shrink mu geometrically and
-re-center with one inexact Newton step per mu,
-    (H~ + mu I) d = -(P grad phi - mu 1),    p+ = p (1 + d).
-Initialization is free: p0 = mu0 * 1 with mu0 = sqrt(W/Q) lies in the
-neighborhood C(mu0, Q) because total demand at uniform prices is bounded by
-W / mu0.
-
+LogBar follows the log-barrier central path from p0 = mu0 * 1
+(_initial_center): shrink mu geometrically and re-center with one inexact
+Newton step per mu,
+    (H~ + mu I) d = -(P grad phi - mu 1),    p+ = p (1 + d);
+near-linear markets run a sigma continuation (_linear_continuation_run).
 PathFol follows a barrier-free homotopy phi_t = phi - t<grad phi(p0), p>,
-driving t from 1 to 0 with steps sized by the self-concordance constant,
+driving t from 1 to 0 with gamma following the neighbourhood each row
+measures (pathfol_run),
     t+ = max(t - gamma / (C ||P grad phi(p0)||*_{H~}), 0),
     H~ d = -P(grad phi - t+ grad phi(p0)),
-then finishes with pure inexact Newton inside the quadratic region.  gamma
-starts at gamma_step and follows the neighbourhood residual each row
-measures, gamma <- gamma clamp(sqrt(beta / (2C nbhd_resid)), 1/2, 2), so
-t-steps are as long as the neighbourhood beta/C allows; a step whose point
-leaves it, or whose price query raises OracleError, is rejected and retaken
-from the last kept point at half its t-step (extras["retreats"]).  It
-solves twice per iteration, H~ a = P grad phi and, while t > 0,
-H~ b = P grad phi(p0); its dual norms and d = -(a - t+ b) combine the two.
-Its ``dr1`` mode runs PCG: the surrogate's relative spectral error, which
-the paper's superlinear rate needs below a certified delta, measured far
-above it on every market tried.  Both of its solves stop CG at the forcing
-term max(eps_k, min(PCG_FORCING_CAP, ||grad phi||_inf^2)) (Dembo, Eisenstat
-& Steihaug 1982), unit-free since grad phi = 1 - demand, and eps_k on the
-last rows; while t > 0 at no more than a tenth of gamma's target
-beta/(2C), so that CG noise in nbhd_resid does not steer gamma.
-LogBar and newton_polish keep a fixed eps_k: LogBar's short
-step bounds the step error against the decrement, and with the same term it
-lost the central path until mu underflowed (CES n=200, m=600, rho=0.9, 6 of
-seeds 1-8); the polish's price-query counts moved with it.
+and its CG stops at a forcing term, unit-free since grad phi = 1 - demand
+(PCG_FORCING_CAP; Dembo, Eisenstat & Steihaug 1982).
+LogBar and newton_polish keep a fixed eps_k: LogBar's short step bounds the
+step error against the decrement, and with the forcing term it lost the
+central path until mu underflowed (CES n=200, m=600, rho=0.9, 6 of seeds
+1-8); the polish's price-query counts moved with it.
 
 Both take the same step -- query best responses, solve (H~ + shift I) d =
-rhs, set p <- p (1 + d) -- in one loop (_newton_loop); each driver supplies
-only its homotopy rule and its solves (PathFol also its retreat), and a row
-assembles H~ from the bids only when it solves (neither LogBar's last row
-nor the polish's).
-baselines.tat_run runs the same loop with a step that solves nothing,
-d = step * min(-grad phi, 1).
-The loop records a SolveTrace (CSV: one row per iteration, trailing status
-comment) and stops on the equilibrium certificate ||grad phi||_inf <= eps.
-newton_polish runs the same loop with PathFol's t = 0 rule alone, damped by
-Armijo backtracking on phi: a rejected trial's successor minimises the
-quadratic fit to phi along the step (safeguarded to [BACKTRACK_MIN,
-BACKTRACK_MAX] of it), and each step's first trial is twice the last
-accepted fraction, capped at 1.  From the uniform prices it computes the
-reference prices of `marketeq bench`, and it polishes every stage of the
-sigma continuation for near-linear markets, which hands off from its
-barrier phase (LogBar at SIGMA_SMOOTH) once ||grad phi||_inf <=
-max(eps, 1e-2): damped Newton converges from any positive start.
+rhs, set p <- p (1 + d) -- in one loop (_newton_loop), which records a
+SolveTrace and stops on the equilibrium certificate ||grad phi||_inf <= eps;
+each driver supplies only its homotopy rule and its solves.  newton_polish
+(damped Newton on phi) and baselines.tat_run (a step that solves nothing)
+run the same loop.  A _StepSolver solves in the run's Hessian mode: dense
+``exact``, the ``dr1`` surrogate (LogBar's; PathFol runs it as PCG), or
+``pcg``, preconditioned by the DR1 inverse where the operator carries its
+data, else by Jacobi.
 
-PCG is preconditioned by the DR1 surrogate's O(n) inverse at the solve's
-shift wherever the operator carries the DR1 data (CES/additive players
-alone), else by Jacobi, k_c + mu, which also takes over when the DR1
-factorization is singular or indefinite (extras["dr1_fallbacks"]).  LogBar's
-``dr1`` mode solves the surrogate directly, the paper's method, and falls
-back to that same PCG.
+What a method name runs is one row of METHODS, decided nowhere else: the
+driver, its config class at `marketeq solve`'s defaults, its start and the
+mode the name fixes (default_hessian_mode where none is fixed or given).
+solve(instance, method, **settings) runs a row; the command line calls it.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import time
 from dataclasses import astuple, dataclass, field, replace
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -113,10 +90,15 @@ def _validate_eps(eps: float) -> None:
 
 
 def _validate_market(instance: MarketInstance) -> None:
-    """The O(m) checks a driver makes on entry; the full market.validate is
+    """The O(nnz) checks a driver makes on entry; the full market.validate is
     left to callers, outside the solve."""
     if not np.all((instance.budgets > 0.0) & (instance.budgets < math.inf)):
         raise ConfigError("budgets must be positive and finite")
+    C = instance.C  # each player's any(c > 0) in one pass; the False closes an empty last row
+    positive = np.logical_or.reduceat(np.append(C.data > 0.0, False), C.indptr[:-1])
+    bad = np.flatnonzero(~positive | (C.indptr[1:] == C.indptr[:-1]))
+    if bad.size:
+        raise ConfigError(f"player {bad[0]} has no positive coefficient")
     if instance.is_linear and not np.all((instance.sigma > 0.0) & (instance.sigma < math.inf)):
         raise ConfigError("linear-barrier sigma must be positive and finite")
 
@@ -601,20 +583,17 @@ def _linear_continuation_run(instance: MarketInstance, config: LogBarConfig, cal
     the eps/n scale the clearing bound wants -- the potential's scaled
     Lipschitz constant grows like 1/sigma^3 -- so the homotopy runs in
     (mu, sigma) jointly instead.  The barrier phase is LogBar on the
-    SIGMA_SMOOTH market, shrinking mu by the config's sigma_override or 0.5
-    (the default of `marketeq solve --mu-shrink`), and it stops at
-    ||grad phi||_inf <= max(eps, 1e-2).  Each stage's polish is damped
-    Newton on a convex potential, which converges from any positive start
-    (Boyd & Vandenberghe, Convex Optimization, 9.5), so a tighter stop
-    only buys price queries that the first stage throws away.
+    SIGMA_SMOOTH market, shrinking mu by the config's sigma_override or
+    0.5, and it stops at ||grad phi||_inf <= max(eps, 1e-2).  Each stage's
+    polish is damped Newton on a convex potential, which converges from any
+    positive start (Boyd & Vandenberghe, Convex Optimization, 9.5), so a
+    tighter stop only buys price queries that the first stage throws away.
     extras["barrier_phase"] records the phase's sigma, rows, final grad_inf,
-    last mu, status and loop counters (_counters: price queries, safeguard
-    clips, DR1 fallbacks, rejected line-search trials, retreats, constrained
-    Newton steps).  Each
-    stage adds one trace row (homotopy = its sigma, the gradient norms of
-    its polish's last row) and one entry to extras["continuation"] with the
-    polish's sigma, final grad_inf, status, Newton steps and the same
-    counters; the run's counters sum the phase's and every stage's.
+    last mu, status and loop counters (_counters).  Each stage adds one
+    trace row (homotopy = its sigma, the gradient norms of its polish's last
+    row) and one entry to extras["continuation"] with the polish's sigma,
+    final grad_inf, status, Newton steps and the same counters; the run's
+    counters sum the phase's and every stage's.
     """
     target = float(instance.sigma[0])
     smooth = with_barrier_sigma(instance, SIGMA_SMOOTH)
@@ -661,12 +640,9 @@ def logbar_run(instance: MarketInstance, config: LogBarConfig, callback=None):
 
     The scheme is the one-inexact-Newton-step-per-mu short-step loop, whose
     recorded mu column is exactly mu0 * sigma^k.  Near-linear markets
-    (sigma below SIGMA_SMOOTH) detour through the sigma continuation, since
-    their scaled Lipschitz constant ~1/sigma^3 makes the plain loop lose
-    the path in floating point: this loop at a smooth sigma, stopped at
-    ||grad phi||_inf <= max(eps, 1e-2) (extras["barrier_phase"]), then one
-    damped-Newton polish (newton_polish) per stage of a x0.1 sigma ladder,
-    each adding one trace row whose homotopy column is the stage's sigma.
+    (sigma below SIGMA_SMOOTH) detour through the sigma continuation
+    (_linear_continuation_run): this loop at a smooth sigma, then one
+    damped-Newton polish per stage of a x0.1 sigma ladder.
     """
     config.validate(instance)
     if instance.is_linear and instance.sigma[0] < SIGMA_SMOOTH:
@@ -808,6 +784,72 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
                      eps=config.eps, max_iters=config.max_iters,
                      hessian_mode=config.hessian_mode, eps_k=config.eps_k)
     return p, trace
+
+
+# ---------------------------------------------------------------------------
+# the method table: what a method name runs
+
+
+def default_hessian_mode(instance: MarketInstance) -> str:
+    """The Hessian mode of a method given none: dense exact up to hes.DENSE_LIMIT
+    goods for constrained or linear-barrier players, which DR1 cannot represent,
+    else PCG; PCG up to it for CES and additive markets, else DR1."""
+    if instance.constraints or instance.is_linear:
+        return "exact" if instance.n <= hes.DENSE_LIMIT else "pcg"
+    return "pcg" if instance.n <= hes.DENSE_LIMIT else "dr1"
+
+
+def _uniform_prices(instance: MarketInstance) -> np.ndarray:
+    return np.full(instance.n, instance.total_budget() / instance.n)
+
+
+class _Method(NamedTuple):
+    module: str  # the driver's, looked up per solve: baselines imports this module
+    driver: str
+    config: str  # the driver's config class, in the same module
+    settings: dict  # every setting the driver reads, at `marketeq solve`'s defaults
+    # its start from the market; None: the driver's own (LogBar's mu0 * 1, default bids)
+    start: Callable | None = None
+    fixed_mode: str | None = None  # the Hessian mode the name implies
+
+
+_COMMON = dict(eps=1e-7, max_iters=2000)
+_LOGBAR = dict(_COMMON, eps_k=1e-8, Q=0.25, sigma_override=0.5, mu_stop=False)
+METHODS = {
+    "logbar": _Method("ipm", "logbar_run", "LogBarConfig", dict(_LOGBAR, hessian_mode=None)),
+    "logbar-pcg": _Method("ipm", "logbar_run", "LogBarConfig", _LOGBAR, fixed_mode="pcg"),
+    "pathfol": _Method("ipm", "pathfol_run", "PathFolConfig",
+                       dict(_COMMON, eps_k=1e-8, hessian_mode=None, beta=0.01, gamma_step=0.04,
+                            c_phi=PRACTICAL_C_PHI), _uniform_prices),
+    "tat": _Method("baselines", "tat_run", "BaselineConfig", dict(_COMMON, step=0.1),
+                   _uniform_prices),
+    "propres": _Method("baselines", "propres_run", "BaselineConfig", _COMMON),
+}
+
+
+def solve(instance: MarketInstance, method: str, *, hessian_mode: str | None = None,
+          callback=None, **overrides):
+    """Run METHODS[method]'s driver on instance from its start, its config at
+    the row's settings under hessian_mode (default_hessian_mode if None) and
+    overrides; returns (p, SolveTrace).  An unknown method, or a setting it
+    does not read (any hessian_mode for logbar-pcg, tat and propres), raises
+    ConfigError before any price query, as do the driver's own refusals."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    row = METHODS[method]
+    if hessian_mode is not None:
+        overrides["hessian_mode"] = hessian_mode
+    unread = sorted(set(overrides) - set(row.settings))
+    if unread:
+        raise ConfigError(f"{method} does not read {', '.join(unread)}")
+    settings = {**row.settings, **overrides}
+    if row.fixed_mode or "hessian_mode" in settings:
+        settings["hessian_mode"] = (row.fixed_mode or settings["hessian_mode"]
+                                    or default_hessian_mode(instance))
+    start = () if row.start is None else (row.start(instance),)
+    module = importlib.import_module(f"{__package__}.{row.module}")
+    return getattr(module, row.driver)(instance, getattr(module, row.config)(**settings), *start,
+                                       callback=callback)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ MODULE_NAMES = {
         "PathFolConfig.validate", "newton_polish", "effective_budget", "lemma_initial_mu",
         "theory_strict_Q",  # LogBar's worst-case neighbourhood radius, for criterion 11
         "logbar_run", "pathfol_run", "equilibrium_certificate",
+        # the method table: what a method name runs
+        "METHODS", "solve", "default_hessian_mode",
     },
     mq.hessian: {
         "DENSE_LIMIT", "GRAM_BLOCK", "OMEGA_DROP_REL", "KC_FLOOR", "SingularUpdateError",

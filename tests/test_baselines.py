@@ -7,6 +7,8 @@ from marketeq.baselines import BaselineConfig, default_bids, propres_run, tat_ru
 from marketeq.ipm import (ConfigError, LogBarConfig, PathFolConfig, logbar_run, newton_polish,
                           pathfol_run)
 
+from marketeq.market import CES, MarketInstance, UtilitySpec
+
 from conftest import mixed_flow_instance, symmetric_instance
 
 
@@ -142,12 +144,12 @@ class TestPropRes:
     def test_linear_market_rejected(self):
         # linear-barrier players have no rho column; the update must not run on NaN
         inst = mq.generate_random(4, 3, 1.0, seed=2, kind="linear_barrier", sigma=0.01)
-        with pytest.raises(ValueError, match="CES or additive"):
+        with pytest.raises(ConfigError, match="CES or additive"):
             propres_run(inst, BaselineConfig())
 
     def test_constrained_market_rejected(self):
         # the update ignores A: a flow market "converged" at grad_inf 1.1
-        with pytest.raises(ValueError, match="without constraints"):
+        with pytest.raises(ConfigError, match="without constraints"):
             propres_run(mixed_flow_instance(), BaselineConfig())
 
     def test_default_bids_proportional_to_coefficients(self):
@@ -161,6 +163,15 @@ class TestPropRes:
             assert np.allclose(row_b, expect)
 
 
+DRIVER_RUNS = {
+    "logbar": lambda inst, p0: logbar_run(inst, LogBarConfig()),
+    "pathfol": lambda inst, p0: pathfol_run(inst, PathFolConfig(), p0),
+    "newton_polish": lambda inst, p0: newton_polish(inst, p0),
+    "tat": lambda inst, p0: tat_run(inst, BaselineConfig(), p0),
+    "propres": lambda inst, p0: propres_run(inst, BaselineConfig()),
+}
+
+
 @pytest.mark.parametrize("budget", [-0.05, 0.0, np.inf])
 @pytest.mark.parametrize("driver", ["logbar", "pathfol", "newton_polish", "tat", "propres"])
 def test_every_driver_refuses_a_bad_budget_before_any_price_query(monkeypatch, driver, budget):
@@ -169,12 +180,24 @@ def test_every_driver_refuses_a_bad_budget_before_any_price_query(monkeypatch, d
     inst.budgets[0] = budget
     real, calls = ipm.market_state, []
     monkeypatch.setattr(ipm, "market_state", lambda *args: calls.append(1) or real(*args))
-    p0 = np.full(5, 0.2)
-    run = {"logbar": lambda: logbar_run(inst, LogBarConfig()),
-           "pathfol": lambda: pathfol_run(inst, PathFolConfig(), p0),
-           "newton_polish": lambda: newton_polish(inst, p0),
-           "tat": lambda: tat_run(inst, BaselineConfig(), p0),
-           "propres": lambda: propres_run(inst, BaselineConfig())}[driver]
     with pytest.raises(ConfigError, match="budgets must be positive and finite"):
-        run()
+        DRIVER_RUNS[driver](inst, np.full(5, 0.2))
+    assert calls == []
+
+
+@pytest.mark.parametrize("coefficients", [[], [0.0]], ids=["empty", "zero"])
+@pytest.mark.parametrize("bad", [0, 1], ids=["first", "last"])
+@pytest.mark.parametrize("driver", list(DRIVER_RUNS))
+def test_every_driver_refuses_a_player_with_no_positive_coefficient(monkeypatch, driver, bad,
+                                                                    coefficients):
+    # unchecked, an empty row raised IndexError from reduceat in every driver; a zero one
+    # ended LogBar, PathFol and tat as NumericalFailure "demand overflow (a price collapsed
+    # to zero)" and propres as MaxIters after NaN warnings
+    utilities = [UtilitySpec(CES, np.arange(3), np.ones(3), rho=0.5)]
+    utilities.insert(bad, UtilitySpec(CES, np.arange(len(coefficients)), coefficients, rho=0.5))
+    inst = MarketInstance(3, 2, [0.5, 0.5], utilities)
+    real, calls = ipm.market_state, []
+    monkeypatch.setattr(ipm, "market_state", lambda *args: calls.append(1) or real(*args))
+    with pytest.raises(ConfigError, match=f"player {bad} has no positive coefficient"):
+        DRIVER_RUNS[driver](inst, np.full(3, 1.0 / 3.0))
     assert calls == []

@@ -372,7 +372,7 @@ class TestDefaultHessian:
     ], ids=["ces-small", "ces-at-limit", "ces-above-limit", "linear-at-limit",
             "linear-above-limit", "flow-small", "flow-above-limit"])
     def test_each_branch(self, build, mode):
-        assert cli._default_hessian(build()) == mode
+        assert ipm.default_hessian_mode(build()) == mode
 
     def test_ces_dense_sized_solve_picks_pcg_at_exacts_iterations(self, tmp_path, monkeypatch):
         # the benchmark's ces-dense cell: n=500, m=1500, tau=0.2
