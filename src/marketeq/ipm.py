@@ -11,7 +11,12 @@ measures (pathfol_run),
     t+ = max(t - gamma / (C ||P grad phi(p0)||*_{H~}), 0),
     H~ d = -P(grad phi - t+ grad phi(p0)),
 and its CG stops at a forcing term, unit-free since grad phi = 1 - demand
-(PCG_FORCING_CAP; Dembo, Eisenstat & Steihaug 1982).
+(PCG_FORCING_CAP; Dembo, Eisenstat & Steihaug 1982).  A kept row whose
+t = 0 Newton decrement lam = sqrt(P grad phi . H~^-1 P grad phi), which it
+has already solved for, is at most JUMP_DECREMENT sqrt(W) jumps to t = 0:
+Newton converges quadratically on a self-concordant function once
+lam < (3 - sqrt 5)/2 (Nesterov & Nemirovski 1994, 2.2), and lam^2 is in
+money units, so the bar scales with the total budget W.
 LogBar and newton_polish keep a fixed eps_k: LogBar's short step bounds the
 step error against the decrement, and with the forcing term it lost the
 central path until mu underflowed (CES n=200, m=600, rho=0.9, 6 of seeds
@@ -69,6 +74,9 @@ PHI_ACCURACY = 1e-10  # relative accuracy of MarketState.value
 # target while t > 0)
 PCG_FORCING_CAP = 1e-2
 MAX_RETREATS = 10  # PathFol's rejected t-steps in a row before the run gives up
+# PathFol jumps to t = 0 at a decrement up to this times sqrt(W): where Newton converges
+# quadratically on a self-concordant function (Nesterov & Nemirovski 1994, 2.2)
+JUMP_DECREMENT = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class ConfigError(ValueError):
@@ -711,7 +719,24 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     (extras["retreats"] counts them), so no row stepped to by a t-step
     leaves the neighbourhood (extras["centering_warnings"] counts the rows
     that do, at t = 0 alone).  After MAX_RETREATS retreats in a row the run
-    ends as NumericalFailure.  The dr1 mode runs as pcg, whose CG the DR1
+    ends as NumericalFailure.
+
+    A kept row with t > 0 and decrement lam <= JUMP_DECREMENT sqrt(W), W the
+    total budget, jumps: t+ = 0 and the step is -a, the t = 0 Newton step it
+    has already solved.  lam^2 = P grad phi . a is in money units, so
+    lam / sqrt(W) does not change with the unit of money.  The jump's point
+    is kept when its decrement is at most half of lam (the contraction
+    measured, since phi's self-concordance constant in this metric is not
+    1); else, or when its query raises OracleError, it is rejected as a
+    retreat is (no row, one extras["retreats"] and one
+    extras["rejected_jumps"]), and the run retakes from the same row the
+    t-step the jump replaced, at the same gamma, trying a jump again only
+    once lam is at most half of the rejected row's.  extras["jump_k"] is the
+    kept row an accepted jump left from (else None); extras["t_zero_k"],
+    the kept row whose step set t to 0, equals it then.  After a jump,
+    extras["centering_warnings"] counts the rows whose decrement did not
+    fall below the row before's; rows that reached t = 0 along the path
+    keep the beta/C rule.  The dr1 mode runs as pcg, whose CG the DR1
     inverse preconditions: the surrogate's error never met the certified
     delta that its rate needs as the Newton matrix itself.
     """
@@ -723,13 +748,18 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
     limit = config.beta / C * (1.0 + 1e-9)  # the neighbourhood a t-step must keep
     target = 0.5 * config.beta / C  # the nbhd_resid that gamma steers to
     trace = SolveTrace(extras={"C_phi": C, "beta": config.beta, "gamma": config.gamma_step,
-                               "centering_warnings": 0, "t_zero_k": None})
+                               "centering_warnings": 0, "t_zero_k": None, "jump_k": None,
+                               "rejected_jumps": 0})
     t, gamma = 1.0, config.gamma_step
     g0u = None  # grad phi(p0), the frozen anchor
-    # (t, H~^-1 P grad phi, H~^-1 P grad phi(p0), sqrt(P grad phi(p0) . b)) at the last
-    # kept row and at the measured point
+    # (t, H~^-1 P grad phi, H~^-1 P grad phi(p0), sqrt(P grad phi(p0) . b), decrement) at
+    # the last kept row and at the measured point
     kept = trial = None
     retreats = 0  # in a row
+    # a kept row with t > 0 jumps to t = 0 at a decrement up to this; a rejected jump
+    # lowers it to half the decrement it jumped from
+    jump_bar = JUMP_DECREMENT * math.sqrt(instance.total_budget())
+    jumped_from = None  # the kept row's decrement while its jump's trial is measured
 
     def measure(k, state, solver):
         nonlocal g0u, trial
@@ -744,12 +774,19 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
         if t > 0.0:
             b, g0_norm = solver.newton_step(MU_FLOOR, state.p * g0u, tol)
             nbhd = math.sqrt(max(float((state.p * (state.grad - t * g0u)) @ (a - t * b)), 0.0))
-        trial = (t, a, b, g0_norm)
+        trial = (t, a, b, g0_norm, lam)
         return t, nbhd, lam
 
     def retreat(k, nbhd, error):
-        nonlocal kept, gamma, retreats
-        if kept is not None and kept[0] > 0.0 and (error is not None or nbhd > limit):
+        nonlocal kept, gamma, retreats, jump_bar, jumped_from
+        if jumped_from is not None:  # the trial after a jump: kept if lam contracts by half
+            lam0, jumped_from = jumped_from, None
+            if error is not None or trial[4] > 0.5 * lam0:
+                trace.extras["rejected_jumps"] += 1
+                jump_bar = 0.5 * lam0
+                return take_step(k - 1)  # the t-step the jump replaced, at the same gamma
+            trace.extras["jump_k"] = k - 1
+        elif kept is not None and kept[0] > 0.0 and (error is not None or nbhd > limit):
             if retreats == MAX_RETREATS:
                 raise error or FloatingPointError(
                     f"{MAX_RETREATS + 1} t-steps in a row left the neighbourhood: nbhd_resid "
@@ -762,18 +799,23 @@ def pathfol_run(instance: MarketInstance, config: PathFolConfig, p0, callback=No
         retreats = 0
         if kept is not None and trial[0] > 0.0:
             gamma *= min(max(math.sqrt(target / nbhd), 0.5), 2.0) if nbhd > 0.0 else 2.0
-        kept = trial
-        if nbhd > limit:
+        if trace.extras["jump_k"] is not None:  # after a jump, Newton's decrement must fall
+            trace.extras["centering_warnings"] += int(trial[4] >= kept[4])
+        elif nbhd > limit:
             trace.extras["centering_warnings"] += 1
+        kept = trial
         return None
 
     def take_step(k):
-        """The step from the kept row k: -(a - t+ b), or -a once t = 0."""
-        nonlocal t
-        t_row, a, b, g0_norm = kept
+        """The step from the kept row k: -(a - t+ b), or -a once t = 0 or on a jump."""
+        nonlocal t, jumped_from
+        t_row, a, b, g0_norm, lam = kept
         if t_row == 0.0:
             return -a
-        t = max(t_row - gamma / (C * g0_norm), 0.0)
+        if lam <= jump_bar:
+            t, jumped_from = 0.0, lam
+        else:
+            t = max(t_row - gamma / (C * g0_norm), 0.0)
         trace.extras["t_zero_k"] = k if t == 0.0 else None
         return -(a - t * b)
 

@@ -40,8 +40,8 @@ MODULE_NAMES = {
     mq.ipm: {
         "STATUS_CONVERGED", "STATUS_MAXITERS", "STATUS_NUMFAIL", "TRACE_HEADER", "MU_FLOOR",
         "PRACTICAL_C_PHI", "STEP_SAFEGUARD_ETA", "ARMIJO", "BACKTRACK_MIN", "BACKTRACK_MAX",
-        "MIN_ALPHA", "PHI_ACCURACY", "PCG_FORCING_CAP", "MAX_RETREATS", "SIGMA_SMOOTH",
-        "ConfigError", "TraceRow", "SolveTrace", "SolveTrace.iterations", "SolveTrace.to_csv",
+        "MIN_ALPHA", "PHI_ACCURACY", "PCG_FORCING_CAP", "MAX_RETREATS", "JUMP_DECREMENT",
+        "SIGMA_SMOOTH", "ConfigError", "TraceRow", "SolveTrace", "SolveTrace.iterations", "SolveTrace.to_csv",
         "SolveTrace.from_csv", "LogBarConfig", "LogBarConfig.validate", "PathFolConfig",
         "PathFolConfig.validate", "newton_polish", "effective_budget", "lemma_initial_mu",
         "theory_strict_Q",  # LogBar's worst-case neighbourhood radius, for criterion 11

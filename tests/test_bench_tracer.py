@@ -33,10 +33,11 @@ def test_traced_solve_counts_every_query_and_step():
         _, trace = mq.pathfol_run(inst, cfg, np.full(8, inst.total_budget() / 8))
     assert trace.status == "Converged"
     totals = tracer.layer_totals(tr.spans)
-    iters = trace.iterations()
-    assert totals["oracle"]["calls"] == iters  # one per iteration; row 0's is the anchor
-    assert totals["hessian.assemble"]["calls"] == iters
-    assert totals["ipm.factor"]["calls"] == iters
+    # every query is measured, a rejected trial's too: row 0's is the anchor
+    queries = trace.extras["price_queries"]
+    assert totals["oracle"]["calls"] == queries
+    assert totals["hessian.assemble"]["calls"] == queries
+    assert totals["ipm.factor"]["calls"] == queries
     # LogBar's last row solves nothing, so it assembles no H~
     tr = tracer.Tracer()
     with tr.patched():

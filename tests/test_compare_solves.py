@@ -23,7 +23,8 @@ def load_tool():
 def solve(queries, p=1.0, safeguards=0):
     return {"status": "Converged", "iterations": 3, "price_queries": queries,
             "safeguards": safeguards, "dr1_fallbacks": 0, "backtracks": 0, "retreats": 0,
-            "con_newton_steps": 0, "p": [float(p).hex()]}
+            "con_newton_steps": 0, "rejected_jumps": 0, "t_zero_k": None, "jump_k": None,
+            "p": [float(p).hex()]}
 
 
 def test_diff_prints_each_workloads_query_totals(tmp_path, capsys):
@@ -45,22 +46,31 @@ def test_diff_prints_each_workloads_query_totals(tmp_path, capsys):
 
 
 def test_run_records_the_loops_counters(tmp_path, monkeypatch):
-    # one near-linear benchmark market; its first sigma stage clips a step
+    # one near-linear benchmark market, whose first sigma stage clips a step, and
+    # criterion 8's agreement cell, whose PathFol rejects its first jump to t = 0
     tool, workloads = load_tool(), load_bench("workloads")
-    cell = workloads.BUILDERS["near-linear"](1)[0]
+    cells = [workloads.BUILDERS["near-linear"](1)[0],
+             workloads.Cell("ces n=20", "ces", generate_random(20, 60, 0.5, rho=0.9, seed=1),
+                            workloads.CES_EPS, [("pathfol", "exact")])]
     monkeypatch.setitem(sys.modules, "workloads", types.SimpleNamespace(
-        BUILDERS={"near-linear": lambda seed: [cell]}, solves_of=workloads.solves_of))
+        BUILDERS={"near-linear": lambda seed: cells}, solves_of=workloads.solves_of))
     monkeypatch.setattr(sys, "path", list(sys.path))
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.setenv(name, "1")
     tool.run((ROOT / "src").resolve(), [1], tmp_path / "record.json")
     record = json.loads((tmp_path / "record.json").read_text(encoding="utf-8"))
-    (solve,) = [value for value in record.values() if isinstance(value, dict)]
-    _, trace = workloads.solves_of([cell])[0].runner()()
+    solves = workloads.solves_of(cells)
+    logbar, pathfol = [record[f"near-linear seed=1 | {solve.label}"] for solve in solves]
     counters = ("price_queries", "safeguards", "dr1_fallbacks", "backtracks", "retreats",
-                "con_newton_steps")
-    assert {key: solve[key] for key in counters} == {key: trace.extras[key] for key in counters}
-    assert solve["safeguards"] >= 1
+                "con_newton_steps", "rejected_jumps")
+    for solve, trace in zip((logbar, pathfol), [solve.runner()()[1] for solve in solves]):
+        assert {key: solve[key] for key in counters} == \
+            {key: trace.extras.get(key, 0) for key in counters}
+        assert {key: solve[key] for key in ("t_zero_k", "jump_k")} == \
+            {key: trace.extras.get(key) for key in ("t_zero_k", "jump_k")}
+    assert logbar["safeguards"] >= 1
+    assert (logbar["t_zero_k"], logbar["jump_k"], logbar["rejected_jumps"]) == (None, None, 0)
+    assert pathfol["rejected_jumps"] == 1 and pathfol["jump_k"] == pathfol["t_zero_k"] > 1
 
 
 def test_instance_digest_sees_every_array():

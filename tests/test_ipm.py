@@ -413,7 +413,9 @@ class TestPathFolRun:
                 pathfol_run(inst, PathFolConfig(), np.array(p0))
 
     def test_two_solves_per_row_while_homotopy_positive(self, monkeypatch):
-        # rows are told apart by their price query, one per row (row 0's is the anchor)
+        # rows are told apart by their price query, one per row (row 0's is the anchor);
+        # the jump is off, so that t > 0 lasts several rows
+        monkeypatch.setattr(ipm, "JUMP_DECREMENT", 0.0)
         row, rows_of_solves = [-1], []
         query, pcg_solve = ipm.market_state, hes.pcg_solve
 
@@ -472,7 +474,8 @@ class TestPathFolRun:
         # the benchmark's density.  While t > 0 both solves stop at a tenth of
         # gamma's nbhd_resid target, so the t-steps match; a looser solve at
         # t = 0 can cost a row: seed 2 at rho = -0.9 takes one row more than
-        # with every solve at eps_k
+        # with every solve at eps_k.  The jump is off, so that both runs walk the path
+        monkeypatch.setattr(ipm, "JUMP_DECREMENT", 0.0)
         moved = []
         for seed in range(1, 5):
             inst = mq.generate_random(60, 180, 0.2, rho=rho, seed=seed)
@@ -508,6 +511,7 @@ class TestPathFolRun:
 
     def test_a_step_that_leaves_the_neighbourhood_is_retaken_at_half_its_t_step(
             self, monkeypatch):
+        monkeypatch.setattr(ipm, "JUMP_DECREMENT", 0.0)  # the t-step rule alone
         measured = _inflate_nbhd_resid(monkeypatch, rows={2})
         inst = mq.generate_random(8, 20, 0.8, rho=0.5, seed=2)
         cfg = PathFolConfig(eps=1e-7, hessian_mode="exact")
@@ -526,6 +530,7 @@ class TestPathFolRun:
 
     def test_retreats_in_a_row_end_the_run_with_the_reason(self, monkeypatch):
         # every point after the anchor reads outside the neighbourhood
+        monkeypatch.setattr(ipm, "JUMP_DECREMENT", 0.0)  # the t-step rule alone
         measured = _inflate_nbhd_resid(monkeypatch, rows=None)
         inst = mq.generate_random(8, 20, 0.8, rho=0.5, seed=2)
         _, trace = pathfol_run(inst, PathFolConfig(eps=1e-7), np.full(8, inst.total_budget() / 8))
@@ -539,7 +544,8 @@ class TestPathFolRun:
 
     @pytest.mark.parametrize("persists", [False, True])
     def test_an_oracle_error_after_the_anchor_retreats(self, monkeypatch, persists):
-        # the third query fails, then every one after it or none
+        # the third query fails, then every one after it or none; the t-step rule alone
+        monkeypatch.setattr(ipm, "JUMP_DECREMENT", 0.0)
         real, calls = oracle.bid_shares, []
 
         def failing(*args):
@@ -560,6 +566,62 @@ class TestPathFolRun:
             assert trace.extras["retreats"] == 1
             assert trace.extras["price_queries"] == trace.iterations() + 1
 
+    def test_a_rejected_jump_resumes_the_path_at_the_t_step_it_replaced(self, monkeypatch):
+        # criterion 8's agreement cell: row 0's decrement (0.265) is below the bar,
+        # but the jump's point only reaches 0.255; once a rejected jump halved the
+        # t-step until the run ended NumericalFailure
+        inst = mq.generate_random(20, 60, 0.5, rho=0.9, seed=1)
+        p0 = np.full(20, inst.total_budget() / 20)
+        cfg = PathFolConfig(eps=1e-7, hessian_mode="exact")
+        _, trace = pathfol_run(inst, cfg, p0)
+        with monkeypatch.context() as patch:
+            patch.setattr(ipm, "JUMP_DECREMENT", 0.0)
+            _, off = pathfol_run(inst, cfg, p0)
+        assert trace.status == off.status == "Converged"
+        assert trace.rows[0].decrement <= ipm.JUMP_DECREMENT
+        assert trace.extras["rejected_jumps"] == trace.extras["retreats"] == 1
+        assert trace.rows[1].homotopy == off.rows[1].homotopy > 0.0
+        assert trace.extras["jump_k"] == trace.extras["t_zero_k"] > 1
+        assert trace.iterations() < off.iterations()
+        assert trace.extras["centering_warnings"] == 0
+
+    def test_an_oracle_error_after_a_jump_rejects_it(self, monkeypatch):
+        # the second query, the jump's point from the anchor, fails
+        real, calls = oracle.bid_shares, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OracleError("forced oracle failure")
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "bid_shares", failing)
+        _, trace = DRIVERS["pathfol"][1]()
+        assert trace.status == "Converged"
+        assert trace.rows[0].decrement <= ipm.JUMP_DECREMENT  # W = 1
+        assert trace.extras["rejected_jumps"] == trace.extras["retreats"] == 1
+        assert trace.rows[1].homotopy > 0.0
+        assert trace.extras["price_queries"] == trace.iterations() + 1
+
+    @pytest.mark.parametrize("cell", [("ces", rho, seed) for rho in (0.9, 0.5, -0.5, -0.9)
+                                      for seed in (1, 2, 3)] + [("flow", 0.25), ("flow", 0.5)],
+                             ids=lambda cell: "-".join(map(str, cell)))
+    def test_the_jump_never_costs_price_queries(self, monkeypatch, cell):
+        if cell[0] == "ces":
+            inst = mq.generate_random(60, 180, 0.2, rho=cell[1], seed=cell[2])
+            p0, mode = np.full(60, inst.total_budget() / 60), "pcg"
+        else:
+            inst, mode = mixed_flow_instance(), "exact"
+            p0 = np.full(inst.n, cell[1])
+        cfg = PathFolConfig(eps=1e-7, hessian_mode=mode)
+        _, trace = pathfol_run(inst, cfg, p0)
+        with monkeypatch.context() as patch:
+            patch.setattr(ipm, "JUMP_DECREMENT", 0.0)
+            _, off = pathfol_run(inst, cfg, p0)
+        assert trace.status == off.status == "Converged"
+        assert trace.extras["price_queries"] <= off.extras["price_queries"]
+        assert trace.extras["centering_warnings"] == 0
+
     @pytest.mark.parametrize("start", [0.25, 0.5])
     def test_flow_market_converges_from_either_start(self, start):
         # from 0.5 a fixed t-step ended NumericalFailure after 169 rows: the constrained
@@ -574,15 +636,21 @@ class TestPathFolRun:
         # prices scale with the budgets
         base = mq.generate_random(60, 180, 0.2, rho=rho, seed=1)
         w = 1.0 - np.random.default_rng(1001).random(180)
-        prices = []
+        prices, runs = [], []
         for scale in (1.0, 100.0):
             inst = MarketInstance(60, 180, scale * w, base.utilities)
             p, trace = pathfol_run(inst, PathFolConfig(eps=1e-7, hessian_mode="pcg"),
                                    np.full(60, inst.total_budget() / 60))
             assert trace.status == "Converged"
             assert trace.extras["centering_warnings"] == 0
+            assert trace.extras["jump_k"] is not None
             prices.append(p / scale)
+            runs.append((trace.iterations(), trace.extras["jump_k"],
+                         trace.extras["price_queries"]))
         np.testing.assert_allclose(prices[1], prices[0], rtol=1e-6)
+        if rho < 0.0:  # the jump's bar scales with sqrt(W), as the decrement does; at
+            # rho > 0 the first jump is rejected, and the path's beta/C is absolute
+            assert runs[0] == runs[1]
 
 
 def _inflate_nbhd_resid(monkeypatch, rows):

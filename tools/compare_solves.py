@@ -10,7 +10,9 @@ reads.  It solves every workload's markets at each seed, in one process with
 one BLAS thread, and writes per solve its status, iterations, the loop's
 counters (price queries, safeguard clips, DR1 fallbacks, rejected
 line-search trials, PathFol's retreats and the constrained players' Newton
-steps, 0 where a tree does not count one) and prices as
+steps, 0 where a tree does not count one), PathFol's ``t_zero_k``, ``jump_k``
+and ``rejected_jumps`` (None, None and 0 where a solve or tree has none, so
+``diff`` shows where a jump to t = 0 moved) and prices as
 ``float.hex`` strings, and per market a SHA-256 of its arrays:
 ``C``'s CSR arrays, the budgets, the ``r``, ``k`` and ``sigma`` columns and
 the constraint matrices, so a construction change that alters a market
@@ -33,6 +35,9 @@ import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+# recorded per solve, 0 where a tree does not count one
+COUNTERS = ("price_queries", "safeguards", "dr1_fallbacks", "backtracks", "retreats",
+            "con_newton_steps", "rejected_jumps")
 
 
 def instance_digest(instance) -> str:
@@ -68,9 +73,8 @@ def run(src: Path, seeds, out: Path) -> None:
                 p, trace = solve.runner()()
                 key = f"{name} seed={seed} | {solve.label}"
                 record[key] = {"status": trace.status, "iterations": trace.iterations(),
-                               **{c: trace.extras.get(c, 0) for c in (
-                                   "price_queries", "safeguards", "dr1_fallbacks", "backtracks",
-                                   "retreats", "con_newton_steps")},
+                               **{c: trace.extras.get(c, 0) for c in COUNTERS},
+                               **{c: trace.extras.get(c) for c in ("t_zero_k", "jump_k")},
                                "p": [float(v).hex() for v in p]}
                 print(f"{key}: {trace.status}, {trace.iterations()} iterations, "
                       f"{record[key]['price_queries']} queries", file=sys.stderr)
